@@ -6,12 +6,8 @@ from . import cfg as cfglib
 from .arithmetic import check_multiply, word_eq
 from .errors import OperandError
 from .nfa import Nfa
-from .structure import Verdict, WhStructure, normalize_generators
+from .structure import Verdict, WhStructure, normalize_generators, slot_shape
 from .words import SEP1, SEP2, reverse
-
-
-def _sep(sym):
-    return Nfa.literal((sym,), (sym,))
 
 
 def middle_slot(w) -> tuple:
@@ -23,8 +19,8 @@ def middle_slot(w) -> tuple:
 def right_stabilizer_language(s: WhStructure, left, result):
     """Grammar over full table words for { i in L : left#1i#2result-rev in M }."""
     left, result = tuple(left), tuple(result)
-    shape = (Nfa.literal(left, s.alphabet).concat(_sep(SEP1)).concat(s.reps)
-             .concat(_sep(SEP2)).concat(Nfa.literal(reverse(result), s.alphabet)))
+    shape = slot_shape(Nfa.literal(left, s.alphabet), s.reps,
+                       Nfa.literal(reverse(result), s.alphabet))
     return cfglib.intersect_regular(s.table, shape)
 
 
@@ -65,12 +61,12 @@ def green_related(s: WhStructure, w, w2, rel: str = "R") -> bool:
     def reachable(x, y):
         if rel == "R":
             # some v with elt(x) v = elt(y)
-            shape = (Nfa.literal(x, ns.alphabet).concat(_sep(SEP1)).concat(ns.reps)
-                     .concat(_sep(SEP2)).concat(Nfa.literal(reverse(y), ns.alphabet)))
+            shape = slot_shape(Nfa.literal(x, ns.alphabet), ns.reps,
+                               Nfa.literal(reverse(y), ns.alphabet))
         else:
             # some v with v elt(x) = elt(y)
-            shape = (ns.reps.concat(_sep(SEP1)).concat(Nfa.literal(x, ns.alphabet))
-                     .concat(_sep(SEP2)).concat(Nfa.literal(reverse(y), ns.alphabet)))
+            shape = slot_shape(ns.reps, Nfa.literal(x, ns.alphabet),
+                               Nfa.literal(reverse(y), ns.alphabet))
         return not cfglib.is_empty_language(cfglib.intersect_regular(ns.table, shape))
 
     return reachable(w, w2) and reachable(w2, w)

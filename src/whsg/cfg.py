@@ -4,8 +4,11 @@ regular intersection, prefix quotients and bounded enumeration.
 Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words`` and
 every operation on them degenerates to set manipulation.  Everything else
-goes through a cached binarized normal form; membership is CYK with a
-bit-parallel inner loop, cubic in the word length.
+goes through one cached lowering to bodies of at most two symbols: of the
+grammar as given for shortest words and enumeration, and of its
+normalization for CYK membership (a bit-parallel inner loop, cubic in the
+word length), prefix quotients and the one grammar x automaton product
+behind regular intersection and transducer images.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class Cfg:
         self.productions = tuple(prods)
         self.flat_words = self._detect_flat()
         self._normal = None
-        self._cnf = None
         self._lowered = None
 
     @classmethod
@@ -218,85 +220,104 @@ def is_empty_language(g: Cfg) -> bool:
     return _min_lengths_lowered(low).get(low.start) is None
 
 
-class _Cnf:
-    """Binarized form: terminal rules A -> a plus binary rules A -> B C."""
+class _Lowered:
+    """Binarized grammar: every body has at most two symbols.
 
-    __slots__ = ("start", "ids", "names", "by_sym", "term_bodies",
-                 "binary", "binary_by_head", "left_index", "right_index")
+    Nodes are the ints 0..size-1: the start first, then, production by
+    production, the head, the body symbols (each terminal of a longer body
+    through one wrapper node) and the split nodes of bodies longer than two.
+    Epsilon and unit bodies are kept, so any grammar lowers in linear size;
+    the lowering of a normalized grammar has neither and is the CYK form.
+    """
 
-    def __init__(self, start, ids, names, by_sym, term_bodies, binary):
+    __slots__ = ("start", "size", "term_bodies", "by_sym", "unit", "eps",
+                 "binary", "binary_by_head", "left_index", "right_index",
+                 "unit_index")
+
+    def __init__(self, start, size, term_bodies, by_sym, unit, eps, binary):
         self.start = start
-        self.ids = ids           # nonterminal object -> int
-        self.names = names       # int -> nonterminal object
-        self.by_sym = by_sym     # terminal -> tuple of nt ids
-        self.term_bodies = term_bodies  # nt id -> tuple of terminals
-        self.binary = binary     # tuple of (A, B, C) nt-id triples
-        self.binary_by_head = defaultdict(list)
-        self.left_index = defaultdict(list)   # B -> [(A, C)]
-        self.right_index = defaultdict(list)  # C -> [(A, B)]
+        self.size = size
+        self.term_bodies = term_bodies  # node -> list of terminals
+        self.by_sym = by_sym            # terminal -> list of nodes
+        self.unit = unit                # node -> list of nodes
+        self.eps = eps                  # nodes with an epsilon body
+        self.binary = binary            # tuple of (A, B, C) node triples
+        self.binary_by_head = defaultdict(list)  # A -> [(B, C)]
+        self.left_index = defaultdict(list)      # B -> [(A, C)]
+        self.right_index = defaultdict(list)     # C -> [(A, B)]
+        self.unit_index = defaultdict(list)      # B -> [A] for A -> B
         for a, b, c in binary:
             self.binary_by_head[a].append((b, c))
             self.left_index[b].append((a, c))
             self.right_index[c].append((a, b))
+        for a, targets in unit.items():
+            for b in targets:
+                self.unit_index[b].append(a)
 
-    @property
-    def size(self):
-        return len(self.names)
 
-
-def _build_cnf(g: Cfg) -> _Cnf:
-    gn = normalize(g, strict=False)
+def _lower(g: Cfg) -> _Lowered:
+    nts = set(g.nonterminals)
     ids: dict = {}
-    names: list = []
 
-    def nt_id(x):
-        if x not in ids:
-            ids[x] = len(names)
-            names.append(x)
-        return ids[x]
+    def node(x):
+        got = ids.get(x)
+        if got is None:
+            got = ids[x] = len(ids)
+        return got
 
-    by_sym = defaultdict(list)
     term_bodies = defaultdict(list)
+    by_sym = defaultdict(list)
+    unit = defaultdict(list)
+    eps = set()
     binary = []
     wrappers: dict = {}
 
     def wrap(sym):
         if sym not in wrappers:
-            w = nt_id(("@t", sym))
-            wrappers[sym] = w
+            w = wrappers[sym] = node(("@t", sym))
             by_sym[sym].append(w)
             term_bodies[w].append(sym)
         return wrappers[sym]
 
-    nts = set(gn.nonterminals)
-    start = nt_id(gn.start)
-    for idx, (head, body) in enumerate(gn.productions):
-        h = nt_id(head)
-        if len(body) == 1:
-            sym = body[0]  # normalized: single-symbol bodies are terminals
-            by_sym[sym].append(h)
-            term_bodies[h].append(sym)
-            continue
-        parts = [nt_id(x) if x in nts else wrap(x) for x in body]
-        cur = h
-        for i in range(len(parts) - 2):
-            nxt = nt_id(("@s", idx, i))
-            binary.append((cur, parts[i], nxt))
-            cur = nxt
-        binary.append((cur, parts[-2], parts[-1]))
-
-    by_sym = {s: tuple(dict.fromkeys(v)) for s, v in by_sym.items()}
-    term_bodies = {a: tuple(dict.fromkeys(v)) for a, v in term_bodies.items()}
-    return _Cnf(start, ids, names, by_sym, term_bodies, tuple(set(binary)))
-
-
-def cnf_of(g: Cfg) -> _Cnf:
-    if g._cnf is None:
-        g._cnf = _build_cnf(g)
-    return g._cnf
+    start = node(g.start)
+    for idx, (head, body) in enumerate(g.productions):
+        h = node(head)
+        if not body:
+            eps.add(h)
+        elif len(body) == 1:
+            x = body[0]
+            if x in nts:
+                unit[h].append(node(x))
+            else:
+                by_sym[x].append(h)
+                term_bodies[h].append(x)
+        else:
+            parts = [node(x) if x in nts else wrap(x) for x in body]
+            cur = h
+            for i in range(len(parts) - 2):
+                nxt = node(("@s", idx, i))
+                binary.append((cur, parts[i], nxt))
+                cur = nxt
+            binary.append((cur, parts[-2], parts[-1]))
+    return _Lowered(start, len(ids), term_bodies, by_sym, unit,
+                    frozenset(eps), tuple(binary))
 
 
-def _cyk_masks(cnf: _Cnf, w):
+def lowered_of(g: Cfg) -> _Lowered:
+    """The cached lowering of g as it is, epsilon and unit bodies included."""
+    if g._lowered is None:
+        g._lowered = _lower(g)
+    return g._lowered
+
+
+def cnf_of(g: Cfg) -> _Lowered:
+    """The lowering of normalize(g, strict=False): terminal rules A -> a and
+    binary rules A -> B C only, as CYK, quotients and products need."""
+    gn = g._normal if g._normal is not None else normalize(g, strict=False)
+    return lowered_of(gn)
+
+
+def _cyk_masks(cnf: _Lowered, w):
     """masks[A][l] has bit i set iff nonterminal A derives w[i:i+l]."""
     n = len(w)
     size = cnf.size
@@ -338,110 +359,25 @@ def membership(g: Cfg, w) -> bool:
     return bool(masks[cnf.start][len(w)] & 1)
 
 
-class _Lowered:
-    """Size-linear lowering to bodies of arity <= 2.
-
-    Unlike the CYK normal form this keeps epsilon and unit productions, so
-    arbitrarily shaped grammars (prefix quotients in particular) can be
-    lowered without the quadratic cost of unit elimination.
-    """
-
-    __slots__ = ("start", "term_bodies", "unit", "binary_by_head", "eps",
-                 "nodes")
-
-    def __init__(self, start, term_bodies, unit, binary_by_head, eps, nodes):
-        self.start = start
-        self.term_bodies = term_bodies      # node -> tuple of terminals
-        self.unit = unit                    # node -> tuple of nodes
-        self.binary_by_head = binary_by_head  # node -> tuple of (B, C)
-        self.eps = eps                      # nodes with an epsilon body
-        self.nodes = nodes
-
-
-def _build_lowered(g: Cfg) -> _Lowered:
-    nts = set(g.nonterminals)
-    term_bodies = defaultdict(list)
-    unit = defaultdict(list)
-    binary = defaultdict(list)
-    eps = set()
-    nodes = set(g.nonterminals)
-    wrappers: dict = {}
-
-    def wrap(sym):
-        if sym not in wrappers:
-            w = ("@t", sym)
-            wrappers[sym] = w
-            nodes.add(w)
-            term_bodies[w].append(sym)
-        return wrappers[sym]
-
-    for idx, (head, body) in enumerate(g.productions):
-        if not body:
-            eps.add(head)
-        elif len(body) == 1:
-            x = body[0]
-            if x in nts:
-                unit[head].append(x)
-            else:
-                term_bodies[head].append(x)
-        else:
-            parts = [x if x in nts else wrap(x) for x in body]
-            cur = head
-            for i in range(len(parts) - 2):
-                nxt = ("@s", idx, i)
-                nodes.add(nxt)
-                binary[cur].append((parts[i], nxt))
-                cur = nxt
-            binary[cur].append((parts[-2], parts[-1]))
-    return _Lowered(
-        g.start,
-        {a: tuple(dict.fromkeys(v)) for a, v in term_bodies.items()},
-        {a: tuple(dict.fromkeys(v)) for a, v in unit.items()},
-        {a: tuple(dict.fromkeys(v)) for a, v in binary.items()},
-        frozenset(eps),
-        nodes,
-    )
-
-
-def lowered_of(g: Cfg) -> _Lowered:
-    if getattr(g, "_lowered", None) is None:
-        g._lowered = _build_lowered(g)
-    return g._lowered
-
-
 def _min_lengths_lowered(low: _Lowered):
     """Minimal derivable word length per node (Knuth/Dijkstra fixpoint)."""
     dist: dict = {}
-    heap = []
-    for a in low.eps:
-        heap.append((0, _stable_key(a), a))
-    for a in low.term_bodies:
-        heap.append((1, _stable_key(a), a))
-    left_index = defaultdict(list)
-    right_index = defaultdict(list)
-    unit_index = defaultdict(list)
-    for head, pairs in low.binary_by_head.items():
-        for b, c in pairs:
-            left_index[b].append((head, c))
-            right_index[c].append((head, b))
-    for head, targets in low.unit.items():
-        for t in targets:
-            unit_index[t].append(head)
+    heap = [(0, a) for a in low.eps] + [(1, a) for a in low.term_bodies]
     heapq.heapify(heap)
     while heap:
-        d, _k, a = heapq.heappop(heap)
+        d, a = heapq.heappop(heap)
         if a in dist:
             continue
         dist[a] = d
-        for head in unit_index.get(a, ()):
+        for head in low.unit_index.get(a, ()):
             if head not in dist:
-                heapq.heappush(heap, (d, _stable_key(head), head))
-        for head, other in left_index.get(a, ()):
+                heapq.heappush(heap, (d, head))
+        for head, other in low.left_index.get(a, ()):
             if other in dist and head not in dist:
-                heapq.heappush(heap, (d + dist[other], _stable_key(head), head))
-        for head, other in right_index.get(a, ()):
+                heapq.heappush(heap, (d + dist[other], head))
+        for head, other in low.right_index.get(a, ()):
             if other in dist and head not in dist:
-                heapq.heappush(heap, (d + dist[other], _stable_key(head), head))
+                heapq.heappush(heap, (d + dist[other], head))
     return dist
 
 
@@ -615,57 +551,68 @@ def enumerate_words(g: Cfg, maxlen: int, ranks=None):
 def intersect_regular(g: Cfg, a: Nfa) -> Cfg:
     """Grammar for language(g) & language(a).
 
-    Product construction over the binarized grammar, built bottom-up so only
-    productive triples are materialized, then normalized.
+    Product construction over the binarized grammar; like every product
+    built there, it drops the empty word (flat grammars keep it).
     """
     if g.flat_words is not None:
         return Cfg.from_words(g.terminals,
                               [w for w in g.flat_words if a.accepts(w)],
                               g.start)
     cnf = cnf_of(g)
-    starts = defaultdict(set)   # (nt, src) -> set of dst
-    ends = defaultdict(set)     # (nt, dst) -> set of src
+    leaves = [((src, nt, dst), (sym,))
+              for (src, sym), dsts in a.transitions.items()
+              for nt in cnf.by_sym.get(sym, ()) for dst in dsts]
+    tops = [(i, f) for i in a.initial for f in a.accepting]
+    return _product_grammar(cnf, leaves, tops, g.terminals)
+
+
+def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
+                     extra_nts=(), extra_prods=()) -> Cfg:
+    """Normalized product of a binarized grammar with a state space.
+
+    An item (p, A, q) derives what A derives along some run from state p to
+    state q.  `leaves` are the productions ((p, A, q), body) for the terminal
+    rules of A; the closure combines items bottom-up over the binary rules,
+    so only productive items are materialized.  The new start derives
+    (p, start, q) for each (p, q) in `tops`.  `extra_nts` and `extra_prods`
+    carry nonterminals the leaf bodies use besides the items.
+    """
+    starts = defaultdict(set)   # (nt, p) -> set of q
+    ends = defaultdict(set)     # (nt, q) -> set of p
     items = set()
     agenda = deque()
 
-    def add(src, nt, dst):
-        it = (src, nt, dst)
+    def add(it):
         if it not in items:
+            p, nt, q = it
             items.add(it)
-            starts[(nt, src)].add(dst)
-            ends[(nt, dst)].add(src)
+            starts[(nt, p)].add(q)
+            ends[(nt, q)].add(p)
             agenda.append(it)
 
-    for (src, sym), dsts in a.transitions.items():
-        for nt in cnf.by_sym.get(sym, ()):
-            for dst in dsts:
-                add(src, nt, dst)
-
+    prods = list(leaves)
+    for it, _body in prods:
+        add(it)
     while agenda:
-        src, nt, dst = agenda.popleft()
+        p, nt, q = agenda.popleft()
         for head, right in cnf.left_index.get(nt, ()):
-            for end in starts.get((right, dst), ()):
-                add(src, head, end)
+            for end in starts.get((right, q), ()):
+                add((p, head, end))
         for head, left in cnf.right_index.get(nt, ()):
-            for begin in ends.get((left, src), ()):
-                add(begin, head, dst)
+            for begin in ends.get((left, p), ()):
+                add((begin, head, q))
 
-    start = ("&S",)
-    prods = []
-    for i in a.initial:
-        for f in a.accepting:
-            if (i, cnf.start, f) in items:
-                prods.append((start, ((i, cnf.start, f),)))
-    for src, nt, dst in items:
-        for sym in cnf.term_bodies.get(nt, ()):
-            if dst in a.transitions.get((src, sym), ()):
-                prods.append(((src, nt, dst), (sym,)))
+    for p, nt, q in items:
         for b, c in cnf.binary_by_head.get(nt, ()):
-            for mid in starts.get((b, src), ()):
-                if (mid, c, dst) in items:
-                    prods.append(((src, nt, dst), ((src, b, mid), (mid, c, dst))))
-    nonterminals = [start] + sorted(items, key=repr)
-    raw = Cfg(nonterminals, g.terminals, start, prods)
+            for mid in starts.get((b, p), ()):
+                if (mid, c, q) in items:
+                    prods.append(((p, nt, q), ((p, b, mid), (mid, c, q))))
+    start = ("&S",)
+    prods += [(start, ((p, cnf.start, q),)) for p, q in tops
+              if (p, cnf.start, q) in items]
+    prods += extra_prods
+    nonterminals = [start] + sorted(items, key=repr) + list(extra_nts)
+    raw = Cfg(nonterminals, terminals, start, prods)
     return normalize(raw, strict=False)
 
 

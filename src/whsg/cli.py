@@ -154,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision procedures for semigroups given by a regular "
                     "language of representatives and a context-free "
                     "multiplication table.")
-    parser.add_argument("--json", action="store_true", default=True,
-                        help="emit a JSON report (the default and only format)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def structure_cmd(name, fn, help_text):

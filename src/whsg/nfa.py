@@ -101,22 +101,6 @@ class Nfa:
                 return False
         return bool(current & self.accepting)
 
-    def is_empty(self) -> bool:
-        if self.finite_words is not None:
-            return not self.finite_words
-        seen = set(self.initial)
-        agenda = deque(seen)
-        while agenda:
-            q = agenda.popleft()
-            if q in self.accepting:
-                return False
-            for sym in self.alphabet:
-                for q2 in self.transitions.get((q, sym), _EMPTY):
-                    if q2 not in seen:
-                        seen.add(q2)
-                        agenda.append(q2)
-        return True
-
     def shortest_word(self, ranks=None):
         """Shortest accepted word, lexicographically least among the shortest.
 

@@ -20,7 +20,7 @@ from .basic import green_related, middle_slot
 from .errors import CapExceededError, OperandError
 from .freegroup import FreeGroupWord
 from .nfa import Nfa
-from .structure import Verdict, WhStructure, normalize_generators
+from .structure import Verdict, WhStructure, normalize_generators, slot_shape
 from .transducer import Transducer
 from .words import SEP1, SEP2, reverse
 
@@ -197,7 +197,7 @@ def enumerate_clifford_species(alphabet, max_species=10000):
         for idx, cls in enumerate(part):
             class_rep.setdefault(cls, elements[idx])
         meet_table = tuple(
-            tuple(part[_subset_index(elements, class_rep[i] | class_rep[j])]
+            tuple(part[elements.index(class_rep[i] | class_rep[j])]
                   for j in range(k))
             for i in range(k))
         placement = tuple(part[singleton[i]] for i in range(n))
@@ -207,15 +207,7 @@ def enumerate_clifford_species(alphabet, max_species=10000):
     return species
 
 
-def _subset_index(elements, subset):
-    return elements.index(subset)
-
-
 # -- completely simple ---------------------------------------------------------------
-
-
-def _sep(sym):
-    return Nfa.literal((sym,), (sym,))
 
 
 def _first_last_automaton(alphabet, first, last):
@@ -264,9 +256,7 @@ def cs_species_check(s: WhStructure, sp: CsSpecies) -> Verdict:
             for lam in sp.col_ids:
                 for mu in sp.col_ids:
                     escaped = ns.reps.difference(cells[(i, mu)]).reverse()
-                    shape = (cells[(i, lam)].concat(_sep(SEP1))
-                             .concat(cells[(j, mu)]).concat(_sep(SEP2))
-                             .concat(escaped))
+                    shape = slot_shape(cells[(i, lam)], cells[(j, mu)], escaped)
                     wit = cfglib.shortest_word(
                         cfglib.intersect_regular(ns.table, shape), ns.ranks)
                     if wit is not None:
@@ -275,9 +265,8 @@ def cs_species_check(s: WhStructure, sp: CsSpecies) -> Verdict:
                             f"{' '.join(wit)} [{tag}]")
     units = {}
     for (i, lam), w in picks.items():
-        shape = (Nfa.literal(w, ns.alphabet).concat(_sep(SEP1))
-                 .concat(cells[(i, lam)]).concat(_sep(SEP2))
-                 .concat(Nfa.literal(reverse(w), ns.alphabet)))
+        shape = slot_shape(Nfa.literal(w, ns.alphabet), cells[(i, lam)],
+                           Nfa.literal(reverse(w), ns.alphabet))
         full = cfglib.shortest_word(cfglib.intersect_regular(ns.table, shape),
                                     ns.ranks)
         if full is None:
@@ -311,9 +300,8 @@ def cs_species_check(s: WhStructure, sp: CsSpecies) -> Verdict:
                               f"translate of {a!r} [{tag}]")
         # the inverse must come from the same cell, as in the Clifford
         # analogue; otherwise a wrong-row inverse fails the left check below
-        shape = (Nfa.literal(ha, ns.alphabet).concat(_sep(SEP1))
-                 .concat(cells[(i, lam)]).concat(_sep(SEP2))
-                 .concat(Nfa.literal(reverse(units[(i, lam)]), ns.alphabet)))
+        shape = slot_shape(Nfa.literal(ha, ns.alphabet), cells[(i, lam)],
+                           Nfa.literal(reverse(units[(i, lam)]), ns.alphabet))
         full = cfglib.shortest_word(cfglib.intersect_regular(ns.table, shape),
                                     ns.ranks)
         if full is None:
@@ -378,8 +366,7 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
         for beta in sp.elements():
             low = sp.meet_of(alpha, beta)
             escaped = ns.reps.difference(layers[low]).reverse()
-            shape = (layers[alpha].concat(_sep(SEP1)).concat(layers[beta])
-                     .concat(_sep(SEP2)).concat(escaped))
+            shape = slot_shape(layers[alpha], layers[beta], escaped)
             wit = cfglib.shortest_word(
                 cfglib.intersect_regular(ns.table, shape), ns.ranks)
             if wit is not None:
@@ -389,9 +376,8 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
     idem = {}
     for alpha in sp.elements():
         w = picks[alpha]
-        shape = (Nfa.literal(w, ns.alphabet).concat(_sep(SEP1))
-                 .concat(layers[alpha]).concat(_sep(SEP2))
-                 .concat(Nfa.literal(reverse(w), ns.alphabet)))
+        shape = slot_shape(Nfa.literal(w, ns.alphabet), layers[alpha],
+                           Nfa.literal(reverse(w), ns.alphabet))
         full = cfglib.shortest_word(cfglib.intersect_regular(ns.table, shape),
                                     ns.ranks)
         if full is None:
@@ -419,9 +405,8 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
         for a in sp.letters:
             if not sp.ge(sp.place(a), alpha):
                 continue
-            shape = (Nfa.literal((a,), ns.alphabet).concat(_sep(SEP1))
-                     .concat(layers[alpha]).concat(_sep(SEP2))
-                     .concat(Nfa.literal(reverse(idem[alpha]), ns.alphabet)))
+            shape = slot_shape(Nfa.literal((a,), ns.alphabet), layers[alpha],
+                               Nfa.literal(reverse(idem[alpha]), ns.alphabet))
             full = cfglib.shortest_word(
                 cfglib.intersect_regular(ns.table, shape), ns.ranks)
             if full is None:
@@ -477,7 +462,7 @@ def palindromic_defect(g, witness_bound: int = 12) -> Optional[Defect]:
         raise OperandError("grammar must use the #2 separator")
     letters = tuple(t for t in g.terminals if t not in (SEP1, SEP2))
     shape = (Nfa.universal(letters)
-             .concat(_sep(SEP2))
+             .concat(Nfa.literal((SEP2,), (SEP2,)))
              .concat(Nfa.universal(letters)))
     outside = cfglib.intersect_regular(g, shape.complement(g.terminals))
     bad = cfglib.shortest_word(outside)
@@ -500,70 +485,61 @@ def palindromic_defect(g, witness_bound: int = 12) -> Optional[Defect]:
                 changed = True
     plain = nts - marked
 
-    # a cycle among separator-free nonterminals pumps one side only
-    edges = {x: set() for x in plain}
+    by_head: dict = {}
     for head, body in gn.productions:
-        if head in plain:
-            for x in body:
-                if x in plain:
-                    edges[head].add(x)
+        by_head.setdefault(head, []).append(body)
+
+    # one iterative depth-first pass over the separator-free nonterminals: a
+    # cycle among them pumps one side only; without one, the post-order
+    # lists every nonterminal after those its bodies use
+    edges = {x: {y for body in by_head[x] for y in body if y in plain}
+             for x in plain}
     state: dict = {}
-
-    def cyclic(x):
-        if state.get(x) == "done":
-            return False
-        if state.get(x) == "open":
-            return True
-        state[x] = "open"
-        for y in edges[x]:
-            if cyclic(y):
-                return True
-        state[x] = "done"
-        return False
-
-    for x in plain:
-        if cyclic(x):
-            return Defect(
-                f"nonterminal {x!r} recurs on one side of the separator; "
-                f"pumping it breaks the mirror symmetry",
-                _palindromic_witness(gn, witness_bound))
+    order = []
+    for root in plain:
+        if root in state:
+            continue
+        state[root] = "open"
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            x, children = stack[-1]
+            for y in children:
+                if state.get(y) == "open":
+                    return Defect(
+                        f"nonterminal {root!r} recurs on one side of the "
+                        f"separator; pumping it breaks the mirror symmetry",
+                        _palindromic_witness(gn, witness_bound))
+                if y not in state:
+                    state[y] = "open"
+                    stack.append((y, iter(edges[y])))
+                    break
+            else:
+                stack.pop()
+                state[x] = "done"
+                order.append(x)
 
     # expand the (finitely many) words of separator-free nonterminals away
     finite_words: dict = {}
 
-    def expand(x):
-        got = finite_words.get(x)
-        if got is not None:
-            return got
-        acc = set()
-        for head, body in gn.productions:
-            if head != x:
-                continue
-            parts = [(sym,) if sym not in plain else None for sym in body]
-            options = [expand(sym) if parts[i] is None else [parts[i]]
-                       for i, sym in enumerate(body)]
-            for combo in itertools.product(*options):
-                acc.add(tuple(s for part in combo for s in part))
-        finite_words[x] = sorted(acc)
-        return finite_words[x]
-
-    prods = []
-    for head, body in gn.productions:
-        if head in plain:
-            continue
-        options = [[(sym,)] if sym not in plain else expand(sym) for sym in body]
+    def spliced(body):
+        options = [finite_words[x] if x in plain else [(x,)] for x in body]
         for combo in itertools.product(*options):
-            prods.append((head, tuple(s for part in combo for s in part)))
+            yield tuple(sym for part in combo for sym in part)
+
+    for x in order:
+        finite_words[x] = sorted({w for body in by_head[x] for w in spliced(body)})
+    prods = [(head, w) for head, body in gn.productions if head not in plain
+             for w in spliced(body)]
 
     # every remaining body is p·S·t or p·#2·t with p, t separator-free
     values = {gn.start: FreeGroupWord()}
     agenda = deque([gn.start])
-    by_head: dict = {}
+    spliced_by_head: dict = {}
     for head, body in prods:
-        by_head.setdefault(head, []).append(body)
+        spliced_by_head.setdefault(head, []).append(body)
     while agenda:
         head = agenda.popleft()
-        for body in by_head.get(head, ()):
+        for body in spliced_by_head.get(head, ()):
             split = _split_single(body, marked)
             if split is None:
                 raise OperandError(
@@ -617,8 +593,7 @@ def is_free(s: WhStructure, defect_witness_length: int = 12) -> Verdict:
     table = ns.table
     eliminated = {}
     for a in list(alphabet):
-        shape = (reps.concat(_sep(SEP1)).concat(reps).concat(_sep(SEP2))
-                 .concat(Nfa.literal((a,), alphabet)))
+        shape = slot_shape(reps, reps, Nfa.literal((a,), alphabet))
         target = cfglib.intersect_regular(table, shape)
         decomp = _slot_deleter(alphabet, a).apply_to_cfg(target)
         d = cfglib.shortest_word(decomp, ns.ranks)

@@ -6,12 +6,14 @@ decision procedures assume every generator is its own representative.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 from . import cfg as cfglib
 from .cfg import Cfg
-from .errors import InvariantError, OperandError, ParseError, ReservedSymbolError
+from .errors import (EmptyProductError, InvariantError, OperandError, ParseError,
+                     ReservedSymbolError)
 from .nfa import Nfa
 from .transducer import Transducer
 from .words import RESERVED, SEP1, SEP2, reverse, shortlex_key, symbol_ranks
@@ -100,11 +102,7 @@ class WhStructure:
                         and self.in_reps(reverse(yrev))):
                     return w
             return None
-        shape = (self.reps
-                 .concat(Nfa.literal((SEP1,), (SEP1,)))
-                 .concat(self.reps)
-                 .concat(Nfa.literal((SEP2,), (SEP2,)))
-                 .concat(self.reps.reverse()))
+        shape = slot_shape(self.reps, self.reps, self.reps.reverse())
         full = tuple(self.alphabet) + (SEP1, SEP2)
         outside = cfglib.intersect_regular(self.table, shape.complement(full))
         return cfglib.shortest_word(outside, self.ranks)
@@ -125,11 +123,6 @@ class WhStructure:
     def sep_alphabet(self):
         return tuple(self.alphabet) + (SEP1, SEP2)
 
-    def letter_word(self, a) -> tuple:
-        if a not in self.alphabet:
-            raise OperandError(f"symbol {a!r} is not in the alphabet")
-        return (a,)
-
     def is_normalized(self) -> bool:
         return all(self.assignment[a] == (a,) and self.in_reps((a,))
                    for a in self.alphabet)
@@ -145,6 +138,12 @@ class WhStructure:
     def __repr__(self):
         return (f"WhStructure(alphabet={list(self.alphabet)!r}, "
                 f"reps={self.reps!r}, table={self.table!r})")
+
+
+def slot_shape(left: Nfa, middle: Nfa, right: Nfa) -> Nfa:
+    """Automaton for the table-word shape left #1 middle #2 right."""
+    return (left.concat(Nfa.literal((SEP1,), (SEP1,))).concat(middle)
+            .concat(Nfa.literal((SEP2,), (SEP2,))).concat(right))
 
 
 def _split_table_word(w):
@@ -286,9 +285,7 @@ def merge_letters(s: WhStructure, a: str, b: str,
         raise OperandError(f"unknown symbols {a!r}, {b!r}")
     if verify_depth and s.in_reps((a,)) and s.in_reps((b,)):
         for x, y in ((a, b), (b, a)):
-            shape = (s.reps.concat(Nfa.literal((SEP1,), (SEP1,)))
-                     .concat(s.reps).concat(Nfa.literal((SEP2,), (SEP2,)))
-                     .concat(Nfa.literal((x,), s.alphabet)))
+            shape = slot_shape(s.reps, s.reps, Nfa.literal((x,), s.alphabet))
             ending = cfglib.intersect_regular(s.table, shape)
             for w in cfglib.enumerate_words(ending, verify_depth, s.ranks):
                 twin = w[:-1] + (y,)
@@ -347,7 +344,7 @@ def normalize_generators(s: WhStructure) -> WhStructure:
                  if s.assignment[a] != (a,) or not s.in_reps((a,))]
     parts = [s.table]
     for slots in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)):
-        for combo in _letter_combos(s.alphabet, len(slots)):
+        for combo in itertools.product(s.alphabet, repeat=len(slots)):
             chosen = dict(zip(slots, combo))
             if not any(c in rewritten for c in combo):
                 continue  # identity rewrite; already a subset of the table
@@ -359,12 +356,6 @@ def normalize_generators(s: WhStructure) -> WhStructure:
     result._normalized = result
     s._normalized = result
     return result
-
-
-def _letter_combos(alphabet, k):
-    import itertools
-
-    return itertools.product(alphabet, repeat=k)
 
 
 def _slot_rewriter(s: WhStructure, chosen) -> Transducer:
@@ -447,7 +438,7 @@ def validate_necessary(s: WhStructure, depth: int = 4, sample_cap: int = 200) ->
     for u, v in pairs:
         try:
             r = arithmetic.multiply(ns, u, v)
-        except Exception:
+        except EmptyProductError:
             return Verdict.no(
                 f"missing product witness for {' '.join(u)!r} * {' '.join(v)!r}")
         lang = arithmetic.product_language(ns, u, v)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 
-from .cfg import Cfg, cnf_of, normalize
+# normalize is no longer called here but stays importable from this module:
+# benchmark/selfcheck.py checks that tracing wraps such copied bindings
+from .cfg import Cfg, _product_grammar, cnf_of, normalize
 from .nfa import Nfa
 
 
@@ -189,54 +191,23 @@ class Transducer:
                 letter_edges[insym].append((src, out, dst))
         glue_needed = bool(eps_transitions)
 
-        starts = defaultdict(set)
-        ends = defaultdict(set)
-        items = set()
-        agenda = deque()
-
-        def add(p, nt, q):
-            it = (p, nt, q)
-            if it not in items:
-                items.add(it)
-                starts[(nt, p)].add(q)
-                ends[(nt, q)].add(p)
-                agenda.append(it)
-
-        for sym, edges in letter_edges.items():
-            for nt in cnf.by_sym.get(sym, ()):
-                for src, _out, dst in edges:
-                    for p in pred[src]:
-                        for q in reach[dst]:
-                            add(p, nt, q)
-        while agenda:
-            p, nt, q = agenda.popleft()
-            for head, right in cnf.left_index.get(nt, ()):
-                for end in starts.get((right, q), ()):
-                    add(p, head, end)
-            for head, left in cnf.right_index.get(nt, ()):
-                for begin in ends.get((left, p), ()):
-                    add(begin, head, q)
-
         def glue(x, y):
             return ("g", x, y)
 
-        prods = []
+        leaves = []
         glue_nodes = set()
-        for p, nt, q in items:
-            for sym in cnf.term_bodies.get(nt, ()):
-                for src, out, dst in letter_edges.get(sym, ()):
-                    if src in reach[p] and q in reach[dst]:
-                        if glue_needed:
-                            body = (glue(p, src),) + out + (glue(dst, q),)
-                            glue_nodes.add((p, src))
-                            glue_nodes.add((dst, q))
-                        else:
-                            body = out
-                        prods.append(((p, nt, q), body))
-            for b, c in cnf.binary_by_head.get(nt, ()):
-                for mid in starts.get((b, p), ()):
-                    if (mid, c, q) in items:
-                        prods.append(((p, nt, q), ((p, b, mid), (mid, c, q))))
+        for sym, edges in letter_edges.items():
+            for nt in cnf.by_sym.get(sym, ()):
+                for src, out, dst in edges:
+                    for p in pred[src]:
+                        for q in reach[dst]:
+                            if glue_needed:
+                                body = (glue(p, src),) + out + (glue(dst, q),)
+                                glue_nodes.add((p, src))
+                                glue_nodes.add((dst, q))
+                            else:
+                                body = out
+                            leaves.append(((p, nt, q), body))
         glue_prods = []
         if glue_needed:
             agenda = deque(glue_nodes)
@@ -250,14 +221,9 @@ class Transducer:
                             glue_nodes.add((dst, y))
                             agenda.append((dst, y))
                         glue_prods.append((glue(x, y), out + (glue(dst, y),)))
-        start = ("&S",)
-        top = [(start, ((self.initial, cnf.start, f),))
-               for f in self.accepting
-               if (self.initial, cnf.start, f) in items]
-        nonterminals = [start] + sorted(items, key=repr)
-        nonterminals += sorted((glue(x, y) for x, y in glue_nodes), key=repr)
-        raw = Cfg(nonterminals, alphabet, start, top + prods + glue_prods)
-        return normalize(raw, strict=False)
+        glue_nts = sorted((glue(x, y) for x, y in glue_nodes), key=repr)
+        tops = [(self.initial, f) for f in self.accepting]
+        return _product_grammar(cnf, leaves, tops, alphabet, glue_nts, glue_prods)
 
     def __repr__(self):
         return f"Transducer(states={len(self.states)}, transitions={len(self.transitions)})"

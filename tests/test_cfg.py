@@ -6,6 +6,7 @@ from conftest import all_words
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
+from whsg.transducer import Transducer
 from whsg.words import SEP1, SEP2, symbol_ranks
 
 
@@ -157,22 +158,44 @@ def test_union_cfgs():
 
 
 def _random_cfg(rng):
-    """Small epsilon-free random grammar over {a, b}."""
+    """Small random grammar over {a, b}, with empty and unit bodies."""
     nts = ["O", "X", "Y"][:rng.randint(1, 3)]
     prods = []
     for _ in range(rng.randint(2, 6)):
         head = rng.choice(nts)
         body = tuple(rng.choice(nts + ["a", "b", "a", "b"])
-                     for _ in range(rng.randint(1, 3)))
+                     for _ in range(rng.randint(0, 3)))
         prods.append((head, body))
     return Cfg(nts, ("a", "b"), "O", prods)
 
 
+def _random_nfa(rng):
+    states = range(rng.randint(1, 3))
+    trans = [(p, sym, q) for p in states for sym in ("a", "b") for q in states
+             if rng.random() < 0.4]
+    return Nfa(states, ("a", "b"), trans, [0],
+               [q for q in states if rng.random() < 0.5])
+
+
 def test_membership_matches_enumeration_on_random_grammars():
     rng = random.Random(123)
-    words = all_words(("a", "b"), 6)
+    words = all_words(("a", "b"), 6, minlen=0)
+    identity = Transducer.identity(("a", "b"))
     for _ in range(30):
         g = _random_cfg(rng)
-        members = set(cfglib.enumerate_words(g, 6))
+        a = _random_nfa(rng)
+        members = cfglib.enumerate_words(g, 6)
+        member_set = set(members)
+        product = cfglib.intersect_regular(g, a)
+        image = identity.apply_to_cfg(g)
+        shortest = cfglib.shortest_word(g)
+        if members:
+            assert shortest == members[0]
+        else:
+            assert shortest is None or len(shortest) > 6
         for w in words:
-            assert cfglib.membership(g, w) == (w in members)
+            member = w in member_set
+            assert cfglib.membership(g, w) == member
+            if w:  # products drop the empty word
+                assert cfglib.membership(product, w) == (member and a.accepts(w))
+                assert cfglib.membership(image, w) == member

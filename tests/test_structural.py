@@ -201,6 +201,16 @@ def test_pumping_defect():
     assert d.witness is not None
 
 
+def test_deep_chain_has_no_defect():
+    # S -> P0 #2 P0, Pi -> a P(i+1), P2999 -> a: deeper than the interpreter's
+    # recursion limit, and every member a^3000 #2 a^3000 is palindromic
+    chain = [f"P{i}" for i in range(3000)]
+    prods = [("S", ("P0", SEP2, "P0")), (chain[-1], ("a",))]
+    prods += [(x, ("a", y)) for x, y in zip(chain, chain[1:])]
+    g = Cfg(["S"] + chain, ("a", SEP2), "S", prods)
+    assert palindromic_defect(g) is None
+
+
 def test_defect_precondition_enforced():
     g = Cfg(["O"], ("a", SEP2), "O", [("O", ("a", SEP2, "a", SEP2, "a"))])
     with pytest.raises(OperandError):

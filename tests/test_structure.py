@@ -204,6 +204,17 @@ def test_validate_detects_missing_product(free2):
     assert "missing product witness" in v.reason
 
 
+def test_validate_lets_internal_errors_propagate(z2, monkeypatch):
+    from whsg import arithmetic
+
+    def broken(*args):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(arithmetic, "multiply", broken)
+    with pytest.raises(RuntimeError):
+        validate_necessary(z2, depth=2)
+
+
 def test_validate_rejects_silly_depth(z2):
     with pytest.raises(OperandError):
         validate_necessary(z2, depth=0)
