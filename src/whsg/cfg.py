@@ -98,33 +98,64 @@ def derives_epsilon(g: Cfg) -> bool:
     return g.start in nullable
 
 
+def _closure(prods, nts):
+    """Least set of heads closed under: a head holds once every nonterminal
+    of one of its bodies holds (terminals always hold).
+
+    Linear in the total body length (Dowling and Gallier 1984): one counter
+    per production of its nonterminal occurrences still unmet, an index from
+    each nonterminal to the productions it occurs in, and a worklist; each
+    occurrence is decremented once.
+    """
+    heads = []
+    unmet = []
+    occurs = defaultdict(list)
+    holds = set()
+    for i, (head, body) in enumerate(prods):
+        heads.append(head)
+        n = 0
+        for x in body:
+            if x in nts:
+                occurs[x].append(i)
+                n += 1
+        unmet.append(n)
+        if not n:
+            holds.add(head)
+    agenda = list(holds)
+    while agenda:
+        for i in occurs.get(agenda.pop(), ()):
+            unmet[i] -= 1
+            if not unmet[i] and heads[i] not in holds:
+                holds.add(heads[i])
+                agenda.append(heads[i])
+    return holds
+
+
 def _nullable_set(g: Cfg):
     nts = set(g.nonterminals)
-    nullable = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in g.productions:
-            if head in nullable:
-                continue
-            if all(x in nullable for x in body if x in nts) and \
-                    all(x in nts for x in body):
-                nullable.add(head)
-                changed = True
-    return nullable
+    return _closure([(h, b) for h, b in g.productions
+                     if all(x in nts for x in b)], nts)
 
 
 def normalize(g: Cfg, strict: bool = True) -> Cfg:
     """Equivalent grammar without epsilon productions, unit productions or
     useless symbols.
 
-    With strict=True the language must not contain the empty word; with
-    strict=False the empty word is silently dropped from the language.
-    An empty language yields a grammar with no productions.
+    With strict=True the language must not contain the empty word, also
+    when the result is already cached; with strict=False the empty word is
+    silently dropped from the language.  An empty language yields a grammar
+    with no productions.
+
+    Time is linear in the grammar size plus the output size (the nullable
+    and productive sets are one counter-based pass each), up to the sort of
+    the output and two steps: each body is expanded over every subset of
+    its nullable symbols (2^k bodies for k of them), and the unit-rule
+    closure walks, from every nonterminal, all those it reaches by unit
+    rules.
     """
+    if strict and derives_epsilon(g):
+        raise ValueError("language contains the empty word")
     if g.flat_words is not None:
-        if strict and () in g.flat_words:
-            raise ValueError("language contains the empty word")
         words = [w for w in g.flat_words if w]
         return Cfg.from_words(g.terminals, words, g.start)
     if g._normal is not None:
@@ -132,9 +163,6 @@ def normalize(g: Cfg, strict: bool = True) -> Cfg:
 
     nts = set(g.nonterminals)
     nullable = _nullable_set(g)
-    if strict and g.start in nullable:
-        raise ValueError("language contains the empty word")
-
     prods = set()
     for head, body in g.productions:
         options = [(x,) if x not in nullable else (x, None) for x in body]
@@ -165,17 +193,11 @@ def normalize(g: Cfg, strict: bool = True) -> Cfg:
             for body in nonunit.get(tgt, ()):
                 closed.add((src, body))
     prods = closed
+    # freed first, so that the closure's occurrence index does not raise
+    # the peak memory of large product grammars
+    del unit_edges, nonunit
 
-    # productive nonterminals
-    productive = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in prods:
-            if head not in productive and \
-                    all(x in productive or x not in nts for x in body):
-                productive.add(head)
-                changed = True
+    productive = _closure(prods, nts)
     if g.start not in productive:
         out = Cfg([g.start], g.terminals, g.start, [])
         g._normal = out
@@ -212,12 +234,7 @@ def _stable_key(x):
 
 
 def is_empty_language(g: Cfg) -> bool:
-    if g.flat_words is not None:
-        return not g.flat_words
-    if derives_epsilon(g):
-        return False
-    low = lowered_of(g)
-    return _min_lengths_lowered(low).get(low.start) is None
+    return g.start not in _closure(g.productions, set(g.nonterminals))
 
 
 class _Lowered:

@@ -50,6 +50,14 @@ def test_normalize_strict_rejects_epsilon():
     assert cfglib.membership(gn, ("a",))
 
 
+def test_normalize_strict_checks_cached_result():
+    for warm in (lambda g: cfglib.normalize(g, strict=False), cfglib.cnf_of):
+        g = Cfg(["O"], ("a",), "O", [("O", ()), ("O", ("a", "O"))])
+        warm(g)
+        with pytest.raises(ValueError):
+            cfglib.normalize(g, strict=True)
+
+
 def test_membership_free2_table(free2):
     assert cfglib.membership(free2.table, ("a", SEP1, "b", SEP2, "b", "a"))
     assert not cfglib.membership(free2.table, ("a", SEP1, "b", SEP2, "a", "b"))
@@ -199,3 +207,102 @@ def test_membership_matches_enumeration_on_random_grammars():
             if w:  # products drop the empty word
                 assert cfglib.membership(product, w) == (member and a.accepts(w))
                 assert cfglib.membership(image, w) == member
+
+
+def _naive_nullable(g):
+    """Reference: rescan every production until a pass adds nothing."""
+    nullable = set()
+    changed = True
+    while changed:
+        changed = False
+        for head, body in g.productions:
+            if head not in nullable and all(x in nullable for x in body):
+                nullable.add(head)
+                changed = True
+    return nullable
+
+
+def _naive_productive(g):
+    """Reference as above; also returns the number of passes it made."""
+    nts = set(g.nonterminals)
+    productive = set()
+    passes = 0
+    changed = True
+    while changed:
+        changed = False
+        passes += 1
+        for head, body in g.productions:
+            if head not in productive and \
+                    all(x in productive or x not in nts for x in body):
+                productive.add(head)
+                changed = True
+    return productive, passes
+
+
+def _layered_cfg(rng, k):
+    """Random grammar on N0..N(k-1) whose Ni mostly uses N(i+1) and later
+    ones, listed from N0 on: reverse dependency order, so a rescanning
+    fixpoint learns about one nonterminal per pass."""
+    nts = [f"N{i}" for i in range(k)]
+    prods = []
+    for i, head in enumerate(nts[:-1]):
+        later = nts[i + 1:]
+        chain = [nts[i + 1]] + [rng.choice(later + ["a", "b"])
+                                for _ in range(rng.randint(0, 2))]
+        rng.shuffle(chain)
+        prods.append((head, tuple(chain)))
+        for _ in range(rng.randint(0, 2)):
+            pool = later + ["a", "b"] + ([rng.choice(nts)] if rng.random() < 0.3 else [])
+            prods.append((head, tuple(rng.choice(pool)
+                                      for _ in range(rng.randint(1, 3)))))
+    prods += [(nts[-1], body) for body in ((), ("a",), ("b", "a"))
+              if rng.random() < 0.6]
+    return Cfg(nts, ("a", "b"), "N0", prods)
+
+
+def _assert_closures_match(g):
+    nts = set(g.nonterminals)
+    nullable = _naive_nullable(g)
+    productive, passes = _naive_productive(g)
+    assert cfglib._nullable_set(g) == nullable
+    assert cfglib._closure(g.productions, nts) == productive
+    eps = g.start in nullable
+    assert cfglib.derives_epsilon(g) == eps
+    # enumerate_words asks derives_epsilon about the empty word, so the
+    # independent witness is the shortest-length pass over the lowering
+    low = cfglib.lowered_of(g)
+    assert (cfglib._min_lengths_lowered(low).get(low.start) == 0) == eps
+    assert cfglib.is_empty_language(g) == (g.start not in productive)
+    gn = cfglib.normalize(g, strict=False)
+    assert cfglib.enumerate_words(gn, 6) == [
+        w for w in cfglib.enumerate_words(g, 6) if w]
+    if g.start not in productive:
+        assert not gn.productions
+    return passes
+
+
+def test_closure_matches_naive_fixpoint_on_random_grammars():
+    rng = random.Random(2024)
+    for _ in range(60):
+        _assert_closures_match(_random_cfg(rng))
+    passes = [_assert_closures_match(_layered_cfg(rng, rng.randint(20, 40)))
+              for _ in range(12)]
+    assert max(passes) >= 15, "layered grammars should need many naive passes"
+
+
+def test_normalize_unit_chain_to_epsilon_has_no_productions():
+    k = 30
+    nts = [f"C{i}" for i in range(k)] + ["D"]
+    prods = [(f"C{i}", (f"C{i + 1}",)) for i in range(k - 1)]
+    prods += [(f"C{i}", ("a", "D")) for i in range(0, k, 3)]
+    prods += [("D", ("a", "D")), (f"C{k - 1}", ())]
+    g = Cfg(nts, ("a",), "C0", prods)
+    passes = _assert_closures_match(g)
+    assert cfglib.derives_epsilon(g)
+    gn = cfglib.normalize(g, strict=False)
+    assert gn.productions == ()
+    assert gn.nonterminals == ("C0",)
+    assert cfglib.is_empty_language(gn)
+    with pytest.raises(ValueError):
+        cfglib.normalize(g, strict=True)
+    assert passes >= k  # listed against the chain: one head per naive pass
