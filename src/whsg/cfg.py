@@ -4,11 +4,14 @@ regular intersection, prefix quotients and bounded enumeration.
 Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words`` and
 every operation on them degenerates to set manipulation.  Everything else
-goes through one cached lowering to bodies of at most two symbols: of the
-grammar as given for shortest words and enumeration, and of its
-normalization for CYK membership (a bit-parallel inner loop, cubic in the
-word length), prefix quotients and the one grammar x automaton product
-behind regular intersection and transducer images.
+goes through one cached lowering to bodies of at most two symbols.  The
+lowering of the grammar as given feeds one lightest-derivation pass
+(Knuth's generalization of Dijkstra's algorithm, 1977), which reads off the
+shortlex-least word of every node.  The lowering of its normalization
+serves CYK membership (a bit-parallel inner loop, cubic in the word
+length), bounded enumeration (a memoized walk whose sub-calls ask for
+strictly shorter words), prefix quotients and the one grammar x automaton
+product behind regular intersection and transducer images.
 """
 
 from __future__ import annotations
@@ -376,29 +379,38 @@ def membership(g: Cfg, w) -> bool:
     return bool(masks[cnf.start][len(w)] & 1)
 
 
-def _min_lengths_lowered(low: _Lowered):
-    """Minimal derivable word length per node (Knuth/Dijkstra fixpoint)."""
-    dist: dict = {}
-    heap = [(0, a) for a in low.eps] + [(1, a) for a in low.term_bodies]
+def _lightest(low: _Lowered, ranks=None):
+    """Least derivation per node: node -> (length, word) for every node that
+    derives a word, the word shortlex-least as a tuple of symbol ranks.
+
+    Knuth's generalization of Dijkstra's algorithm (1977): concatenation is
+    monotone in shortlex order and never below either part, so the first
+    pop of a node carries its least word, unit and epsilon cycles included.
+    With ranks=None every word is () and only the lengths are minimal.
+    """
+    heap = [(0, (), a) for a in low.eps]
+    for a, syms in low.term_bodies.items():
+        w = () if ranks is None else (min(ranks[s] for s in syms),)
+        heap.append((1, w, a))
     heapq.heapify(heap)
+    best: dict = {}
     while heap:
-        d, a = heapq.heappop(heap)
-        if a in dist:
+        n, w, a = heapq.heappop(heap)
+        if a in best:
             continue
-        dist[a] = d
+        best[a] = (n, w)
         for head in low.unit_index.get(a, ()):
-            if head not in dist:
-                heapq.heappush(heap, (d, head))
-        for head, other in low.left_index.get(a, ()):
-            if other in dist and head not in dist:
-                heapq.heappush(heap, (d + dist[other], head))
-        for head, other in low.right_index.get(a, ()):
-            if other in dist and head not in dist:
-                heapq.heappush(heap, (d + dist[other], head))
-    return dist
-
-
-_UNSET = object()
+            if head not in best:
+                heapq.heappush(heap, (n, w, head))
+        for head, c in low.left_index.get(a, ()):
+            right = best.get(c)
+            if right is not None and head not in best:
+                heapq.heappush(heap, (n + right[0], w + right[1], head))
+        for head, b in low.right_index.get(a, ()):
+            left = best.get(b)
+            if left is not None and head not in best:
+                heapq.heappush(heap, (left[0] + n, left[1] + w, head))
+    return best
 
 
 def _trampoline(gen_fn, first):
@@ -425,80 +437,20 @@ def _trampoline(gen_fn, first):
 def shortest_word(g: Cfg, ranks=None):
     """Shortest word of the language, lexicographically least among those;
     None when the language is empty."""
+    if ranks is None:
+        ranks = symbol_ranks(g.terminals)
     if g.flat_words is not None:
         if not g.flat_words:
             return None
-        if ranks is None:
-            ranks = symbol_ranks(g.terminals)
         return min(g.flat_words, key=shortlex_key(ranks))
     if derives_epsilon(g):
         return ()
-    if ranks is None:
-        ranks = symbol_ranks(g.terminals)
     low = lowered_of(g)
-    minlen = _min_lengths_lowered(low)
-    total = minlen.get(low.start)
-    if total is None:
+    got = _lightest(low, ranks).get(low.start)
+    if got is None:
         return None
-    memo: dict = {}
-    frames: dict = {}
-    inf = float("inf")
-
-    def key(w):
-        return tuple(ranks[s] for s in w)
-
-    def best(a, n, depth):
-        # Unit or epsilon-sibling cycles re-enter (a, n) at the same length.
-        # Re-entries are cut (derivations through the cycle yield nothing the
-        # first visit does not) and results that depended on a cut below an
-        # ancestor frame are not memoized.  Written as a generator driven by
-        # _trampoline so deep quotient grammars cannot overflow the C stack.
-        cached = memo.get((a, n), _UNSET)
-        if cached is not _UNSET:
-            return cached, inf
-        if (a, n) in frames:
-            return None, frames[(a, n)]
-        frames[(a, n)] = depth
-        low_dep = inf
-        result = None
-        if n == 0 and a in low.eps:
-            result = ()
-        if n == 1:
-            syms = low.term_bodies.get(a)
-            if syms:
-                result = (min(syms, key=lambda s: ranks[s]),)
-        for b in low.unit.get(a, ()):
-            mb = minlen.get(b)
-            if mb is None or mb > n:
-                continue
-            wb, dep = yield (b, n, depth + 1)
-            low_dep = min(low_dep, dep)
-            if wb is not None and (result is None or key(wb) < key(result)):
-                result = wb
-        for b, c in low.binary_by_head.get(a, ()):
-            mb = minlen.get(b)
-            mc = minlen.get(c)
-            if mb is None or mc is None or mb + mc > n:
-                continue
-            for s in range(mb, n - mc + 1):
-                wb, dep = yield (b, s, depth + 1)
-                low_dep = min(low_dep, dep)
-                if wb is None:
-                    continue
-                wc, dep = yield (c, n - s, depth + 1)
-                low_dep = min(low_dep, dep)
-                if wc is None:
-                    continue
-                cand = wb + wc
-                if result is None or key(cand) < key(result):
-                    result = cand
-        del frames[(a, n)]
-        if low_dep >= depth:
-            memo[(a, n)] = result
-            return result, inf
-        return result, low_dep
-
-    return _trampoline(best, (low.start, total, 0))[0]
+    symbol = {r: s for s, r in ranks.items()}
+    return tuple(symbol[r] for r in got[1])
 
 
 def enumerate_words(g: Cfg, maxlen: int, ranks=None):
@@ -508,57 +460,32 @@ def enumerate_words(g: Cfg, maxlen: int, ranks=None):
     if g.flat_words is not None:
         return sorted((w for w in g.flat_words if len(w) <= maxlen),
                       key=shortlex_key(ranks))
-    out = set()
-    if derives_epsilon(g):
-        out.add(())
-    low = lowered_of(g)
-    minlen = _min_lengths_lowered(low)
+    out = {()} if derives_epsilon(g) else set()
+    # the normal form has no epsilon or unit rules, so every sub-call asks
+    # for a strictly shorter length and the recursion has no cycles
+    cnf = cnf_of(g)
+    minlen = {a: n for a, (n, _w) in _lightest(cnf).items()}
     memo: dict = {}
-    frames: dict = {}
-    inf = float("inf")
 
-    def words(a, n, depth):
+    def words(a, n):
         got = memo.get((a, n))
         if got is not None:
-            return got, inf
-        if (a, n) in frames:
-            return frozenset(), frames[(a, n)]
-        ml = minlen.get(a)
-        if ml is None or ml > n:
-            memo[(a, n)] = frozenset()
-            return memo[(a, n)], inf
-        frames[(a, n)] = depth
-        low_dep = inf
+            return got
         acc = set()
-        if n == 0 and a in low.eps:
-            acc.add(())
-        if n == 1:
-            for sym in low.term_bodies.get(a, ()):
-                acc.add((sym,))
-        for b in low.unit.get(a, ()):
-            got, dep = yield (b, n, depth + 1)
-            low_dep = min(low_dep, dep)
-            acc |= got
-        for b, c in low.binary_by_head.get(a, ()):
-            for s in range(0, n + 1):
-                left, dep = yield (b, s, depth + 1)
-                low_dep = min(low_dep, dep)
-                if not left:
-                    continue
-                right, dep = yield (c, n - s, depth + 1)
-                low_dep = min(low_dep, dep)
-                for u in left:
-                    for v in right:
-                        acc.add(u + v)
-        del frames[(a, n)]
-        acc = frozenset(acc)
-        if low_dep >= depth:
-            memo[(a, n)] = acc
-            return acc, inf
-        return acc, low_dep
+        if a in minlen and minlen[a] <= n:
+            if n == 1:
+                acc.update((sym,) for sym in cnf.term_bodies.get(a, ()))
+            for b, c in cnf.binary_by_head.get(a, ()):
+                for s in range(minlen[b], n - minlen[c] + 1):
+                    left = yield (b, s)
+                    if left:
+                        right = yield (c, n - s)
+                        acc.update(u + v for u in left for v in right)
+        memo[(a, n)] = acc
+        return acc
 
     for n in range(1, maxlen + 1):
-        out |= _trampoline(words, (low.start, n, 0))[0]
+        out |= _trampoline(words, (cnf.start, n))
     return sorted(out, key=shortlex_key(ranks))
 
 
@@ -569,11 +496,11 @@ def intersect_regular(g: Cfg, a: Nfa) -> Cfg:
     """Grammar for language(g) & language(a).
 
     Product construction over the binarized grammar; like every product
-    built there, it drops the empty word (flat grammars keep it).
+    built there, it drops the empty word, on flat grammars too.
     """
     if g.flat_words is not None:
         return Cfg.from_words(g.terminals,
-                              [w for w in g.flat_words if a.accepts(w)],
+                              [w for w in g.flat_words if w and a.accepts(w)],
                               g.start)
     cnf = cnf_of(g)
     leaves = [((src, nt, dst), (sym,))
@@ -619,14 +546,17 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
             for begin in ends.get((left, p), ()):
                 add((begin, head, q))
 
+    start = ("&S",)
+    top = [(start, ((p, cnf.start, q),)) for p, q in tops
+           if (p, cnf.start, q) in items]
+    if not top:
+        return Cfg([start], terminals, start, [])
     for p, nt, q in items:
         for b, c in cnf.binary_by_head.get(nt, ()):
             for mid in starts.get((b, p), ()):
                 if (mid, c, q) in items:
                     prods.append(((p, nt, q), ((p, b, mid), (mid, c, q))))
-    start = ("&S",)
-    prods += [(start, ((p, cnf.start, q),)) for p, q in tops
-              if (p, cnf.start, q) in items]
+    prods += top
     prods += extra_prods
     nonterminals = [start] + sorted(items, key=repr) + list(extra_nts)
     raw = Cfg(nonterminals, terminals, start, prods)

@@ -98,17 +98,13 @@ def _blocks(letters, assign):
 
 
 def _growth_strings(n):
-    """Restricted growth strings: canonical set partitions of an n-set."""
-    out = []
-
-    def rec(prefix, top):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(top + 2):
-            rec(prefix + [v], max(top, v))
-
-    rec([0], 0) if n else out.append(())
+    """Restricted growth strings: canonical set partitions of an n-set, in
+    lexicographic order."""
+    if not n:
+        return [()]
+    out = [(0,)]
+    for _ in range(n - 1):
+        out = [s + (v,) for s in out for v in range(max(s) + 2)]
     return out
 
 
@@ -464,25 +460,32 @@ def palindromic_defect(g, witness_bound: int = 12) -> Optional[Defect]:
     shape = (Nfa.universal(letters)
              .concat(Nfa.literal((SEP2,), (SEP2,)))
              .concat(Nfa.universal(letters)))
+    # products drop the empty word, which is outside A*#2A* as well
     outside = cfglib.intersect_regular(g, shape.complement(g.terminals))
-    bad = cfglib.shortest_word(outside)
+    bad = () if cfglib.derives_epsilon(g) else cfglib.shortest_word(outside)
     if bad is not None:
         raise OperandError(
             f"language is not contained in A*#2A*: {' '.join(bad)!r}")
     gn = cfglib.normalize(g, strict=False)
     if not gn.productions:
         return None
+    # the nonterminals that reach the separator: one worklist over the
+    # heads each nonterminal occurs under
     nts = set(gn.nonterminals)
     marked = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in gn.productions:
-            if head in marked:
-                continue
-            if SEP2 in body or any(x in marked for x in body):
+    occurs: dict = {}
+    for head, body in gn.productions:
+        if SEP2 in body:
+            marked.add(head)
+        for x in body:
+            if x in nts:
+                occurs.setdefault(x, []).append(head)
+    agenda = list(marked)
+    while agenda:
+        for head in occurs.get(agenda.pop(), ()):
+            if head not in marked:
                 marked.add(head)
-                changed = True
+                agenda.append(head)
     plain = nts - marked
 
     by_head: dict = {}

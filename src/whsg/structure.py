@@ -102,6 +102,8 @@ class WhStructure:
                         and self.in_reps(reverse(yrev))):
                     return w
             return None
+        if cfglib.derives_epsilon(self.table):  # products drop the empty word
+            return ()
         shape = slot_shape(self.reps, self.reps, self.reps.reverse())
         full = tuple(self.alphabet) + (SEP1, SEP2)
         outside = cfglib.intersect_regular(self.table, shape.complement(full))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,7 @@ from whsg import cfg as cfglib
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
 from whsg.transducer import Transducer
-from whsg.words import SEP1, SEP2, symbol_ranks
+from whsg.words import SEP1, SEP2, shortlex_key, symbol_ranks
 
 
 def test_normalize_drops_unreachable():
@@ -84,6 +85,21 @@ def test_intersect_regular_empty_absorbs():
     empty = Cfg(["O"], ("a",), "O", [])
     got = cfglib.intersect_regular(empty, Nfa.universal(("a",)))
     assert cfglib.is_empty_language(got)
+    # no top item: the product is the empty normal form of its start
+    g = Cfg(["O"], ("a", "b"), "O", [("O", ("a", "O")), ("O", ("a",))])
+    got = cfglib.intersect_regular(g, Nfa.universal(("b",)))
+    assert got == Cfg([("&S",)], ("a", "b"), ("&S",), [])
+
+
+def test_intersect_regular_drops_empty_word():
+    star = Nfa.universal(("a",))
+    flat = Cfg.from_words(("a",), [(), ("a",)])
+    generic = Cfg(["O", "X"], ("a",), "O",
+                  [("O", ("X",)), ("X", ()), ("X", ("a",))])
+    assert flat.flat_words is not None and generic.flat_words is None
+    for g in (flat, generic):
+        got = cfglib.intersect_regular(g, star)
+        assert cfglib.enumerate_words(got, 3) == [("a",)]
 
 
 def test_intersect_regular_with_superset_shape(null3):
@@ -138,6 +154,48 @@ def test_shortest_word_is_member_and_minimal():
         elif len(w) <= 6:
             assert w == members[0]
             assert cfglib.membership(g, w)
+
+
+def _chain(k):
+    """P0 -> a P1, ..., P(k-2) -> a P(k-1), P(k-1) -> b: the one word
+    a^(k-1) b, derived deeper than the interpreter's recursion limit."""
+    nts = [f"P{i}" for i in range(k)]
+    prods = [(x, ("a", y)) for x, y in zip(nts, nts[1:])] + [(nts[-1], ("b",))]
+    return Cfg(nts, ("a", "b"), "P0", prods)
+
+
+def test_shortest_word_on_deep_chain():
+    g = _chain(5000)
+    t0 = time.perf_counter()
+    assert cfglib.shortest_word(g) == ("a",) * 4999 + ("b",)
+    assert cfglib.shortest_word(cfglib.reverse_cfg(g)) == ("b",) + ("a",) * 4999
+    assert time.perf_counter() - t0 < 2
+
+
+def test_enumerate_words_on_deep_chain():
+    g = _chain(1500)
+    t0 = time.perf_counter()
+    assert cfglib.enumerate_words(g, 1500) == [("a",) * 1499 + ("b",)]
+    assert cfglib.enumerate_words(g, 1499) == []
+    assert time.perf_counter() - t0 < 2
+
+
+def test_unit_and_epsilon_sibling_cycles():
+    # O -> X -> O is a unit cycle; X -> Y X and X -> X Y re-enter X at the
+    # same length through the nullable Y
+    g = Cfg(["O", "X", "Y"], ("a", "b"), "O",
+            [("O", ("X",)), ("O", ("a", "O", "b")), ("X", ("O",)),
+             ("X", ("Y", "X")), ("X", ("X", "Y")), ("X", ("b", "a")),
+             ("Y", ()), ("Y", ("b", "Y"))])
+    for order in (("a", "b"), ("b", "a")):
+        ranks = symbol_ranks(order)
+        members = sorted((w for w in all_words(("a", "b"), 6, minlen=0)
+                          if cfglib.membership(g, w)),
+                         key=shortlex_key(ranks))
+        assert members[:3] == sorted([("b", "a"), ("b", "b", "a"),
+                                      ("b", "a", "b")], key=shortlex_key(ranks))
+        assert cfglib.enumerate_words(g, 6, ranks) == members
+        assert cfglib.shortest_word(g, ranks) == members[0]
 
 
 def test_prefix_quotient_matches_definition():
@@ -268,10 +326,11 @@ def _assert_closures_match(g):
     assert cfglib._closure(g.productions, nts) == productive
     eps = g.start in nullable
     assert cfglib.derives_epsilon(g) == eps
-    # enumerate_words asks derives_epsilon about the empty word, so the
-    # independent witness is the shortest-length pass over the lowering
+    # enumerate_words and shortest_word ask derives_epsilon about the empty
+    # word, so the independent witness is the lightest-derivation pass over
+    # the lowering, which does not
     low = cfglib.lowered_of(g)
-    assert (cfglib._min_lengths_lowered(low).get(low.start) == 0) == eps
+    assert (cfglib._lightest(low).get(low.start) == (0, ())) == eps
     assert cfglib.is_empty_language(g) == (g.start not in productive)
     gn = cfglib.normalize(g, strict=False)
     assert cfglib.enumerate_words(gn, 6) == [

@@ -209,12 +209,27 @@ def test_deep_chain_has_no_defect():
     prods += [(x, ("a", y)) for x, y in zip(chain, chain[1:])]
     g = Cfg(["S"] + chain, ("a", SEP2), "S", prods)
     assert palindromic_defect(g) is None
+    # Qi -> a Q(i+1) a, Q2999 -> #2: the separator sits 3000 rules deep, and
+    # a b before it shifts one side
+    chain = [f"Q{i}" for i in range(3000)]
+    prods = [(x, ("a", y, "a")) for x, y in zip(chain, chain[1:])]
+    g = Cfg(chain, ("a", SEP2), "Q0", prods + [(chain[-1], (SEP2,))])
+    assert palindromic_defect(g) is None
+    g = Cfg(chain, ("a", "b", SEP2), "Q0", prods + [(chain[-1], ("b", SEP2))])
+    assert "shifts one side" in palindromic_defect(g).reason
 
 
 def test_defect_precondition_enforced():
-    g = Cfg(["O"], ("a", SEP2), "O", [("O", ("a", SEP2, "a", SEP2, "a"))])
-    with pytest.raises(OperandError):
-        palindromic_defect(g)
+    # two separators; the empty word, flat and behind a unit rule
+    cases = [
+        Cfg(["O"], ("a", SEP2), "O", [("O", ("a", SEP2, "a", SEP2, "a"))]),
+        Cfg(["O"], ("a", SEP2), "O", [("O", ()), ("O", ("a", SEP2, "a"))]),
+        Cfg(["O", "X"], ("a", SEP2), "O",
+            [("O", ("X",)), ("X", ()), ("X", ("a", SEP2, "a"))]),
+    ]
+    for g in cases:
+        with pytest.raises(OperandError):
+            palindromic_defect(g)
 
 
 def test_defect_witnesses_are_members():

@@ -42,6 +42,14 @@ def test_table_outside_shape_rejected():
                          [("a", SEP1, "a", "a", SEP2, "a")])
     with pytest.raises(InvariantError):
         WhStructure(alphabet, reps, bad)
+    # the empty word, flat and behind a unit rule
+    good = [("a", SEP1, "a", SEP2, "a")]
+    for bad in (Cfg.from_words(alphabet + (SEP1, SEP2), good + [()]),
+                Cfg(["O", "X"], alphabet + (SEP1, SEP2), "O",
+                    [("O", ("X",)), ("X", ())] + [("X", w) for w in good])):
+        with pytest.raises(InvariantError, match="''"):
+            WhStructure(alphabet, reps, bad)
+    WhStructure(alphabet, reps, Cfg.from_words(alphabet + (SEP1, SEP2), good))
 
 
 def test_load_checks_table_membership(free2, tmp_path):
