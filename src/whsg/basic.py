@@ -5,23 +5,8 @@ from __future__ import annotations
 from . import cfg as cfglib
 from .arithmetic import check_multiply, word_eq
 from .errors import OperandError
-from .nfa import Nfa
-from .structure import Verdict, WhStructure, normalize_generators, slot_shape
-from .words import SEP1, SEP2, reverse
-
-
-def middle_slot(w) -> tuple:
-    """The segment between the separators of a table word."""
-    w = tuple(w)
-    return w[w.index(SEP1) + 1:w.index(SEP2)]
-
-
-def right_stabilizer_language(s: WhStructure, left, result):
-    """Grammar over full table words for { i in L : left#1i#2result-rev in M }."""
-    left, result = tuple(left), tuple(result)
-    shape = slot_shape(Nfa.literal(left, s.alphabet), s.reps,
-                       Nfa.literal(reverse(result), s.alphabet))
-    return cfglib.intersect_regular(s.table, shape)
+from .structure import (Verdict, WhStructure, normalize_generators, slot_language,
+                        slot_middle)
 
 
 def is_monoid(s: WhStructure) -> Verdict:
@@ -30,11 +15,10 @@ def is_monoid(s: WhStructure) -> Verdict:
     ns = normalize_generators(s)
     candidates = []
     for a in ns.alphabet:
-        g = right_stabilizer_language(ns, (a,), (a,))
-        w = cfglib.shortest_word(g, ns.ranks)
-        if w is None:
+        i_a = slot_middle(ns, (a,), ns.reps, (a,))
+        if i_a is None:
             return Verdict.no(f"no word stabilizes generator {a!r} on the right")
-        candidates.append(middle_slot(w))
+        candidates.append(i_a)
     for i_a in candidates:
         if all(check_multiply(ns, i_a, (b,), (b,))
                and check_multiply(ns, (b,), i_a, (b,))
@@ -59,15 +43,9 @@ def green_related(s: WhStructure, w, w2, rel: str = "R") -> bool:
         return True
 
     def reachable(x, y):
-        if rel == "R":
-            # some v with elt(x) v = elt(y)
-            shape = slot_shape(Nfa.literal(x, ns.alphabet), ns.reps,
-                               Nfa.literal(reverse(y), ns.alphabet))
-        else:
-            # some v with v elt(x) = elt(y)
-            shape = slot_shape(ns.reps, Nfa.literal(x, ns.alphabet),
-                               Nfa.literal(reverse(y), ns.alphabet))
-        return not cfglib.is_empty_language(cfglib.intersect_regular(ns.table, shape))
+        # some v with elt(x) v = elt(y), or v elt(x) = elt(y)
+        slots = (x, ns.reps, y) if rel == "R" else (ns.reps, x, y)
+        return not cfglib.is_empty_language(slot_language(ns, *slots))
 
     return reachable(w, w2) and reachable(w2, w)
 

@@ -518,8 +518,10 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
     state q.  `leaves` are the productions ((p, A, q), body) for the terminal
     rules of A; the closure combines items bottom-up over the binary rules,
     so only productive items are materialized.  The new start derives
-    (p, start, q) for each (p, q) in `tops`.  `extra_nts` and `extra_prods`
-    carry nonterminals the leaf bodies use besides the items.
+    (p, start, q) for each (p, q) in `tops`; productions are then written
+    top-down from those items, for the items the start reaches only.
+    `extra_nts` and `extra_prods` carry nonterminals the leaf bodies use
+    besides the items.
     """
     starts = defaultdict(set)   # (nt, p) -> set of q
     ends = defaultdict(set)     # (nt, q) -> set of p
@@ -534,8 +536,7 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
             ends[(nt, q)].add(p)
             agenda.append(it)
 
-    prods = list(leaves)
-    for it, _body in prods:
+    for it, _body in leaves:
         add(it)
     while agenda:
         p, nt, q = agenda.popleft()
@@ -547,18 +548,28 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
                 add((begin, head, q))
 
     start = ("&S",)
-    top = [(start, ((p, cnf.start, q),)) for p, q in tops
-           if (p, cnf.start, q) in items]
+    top = [(p, cnf.start, q) for p, q in tops if (p, cnf.start, q) in items]
     if not top:
         return Cfg([start], terminals, start, [])
-    for p, nt, q in items:
+    prods = [(start, (it,)) for it in top]
+    reached = set(top)
+    agenda.extend(top)
+    while agenda:
+        it = agenda.popleft()
+        p, nt, q = it
         for b, c in cnf.binary_by_head.get(nt, ()):
             for mid in starts.get((b, p), ()):
-                if (mid, c, q) in items:
-                    prods.append(((p, nt, q), ((p, b, mid), (mid, c, q))))
-    prods += top
+                right = (mid, c, q)
+                if right in items:
+                    left = (p, b, mid)
+                    prods.append((it, (left, right)))
+                    for x in (left, right):
+                        if x not in reached:
+                            reached.add(x)
+                            agenda.append(x)
+    prods += [leaf for leaf in leaves if leaf[0] in reached]
     prods += extra_prods
-    nonterminals = [start] + sorted(items, key=repr) + list(extra_nts)
+    nonterminals = [start] + sorted(reached, key=repr) + list(extra_nts)
     raw = Cfg(nonterminals, terminals, start, prods)
     return normalize(raw, strict=False)
 
@@ -641,7 +652,10 @@ def reverse_cfg(g: Cfg) -> Cfg:
                               [tuple(reversed(w)) for w in g.flat_words],
                               g.start)
     prods = [(h, tuple(reversed(b))) for h, b in g.productions]
-    return Cfg(g.nonterminals, g.terminals, g.start, prods)
+    out = Cfg(g.nonterminals, g.terminals, g.start, prods)
+    if g._normal is g:
+        out._normal = out  # reversing bodies keeps the normal form
+    return out
 
 
 def union_cfgs(grammars, terminals=None) -> Cfg:

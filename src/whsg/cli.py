@@ -2,7 +2,9 @@
 
 Each run prints one JSON object {"answer", "witnesses", "reason",
 "elapsed_ms"} and exits 0 when the procedure ran (whatever the verdict),
-1 on input errors, and 2 when an enumeration cap was exceeded.
+1 on input errors, 2 when an enumeration cap was exceeded, and 3 on an
+internal error (a fault of whsg itself; the reason starts with
+"internal error:" and the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import arithmetic, basic, oracle, structural
@@ -133,7 +136,7 @@ def cmd_defect_check(args):
     try:
         alphabet = tuple(str(a) for a in data["alphabet"])
         grammar = _cfg_from_json(data["grammar"], alphabet + (SEP1, SEP2))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed grammar file: {exc}") from exc
     defect = structural.palindromic_defect(
         grammar, witness_bound=args.defect_witness_length)
@@ -231,9 +234,13 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         answer, witnesses, reason = "error", {}, str(exc)
         code = 2
-    except (WhsgError, OSError, ValueError) as exc:
+    except (WhsgError, OSError) as exc:
         answer, witnesses, reason = "error", {}, str(exc)
         code = 1
+    except Exception as exc:  # a fault of this program, not of its input
+        traceback.print_exc()
+        answer, witnesses, reason = "error", {}, f"internal error: {exc!r}"
+        code = 3
     elapsed = int((time.perf_counter() - started) * 1000)
     report = {
         "answer": answer,

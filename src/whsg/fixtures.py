@@ -12,7 +12,7 @@ from . import cfg as cfglib
 from . import oracle
 from .cfg import Cfg
 from .nfa import Nfa
-from .structure import WhStructure, dumps_structure
+from .structure import WhStructure, dumps_structure, slot_shape
 from .words import SEP1, SEP2, reverse
 
 
@@ -152,10 +152,8 @@ def bicyclic() -> WhStructure:
          ("U", ("b", "U0", "b")), ("U", ("a", "U0", "a")),
          ("U0", ("b", "U0", "b")), ("U0", ("a", "U0", "a")),
          ("U0", (SEP1, "a", "b", SEP2))])
-    shape = (reps.concat(Nfa.literal((SEP1,), (SEP1,))).concat(reps)
-             .concat(Nfa.literal((SEP2,), (SEP2,))).concat(reps.reverse()))
     raw = cfglib.union_cfgs([case1, case2, ident], seps)
-    table = cfglib.intersect_regular(raw, shape)
+    table = cfglib.intersect_regular(raw, slot_shape(reps, reps, reps.reverse()))
     return WhStructure(alphabet, reps, table)
 
 

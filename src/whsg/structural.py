@@ -16,11 +16,12 @@ from typing import Optional
 
 from . import cfg as cfglib
 from .arithmetic import check_multiply, multiply
-from .basic import green_related, middle_slot
+from .basic import green_related
 from .errors import CapExceededError, OperandError
 from .freegroup import FreeGroupWord
 from .nfa import Nfa
-from .structure import Verdict, WhStructure, normalize_generators, slot_shape
+from .structure import (Verdict, WhStructure, normalize_generators, slot_language,
+                        slot_middle, slot_shape)
 from .transducer import Transducer
 from .words import SEP1, SEP2, reverse
 
@@ -251,24 +252,20 @@ def cs_species_check(s: WhStructure, sp: CsSpecies) -> Verdict:
         for j in sp.row_ids:
             for lam in sp.col_ids:
                 for mu in sp.col_ids:
-                    escaped = ns.reps.difference(cells[(i, mu)]).reverse()
-                    shape = slot_shape(cells[(i, lam)], cells[(j, mu)], escaped)
-                    wit = cfglib.shortest_word(
-                        cfglib.intersect_regular(ns.table, shape), ns.ranks)
+                    escaped = ns.reps.difference(cells[(i, mu)])
+                    wit = cfglib.shortest_word(slot_language(
+                        ns, cells[(i, lam)], cells[(j, mu)], escaped), ns.ranks)
                     if wit is not None:
                         return Verdict.no(
                             f"step 2: product escapes cell ({i},{mu}): "
                             f"{' '.join(wit)} [{tag}]")
     units = {}
     for (i, lam), w in picks.items():
-        shape = slot_shape(Nfa.literal(w, ns.alphabet), cells[(i, lam)],
-                           Nfa.literal(reverse(w), ns.alphabet))
-        full = cfglib.shortest_word(cfglib.intersect_regular(ns.table, shape),
-                                    ns.ranks)
-        if full is None:
+        unit = slot_middle(ns, w, cells[(i, lam)], w)
+        if unit is None:
             return Verdict.no(f"step 3: nothing stabilizes cell ({i},{lam}) "
                               f"on the right [{tag}]")
-        units[(i, lam)] = middle_slot(full)
+        units[(i, lam)] = unit
     for a in sp.letters:
         for lam in sp.col_ids:
             if not check_multiply(ns, units[(sp.row_of(a), lam)], (a,), (a,)):
@@ -296,14 +293,10 @@ def cs_species_check(s: WhStructure, sp: CsSpecies) -> Verdict:
                               f"translate of {a!r} [{tag}]")
         # the inverse must come from the same cell, as in the Clifford
         # analogue; otherwise a wrong-row inverse fails the left check below
-        shape = slot_shape(Nfa.literal(ha, ns.alphabet), cells[(i, lam)],
-                           Nfa.literal(reverse(units[(i, lam)]), ns.alphabet))
-        full = cfglib.shortest_word(cfglib.intersect_regular(ns.table, shape),
-                                    ns.ranks)
-        if full is None:
+        v = slot_middle(ns, ha, cells[(i, lam)], units[(i, lam)])
+        if v is None:
             return Verdict.no(f"step 9: translate of {a!r} has no right "
                               f"inverse in cell ({i},{lam}) [{tag}]")
-        v = middle_slot(full)
         if not check_multiply(ns, v, ha, units[(i, lam)]):
             return Verdict.no(f"step 10: right inverse of the translate of "
                               f"{a!r} is not a left inverse [{tag}]")
@@ -361,10 +354,9 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
     for alpha in sp.elements():
         for beta in sp.elements():
             low = sp.meet_of(alpha, beta)
-            escaped = ns.reps.difference(layers[low]).reverse()
-            shape = slot_shape(layers[alpha], layers[beta], escaped)
+            escaped = ns.reps.difference(layers[low])
             wit = cfglib.shortest_word(
-                cfglib.intersect_regular(ns.table, shape), ns.ranks)
+                slot_language(ns, layers[alpha], layers[beta], escaped), ns.ranks)
             if wit is not None:
                 return Verdict.no(
                     f"step 2: product escapes class {sp.labels[low]}: "
@@ -372,14 +364,10 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
     idem = {}
     for alpha in sp.elements():
         w = picks[alpha]
-        shape = slot_shape(Nfa.literal(w, ns.alphabet), layers[alpha],
-                           Nfa.literal(reverse(w), ns.alphabet))
-        full = cfglib.shortest_word(cfglib.intersect_regular(ns.table, shape),
-                                    ns.ranks)
-        if full is None:
+        idem[alpha] = slot_middle(ns, w, layers[alpha], w)
+        if idem[alpha] is None:
             return Verdict.no(f"step 3: nothing stabilizes class "
                               f"{sp.labels[alpha]} on the right [{tag}]")
-        idem[alpha] = middle_slot(full)
     for alpha in sp.elements():
         for beta in sp.elements():
             if not check_multiply(ns, idem[alpha], idem[beta],
@@ -401,14 +389,10 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
         for a in sp.letters:
             if not sp.ge(sp.place(a), alpha):
                 continue
-            shape = slot_shape(Nfa.literal((a,), ns.alphabet), layers[alpha],
-                               Nfa.literal(reverse(idem[alpha]), ns.alphabet))
-            full = cfglib.shortest_word(
-                cfglib.intersect_regular(ns.table, shape), ns.ranks)
-            if full is None:
+            v = slot_middle(ns, (a,), layers[alpha], idem[alpha])
+            if v is None:
                 return Verdict.no(f"step 6: generator {a!r} has no right "
                                   f"inverse into class {sp.labels[alpha]} [{tag}]")
-            v = middle_slot(full)
             if not check_multiply(ns, v, (a,), idem[alpha]):
                 return Verdict.no(f"step 7: right inverse of {a!r} in class "
                                   f"{sp.labels[alpha]} is not a left inverse [{tag}]")

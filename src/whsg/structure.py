@@ -6,7 +6,6 @@ decision procedures assume every generator is its own representative.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -122,9 +121,6 @@ class WhStructure:
     def table_accepts(self, w) -> bool:
         return cfglib.membership(self.table, w)
 
-    def sep_alphabet(self):
-        return tuple(self.alphabet) + (SEP1, SEP2)
-
     def is_normalized(self) -> bool:
         return all(self.assignment[a] == (a,) and self.in_reps((a,))
                    for a in self.alphabet)
@@ -146,6 +142,27 @@ def slot_shape(left: Nfa, middle: Nfa, right: Nfa) -> Nfa:
     """Automaton for the table-word shape left #1 middle #2 right."""
     return (left.concat(Nfa.literal((SEP1,), (SEP1,))).concat(middle)
             .concat(Nfa.literal((SEP2,), (SEP2,))).concat(right))
+
+
+def slot_language(s: WhStructure, left, middle, right) -> Cfg:
+    """Grammar for the table words left #1 middle #2 right-reversed.
+
+    Each slot is an automaton or a single word; the right slot is given
+    unreversed, as the product it names, and reversed here.
+    """
+    def slot(x, rev=False):
+        if isinstance(x, Nfa):
+            return x.reverse() if rev else x
+        return Nfa.literal(reverse(x) if rev else x, s.alphabet)
+
+    shape = slot_shape(slot(left), slot(middle), slot(right, rev=True))
+    return cfglib.intersect_regular(s.table, shape)
+
+
+def slot_middle(s: WhStructure, left, middle, right):
+    """Middle slot of the shortlex-least word of slot_language, or None."""
+    w = cfglib.shortest_word(slot_language(s, left, middle, right), s.ranks)
+    return None if w is None else w[w.index(SEP1) + 1:w.index(SEP2)]
 
 
 def _split_table_word(w):
@@ -170,8 +187,9 @@ def load_structure(source) -> WhStructure:
         alphabet = [str(s) for s in data["alphabet"]]
         reps = _nfa_from_json(data["reps"], alphabet)
         table = _cfg_from_json(data["table"], tuple(alphabet) + (SEP1, SEP2))
-        assignment = {str(k): tuple(v) for k, v in data.get("assignment", {}).items()}
-    except (KeyError, TypeError, AttributeError) as exc:
+        assignment = {str(k): tuple(str(x) for x in v)
+                      for k, v in data.get("assignment", {}).items()}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"malformed structure file: {exc}") from exc
     return WhStructure(alphabet, reps, table, assignment)
 
@@ -243,29 +261,17 @@ def _read_json(source):
 def _nfa_from_json(data, alphabet):
     states = [str(q) for q in data["states"]]
     trans = [(str(src), str(sym), str(dst)) for src, sym, dst in data["transitions"]]
-    try:
-        return Nfa(states, alphabet, trans,
-                   [str(q) for q in data["initial"]],
-                   [str(q) for q in data["accepting"]])
-    except ValueError as exc:
-        raise ParseError(f"malformed automaton: {exc}") from exc
+    return Nfa(states, alphabet, trans, [str(q) for q in data["initial"]],
+               [str(q) for q in data["accepting"]])
 
 
 def _cfg_from_json(data, terminals):
-    nts = [str(a) for a in data["nonterminals"]]
-    nt_set = set(nts)
-    prods = []
-    for head, body in data["productions"]:
-        prods.append((str(head), tuple(str(x) for x in body)))
-    for _h, body in prods:
-        for x in body:
-            if x not in nt_set and x not in terminals:
-                raise ParseError(f"grammar body symbol {x!r} is neither a "
-                                 f"nonterminal nor a declared terminal")
-    try:
-        return Cfg(nts, terminals, str(data["start"]), prods)
-    except ValueError as exc:
-        raise ParseError(f"malformed grammar: {exc}") from exc
+    """Grammar from its JSON form; malformed parts raise KeyError, TypeError
+    or ValueError, which callers report as ParseError."""
+    prods = [(str(head), tuple(str(x) for x in body))
+             for head, body in data["productions"]]
+    return Cfg([str(a) for a in data["nonterminals"]], terminals,
+               str(data["start"]), prods)
 
 
 # -- symbol surgery --------------------------------------------------------------
@@ -287,8 +293,7 @@ def merge_letters(s: WhStructure, a: str, b: str,
         raise OperandError(f"unknown symbols {a!r}, {b!r}")
     if verify_depth and s.in_reps((a,)) and s.in_reps((b,)):
         for x, y in ((a, b), (b, a)):
-            shape = slot_shape(s.reps, s.reps, Nfa.literal((x,), s.alphabet))
-            ending = cfglib.intersect_regular(s.table, shape)
+            ending = slot_language(s, s.reps, s.reps, (x,))
             for w in cfglib.enumerate_words(ending, verify_depth, s.ranks):
                 twin = w[:-1] + (y,)
                 if not cfglib.membership(s.table, twin):
@@ -342,61 +347,43 @@ def normalize_generators(s: WhStructure) -> WhStructure:
         return s
     letters = Nfa.from_words([(a,) for a in s.alphabet], s.alphabet)
     reps2 = s.reps.union(letters)
-    rewritten = [a for a in s.alphabet
-                 if s.assignment[a] != (a,) or not s.in_reps((a,))]
-    parts = [s.table]
-    for slots in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)):
-        for combo in itertools.product(s.alphabet, repeat=len(slots)):
-            chosen = dict(zip(slots, combo))
-            if not any(c in rewritten for c in combo):
-                continue  # identity rewrite; already a subset of the table
-            t = _slot_rewriter(s, chosen)
-            parts.append(t.apply_to_cfg(s.table))
-    table2 = cfglib.normalize(cfglib.union_cfgs(parts, s.sep_alphabet()),
-                              strict=True)
+    table2 = cfglib.normalize(_slot_rewriter(s).apply_to_cfg(s.table), strict=True)
     result = WhStructure(s.alphabet, reps2, table2, None)
     result._normalized = result
     s._normalized = result
     return result
 
 
-def _slot_rewriter(s: WhStructure, chosen) -> Transducer:
-    """Transducer mapping u#1v#2y to the same word with each chosen slot,
-    which must exactly equal the assigned representative (reversed in the
-    third slot), replaced by the bare letter."""
+def _slot_rewriter(s: WhStructure) -> Transducer:
+    """Transducer mapping u#1v#2y to every word obtained by keeping each slot
+    or, where the slot exactly equals the representative assigned to a
+    rewritten letter (reversed in the third slot), replacing it by that
+    letter."""
+    rewritten = [a for a in s.alphabet
+                 if s.assignment[a] != (a,) or not s.in_reps((a,))]
     states = []
     transitions = []
-
-    def identity_phase(tag):
-        st = ("id", tag)
-        states.append(st)
+    for slot, sep in enumerate((SEP1, SEP2, None)):
+        entry, copy = ("in", slot), ("cp", slot)
+        states += [entry, copy]
         for sym in s.alphabet:
-            transitions.append((st, sym, (sym,), st))
-        return st, st
-
-    def exact_phase(tag, consumed, emitted):
-        chain = [("ex", tag, i) for i in range(len(consumed) + 1)]
-        states.extend(chain)
-        for i, sym in enumerate(consumed):
-            out = emitted if i == 0 else ()
-            transitions.append((chain[i], sym, out, chain[i + 1]))
-        return chain[0], chain[-1]
-
-    entries = []
-    exits = []
-    for slot in range(3):
-        if slot in chosen:
-            letter = chosen[slot]
+            transitions.append((entry, sym, (sym,), copy))
+            transitions.append((copy, sym, (sym,), copy))
+        # the entry stays an exit: the copy phase may read an empty slot
+        ends = [entry, copy]
+        for letter in rewritten:
             image = s.assignment[letter]
             consumed = reverse(image) if slot == 2 else image
-            first, last = exact_phase(slot, consumed, (letter,))
-        else:
-            first, last = identity_phase(slot)
-        entries.append(first)
-        exits.append(last)
-    transitions.append((exits[0], SEP1, (SEP1,), entries[1]))
-    transitions.append((exits[1], SEP2, (SEP2,), entries[2]))
-    return Transducer(states, transitions, entries[0], [exits[2]])
+            chain = [entry] + [("ex", slot, letter, i + 1) for i in range(len(consumed))]
+            states += chain[1:]
+            for i, sym in enumerate(consumed):
+                out = (letter,) if i == 0 else ()
+                transitions.append((chain[i], sym, out, chain[i + 1]))
+            ends.append(chain[-1])
+        if sep is not None:
+            for end in ends:
+                transitions.append((end, sep, (sep,), ("in", slot + 1)))
+    return Transducer(states, transitions, ("in", 0), ends)
 
 
 # -- decidable validation ----------------------------------------------------------

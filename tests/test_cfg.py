@@ -211,9 +211,18 @@ def test_prefix_quotient_matches_definition():
 
 
 def test_reverse_cfg(free2):
-    rev = cfglib.reverse_cfg(free2.table)
     expected = {tuple(reversed(w)) for w in cfglib.enumerate_words(free2.table, 7)}
-    assert set(cfglib.enumerate_words(rev, 7)) == expected
+    for g in (free2.table, cfglib.normalize(free2.table)):
+        rev = cfglib.reverse_cfg(g)
+        assert set(cfglib.enumerate_words(rev, 7)) == expected
+    # reversing a normal form gives one, which is not normalized again
+    assert cfglib.normalize(rev, strict=False) is rev
+    # with epsilon and unit bodies it must be normalized
+    g = Cfg(["O", "X"], ("a", "b"), "O",
+            [("O", ("X", "a")), ("O", ("X",)), ("X", ()), ("X", ("b",))])
+    rev = cfglib.reverse_cfg(g)
+    for w in all_words(("a", "b"), 3, minlen=0):
+        assert cfglib.membership(rev, w) == cfglib.membership(g, w[::-1])
 
 
 def test_union_cfgs():

@@ -127,6 +127,42 @@ def test_input_error_exit_code(fixture_dir, capsys):
     assert code == 1 and report["answer"] == "error"
 
 
+def test_malformed_lists_are_input_errors(fixture_dir, capsys):
+    # a transition with two entries and a production with one used to
+    # escape the parser as bare ValueErrors
+    data = json.loads(dumps_structure(z2()))
+    data["reps"]["transitions"][0] = ["q0", "e"]
+    bad = fixture_dir / "short_transition.whs"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, "is-monoid", bad)
+    assert code == 1 and report["answer"] == "error"
+    data = json.loads(dumps_structure(z2()))
+    data["table"]["productions"][0] = ["S"]
+    bad = fixture_dir / "short_production.whs"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, "is-monoid", bad)
+    assert code == 1 and report["answer"] == "error"
+    grammar = json.loads((fixture_dir / "mirror.json").read_text())
+    grammar["grammar"]["productions"][0] = ["P"]
+    bad = fixture_dir / "short_production.json"
+    bad.write_text(json.dumps(grammar))
+    code, report = run(capsys, "defect-check", bad)
+    assert code == 1 and report["answer"] == "error"
+
+
+def test_internal_error_exit_code(fixture_dir, capsys, monkeypatch):
+    import whsg.basic
+
+    def broken(_s):
+        raise ValueError("kernel fault")
+
+    monkeypatch.setattr(whsg.basic, "is_commutative", broken)
+    code, report = run(capsys, "is-commutative", fixture_dir / "z2.whs")
+    assert code == 3 and report["answer"] == "error"
+    assert report["reason"].startswith("internal error:")
+    assert "kernel fault" in report["reason"]
+
+
 def test_cap_exceeded_exit_code(fixture_dir, capsys):
     code, report = run(capsys, "is-completely-simple", fixture_dir / "z2.whs",
                        "--max-species", "1")

@@ -4,7 +4,9 @@ import json
 import pytest
 
 from conftest import all_words
+from test_differential import _generic_twin as generic_twin
 from whsg import cfg as cfglib
+from whsg import fixtures
 from whsg.arithmetic import word_eq
 from whsg.cfg import Cfg
 from whsg.errors import InvariantError, OperandError, ParseError, ReservedSymbolError
@@ -173,6 +175,52 @@ def test_normalize_rewrites_assigned_slots():
             assert (("a",) + rest) in got
     assert (("a",) + (SEP1, "b", SEP2) + ("b", "b", "b")) in got
     assert ns.in_reps(("a",))
+
+
+def _rewrite_slots(s, w):
+    """Reference rewrite of one table word: each slot is kept or, where it
+    spells the representative assigned to a letter (reversed in the third
+    slot), replaced by that letter."""
+    i, j = w.index(SEP1), w.index(SEP2)
+    options = []
+    for k, part in enumerate((w[:i], w[i + 1:j], w[j + 1:])):
+        opts = {part}
+        for a in s.alphabet:
+            image = s.assignment[a]
+            if part == (tuple(reversed(image)) if k == 2 else image):
+                opts.add((a,))
+        options.append(opts)
+    return {u + (SEP1,) + v + (SEP2,) + y
+            for u in options[0] for v in options[1] for y in options[2]}
+
+
+def _two_rewritten_letters():
+    # c and d name ab and bba of the free semigroup; both images have
+    # several letters and show up reversed in the third slot
+    base = fixtures.free2()
+    return WhStructure(("a", "b", "c", "d"), base.reps, base.table,
+                       {"c": ("a", "b"), "d": ("b", "b", "a")})
+
+
+@pytest.mark.parametrize("build, maxlen", [
+    (fixtures.rees, 11), (fixtures.free2_with_redundant_letter, 9),
+    (_two_rewritten_letters, 9)])
+@pytest.mark.parametrize("other_path", [False, True])
+def test_normalize_matches_slotwise_rewrite(build, maxlen, other_path):
+    s = build()
+    # rewriting never lengthens a word, and shortens it by at most this
+    reach = maxlen + 3 * (max(len(w) for w in s.assignment.values()) - 1)
+    if other_path and s.table.flat_words is not None:
+        s = generic_twin(s)
+    elif other_path:
+        # the words up to `reach` suffice, listed as a flat table
+        words = cfglib.enumerate_words(s.table, reach)
+        s = WhStructure(s.alphabet, s.reps, Cfg.from_words(s.table.terminals, words),
+                        dict(s.assignment))
+    expected = {x for w in cfglib.enumerate_words(s.table, reach)
+                for x in _rewrite_slots(s, w) if len(x) <= maxlen}
+    ns = normalize_generators(s)
+    assert set(cfglib.enumerate_words(ns.table, maxlen)) == expected
 
 
 def test_normalize_preserves_word_eq(rees):
