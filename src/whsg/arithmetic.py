@@ -24,7 +24,7 @@ def _require_rep(s: WhStructure, w) -> tuple:
 
 
 def check_multiply(s: WhStructure, p, q, r) -> bool:
-    """True iff elt(p)elt(q) = elt(r); one table-membership test, cubic time."""
+    """True iff elt(p)elt(q) = elt(r); one table-membership test."""
     p, q, r = tuple(p), tuple(q), tuple(r)
     key = (p, q, r)
     got = s._chk_cache.get(key)
@@ -43,13 +43,15 @@ def product_language(s: WhStructure, p, q) -> Cfg:
 
 
 def multiply(s: WhStructure, p, q) -> tuple:
-    """Shortest-lex representative of elt(p)elt(q)."""
+    """Shortest-lex representative of elt(p)elt(q): the least completion of
+    p#1q#2 in the table, read reversed."""
     p, q = tuple(p), tuple(q)
     got = s._mul_cache.get((p, q))
     if got is None:
         _require_rep(s, p), _require_rep(s, q)
-        r = cfglib.shortest_word(product_language(s, p, q), s.ranks)
-        if r is None or r == ():
+        prefix = p + (SEP1,) + q + (SEP2,)
+        r = cfglib.least_completion(s.table, prefix, s.ranks)
+        if r is None:
             raise EmptyProductError(
                 f"product of {' '.join(p)!r} and {' '.join(q)!r} has no representative")
         s._mul_cache[(p, q)] = got = r

@@ -1,5 +1,6 @@
-"""Context-free grammars: normalization, membership, shortest words,
-regular intersection, prefix quotients and bounded enumeration.
+"""Context-free grammars: normalization, membership, shortest words, least
+completions of a prefix, regular intersection, prefix quotients and bounded
+enumeration.
 
 Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words`` and
@@ -8,10 +9,13 @@ goes through one cached lowering to bodies of at most two symbols.  The
 lowering of the grammar as given feeds one lightest-derivation pass
 (Knuth's generalization of Dijkstra's algorithm, 1977), which reads off the
 shortlex-least word of every node.  The lowering of its normalization
-serves CYK membership (a bit-parallel inner loop, cubic in the word
-length), bounded enumeration (a memoized walk whose sub-calls ask for
-strictly shorter words), prefix quotients and the one grammar x automaton
-product behind regular intersection and transducer images.
+serves one CYK chart (bit-parallel rows, with work that follows the nonzero
+rows), which answers membership, gives prefix quotients their spans and
+gives least completions their closed items; the least completion of a
+prefix is a weighted item pass in the same Knuth order, with no quotient
+grammar.  The same lowering serves bounded enumeration (a memoized walk
+whose sub-calls ask for strictly shorter words) and the one grammar x
+automaton product behind regular intersection and transducer images.
 """
 
 from __future__ import annotations
@@ -153,8 +157,9 @@ def normalize(g: Cfg, strict: bool = True) -> Cfg:
     and productive sets are one counter-based pass each), up to the sort of
     the output and two steps: each body is expanded over every subset of
     its nullable symbols (2^k bodies for k of them), and the unit-rule
-    closure walks, from every nonterminal, all those it reaches by unit
-    rules.
+    closure, which copies into every nonterminal the non-unit bodies of all
+    those it reaches by unit rules (one pass over the strongly connected
+    components of the unit graph).
     """
     if strict and derives_epsilon(g):
         raise ValueError("language contains the empty word")
@@ -182,23 +187,25 @@ def normalize(g: Cfg, strict: bool = True) -> Cfg:
             unit_edges[head].add(body[0])
         else:
             nonunit[head].add(body)
-    closed = set()
-    for src in nts:
-        reach = {src}
-        agenda = deque([src])
-        while agenda:
-            cur = agenda.popleft()
-            for nxt in unit_edges.get(cur, ()):
-                if nxt not in reach:
-                    reach.add(nxt)
-                    agenda.append(nxt)
-        for tgt in reach:
-            for body in nonunit.get(tgt, ()):
-                closed.add((src, body))
-    prods = closed
+    # bodies[a]: the non-unit bodies of every nonterminal a reaches by unit
+    # rules, built per strongly connected component of the unit graph from
+    # the components it points to, which come first; a nonterminal outside
+    # the unit graph keeps its own bodies
+    bodies = {}
+    for comp in _components(unit_edges, unit_edges):
+        got = set()
+        for a in comp:
+            got |= nonunit.get(a, set())
+            for b in unit_edges.get(a, ()):
+                if b in bodies:
+                    got |= bodies[b]
+        for a in comp:
+            bodies[a] = got
+    prods = {(a, body) for a in nts
+             for body in bodies.get(a, nonunit.get(a, ()))}
     # freed first, so that the closure's occurrence index does not raise
     # the peak memory of large product grammars
-    del unit_edges, nonunit
+    del unit_edges, nonunit, bodies
 
     productive = _closure(prods, nts)
     if g.start not in productive:
@@ -229,6 +236,51 @@ def normalize(g: Cfg, strict: bool = True) -> Cfg:
     out = Cfg(keep, g.terminals, g.start, prods)
     g._normal = out
     out._normal = out
+    return out
+
+
+def _components(nodes, edges):
+    """Strongly connected components of a graph, each a list, every one
+    after all the components it has edges into (Tarjan 1972, iterative)."""
+    index: dict = {}
+    low: dict = {}
+    stack = []
+    on_stack = set()
+    out = []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(edges.get(v, ()))))
+
+    for root in nodes:
+        if root in index:
+            continue
+        work = []
+        visit(root)
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
     return out
 
 
@@ -338,34 +390,65 @@ def cnf_of(g: Cfg) -> _Lowered:
 
 
 def _cyk_masks(cnf: _Lowered, w):
-    """masks[A][l] has bit i set iff nonterminal A derives w[i:i+l]."""
+    """CYK chart of w: (masks, live), where masks[A][l] has bit i set iff
+    node A derives w[i:i+l] and live[A] lists, ascending, the lengths l
+    whose row masks[A][l] is nonzero.
+
+    Rows are bit-parallel over the start position.  Length l combines, for
+    each rule A -> B C whose children both have live rows, the splits
+    k + (l - k) with k live for B or l - k live for C, whichever list is
+    shorter, so the work follows the nonzero rows rather than
+    |binary| * n^2.
+    """
     n = len(w)
-    size = cnf.size
-    masks = [[0] * (n + 1) for _ in range(size)]
+    masks = [[0] * (n + 1) for _ in range(cnf.size)]
+    live = [[] for _ in range(cnf.size)]
     for i, sym in enumerate(w):
         for a in cnf.by_sym.get(sym, ()):
             masks[a][1] |= 1 << i
-    binary = cnf.binary
+    # per live left child B: its live lengths, its rows and, per rule
+    # A -> B C, the rows and live lengths of C
+    lefts = []
+
+    def enliven(b, l):
+        if not live[b] and b in cnf.left_index:
+            lefts.append((live[b], masks[b], [(a, masks[c], live[c])
+                                              for a, c in cnf.left_index[b]]))
+        live[b].append(l)
+
+    for b in sorted({a for sym in set(w) for a in cnf.by_sym.get(sym, ())}):
+        enliven(b, 1)
     for l in range(2, n + 1):
-        for a, b, c in binary:
-            mb = masks[b]
-            mc = masks[c]
-            acc = 0
-            k = 1
-            while k < l:
-                x = mb[k]
-                if x:
-                    y = mc[l - k]
-                    if y:
-                        acc |= x & (y >> k)
-                k += 1
-            if acc:
-                masks[a][l] |= acc
-    return masks
+        grown = []
+        for lens, mb, partners in lefts:
+            for a, mc, lc in partners:
+                if not lc:
+                    continue
+                acc = 0
+                if len(lens) <= len(lc):
+                    for k in lens:
+                        y = mc[l - k]
+                        if y:
+                            acc |= mb[k] & (y >> k)
+                else:
+                    for m in lc:
+                        x = mb[l - m]
+                        if x:
+                            acc |= x & (mc[m] >> (l - m))
+                if acc:
+                    row = masks[a]
+                    if not row[l]:
+                        grown.append(a)
+                    row[l] |= acc
+        # every live length stays below the length in progress
+        for a in grown:
+            enliven(a, l)
+    return masks, live
 
 
 def membership(g: Cfg, w) -> bool:
-    """Word membership; cubic-time CYK on the cached binarized form."""
+    """Word membership by CYK on the cached binarized form; the chart's work
+    follows its nonzero rows."""
     w = tuple(w)
     if g.flat_words is not None:
         return w in g.flat_words
@@ -375,7 +458,7 @@ def membership(g: Cfg, w) -> bool:
     if any(s not in ts for s in w):
         return False
     cnf = cnf_of(g)
-    masks = _cyk_masks(cnf, w)
+    masks, _live = _cyk_masks(cnf, w)
     return bool(masks[cnf.start][len(w)] & 1)
 
 
@@ -591,12 +674,12 @@ def prefix_quotient(g: Cfg, prefix) -> Cfg:
         words = [w[n:] for w in g.flat_words if len(w) > n and w[:n] == x]
         return Cfg.from_words(g.terminals, words, g.start)
     cnf = cnf_of(g)
-    masks = _cyk_masks(cnf, x)
+    masks, live = _cyk_masks(cnf, x)
     # spans[b][i] = ends k (i < k <= n) with b deriving x[i:k]
     spans = [defaultdict(list) for _ in range(cnf.size)]
     for b in range(cnf.size):
         row = masks[b]
-        for l in range(1, n + 1):
+        for l in live[b]:
             m = row[l]
             while m:
                 low = m & -m
@@ -643,6 +726,63 @@ def prefix_quotient(g: Cfg, prefix) -> Cfg:
             prods.append((node, (q_ref(b, i), o_ref(c))))
     raw = Cfg(sorted(seen, key=repr), g.terminals, start, prods)
     return normalize(raw, strict=False)
+
+
+def least_completion(g: Cfg, prefix, ranks=None):
+    """Shortlex-least reverse(y) over the nonempty y with prefix . y in
+    language(g); None when there is none.
+
+    Equal to shortest_word(reverse_cfg(prefix_quotient(g, prefix)), ranks)
+    without building either grammar: a weighted item pass (Nederhof 2003)
+    settled in Knuth's order, as in _lightest.  With x the prefix and n its
+    length, the closed items "B derives x[j:i]" are the CYK chart of x; an
+    open item (i, A) says A derives x[i:n] . y for a nonempty y and weighs
+    (|y|, reverse(y)).  The seeds are the terminal rules at i = n, and a rule
+    A -> B C turns closed (j, B, i) and open (i, C) into open (j, A) of C's
+    weight, and open (j, B) and (n, C) into open (j, A) of weight
+    w(C) + w(B).  Both are monotone and never below an input, so the first
+    pop of (0, start) is the answer.
+    """
+    if ranks is None:
+        ranks = symbol_ranks(g.terminals)
+    x = tuple(prefix)
+    n = len(x)
+    if g.flat_words is not None:
+        tails = [tuple(reversed(w[n:])) for w in g.flat_words
+                 if len(w) > n and w[:n] == x]
+        return min(tails, key=shortlex_key(ranks)) if tails else None
+    cnf = cnf_of(g)
+    masks, live = _cyk_masks(cnf, x)
+    heap = [(1, (min(ranks[s] for s in syms),), n, a)
+            for a, syms in cnf.term_bodies.items()]
+    heapq.heapify(heap)
+    best: dict = {}             # (i, A) -> (length, word) of settled items
+    opened = defaultdict(list)  # B -> [(j, length, word)] of settled (j, B)
+    while heap:
+        m, w, i, a = heapq.heappop(heap)
+        if (i, a) in best:
+            continue
+        if i == 0 and a == cnf.start:
+            symbol = {r: s for s, r in ranks.items()}
+            return tuple(symbol[r] for r in w)
+        best[(i, a)] = (m, w)
+        opened[a].append((i, m, w))
+        for head, b in cnf.right_index.get(a, ()):
+            row = masks[b]
+            for l in live[b]:
+                if l > i:
+                    break
+                if row[l] >> (i - l) & 1 and (i - l, head) not in best:
+                    heapq.heappush(heap, (m, w, i - l, head))
+            if i == n:
+                for j, m2, w2 in opened[b]:
+                    if (j, head) not in best:
+                        heapq.heappush(heap, (m + m2, w + w2, j, head))
+        for head, c in cnf.left_index.get(a, ()):
+            right = best.get((n, c))
+            if right is not None and (i, head) not in best:
+                heapq.heappush(heap, (right[0] + m, right[1] + w, i, head))
+    return None
 
 
 def reverse_cfg(g: Cfg) -> Cfg:

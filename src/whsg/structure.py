@@ -103,7 +103,10 @@ class WhStructure:
             return None
         if cfglib.derives_epsilon(self.table):  # products drop the empty word
             return ()
-        shape = slot_shape(self.reps, self.reps, self.reps.reverse())
+        reps = self.reps
+        if reps.accepts(()):  # a representative is a nonempty word
+            reps = reps.intersect(Nfa.universal_nonempty(self.alphabet))
+        shape = slot_shape(reps, reps, reps.reverse())
         full = tuple(self.alphabet) + (SEP1, SEP2)
         outside = cfglib.intersect_regular(self.table, shape.complement(full))
         return cfglib.shortest_word(outside, self.ranks)

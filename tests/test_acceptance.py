@@ -94,7 +94,7 @@ def test_criterion_2_word_problem_correctness():
 
 def test_criterion_3_polynomial_behavior():
     started = time.perf_counter()
-    lengths = [16, 32, 64, 128, 256, 512, 1024]
+    lengths = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
     rng = random.Random(424242)
     medians = []
     for n in lengths:

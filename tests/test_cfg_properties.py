@@ -1,9 +1,10 @@
-"""Property tests of enumeration and shortest words against CYK membership
-on random grammars with empty and unit bodies."""
+"""Property tests of enumeration, shortest words, least completions and the
+CYK chart on random grammars with empty and unit bodies."""
 
 import pytest
 
 from conftest import all_words
+from test_cfg import _random_cfg
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg
 from whsg.words import shortlex_key, symbol_ranks
@@ -35,3 +36,49 @@ def test_enumeration_and_shortest_word_match_cyk(g):
         assert shortest == members[0]
     else:
         assert shortest is None or len(shortest) > 5
+
+
+def _plain_cyk(cnf, w):
+    """Set of (node, i, l) with node deriving w[i:i+l], by the textbook
+    recurrence over the binarized grammar."""
+    n = len(w)
+    chart = {(a, i, 1) for i, sym in enumerate(w) for a in cnf.by_sym.get(sym, ())}
+    for l in range(2, n + 1):
+        for i in range(n - l + 1):
+            for a, b, c in cnf.binary:
+                if any((b, i, k) in chart and (c, i + k, l - k) in chart
+                       for k in range(1, l)):
+                    chart.add((a, i, l))
+    return chart
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars(), st.lists(st.sampled_from(("a", "b")), max_size=7))
+def test_chart_and_membership_match_plain_cyk(g, w):
+    w = tuple(w)
+    cnf = cfglib.cnf_of(g)
+    chart = _plain_cyk(cnf, w)
+    masks, live = cfglib._cyk_masks(cnf, w)
+    for a in range(cnf.size):
+        assert live[a] == sorted({l for b, _i, l in chart if b == a})
+        for l in range(1, len(w) + 1):
+            assert masks[a][l] == sum(1 << i for i in range(len(w) - l + 1)
+                                      if (a, i, l) in chart)
+    if w:
+        assert cfglib.membership(g, w) == ((cnf.start, 0, len(w)) in chart)
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(st.randoms(use_true_random=False),
+                  st.lists(st.sampled_from(("a", "b")), max_size=4))
+def test_least_completion_matches_reversed_quotient(rng, prefix):
+    g = _random_cfg(rng)
+    for order in (("a", "b"), ("b", "a")):
+        ranks = symbol_ranks(order)
+        quotient = cfglib.prefix_quotient(g, prefix)
+        if not prefix:  # the quotient by the empty word is g, empty word kept
+            quotient = cfglib.normalize(quotient, strict=False)
+        expected = cfglib.shortest_word(cfglib.reverse_cfg(quotient), ranks)
+        assert cfglib.least_completion(g, prefix, ranks) == expected

@@ -1,0 +1,100 @@
+"""Scaling and time bounds for kernel steps that once blew up.
+
+Each doubling test times a generated family at doubling sizes (the fastest
+of a few runs per size) and bounds the log-log slope, as acceptance
+criterion 3 does for the word problem.  The slope is the least-squares fit
+over all sizes: on a shared machine a single doubling of a few milliseconds
+moves by more than the bound's margin.
+"""
+
+import gc
+import math
+import random
+import time
+
+from whsg import cfg as cfglib
+from whsg.cfg import Cfg
+
+
+def _fastest(f, runs=3, make=lambda: ()):
+    """Fastest of `runs` calls f(*make()), timing f only."""
+    best = math.inf
+    for _ in range(runs):
+        args = make()
+        gc.collect()
+        t0 = time.perf_counter()
+        f(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _fitted_slope(sizes, times):
+    xs = [math.log2(k) for k in sizes]
+    ys = [math.log2(t) for t in times]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
+def _unit_chain(k):
+    """C0 -> C1 -> ... -> C(k-1) -> a: every Ci reaches the one body by
+    unit rules."""
+    nts = [f"C{i}" for i in range(k)]
+    prods = [(x, (y,)) for x, y in zip(nts, nts[1:])] + [(nts[-1], ("a",))]
+    return Cfg(nts, ("a",), "C0", prods)
+
+
+def test_unit_closure_is_near_linear_on_a_chain():
+    sizes = [1000, 2000, 4000, 8000]
+    times = []
+    for k in sizes:
+        times.append(_fastest(cfglib.normalize, runs=5,
+                              make=lambda: (_unit_chain(k),)))
+        gn = cfglib.normalize(_unit_chain(k))
+        assert gn.productions == (("C0", ("a",)),)
+    slope = _fitted_slope(sizes, times)
+    # a breadth-first search from every nonterminal gives about 2
+    assert slope <= 1.5, (slope, times)
+
+
+def _reference_cyk_masks(cnf, w):
+    """The bit-parallel chart as it was before rows were tracked: every
+    binary rule at every length and split."""
+    n = len(w)
+    masks = [[0] * (n + 1) for _ in range(cnf.size)]
+    for i, sym in enumerate(w):
+        for a in cnf.by_sym.get(sym, ()):
+            masks[a][1] |= 1 << i
+    for l in range(2, n + 1):
+        for a, b, c in cnf.binary:
+            mb, mc = masks[b], masks[c]
+            acc = 0
+            for k in range(1, l):
+                x = mb[k]
+                if x:
+                    y = mc[l - k]
+                    if y:
+                        acc |= x & (y >> k)
+            if acc:
+                masks[a][l] |= acc
+    return masks
+
+
+def test_dense_chart_is_no_slower_than_full_cyk():
+    # every span of every word is derivable: the chart has no zero row, so
+    # tracking rows cannot save work and must not cost much either
+    g = Cfg(["S"], ("a", "b"), "S",
+            [("S", ("S", "S")), ("S", ("a",)), ("S", ("b",))])
+    cnf = cfglib.cnf_of(g)
+    rng = random.Random(256)
+    w = tuple(rng.choice("ab") for _ in range(256))
+    masks, live = cfglib._cyk_masks(cnf, w)
+    assert masks == _reference_cyk_masks(cnf, w)
+    assert live[cnf.start] == list(range(1, 257))
+    # alternated, so that both see the same phases of a shared machine;
+    # on a 2-vCPU machine each took 3.5-5 ms
+    ours = full = math.inf
+    for _ in range(5):
+        ours = min(ours, _fastest(cfglib._cyk_masks, 1, lambda: (cnf, w)))
+        full = min(full, _fastest(_reference_cyk_masks, 1, lambda: (cnf, w)))
+    assert ours <= 1.25 * full, (ours, full)

@@ -52,6 +52,16 @@ def test_table_outside_shape_rejected():
         with pytest.raises(InvariantError, match="''"):
             WhStructure(alphabet, reps, bad)
     WhStructure(alphabet, reps, Cfg.from_words(alphabet + (SEP1, SEP2), good))
+    # an empty slot, flat and generic, when reps holds the empty word:
+    # representatives are nonempty words all the same
+    star = Nfa.universal(alphabet)
+    words = [(SEP1, "a", SEP2, "a"), ("a", SEP1, "a", SEP2, "a", "a")]
+    for bad in (Cfg.from_words(alphabet + (SEP1, SEP2), words),
+                Cfg(["O", "X"], alphabet + (SEP1, SEP2), "O",
+                    [("O", ("X",))] + [("X", w) for w in words])):
+        with pytest.raises(InvariantError, match="'#1 a #2 a'"):
+            WhStructure(alphabet, star, bad)
+    WhStructure(alphabet, star, Cfg.from_words(alphabet + (SEP1, SEP2), words[1:]))
 
 
 def test_load_checks_table_membership(free2, tmp_path):
