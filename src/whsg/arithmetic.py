@@ -10,7 +10,6 @@ symbol order, so every operation is deterministic.
 from __future__ import annotations
 
 from . import cfg as cfglib
-from .cfg import Cfg
 from .errors import EmptyProductError, OperandError
 from .structure import WhStructure, normalize_generators
 from .words import SEP1, SEP2, reverse
@@ -35,13 +34,6 @@ def check_multiply(s: WhStructure, p, q, r) -> bool:
     return got
 
 
-def product_language(s: WhStructure, p, q) -> Cfg:
-    """Grammar for { w : p#1q#2w-reversed in the table }, the representatives
-    of elt(p)elt(q)."""
-    prefix = tuple(p) + (SEP1,) + tuple(q) + (SEP2,)
-    return cfglib.reverse_cfg(cfglib.prefix_quotient(s.table, prefix))
-
-
 def multiply(s: WhStructure, p, q) -> tuple:
     """Shortest-lex representative of elt(p)elt(q): the least completion of
     p#1q#2 in the table, read reversed."""
@@ -50,11 +42,11 @@ def multiply(s: WhStructure, p, q) -> tuple:
     if got is None:
         _require_rep(s, p), _require_rep(s, q)
         prefix = p + (SEP1,) + q + (SEP2,)
-        r = cfglib.least_completion(s.table, prefix, s.ranks)
-        if r is None:
+        least = cfglib.least_completions(s.table, prefix, s.ranks)
+        if not least:
             raise EmptyProductError(
                 f"product of {' '.join(p)!r} and {' '.join(q)!r} has no representative")
-        s._mul_cache[(p, q)] = got = r
+        s._mul_cache[(p, q)] = got = least[0]
     return got
 
 

@@ -1,6 +1,5 @@
 """Context-free grammars: normalization, membership, shortest words, least
-completions of a prefix, regular intersection, prefix quotients and bounded
-enumeration.
+completions of a prefix, regular intersection and bounded enumeration.
 
 Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words`` and
@@ -10,18 +9,19 @@ lowering of the grammar as given feeds one lightest-derivation pass
 (Knuth's generalization of Dijkstra's algorithm, 1977), which reads off the
 shortlex-least word of every node.  The lowering of its normalization
 serves one CYK chart (bit-parallel rows, with work that follows the nonzero
-rows), which answers membership, gives prefix quotients their spans and
-gives least completions their closed items; the least completion of a
-prefix is a weighted item pass in the same Knuth order, with no quotient
-grammar.  The same lowering serves bounded enumeration (a memoized walk
-whose sub-calls ask for strictly shorter words) and the one grammar x
-automaton product behind regular intersection and transducer images.
+rows), which answers membership and gives least completions their closed
+items; the k least completions of a prefix are a weighted item pass in the
+same Knuth order, with no quotient grammar.  The same lowering serves
+bounded enumeration (a memoized walk whose sub-calls ask for strictly
+shorter words) and the one grammar x automaton product behind regular
+intersection and transducer images.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from collections import defaultdict, deque
 
 from .nfa import Nfa
@@ -384,7 +384,7 @@ def lowered_of(g: Cfg) -> _Lowered:
 
 def cnf_of(g: Cfg) -> _Lowered:
     """The lowering of normalize(g, strict=False): terminal rules A -> a and
-    binary rules A -> B C only, as CYK, quotients and products need."""
+    binary rules A -> B C only, as CYK, completions and products need."""
     gn = g._normal if g._normal is not None else normalize(g, strict=False)
     return lowered_of(gn)
 
@@ -657,145 +657,92 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
     return normalize(raw, strict=False)
 
 
-# -- prefix quotients -----------------------------------------------------------
+# -- least completions of a prefix -------------------------------------------------
 
 
-def prefix_quotient(g: Cfg, prefix) -> Cfg:
-    """Grammar for { y : prefix . y in language(g) }, without the empty word.
+def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> list:
+    """The k shortlex-least distinct reverse(y) of length <= maxlen (no bound
+    when None), ascending, over the nonempty y with prefix . y in
+    language(g).
 
-    Built from the CYK chart of the prefix: closed spans feed unit rules,
-    open spans chain into the untouched remainder of the grammar.
-    """
-    x = tuple(prefix)
-    n = len(x)
-    if n == 0:
-        return g
-    if g.flat_words is not None:
-        words = [w[n:] for w in g.flat_words if len(w) > n and w[:n] == x]
-        return Cfg.from_words(g.terminals, words, g.start)
-    cnf = cnf_of(g)
-    masks, live = _cyk_masks(cnf, x)
-    # spans[b][i] = ends k (i < k <= n) with b deriving x[i:k]
-    spans = [defaultdict(list) for _ in range(cnf.size)]
-    for b in range(cnf.size):
-        row = masks[b]
-        for l in live[b]:
-            m = row[l]
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                spans[b][i].append(i + l)
-                m ^= low
-    prods = []
-    seen = set()
-    agenda = deque()
-
-    def q_ref(nt, i):
-        if i == n:
-            return o_ref(nt)
-        node = ("q", nt, i)
-        if node not in seen:
-            seen.add(node)
-            agenda.append(node)
-        return node
-
-    def o_ref(nt):
-        node = ("o", nt)
-        if node not in seen:
-            seen.add(node)
-            agenda.append(node)
-        return node
-
-    start = q_ref(cnf.start, 0)
-    while agenda:
-        node = agenda.popleft()
-        if node[0] == "o":
-            nt = node[1]
-            for sym in cnf.term_bodies.get(nt, ()):
-                prods.append((node, (sym,)))
-            for b, c in cnf.binary_by_head.get(nt, ()):
-                prods.append((node, (o_ref(b), o_ref(c))))
-            continue
-        _tag, nt, i = node
-        for sym in cnf.term_bodies.get(nt, ()):
-            if i == n - 1 and x[i] == sym:
-                prods.append((node, ()))
-        for b, c in cnf.binary_by_head.get(nt, ()):
-            for k in spans[b].get(i, ()):
-                prods.append((node, (q_ref(c, k),)))
-            prods.append((node, (q_ref(b, i), o_ref(c))))
-    raw = Cfg(sorted(seen, key=repr), g.terminals, start, prods)
-    return normalize(raw, strict=False)
-
-
-def least_completion(g: Cfg, prefix, ranks=None):
-    """Shortlex-least reverse(y) over the nonempty y with prefix . y in
-    language(g); None when there is none.
-
-    Equal to shortest_word(reverse_cfg(prefix_quotient(g, prefix)), ranks)
-    without building either grammar: a weighted item pass (Nederhof 2003)
-    settled in Knuth's order, as in _lightest.  With x the prefix and n its
-    length, the closed items "B derives x[j:i]" are the CYK chart of x; an
-    open item (i, A) says A derives x[i:n] . y for a nonempty y and weighs
+    A weighted item pass (Nederhof 2003) settled in Knuth's order, as in
+    _lightest, with no quotient grammar.  With x the prefix and n its length,
+    the closed items "B derives x[j:i]" are the CYK chart of x; an open item
+    (i, A) says A derives x[i:n] . y for a nonempty y and weighs
     (|y|, reverse(y)).  The seeds are the terminal rules at i = n, and a rule
     A -> B C turns closed (j, B, i) and open (i, C) into open (j, A) of C's
     weight, and open (j, B) and (n, C) into open (j, A) of weight
-    w(C) + w(B).  Both are monotone and never below an input, so the first
-    pop of (0, start) is the answer.
+    w(C) + w(B).  Both are monotone and never below an input, so words leave
+    the heap in ascending order.  Each item settles up to k distinct words
+    (Huang and Chiang 2005): concatenation is strictly monotone on both
+    sides, so a word outside an item's k least yields none of the k least
+    above it.  As words leave in ascending order, a word that repeats one
+    settled for its item comes before any larger one, so comparing it with
+    the item's last settled word finds it.
     """
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
     x = tuple(prefix)
     n = len(x)
     if g.flat_words is not None:
-        tails = [tuple(reversed(w[n:])) for w in g.flat_words
-                 if len(w) > n and w[:n] == x]
-        return min(tails, key=shortlex_key(ranks)) if tails else None
+        tails = {tuple(reversed(w[n:])) for w in g.flat_words
+                 if len(w) > n and w[:n] == x
+                 and (maxlen is None or len(w) - n <= maxlen)}
+        return sorted(tails, key=shortlex_key(ranks))[:k]
+    limit = sys.maxsize if maxlen is None else maxlen
     cnf = cnf_of(g)
     masks, live = _cyk_masks(cnf, x)
-    heap = [(1, (min(ranks[s] for s in syms),), n, a)
-            for a, syms in cnf.term_bodies.items()]
+    heap = [(1, (r,), n, a) for a, syms in cnf.term_bodies.items()
+            for r in sorted({ranks[s] for s in syms})[:k]]
     heapq.heapify(heap)
-    best: dict = {}             # (i, A) -> (length, word) of settled items
+    start = cnf.start
+    many = k > 1
+    out = []
+    best: dict = {}             # (i, A) -> first (length, word) settled
+    more = defaultdict(list)    # (i, A) -> later (length, word), k > 1 only
+    full = set() if many else best     # items with k words settled
     opened = defaultdict(list)  # B -> [(j, length, word)] of settled (j, B)
     while heap:
         m, w, i, a = heapq.heappop(heap)
-        if (i, a) in best:
+        if m > limit:
+            break
+        it = (i, a)
+        if it in full:
             continue
-        if i == 0 and a == cnf.start:
-            symbol = {r: s for s, r in ranks.items()}
-            return tuple(symbol[r] for r in w)
-        best[(i, a)] = (m, w)
+        if many and it in best:
+            later = more[it]
+            if (later[-1] if later else best[it]) == (m, w):
+                continue
+            later.append((m, w))
+            if len(later) == k - 1:
+                full.add(it)
+        else:
+            best[it] = (m, w)
+        if i == 0 and a == start:
+            out.append(w)
+            if len(out) == k:
+                break
         opened[a].append((i, m, w))
         for head, b in cnf.right_index.get(a, ()):
             row = masks[b]
             for l in live[b]:
                 if l > i:
                     break
-                if row[l] >> (i - l) & 1 and (i - l, head) not in best:
+                if row[l] >> (i - l) & 1 and (i - l, head) not in full:
                     heapq.heappush(heap, (m, w, i - l, head))
             if i == n:
                 for j, m2, w2 in opened[b]:
-                    if (j, head) not in best:
+                    if (j, head) not in full:
                         heapq.heappush(heap, (m + m2, w + w2, j, head))
         for head, c in cnf.left_index.get(a, ()):
             right = best.get((n, c))
-            if right is not None and (i, head) not in best:
+            if right is not None and (i, head) not in full:
                 heapq.heappush(heap, (right[0] + m, right[1] + w, i, head))
-    return None
-
-
-def reverse_cfg(g: Cfg) -> Cfg:
-    """Grammar for the reversed language."""
-    if g.flat_words is not None:
-        return Cfg.from_words(g.terminals,
-                              [tuple(reversed(w)) for w in g.flat_words],
-                              g.start)
-    prods = [(h, tuple(reversed(b))) for h, b in g.productions]
-    out = Cfg(g.nonterminals, g.terminals, g.start, prods)
-    if g._normal is g:
-        out._normal = out  # reversing bodies keeps the normal form
-    return out
+                if many:
+                    for m2, w2 in more.get((n, c), ()):
+                        heapq.heappush(heap, (m2 + m, w2 + w, i, head))
+    symbol = {r: s for s, r in ranks.items()}
+    return [tuple(symbol[r] for r in w) for w in out]
 
 
 def union_cfgs(grammars, terminals=None) -> Cfg:

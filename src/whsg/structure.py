@@ -433,8 +433,8 @@ def validate_necessary(s: WhStructure, depth: int = 4, sample_cap: int = 200) ->
         except EmptyProductError:
             return Verdict.no(
                 f"missing product witness for {' '.join(u)!r} * {' '.join(v)!r}")
-        lang = arithmetic.product_language(ns, u, v)
-        for w in cfglib.enumerate_words(lang, len(r) + 1, ns.ranks)[:3]:
+        for w in cfglib.least_completions(ns.table, u + (SEP1,) + v + (SEP2,),
+                                          ns.ranks, 3, len(r) + 1):
             union(r, w)
     seen: dict = {}
     for w in list(classes) + list(words):

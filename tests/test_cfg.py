@@ -168,7 +168,9 @@ def test_shortest_word_on_deep_chain():
     g = _chain(5000)
     t0 = time.perf_counter()
     assert cfglib.shortest_word(g) == ("a",) * 4999 + ("b",)
-    assert cfglib.shortest_word(cfglib.reverse_cfg(g)) == ("b",) + ("a",) * 4999
+    rev = Cfg(g.nonterminals, g.terminals, g.start,
+              [(h, b[::-1]) for h, b in g.productions])
+    assert cfglib.shortest_word(rev) == ("b",) + ("a",) * 4999
     assert time.perf_counter() - t0 < 2
 
 
@@ -198,31 +200,19 @@ def test_unit_and_epsilon_sibling_cycles():
         assert cfglib.shortest_word(g, ranks) == members[0]
 
 
-def test_prefix_quotient_matches_definition():
+def test_least_completions_match_definition():
+    # with k above the number of candidates, every completion up to maxlen
     rng = random.Random(5)
+    ranks = symbol_ranks(("a", "b"))
     for _ in range(25):
         g = _random_cfg(rng)
         for prefix in (("a",), ("a", "b"), ("b",)):
-            q = cfglib.prefix_quotient(g, prefix)
-            got = set(cfglib.enumerate_words(q, 4))
-            expected = {w[len(prefix):] for w in cfglib.enumerate_words(g, 4 + len(prefix))
-                        if len(w) > len(prefix) and w[:len(prefix)] == tuple(prefix)}
+            got = cfglib.least_completions(g, prefix, ranks, 64, 4)
+            expected = sorted({w[len(prefix):][::-1]
+                               for w in cfglib.enumerate_words(g, 4 + len(prefix))
+                               if len(w) > len(prefix) and w[:len(prefix)] == prefix},
+                              key=shortlex_key(ranks))
             assert got == expected
-
-
-def test_reverse_cfg(free2):
-    expected = {tuple(reversed(w)) for w in cfglib.enumerate_words(free2.table, 7)}
-    for g in (free2.table, cfglib.normalize(free2.table)):
-        rev = cfglib.reverse_cfg(g)
-        assert set(cfglib.enumerate_words(rev, 7)) == expected
-    # reversing a normal form gives one, which is not normalized again
-    assert cfglib.normalize(rev, strict=False) is rev
-    # with epsilon and unit bodies it must be normalized
-    g = Cfg(["O", "X"], ("a", "b"), "O",
-            [("O", ("X", "a")), ("O", ("X",)), ("X", ()), ("X", ("b",))])
-    rev = cfglib.reverse_cfg(g)
-    for w in all_words(("a", "b"), 3, minlen=0):
-        assert cfglib.membership(rev, w) == cfglib.membership(g, w[::-1])
 
 
 def test_union_cfgs():

@@ -73,12 +73,25 @@ def test_chart_and_membership_match_plain_cyk(g, w):
                      deadline=None)
 @hypothesis.given(st.randoms(use_true_random=False),
                   st.lists(st.sampled_from(("a", "b")), max_size=4))
-def test_least_completion_matches_reversed_quotient(rng, prefix):
+def test_least_completions_match_brute_force(rng, prefix):
+    # the oracle: every word of length <= |x| + L starting with x, its tail
+    # reversed, in shortlex order
     g = _random_cfg(rng)
+    x = tuple(prefix)
+    L = 4
     for order in (("a", "b"), ("b", "a")):
         ranks = symbol_ranks(order)
-        quotient = cfglib.prefix_quotient(g, prefix)
-        if not prefix:  # the quotient by the empty word is g, empty word kept
-            quotient = cfglib.normalize(quotient, strict=False)
-        expected = cfglib.shortest_word(cfglib.reverse_cfg(quotient), ranks)
-        assert cfglib.least_completion(g, prefix, ranks) == expected
+        tails = sorted({w[len(x):][::-1]
+                        for w in cfglib.enumerate_words(g, len(x) + L)
+                        if len(w) > len(x) and w[:len(x)] == x},
+                       key=shortlex_key(ranks))
+        for k in (1, 2, 3):
+            for maxlen in (1, 2, 3, L):
+                expected = [w for w in tails if len(w) <= maxlen][:k]
+                assert cfglib.least_completions(g, x, ranks, k, maxlen) == expected
+            # unbounded: the words up to length L come first, any others are
+            # longer
+            got = cfglib.least_completions(g, x, ranks, k)
+            assert got[:len(tails[:k])] == tails[:k]
+            assert len(got) <= k
+            assert all(len(w) > L for w in got[len(tails[:k]):])

@@ -8,7 +8,7 @@ from conftest import all_words
 from whsg import fixtures
 from whsg.arithmetic import multiply, represent, word_eq
 from whsg.basic import green_related, is_commutative, is_group, is_monoid
-from whsg.cfg import Cfg, prefix_quotient, enumerate_words
+from whsg.cfg import Cfg, least_completions
 from whsg.nfa import Nfa
 from whsg.structural import is_clifford, is_completely_simple, is_free
 from whsg.structure import WhStructure
@@ -68,13 +68,13 @@ def test_arithmetic_agrees_between_flat_and_generic_paths(name):
                     green_related(generic, w, w2, rel)
 
 
-def test_prefix_quotient_flat_and_generic_agree(rees):
+def test_least_completions_flat_and_generic_agree(rees):
     flat = rees.table
     generic = _unflatten_cfg(flat)
     for prefix in [("a", "#1"), ("b", "#1", "e"), ("d", "e", "b"), ("z",)]:
-        got_flat = set(enumerate_words(prefix_quotient(flat, prefix), 8))
-        got_generic = set(enumerate_words(prefix_quotient(generic, prefix), 8))
-        assert got_flat == got_generic
+        for k in (1, 3, 100):
+            got_flat = least_completions(flat, prefix, rees.ranks, k, 8)
+            assert got_flat == least_completions(generic, prefix, rees.ranks, k, 8)
 
 
 def test_fixture_files_match_generators():

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import all_words
-from test_differential import _generic_twin as generic_twin
+from test_differential import _generic_twin as generic_twin, _unflatten_cfg
 from whsg import cfg as cfglib
 from whsg import fixtures
 from whsg.arithmetic import word_eq
@@ -296,11 +296,38 @@ def test_validate_detects_equality_inconsistency():
         for v in words:
             entries.append(u + (SEP1,) + v + (SEP2, "a"))
     entries.append(("a", SEP1, "a", SEP2, "b"))
-    s = WhStructure(alphabet, Nfa.from_words(words, alphabet),
-                    Cfg.from_words(alphabet + (SEP1, SEP2), entries))
-    v = validate_necessary(s, depth=3)
-    assert not v
-    assert "test unequal" in v.reason
+    table = Cfg.from_words(alphabet + (SEP1, SEP2), entries)
+    for t in (table, _unflatten_cfg(table)):
+        v = validate_necessary(WhStructure(alphabet, Nfa.from_words(words, alphabet), t),
+                               depth=3)
+        assert not v
+        assert "test unequal" in v.reason
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["flat", "generic"])
+@pytest.mark.parametrize("extra, answer", [(("b", "b"), "no"),
+                                           (("b", "b", "b"), "yes")],
+                         ids=["one-longer", "two-longer"])
+def test_validate_unions_entries_at_most_one_letter_longer(generic, extra, answer):
+    # a*a = a and every other product is b, which b, bb and bbb all name;
+    # the extra entry a #1 a #2 extra-reversed claims a*a = extra as well.
+    # Only entries at most one letter longer than the least one (a) are
+    # tested for equality, so the false claim is caught for bb and not for
+    # bbb
+    alphabet = ("a", "b")
+    reps = [("a",), ("b",), ("b", "b"), ("b", "b", "b")]
+    entries = [u + (SEP1,) + v + (SEP2,) + r[::-1]
+               for u in reps for v in reps
+               for r in ([("a",)] if u == v == ("a",) else reps[1:])]
+    entries.append(("a", SEP1, "a", SEP2) + extra[::-1])
+    table = Cfg.from_words(alphabet + (SEP1, SEP2), entries)
+    if generic:
+        table = _unflatten_cfg(table)
+    v = validate_necessary(WhStructure(alphabet, Nfa.from_words(reps, alphabet), table),
+                           depth=3)
+    assert v.answer == answer
+    if answer == "no":
+        assert "test unequal" in v.reason
 
 
 def test_validate_detects_associativity_failure():
