@@ -14,7 +14,8 @@ items; the k least completions of a prefix are a weighted item pass in the
 same Knuth order, with no quotient grammar.  The same lowering serves
 bounded enumeration (a memoized walk whose sub-calls ask for strictly
 shorter words) and the one grammar x automaton product behind regular
-intersection and transducer images.
+intersection and transducer images, a goal-directed closure that builds
+only the items its start can use.
 """
 
 from __future__ import annotations
@@ -599,39 +600,82 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
 
     An item (p, A, q) derives what A derives along some run from state p to
     state q.  `leaves` are the productions ((p, A, q), body) for the terminal
-    rules of A; the closure combines items bottom-up over the binary rules,
-    so only productive items are materialized.  The new start derives
-    (p, start, q) for each (p, q) in `tops`; productions are then written
-    top-down from those items, for the items the start reaches only.
-    `extra_nts` and `extra_prods` carry nonterminals the leaf bodies use
-    besides the items.
+    rules of A.  The closure is goal-directed, Earley's prediction over the
+    product ("parsing as intersection", Lang 1994): it builds the items of
+    (p, A) only once that pair is asked.  The pairs (p, start) of `tops` are
+    asked first.  Asking (p, A) reads the leaves of A from p and, for each
+    rule A -> B C, asks (p, B); each item (p, B, mid) then asks (mid, C), and
+    each item (mid, C, q) completes (p, A, q).  The grammar has no epsilon and
+    no unit rules, so every item a top item can use is built, and no item of
+    a pair nothing asks for, such as a nonterminal of one slot started in
+    another.  The new start derives (p, start, q) for each (p, q) in `tops`
+    that is an item; productions are then written top-down from those items,
+    for the items the start reaches only.  `extra_nts` and `extra_prods`
+    carry nonterminals the leaf bodies use besides the items.
     """
-    starts = defaultdict(set)   # (nt, p) -> set of q
-    ends = defaultdict(set)     # (nt, q) -> set of p
-    items = set()
-    agenda = deque()
+    leaf_ends = defaultdict(list)  # (nt, p) -> q of each leaf (p, nt, q)
+    for (p, nt, q), _body in leaves:
+        leaf_ends[(nt, p)].append(q)
+    by_head = cnf.binary_by_head
+    # (nt, p) -> q of each item (p, nt, q), for the asked pairs only
+    starts: dict = {}
+    firsts = defaultdict(set)      # (B, p) -> (A, C) of A -> B C asked at p
+    seconds = defaultdict(set)     # (C, mid) -> (p, A) waiting for C from mid
+    asks = [(cnf.start, p) for p, _q in tops]
+    agenda = deque()               # items not yet combined
 
-    def add(it):
-        if it not in items:
-            p, nt, q = it
-            items.add(it)
-            starts[(nt, p)].add(q)
-            ends[(nt, q)].add(p)
-            agenda.append(it)
+    def wait(key, p, a):
+        # (p, a) waits for the items of key = (c, mid), and asks for them
+        waiting = seconds[key]
+        if (p, a) in waiting:
+            return
+        waiting.add((p, a))
+        asks.append(key)
+        got = starts.get(key)
+        if got:
+            # when key is (a, p) itself, every q is there already, so the
+            # set is not changed while it is read
+            ends = starts[(a, p)]
+            for q in got:
+                if q not in ends:
+                    ends.add(q)
+                    agenda.append((p, a, q))
 
-    for it, _body in leaves:
-        add(it)
-    while agenda:
+    while asks or agenda:
+        if asks:
+            key = asks.pop()
+            if key in starts:
+                continue
+            ends = starts[key] = set()
+            nt, p = key
+            got = leaf_ends.get(key)
+            if got:
+                for q in got:
+                    if q not in ends:
+                        ends.add(q)
+                        agenda.append((p, nt, q))
+            for b, c in by_head.get(nt, ()):
+                left = (b, p)
+                firsts[left].add((nt, c))
+                got = starts.get(left)
+                if got:
+                    # wait adds to starts[(nt, p)], which is got when b == nt
+                    for mid in (tuple(got) if b == nt else got):
+                        wait((c, mid), p, nt)
+                asks.append(left)
+            continue
         p, nt, q = agenda.popleft()
-        for head, right in cnf.left_index.get(nt, ()):
-            for end in starts.get((right, q), ()):
-                add((p, head, end))
-        for head, left in cnf.right_index.get(nt, ()):
-            for begin in ends.get((left, p), ()):
-                add((begin, head, q))
+        for a, c in firsts.get((nt, p), ()):
+            wait((c, q), p, a)
+        for p0, a in seconds.get((nt, p), ()):
+            ends = starts[(a, p0)]
+            if q not in ends:
+                ends.add(q)
+                agenda.append((p0, a, q))
 
     start = ("&S",)
-    top = [(p, cnf.start, q) for p, q in tops if (p, cnf.start, q) in items]
+    top = [(p, cnf.start, q) for p, q in tops
+           if q in starts.get((cnf.start, p), ())]
     if not top:
         return Cfg([start], terminals, start, [])
     prods = [(start, (it,)) for it in top]
@@ -640,11 +684,10 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
     while agenda:
         it = agenda.popleft()
         p, nt, q = it
-        for b, c in cnf.binary_by_head.get(nt, ()):
+        for b, c in by_head.get(nt, ()):
             for mid in starts.get((b, p), ()):
-                right = (mid, c, q)
-                if right in items:
-                    left = (p, b, mid)
+                if q in starts.get((c, mid), ()):
+                    left, right = (p, b, mid), (mid, c, q)
                     prods.append((it, (left, right)))
                     for x in (left, right):
                         if x not in reached:

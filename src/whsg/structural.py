@@ -440,13 +440,16 @@ def palindromic_defect(g, witness_bound: int = 12) -> Optional[Defect]:
     """
     if SEP2 not in g.terminals:
         raise OperandError("grammar must use the #2 separator")
-    letters = tuple(t for t in g.terminals if t not in (SEP1, SEP2))
-    shape = (Nfa.universal(letters)
-             .concat(Nfa.literal((SEP2,), (SEP2,)))
-             .concat(Nfa.universal(letters)))
     # products drop the empty word, which is outside A*#2A* as well
-    outside = cfglib.intersect_regular(g, shape.complement(g.terminals))
-    bad = () if cfglib.derives_epsilon(g) else cfglib.shortest_word(outside)
+    if cfglib.derives_epsilon(g):
+        bad = ()
+    else:
+        letters = tuple(t for t in g.terminals if t not in (SEP1, SEP2))
+        shape = (Nfa.universal(letters)
+                 .concat(Nfa.literal((SEP2,), (SEP2,)))
+                 .concat(Nfa.universal(letters)))
+        outside = cfglib.intersect_regular(g, shape.complement(g.terminals))
+        bad = cfglib.shortest_word(outside)
     if bad is not None:
         raise OperandError(
             f"language is not contained in A*#2A*: {' '.join(bad)!r}")

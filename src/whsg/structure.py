@@ -71,6 +71,7 @@ class WhStructure:
         self._chk_cache: dict = {}
         self._rep_cache: dict = {}
         self._normalized = None
+        self._shape_violation = None  # (the violation or None,) once checked
         if check:
             self.check_invariants()
 
@@ -90,7 +91,12 @@ class WhStructure:
                 f"table word {' '.join(bad)!r} is outside reps#1reps#2reps-reversed")
 
     def table_shape_violation(self):
-        """A table word outside L#1L#2L^rev, or None."""
+        """A table word outside L#1L#2L^rev, or None; computed once."""
+        if self._shape_violation is None:
+            self._shape_violation = (self._find_shape_violation(),)
+        return self._shape_violation[0]
+
+    def _find_shape_violation(self):
         if self.table.flat_words is not None:
             for w in sorted(self.table.flat_words, key=len):
                 parts = _split_table_word(w)

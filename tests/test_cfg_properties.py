@@ -1,5 +1,6 @@
-"""Property tests of enumeration, shortest words, least completions and the
-CYK chart on random grammars with empty and unit bodies."""
+"""Property tests of enumeration, shortest words, least completions, regular
+intersection and the CYK chart on random grammars with empty and unit
+bodies."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import all_words
 from test_cfg import _random_cfg
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg
+from whsg.nfa import Nfa
 from whsg.words import shortlex_key, symbol_ranks
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -24,6 +26,30 @@ def grammars(draw):
     return Cfg(nts, ("a", "b"), "N0", prods)
 
 
+STATE_NAMES = {"int": lambda i: i, "str": lambda i: f"q{i}",
+               "tuple": lambda i: ("q", i)}
+
+
+@st.composite
+def automata(draw):
+    """Automata over {a, b} with up to three initial states, a state no
+    initial state reaches (accepting, so that a top pair has no item) and
+    a dead state that reaches no accepting one."""
+    name = STATE_NAMES[draw(st.sampled_from(sorted(STATE_NAMES)))]
+    n = draw(st.integers(1, 4))
+    states = [name(i) for i in range(n)]
+    state = st.sampled_from(states)
+    trans = draw(st.lists(st.tuples(state, st.sampled_from(("a", "b")), state),
+                          max_size=10))
+    initial = draw(st.lists(state, min_size=1, max_size=3))
+    accepting = draw(st.lists(state, max_size=3))
+    unreachable, dead = name(n), name(n + 1)
+    trans += [(unreachable, "a", states[0]), (unreachable, "b", unreachable),
+              (states[-1], "b", dead), (dead, "a", dead)]
+    return Nfa(states + [unreachable, dead], ("a", "b"), trans, initial,
+               accepting + [unreachable])
+
+
 @hypothesis.settings(max_examples=300, derandomize=True, database=None,
                      deadline=None)
 @hypothesis.given(grammars())
@@ -36,6 +62,18 @@ def test_enumeration_and_shortest_word_match_cyk(g):
         assert shortest == members[0]
     else:
         assert shortest is None or len(shortest) > 5
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars(), automata())
+def test_intersect_regular_matches_brute_force(g, a):
+    # the words of g up to length 5 that a accepts, but the empty word,
+    # which every product drops
+    expected = sorted((w for w in WORDS
+                       if w and a.accepts(w) and cfglib.membership(g, w)),
+                      key=shortlex_key(symbol_ranks(g.terminals)))
+    assert cfglib.enumerate_words(cfglib.intersect_regular(g, a), 5) == expected
 
 
 def _plain_cyk(cnf, w):

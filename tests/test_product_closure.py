@@ -1,0 +1,99 @@
+"""The goal-directed grammar x automaton product against the bottom-up
+closure it replaced (`_reference_product_grammar`, kept with the dense time
+bound in test_scaling): every product the library builds, through regular
+intersection, transducer images and the structure's shape check, must be the
+same grammar production for production."""
+
+import contextlib
+
+import pytest
+
+from test_cfg_properties import automata, grammars
+from test_differential import _generic_twin
+from test_scaling import _reference_product_grammar
+from whsg import cfg as cfglib
+from whsg import fixtures, transducer
+from whsg.structure import WhStructure, normalize_generators
+from whsg.transducer import Transducer
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@contextlib.contextmanager
+def _both_closures():
+    """Build every product with both closures; yields the list of
+    (goal-directed, reference) grammar pairs, one per product."""
+    pairs = []
+    ours = cfglib._product_grammar
+
+    def both(*args):
+        got = ours(*args)
+        pairs.append((got, _reference_product_grammar(*args)))
+        return got
+
+    cfglib._product_grammar = transducer._product_grammar = both
+    try:
+        yield pairs
+    finally:
+        cfglib._product_grammar = transducer._product_grammar = ours
+
+
+def _assert_identical(pairs):
+    for got, ref in pairs:
+        assert got.start == ref.start and got.terminals == ref.terminals
+        assert got.nonterminals == ref.nonterminals
+        assert got.productions == ref.productions
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars(), automata())
+def test_intersection_matches_bottom_up_closure(g, a):
+    with _both_closures() as pairs:
+        cfglib.intersect_regular(g, a)
+    assert len(pairs) == (g.flat_words is None)
+    _assert_identical(pairs)
+
+
+# two machines whose epsilon-input moves put glue between consumed symbols:
+# x^i u x^j on a cycle, and a marker after a prefix, with a dead branch
+GLUE_TRANSDUCERS = [
+    Transducer(["s", "t"],
+               [("s", None, ("x",), "s"), ("s", "a", ("a",), "s"),
+                ("s", None, (), "t"), ("t", "a", ("a",), "t"),
+                ("t", "b", ("b",), "t"), ("t", None, ("x",), "t")],
+               "s", ["t"]),
+    Transducer(["s", "m", "t", "d"],
+               [("s", "a", ("a",), "s"), ("s", "b", ("b", "b"), "s"),
+                ("s", None, ("#",), "m"), ("m", None, (), "t"),
+                ("t", "b", (), "t"), ("t", "a", ("a",), "t"),
+                ("s", "a", (), "d")],
+               "s", ["t"]),
+]
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars(), st.sampled_from(range(len(GLUE_TRANSDUCERS))))
+def test_glued_transducer_image_matches_bottom_up_closure(g, which):
+    with _both_closures() as pairs:
+        GLUE_TRANSDUCERS[which].apply_to_cfg(g)
+    assert len(pairs) == 1
+    _assert_identical(pairs)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.NAMED))
+def test_shape_checks_match_bottom_up_closure(name):
+    # the tables of free2, free2c and bicyclic are generic already; a finite
+    # table is checked without a product, so its generic twin is used
+    s = fixtures.NAMED[name]()
+    if s.table.flat_words is not None:
+        s = _generic_twin(s)
+    with _both_closures() as pairs:
+        fresh = WhStructure(s.alphabet, s.reps, s.table, dict(s.assignment),
+                            check=False)
+        assert fresh.table_shape_violation() is None
+        normalize_generators(fresh)
+    assert pairs
+    _assert_identical(pairs)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from whsg import cfg as cfglib
 from whsg.cfg import Cfg
 from whsg.errors import CapExceededError, OperandError
 from whsg.oracle import small_semigroups, structure_from_table, table_decide
@@ -232,14 +233,23 @@ def test_defect_precondition_enforced():
             palindromic_defect(g)
 
 
+def test_empty_word_is_rejected_before_any_product(monkeypatch):
+    def no_product(g, a):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(cfglib, "intersect_regular", no_product)
+    g = Cfg(["O", "X"], ("a", SEP2), "O",
+            [("O", ("X",)), ("X", ()), ("X", ("a", SEP2, "a"))])
+    with pytest.raises(OperandError, match="''"):
+        palindromic_defect(g)
+
+
 def test_defect_witnesses_are_members():
     cases = [
         Cfg(["O"], ("a", "b", SEP2), "O", [("O", ("a", "b", SEP2, "a", "b"))]),
         Cfg(["O", "X"], ("a", "b", SEP2), "O",
             [("O", ("X",)), ("X", ("b", SEP2, "a"))]),
     ]
-    from whsg import cfg as cfglib
-
     for g in cases:
         d = palindromic_defect(g)
         assert d is not None and d.witness is not None

@@ -342,3 +342,16 @@ def test_validate_detects_associativity_failure():
     v = validate_necessary(s, depth=3)
     assert not v
     assert "associativity" in v.reason
+
+
+def test_shape_check_runs_once_per_structure(monkeypatch, free2):
+    # validate_necessary reuses the check made when the structure was built
+    s = WhStructure(free2.alphabet, free2.reps, free2.table,
+                    dict(free2.assignment))
+    tables = []
+    intersect = cfglib.intersect_regular
+    monkeypatch.setattr(cfglib, "intersect_regular",
+                        lambda g, a: tables.append(g) or intersect(g, a))
+    assert s.table_shape_violation() is None
+    assert validate_necessary(s, depth=2)
+    assert not any(g is s.table for g in tables)
