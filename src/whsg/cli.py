@@ -2,7 +2,7 @@
 
 Each run prints one JSON object {"answer", "witnesses", "reason",
 "elapsed_ms"} and exits 0 when the procedure ran (whatever the verdict),
-1 on input errors, 2 when an enumeration cap was exceeded, and 3 on an
+1 on input errors, 2 when a size cap was exceeded, and 3 on an
 internal error (a fault of whsg itself; the reason starts with
 "internal error:" and the traceback goes to stderr).
 """
@@ -103,15 +103,9 @@ def _verdict_cmd(fn):
     return run
 
 
-def cmd_is_completely_simple(args):
-    v = structural.is_completely_simple(_load(args), max_species=args.max_species)
-    return v.answer, v.witnesses, v.reason
-
-
 def cmd_is_clifford(args):
     v = structural.is_clifford(_load(args),
-                               max_alphabet=args.max_alphabet_clifford,
-                               max_species=args.max_species)
+                               max_alphabet=args.max_alphabet_clifford)
     return v.answer, v.witnesses, v.reason
 
 
@@ -199,13 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     structure_cmd("is-commutative", _verdict_cmd(basic.is_commutative),
                   "do all elements commute?")
 
-    p = structure_cmd("is-completely-simple", cmd_is_completely_simple,
-                      "is the semigroup completely simple?")
-    p.add_argument("--max-species", type=int, default=10000)
+    structure_cmd("is-completely-simple",
+                  _verdict_cmd(structural.is_completely_simple),
+                  "is the semigroup completely simple?")
 
     p = structure_cmd("is-clifford", cmd_is_clifford,
                       "is the semigroup a Clifford semigroup?")
-    p.add_argument("--max-species", type=int, default=10000)
     p.add_argument("--max-alphabet-clifford", type=int, default=4)
 
     p = structure_cmd("is-free", cmd_is_free, "is the semigroup free?")

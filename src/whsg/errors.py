@@ -26,4 +26,4 @@ class EmptyProductError(WhsgError):
 
 
 class CapExceededError(WhsgError):
-    """An enumeration exceeded its configured cap."""
+    """An input exceeded the size cap configured for a procedure."""

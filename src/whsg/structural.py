@@ -1,10 +1,12 @@
 """Structural decision procedures: completely simple, Clifford, free.
 
-The first two enumerate candidate shapes (row/column classes of generators,
-or a finite meet semilattice with a generator placement) and validate each
-candidate with language checks and product checks; freeness eliminates
-redundant generators, then tests whether the projected table language is
-exactly the palindromic one.
+The first two derive one candidate shape, a species, from Green's relations
+on the generators and validate it with language checks and product checks.
+For complete simplicity the species is the R- and L-classes of the
+generators (Rees's theorem); for Clifford it is the semilattice of H-classes
+of the products of generator subsets. Freeness eliminates redundant
+generators, then tests whether the projected table language is exactly the
+palindromic one.
 """
 
 from __future__ import annotations
@@ -93,115 +95,6 @@ def _blocks(letters, assign):
     for letter, cls in zip(letters, assign):
         by_class.setdefault(cls, []).append(letter)
     return "|".join("".join(by_class[c]) for c in sorted(by_class))
-
-
-# -- species enumeration ------------------------------------------------------------
-
-
-def _growth_strings(n):
-    """Restricted growth strings: canonical set partitions of an n-set, in
-    lexicographic order."""
-    if not n:
-        return [()]
-    out = [(0,)]
-    for _ in range(n - 1):
-        out = [s + (v,) for s in out for v in range(max(s) + 2)]
-    return out
-
-
-def enumerate_cs_species(alphabet):
-    """All surjective row/column pairs up to renaming the index sets."""
-    alphabet = tuple(alphabet)
-    parts = _growth_strings(len(alphabet))
-    return [CsSpecies(alphabet, rows, cols)
-            for rows in parts for cols in parts]
-
-
-def _free_semilattice(n):
-    """Nonempty subsets of an n-set under union, as a meet table."""
-    elements = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            elements.append(frozenset(combo))
-    index = {e: i for i, e in enumerate(elements)}
-    meet = [[index[a | b] for b in elements] for a in elements]
-    return elements, meet
-
-
-def _congruence_close(n, meet, parent, extra):
-    """Smallest semilattice congruence containing the given merges."""
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    agenda = list(extra)
-    while agenda:
-        x, y = agenda.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[rx] = ry
-        for z in range(n):
-            agenda.append((meet[x][z], meet[y][z]))
-    labels = {}
-    out = []
-    for x in range(n):
-        r = find(x)
-        if r not in labels:
-            labels[r] = len(labels)
-        out.append(labels[r])
-    return tuple(out)
-
-
-def enumerate_clifford_species(alphabet, max_species=10000):
-    """Species from the congruences of the free meet semilattice on the
-    alphabet, finest first, deduplicated by canonical block labels."""
-    alphabet = tuple(alphabet)
-    n = len(alphabet)
-    elements, meet = _free_semilattice(n)
-    size = len(elements)
-    identity = tuple(range(size))
-    seen = {identity}
-    agenda = deque([identity])
-    partitions = [identity]
-    while agenda:
-        part = agenda.popleft()
-        classes = sorted(set(part))
-        for c1, c2 in itertools.combinations(classes, 2):
-            x = part.index(c1)
-            y = part.index(c2)
-            merged = _congruence_close(size, meet, list(range(size)),
-                                       [(u, v) for u in range(size)
-                                        for v in range(size)
-                                        if part[u] == part[v] and u < v] +
-                                       [(x, y)])
-            if merged not in seen:
-                seen.add(merged)
-                if len(seen) > max_species:
-                    raise CapExceededError(
-                        f"more than {max_species} semilattice species")
-                agenda.append(merged)
-                partitions.append(merged)
-    partitions.sort(key=lambda p: (-len(set(p)), p))
-    singleton = {i: elements.index(frozenset([i])) for i in range(n)}
-    species = []
-    for part in partitions:
-        k = len(set(part))
-        class_rep = {}
-        for idx, cls in enumerate(part):
-            class_rep.setdefault(cls, elements[idx])
-        meet_table = tuple(
-            tuple(part[elements.index(class_rep[i] | class_rep[j])]
-                  for j in range(k))
-            for i in range(k))
-        placement = tuple(part[singleton[i]] for i in range(n))
-        labels = tuple("".join(alphabet[i] for i in sorted(class_rep[c]))
-                       for c in range(k))
-        species.append(CliffordSpecies(alphabet, meet_table, placement, labels))
-    return species
 
 
 # -- completely simple ---------------------------------------------------------------
@@ -304,21 +197,36 @@ def cs_species_check(s: WhStructure, sp: CsSpecies) -> Verdict:
     return Verdict.yes(witnesses, reason=tag)
 
 
-def is_completely_simple(s: WhStructure, max_species: int = 10000) -> Verdict:
-    """Try every row/column species; accept the first that validates."""
+def _classes(ns, words, rel) -> tuple:
+    """Label each word by its `rel`-class among the words, numbered in order
+    of first occurrence; each word is compared with one word per class."""
+    firsts, labels = [], []
+    for w in words:
+        for i, first in enumerate(firsts):
+            if green_related(ns, first, w, rel):
+                labels.append(i)
+                break
+        else:
+            labels.append(len(firsts))
+            firsts.append(w)
+    return tuple(labels)
+
+
+def is_completely_simple(s: WhStructure) -> Verdict:
+    """Check the one species Rees's theorem allows: rows are the R-classes of
+    the generators and columns their L-classes.
+
+    In a completely simple semigroup generated by A, an element lies in the
+    row of its first letter and the column of its last, so every row and
+    column holds a generator and no other species can be accepted.
+    """
     ns = normalize_generators(s)
     unstable = _square_unstable(ns)
     if unstable is not None:
         return unstable
-    species = enumerate_cs_species(ns.alphabet)
-    if len(species) > max_species:
-        raise CapExceededError(
-            f"{len(species)} row/column species exceeds the cap {max_species}")
-    for sp in species:
-        verdict = cs_species_check(ns, sp)
-        if verdict:
-            return verdict
-    return Verdict.no("no row/column species is accepted")
+    letters = [(a,) for a in ns.alphabet]
+    return cs_species_check(ns, CsSpecies(ns.alphabet, _classes(ns, letters, "R"),
+                                          _classes(ns, letters, "L")))
 
 
 # -- Clifford -------------------------------------------------------------------------
@@ -400,23 +308,57 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
     return Verdict.yes(witnesses, reason=tag)
 
 
-def is_clifford(s: WhStructure, max_alphabet: int = 4,
-                max_species: int = 10000) -> Verdict:
-    """Try every semilattice species; accept the first that validates."""
+def is_clifford(s: WhStructure, max_alphabet: int = 4) -> Verdict:
+    """Check the one semilattice species the H-classes allow.
+
+    In a Clifford semigroup H is a congruence and its quotient a semilattice,
+    so the product of a set of generators lies in the H-class of the join of
+    their classes, in whatever order the letters come. Nonempty generator
+    subsets are therefore identified when the products of their letters, in
+    alphabet order, are H-related. Unless that partition is compatible with
+    joining each generator the semigroup is not Clifford; otherwise its
+    quotient of the free semilattice is the only species that can be accepted.
+    """
     ns = normalize_generators(s)
     unstable = _square_unstable(ns)
     if unstable is not None:
         return unstable
-    if len(ns.alphabet) > max_alphabet:
+    n = len(ns.alphabet)
+    if n > max_alphabet:
         raise CapExceededError(
-            f"alphabet of size {len(ns.alphabet)} exceeds the semilattice "
-            f"enumeration cap {max_alphabet} (the free semilattice has "
-            f"2^n - 1 elements)")
-    for sp in enumerate_clifford_species(ns.alphabet, max_species):
-        verdict = clifford_species_check(ns, sp)
-        if verdict:
-            return verdict
-    return Verdict.no("no semilattice species is accepted")
+            f"alphabet of size {n} exceeds the cap {max_alphabet} on the "
+            f"generators whose 2^n - 1 nonempty subsets are multiplied out")
+    # (size, lex) order: the singletons come first, in alphabet order
+    subsets = [frozenset(c) for size in range(1, n + 1)
+               for c in itertools.combinations(range(n), size)]
+    index = {x: i for i, x in enumerate(subsets)}
+    products = []
+    for x in subsets:
+        *rest, last = sorted(x)
+        letter = (ns.alphabet[last],)
+        products.append(multiply(ns, products[index[frozenset(rest)]], letter)
+                        if rest else letter)
+    part = _classes(ns, products, "H")
+    firsts = [subsets[part.index(c)] for c in range(len(set(part)))]
+
+    def spell(x):
+        return "{" + ",".join(ns.alphabet[i] for i in sorted(x)) + "}"
+
+    for x in subsets:
+        first = firsts[part[index[x]]]
+        for i, a in enumerate(ns.alphabet):
+            if part[index[first | {i}]] != part[index[x | {i}]]:
+                return Verdict.no(
+                    f"generator subsets {spell(first)} and {spell(x)} have "
+                    f"H-related products, but their joins with {a!r}, "
+                    f"{spell(first | {i})} and {spell(x | {i})}, do not, so H "
+                    f"is not a congruence onto a semilattice")
+    sp = CliffordSpecies(
+        ns.alphabet,
+        tuple(tuple(part[index[x | y]] for y in firsts) for x in firsts),
+        part[:n],
+        tuple("".join(ns.alphabet[i] for i in sorted(x)) for x in firsts))
+    return clifford_species_check(ns, sp)
 
 
 # -- freeness ---------------------------------------------------------------------------

@@ -164,8 +164,8 @@ def test_internal_error_exit_code(fixture_dir, capsys, monkeypatch):
 
 
 def test_cap_exceeded_exit_code(fixture_dir, capsys):
-    code, report = run(capsys, "is-completely-simple", fixture_dir / "z2.whs",
-                       "--max-species", "1")
+    code, report = run(capsys, "is-clifford", fixture_dir / "z2.whs",
+                       "--max-alphabet-clifford", "1")
     assert code == 2 and report["answer"] == "error"
 
 

@@ -16,6 +16,8 @@ from collections import defaultdict, deque
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg, normalize
 from whsg.nfa import Nfa
+from whsg.oracle import direct_product, rb22_table, structure_from_table, table_decide
+from whsg.structural import is_clifford, is_completely_simple
 
 
 def _fastest(f, runs=3, make=lambda: ()):
@@ -185,3 +187,14 @@ def test_dense_product_is_no_slower_than_bottom_up_closure():
         ours = min(ours, _fastest(cfglib._product_grammar, 1, lambda: args))
         full = min(full, _fastest(_reference_product_grammar, 1, lambda: args))
     assert ours <= 1.25 * full, (ours, full)
+
+
+def test_species_of_a_four_generator_band_are_derived_quickly():
+    # the bound sits between the derived species (under 0.1 s) and trying
+    # rb22 x rb22's 225 row/column or 2,271 semilattice species (about 4 s)
+    t = direct_product(rb22_table(), rb22_table())
+    for prop, decide in (("completely-simple", is_completely_simple),
+                         ("clifford", is_clifford)):
+        assert decide(structure_from_table(t)).answer == table_decide(t, prop).answer
+        seconds = _fastest(decide, make=lambda: (structure_from_table(t),))
+        assert seconds < 1.0, (prop, seconds)

@@ -1,16 +1,21 @@
 import itertools
+import re
 
 import pytest
 
+from species_enumeration import (_free_semilattice, enumerate_clifford_species,
+                                 enumerate_cs_species, first_accepted)
 from whsg import cfg as cfglib
+from whsg.arithmetic import multiply
+from whsg.basic import green_related
 from whsg.cfg import Cfg
 from whsg.errors import CapExceededError, OperandError
-from whsg.oracle import small_semigroups, structure_from_table, table_decide
+from whsg.oracle import (NAMED_TABLES, direct_product, small_semigroups,
+                         structure_from_table, table_decide)
 from whsg.structural import (CsSpecies, Defect, clifford_species_check,
-                             cs_species_check, enumerate_cs_species,
-                             enumerate_clifford_species, is_clifford,
+                             cs_species_check, is_clifford,
                              is_completely_simple, is_free, palindromic_defect)
-from whsg.structure import rename_symbols
+from whsg.structure import normalize_generators, rename_symbols
 from whsg.words import SEP2
 
 
@@ -75,8 +80,6 @@ def _set_partitions(items):
 def test_congruence_enumeration_matches_brute_force(n):
     # oracle: every partition of the free semilattice, kept iff compatible
     # with the union operation
-    from whsg.structural import _free_semilattice
-
     elements, meet = _free_semilattice(n)
     size = len(elements)
     compatible = set()
@@ -144,8 +147,6 @@ def test_is_clifford(sl2, null3, z2):
 
 def test_species_caps_raise(rb22):
     with pytest.raises(CapExceededError):
-        is_completely_simple(rb22, max_species=1)
-    with pytest.raises(CapExceededError):
         is_clifford(rb22, max_alphabet=1)
 
 
@@ -164,6 +165,63 @@ def test_species_checks_match_oracle_on_small_tables():
                        if clifford_species_check(s, sp)]
         assert bool(accepted_cl) == want_cl, t.elements
         assert is_clifford(s).answer == ("yes" if want_cl else "no")
+
+
+def _species_corpus():
+    """The order <= 3 corpus, the named tables, the products the flat
+    benchmark draws (in both factor orders) and rb22 x rb22."""
+    tables = [(f"order{len(t.elements)}-{i}", t)
+              for i, t in enumerate(small_semigroups(3))]
+    tables += [(name, make()) for name, make in NAMED_TABLES.items()]
+    pairs = (("z2", "z2"), ("z2", "sl2"), ("z2", "rb22"), ("z2", "null3"),
+             ("z2", "rees"), ("sl2", "sl2"), ("sl2", "rb22"), ("sl2", "null3"))
+    for a, b in sorted({p for pair in pairs for p in (pair, pair[::-1])}):
+        tables.append((f"{a}x{b}", direct_product(NAMED_TABLES[a](),
+                                                   NAMED_TABLES[b]())))
+    tables.append(("rb22xrb22", direct_product(NAMED_TABLES["rb22"](),
+                                               NAMED_TABLES["rb22"]())))
+    return [(label, structure_from_table(t)) for label, t in tables]
+
+
+@pytest.mark.parametrize("prop,decide", [("completely-simple", is_completely_simple),
+                                         ("clifford", is_clifford)])
+def test_derived_species_match_first_enumerated(prop, decide):
+    for label, s in _species_corpus():
+        want, got = first_accepted(s, prop), decide(s)
+        assert (got.answer, got.witnesses) == (want.answer, want.witnesses), label
+        if got:
+            assert got.reason == want.reason, label
+
+
+_REFUTATION = re.compile(r"generator subsets \{(.*?)\} and \{(.*?)\} have "
+                         r"H-related products, but their joins with '(.*?)'")
+
+
+def test_clifford_refutations_recheck_with_green_relations():
+    def product(ns, letters):
+        # the letters of a subset multiplied out in alphabet order
+        word = (letters[0],)
+        for a in letters[1:]:
+            word = multiply(ns, word, (a,))
+        return word
+
+    found = 0
+    for label, s in _species_corpus():
+        v = is_clifford(s)
+        m = _REFUTATION.match(v.reason)
+        if m is None:
+            continue
+        found += 1
+        ns = normalize_generators(s)
+        x, y = (set(m.group(k).split(",")) for k in (1, 2))
+        a = m.group(3)
+        assert not v, label
+        spelled = [[b for b in ns.alphabet if b in z]
+                   for z in (x, y, x | {a}, y | {a})]
+        px, py, pxa, pya = (product(ns, z) for z in spelled)
+        assert green_related(ns, px, py, "H"), label
+        assert not green_related(ns, pxa, pya, "H"), label
+    assert found
 
 
 # -- palindromic defects -------------------------------------------------------------
