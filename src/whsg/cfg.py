@@ -11,7 +11,11 @@ shortlex-least word of every node.  The lowering of its normalization
 serves one CYK chart (bit-parallel rows, with work that follows the nonzero
 rows), which answers membership and gives least completions their closed
 items; the k least completions of a prefix are a weighted item pass in the
-same Knuth order, with no quotient grammar.  The same lowering serves
+same Knuth order, with no quotient grammar.  Its items past the end of the
+prefix do not depend on the prefix: one pass per lowering, ranks and k
+settles them for every call, advanced lazily as far as some call has
+needed, and each call subscribes its own items to the nodes whose words
+extend them.  The same lowering serves
 bounded enumeration (a memoized walk whose sub-calls ask for strictly
 shorter words) and the one grammar x automaton product behind regular
 intersection and transducer images, a goal-directed closure that builds
@@ -305,7 +309,7 @@ class _Lowered:
 
     __slots__ = ("start", "size", "term_bodies", "by_sym", "unit", "eps",
                  "binary", "binary_by_head", "left_index", "right_index",
-                 "unit_index")
+                 "unit_index", "suffixes")
 
     def __init__(self, start, size, term_bodies, by_sym, unit, eps, binary):
         self.start = start
@@ -319,6 +323,7 @@ class _Lowered:
         self.left_index = defaultdict(list)      # B -> [(A, C)]
         self.right_index = defaultdict(list)     # C -> [(A, B)]
         self.unit_index = defaultdict(list)      # B -> [A] for A -> B
+        self.suffixes = {}  # (k, ranks) -> _Suffixes of least_completions
         for a, b, c in binary:
             self.binary_by_head[a].append((b, c))
             self.left_index[b].append((a, c))
@@ -703,6 +708,49 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
 # -- least completions of a prefix -------------------------------------------------
 
 
+class _Suffixes:
+    """The prefix-free half of least_completions: up to k distinct least
+    reverse(y) per node A of a lowering with A =>* y, nonempty y, settled in
+    Knuth's order and shared by every call with the same ranks and k.
+
+    words[A] lists A's settled (length, word) pairs, ascending.  The pass
+    advances one step at a time, only when a call asks, so it settles no
+    word above the least candidate some call still needed: a table whose
+    nodes derive words of exponential length costs no more than the calls
+    that reach them.
+    """
+
+    __slots__ = ("cnf", "k", "heap", "words")
+
+    def __init__(self, cnf: _Lowered, ranks, k: int):
+        self.cnf = cnf
+        self.k = k
+        self.heap = [(1, (r,), a) for a, syms in cnf.term_bodies.items()
+                     for r in sorted({ranks[s] for s in syms})[:k]]
+        heapq.heapify(self.heap)
+        self.words: dict = {}
+
+    def step(self):
+        """Pop the least candidate; (A, length, word) when it settles a new
+        word of A, None when A is full or the word repeats A's last one.  A
+        rule A -> B C pushes w(C) + w(B) once both children have words."""
+        m, w, a = heapq.heappop(self.heap)
+        k, words, heap = self.k, self.words, self.heap
+        got = words.setdefault(a, [])
+        if len(got) == k or got and got[-1] == (m, w):
+            return None
+        got.append((m, w))
+        for head, c in self.cnf.left_index.get(a, ()):
+            if len(words.get(head, ())) < k:
+                for m2, w2 in words.get(c, ()):
+                    heapq.heappush(heap, (m2 + m, w2 + w, head))
+        for head, b in self.cnf.right_index.get(a, ()):
+            if len(words.get(head, ())) < k:
+                for m2, w2 in words.get(b, ()):
+                    heapq.heappush(heap, (m + m2, w + w2, head))
+        return a, m, w
+
+
 def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> list:
     """The k shortlex-least distinct reverse(y) of length <= maxlen (no bound
     when None), ascending, over the nonempty y with prefix . y in
@@ -712,11 +760,21 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
     _lightest, with no quotient grammar.  With x the prefix and n its length,
     the closed items "B derives x[j:i]" are the CYK chart of x; an open item
     (i, A) says A derives x[i:n] . y for a nonempty y and weighs
-    (|y|, reverse(y)).  The seeds are the terminal rules at i = n, and a rule
-    A -> B C turns closed (j, B, i) and open (i, C) into open (j, A) of C's
-    weight, and open (j, B) and (n, C) into open (j, A) of weight
-    w(C) + w(B).  Both are monotone and never below an input, so words leave
-    the heap in ascending order.  Each item settles up to k distinct words
+    (|y|, reverse(y)).  The open items at i = n do not depend on x: they are
+    the least words of the lowering's nodes, settled by one _Suffixes pass
+    per (ranks, k) that every call shares.  A call keeps its own heap for
+    the items with i < n and subscriptions "each word v of C opens (j, A) at
+    v . w": a closed (j, B) ending at n subscribes (j, A) to C with w empty,
+    and a settled (i, B) subscribes (i, A) to C with w(B), for each rule
+    A -> B C; subscribing pushes the words C already has, and each word the
+    shared pass settles later goes to C's subscribers.  A rule A -> B C also
+    turns closed (j, B, i) and open (i, C) into open (j, A) of C's weight.
+    The call advances the shared pass only while its least candidate lies
+    below the call's own, so the two heaps pop in one Knuth order and the
+    call settles no suffix word a pass over both would not settle.
+
+    Every step is monotone and never below an input, so words leave the
+    heaps in ascending order.  Each item settles up to k distinct words
     (Huang and Chiang 2005): concatenation is strictly monotone on both
     sides, so a word outside an item's k least yields none of the k least
     above it.  As words leave in ascending order, a word that repeats one
@@ -734,18 +792,45 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
         return sorted(tails, key=shortlex_key(ranks))[:k]
     limit = sys.maxsize if maxlen is None else maxlen
     cnf = cnf_of(g)
+    key = (k, tuple(ranks.items()))
+    suffixes = cnf.suffixes.get(key)
+    if suffixes is None:
+        suffixes = cnf.suffixes[key] = _Suffixes(cnf, ranks, k)
+    words, shared = suffixes.words, suffixes.heap
     masks, live = _cyk_masks(cnf, x)
-    heap = [(1, (r,), n, a) for a, syms in cnf.term_bodies.items()
-            for r in sorted({ranks[s] for s in syms})[:k]]
-    heapq.heapify(heap)
     start = cnf.start
     many = k > 1
+    heap = []
     out = []
     best: dict = {}             # (i, A) -> first (length, word) settled
     more = defaultdict(list)    # (i, A) -> later (length, word), k > 1 only
     full = set() if many else best     # items with k words settled
-    opened = defaultdict(list)  # B -> [(j, length, word)] of settled (j, B)
-    while heap:
+    subs = defaultdict(list)    # C -> [(j, A, length, word)]
+
+    def subscribe(c, j, a, m, w):
+        subs[c].append((j, a, m, w))
+        for m2, w2 in words.get(c, ()):
+            heapq.heappush(heap, (m2 + m, w2 + w, j, a))
+
+    if n == 0:
+        subscribe(start, 0, start, 0, ())
+    for b, cs in cnf.left_index.items():
+        row = masks[b]
+        for l in live[b]:
+            if row[l] >> (n - l) & 1:
+                for head, c in cs:
+                    subscribe(c, n - l, head, 0, ())
+    while True:
+        while shared and shared[0][0] <= limit and (
+                not heap or shared[0][:2] < heap[0][:2]):
+            got = suffixes.step()
+            if got is not None:
+                c, m, w = got
+                for j, a, m2, w2 in subs.get(c, ()):
+                    if (j, a) not in full:
+                        heapq.heappush(heap, (m + m2, w + w2, j, a))
+        if not heap:
+            break
         m, w, i, a = heapq.heappop(heap)
         if m > limit:
             break
@@ -765,7 +850,8 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
             out.append(w)
             if len(out) == k:
                 break
-        opened[a].append((i, m, w))
+        if i == n:  # the start's own words when the prefix is empty
+            continue
         for head, b in cnf.right_index.get(a, ()):
             row = masks[b]
             for l in live[b]:
@@ -773,17 +859,9 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
                     break
                 if row[l] >> (i - l) & 1 and (i - l, head) not in full:
                     heapq.heappush(heap, (m, w, i - l, head))
-            if i == n:
-                for j, m2, w2 in opened[b]:
-                    if (j, head) not in full:
-                        heapq.heappush(heap, (m + m2, w + w2, j, head))
         for head, c in cnf.left_index.get(a, ()):
-            right = best.get((n, c))
-            if right is not None and (i, head) not in full:
-                heapq.heappush(heap, (right[0] + m, right[1] + w, i, head))
-                if many:
-                    for m2, w2 in more.get((n, c), ()):
-                        heapq.heappush(heap, (m2 + m, w2 + w, i, head))
+            if (i, head) not in full:
+                subscribe(c, i, head, m, w)
     symbol = {r: s for s, r in ranks.items()}
     return [tuple(symbol[r] for r in w) for w in out]
 

@@ -56,6 +56,8 @@ class WhStructure:
     def __init__(self, alphabet, reps: Nfa, table: Cfg, assignment=None,
                  check: bool = True):
         self.alphabet = tuple(dict.fromkeys(alphabet))
+        if not self.alphabet:
+            raise InvariantError("empty alphabet: a semigroup needs a generator")
         self.reps = reps
         self.table = table
         if assignment is None:

@@ -194,3 +194,25 @@ def test_multicharacter_symbols_tokenize_end_to_end(fixture_dir, capsys):
     code, report = run(capsys, "multiply", fixture_dir / "rb22.whs",
                        "x22", "x11")
     assert code == 0 and report["witnesses"]["result"] == ["x22", "x11"]
+
+
+STRUCTURE_COMMANDS = [["validate"], ["normalize"], ["multiply", "a", "a"],
+                      ["represent", "a"], ["word-eq", "a", "a"],
+                      ["green", "a", "a"], ["is-monoid"], ["is-group"],
+                      ["is-commutative"], ["is-completely-simple"],
+                      ["is-clifford"], ["is-free"]]
+
+
+@pytest.mark.parametrize("command", STRUCTURE_COMMANDS, ids=lambda c: c[0])
+def test_empty_alphabet_is_an_input_error(fixture_dir, capsys, command):
+    # no semigroup has an empty generating set
+    empty = fixture_dir / "empty_alphabet.whs"
+    empty.write_text(json.dumps({
+        "alphabet": [],
+        "reps": {"states": ["q0"], "initial": ["q0"], "accepting": [],
+                 "transitions": []},
+        "table": {"nonterminals": ["S"], "start": "S", "productions": []},
+    }))
+    code, report = run(capsys, command[0], empty, *command[1:])
+    assert code == 1 and report["answer"] == "error"
+    assert "empty alphabet" in report["reason"]

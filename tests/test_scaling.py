@@ -14,10 +14,13 @@ import time
 from collections import defaultdict, deque
 
 from whsg import cfg as cfglib
+from whsg.arithmetic import multiply, word_eq
 from whsg.cfg import Cfg, normalize
 from whsg.nfa import Nfa
 from whsg.oracle import direct_product, rb22_table, structure_from_table, table_decide
 from whsg.structural import is_clifford, is_completely_simple
+from whsg.structure import WhStructure
+from whsg.words import SEP1, SEP2
 
 
 def _fastest(f, runs=3, make=lambda: ()):
@@ -198,3 +201,29 @@ def test_species_of_a_four_generator_band_are_derived_quickly():
         assert decide(structure_from_table(t)).answer == table_decide(t, prop).answer
         seconds = _fastest(decide, make=lambda: (structure_from_table(t),))
         assert seconds < 1.0, (prop, seconds)
+
+
+def _doubling_chain_structure(depth=60):
+    """The free monogenic semigroup a^p #1 a^q #2 a^(p+q), with one more
+    way to derive the middle: N -> X0 #2 X0, where X_i -> X_(i+1) X_(i+1)
+    and X_depth -> a, so X0 derives only a^(2^depth)."""
+    xs = [f"X{i}" for i in range(depth + 1)]
+    prods = [("S", ("a", "S", "a")), ("S", ("a", SEP1, "N", "a")),
+             ("N", ("a", "N", "a")), ("N", ("a", SEP2, "a")),
+             ("N", ("X0", SEP2, "X0"))]
+    prods += [(x, (y, y)) for x, y in zip(xs, xs[1:])] + [(xs[-1], ("a",))]
+    table = Cfg(["S", "N"] + xs, ("a", SEP1, SEP2), "S", prods)
+    return WhStructure(("a",), Nfa.universal_nonempty(("a",)), table)
+
+
+def test_completions_settle_only_the_suffix_words_they_reach():
+    # settling every node's least word up front would write out a^(2^60)
+    s = _doubling_chain_structure()
+    for call, want in (
+            (lambda: multiply(s, ("a",), ("a",)), ("a", "a")),
+            (lambda: word_eq(s, ("a",) * 4, ("a",) * 4), True),
+            (lambda: cfglib.least_completions(s.table, ("a", SEP1, "a", SEP2),
+                                              k=3, maxlen=4), [("a", "a")])):
+        t0 = time.perf_counter()
+        assert call() == want
+        assert time.perf_counter() - t0 < 1.0
