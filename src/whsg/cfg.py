@@ -4,22 +4,23 @@ completions of a prefix, regular intersection and bounded enumeration.
 Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words`` and
 every operation on them degenerates to set manipulation.  Everything else
-goes through one cached lowering to bodies of at most two symbols.  The
-lowering of the grammar as given feeds one lightest-derivation pass
-(Knuth's generalization of Dijkstra's algorithm, 1977), which reads off the
-shortlex-least word of every node.  The lowering of its normalization
+goes through one cached lowering to bodies of at most two symbols.  Every
+query that reads off least words runs one pass, `_Pass`: Knuth's
+generalization of Dijkstra's algorithm (1977) with up to k distinct words
+per node (Huang and Chiang 2005), stepped lazily, forward or reversed.
+The shortest word is the first word of the start (k = 1) and bounded
+enumeration the start's words up to a length (k unbounded), both over the
+lowering of the grammar as given.  The lowering of its normalization
 serves one CYK chart (bit-parallel rows, with work that follows the nonzero
 rows), which answers membership and gives least completions their closed
 items; the k least completions of a prefix are a weighted item pass in the
 same Knuth order, with no quotient grammar.  Its items past the end of the
-prefix do not depend on the prefix: one pass per lowering, ranks and k
-settles them for every call, advanced lazily as far as some call has
+prefix do not depend on the prefix: one reversed pass per lowering, ranks
+and k settles them for every call, advanced as far as some call has
 needed, and each call subscribes its own items to the nodes whose words
-extend them.  The same lowering serves
-bounded enumeration (a memoized walk whose sub-calls ask for strictly
-shorter words) and the one grammar x automaton product behind regular
-intersection and transducer images, a goal-directed closure that builds
-only the items its start can use.
+extend them.  The same lowering serves the one grammar x automaton product
+behind regular intersection and transducer images, a goal-directed closure
+that builds only the items its start can use.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ class _Lowered:
 
     __slots__ = ("start", "size", "term_bodies", "by_sym", "unit", "eps",
                  "binary", "binary_by_head", "left_index", "right_index",
-                 "unit_index", "suffixes")
+                 "unit_index", "passes")
 
     def __init__(self, start, size, term_bodies, by_sym, unit, eps, binary):
         self.start = start
@@ -323,7 +324,9 @@ class _Lowered:
         self.left_index = defaultdict(list)      # B -> [(A, C)]
         self.right_index = defaultdict(list)     # C -> [(A, B)]
         self.unit_index = defaultdict(list)      # B -> [A] for A -> B
-        self.suffixes = {}  # (k, ranks) -> _Suffixes of least_completions
+        # (k, forward, rank items) -> the _Pass that every least_completions
+        # call with that key shares; its direction is always reversed there
+        self.passes = {}
         for a, b, c in binary:
             self.binary_by_head[a].append((b, c))
             self.left_index[b].append((a, c))
@@ -468,59 +471,72 @@ def membership(g: Cfg, w) -> bool:
     return bool(masks[cnf.start][len(w)] & 1)
 
 
-def _lightest(low: _Lowered, ranks=None):
-    """Least derivation per node: node -> (length, word) for every node that
-    derives a word, the word shortlex-least as a tuple of symbol ranks.
+class _Pass:
+    """Up to k distinct least words per node of a lowering, settled one step
+    at a time in Knuth's order (1977, Dijkstra's algorithm for grammars).
 
-    Knuth's generalization of Dijkstra's algorithm (1977): concatenation is
-    monotone in shortlex order and never below either part, so the first
-    pop of a node carries its least word, unit and epsilon cycles included.
-    With ranks=None every word is () and only the lengths are minimal.
+    Words are tuples of symbol ranks and weigh (length, word), shortlex.
+    The seeds are the epsilon bodies at (0, ()) and the terminal bodies; a
+    unit rule A -> B passes B's words to A, and a binary rule A -> B C makes
+    w(B) + w(C) when forward, w(C) + w(B) when reversed.  Concatenation is
+    monotone and never below either part, so words leave the heap in
+    ascending order and the first words a node settles are its least, unit
+    and epsilon cycles included.  Each node keeps up to k distinct words
+    (Huang and Chiang 2005): concatenation is strictly monotone on each
+    side, so a word outside a node's k least yields none of the k least
+    above it.  A repeat pops before any larger word of its node, so it
+    equals the node's last word.
+
+    words[A] lists A's settled (length, word) pairs, ascending.  The pass
+    advances only when a caller steps it, so a grammar whose nodes derive
+    words of exponential length costs no more than the words asked for;
+    and it pushes no candidate longer than maxlen, so a bounded enumeration
+    does not pair up every two words of a rule's children.
     """
-    heap = [(0, (), a) for a in low.eps]
-    for a, syms in low.term_bodies.items():
-        w = () if ranks is None else (min(ranks[s] for s in syms),)
-        heap.append((1, w, a))
-    heapq.heapify(heap)
-    best: dict = {}
-    while heap:
-        n, w, a = heapq.heappop(heap)
-        if a in best:
-            continue
-        best[a] = (n, w)
-        for head in low.unit_index.get(a, ()):
-            if head not in best:
-                heapq.heappush(heap, (n, w, head))
-        for head, c in low.left_index.get(a, ()):
-            right = best.get(c)
-            if right is not None and head not in best:
-                heapq.heappush(heap, (n + right[0], w + right[1], head))
-        for head, b in low.right_index.get(a, ()):
-            left = best.get(b)
-            if left is not None and head not in best:
-                heapq.heappush(heap, (left[0] + n, left[1] + w, head))
-    return best
 
+    __slots__ = ("k", "maxlen", "left", "right", "unit", "heap", "words")
 
-def _trampoline(gen_fn, first):
-    """Drive a generator-shaped recursion on an explicit stack.
+    def __init__(self, low: _Lowered, ranks, k: int, forward: bool,
+                 maxlen: int = sys.maxsize):
+        self.k = k
+        self.maxlen = maxlen
+        # reversed is forward over the grammar with every binary body swapped
+        self.left, self.right = ((low.left_index, low.right_index) if forward
+                                 else (low.right_index, low.left_index))
+        self.unit = low.unit_index
+        self.heap = [(0, (), a) for a in low.eps]
+        self.heap += [(1, (r,), a) for a, syms in low.term_bodies.items()
+                      for r in sorted({ranks[s] for s in syms})[:k]]
+        heapq.heapify(self.heap)
+        self.words: dict = {}
 
-    The generator yields argument tuples for sub-calls and receives their
-    return values from send(); its own result travels via StopIteration.
-    """
-    stack = [gen_fn(*first)]
-    sent = None
-    while True:
-        try:
-            request = stack[-1].send(sent)
-        except StopIteration as stop:
-            stack.pop()
-            if not stack:
-                return stop.value
-            sent = stop.value
-            continue
-        stack.append(gen_fn(*request))
-        sent = None
+    def step(self):
+        """Pop the least candidate; (A, length, word) when it settles a new
+        word of A, None when A is full or the word repeats A's last one."""
+        m, w, a = heapq.heappop(self.heap)
+        k, words, heap = self.k, self.words, self.heap
+        got = words.setdefault(a, [])
+        if len(got) == k or got and got[-1] == (m, w):
+            return None
+        got.append((m, w))
+        for head in self.unit.get(a, ()):
+            if len(words.get(head, ())) < k:
+                heapq.heappush(heap, (m, w, head))
+        # a sibling's words ascend, so its first one past maxlen ends a loop
+        room = self.maxlen - m
+        for head, c in self.left.get(a, ()):
+            if len(words.get(head, ())) < k:
+                for m2, w2 in words.get(c, ()):
+                    if m2 > room:
+                        break
+                    heapq.heappush(heap, (m + m2, w + w2, head))
+        for head, b in self.right.get(a, ()):
+            if len(words.get(head, ())) < k:
+                for m2, w2 in words.get(b, ()):
+                    if m2 > room:
+                        break
+                    heapq.heappush(heap, (m2 + m, w2 + w, head))
+        return a, m, w
 
 
 def shortest_word(g: Cfg, ranks=None):
@@ -532,14 +548,7 @@ def shortest_word(g: Cfg, ranks=None):
         if not g.flat_words:
             return None
         return min(g.flat_words, key=shortlex_key(ranks))
-    if derives_epsilon(g):
-        return ()
-    low = lowered_of(g)
-    got = _lightest(low, ranks).get(low.start)
-    if got is None:
-        return None
-    symbol = {r: s for s, r in ranks.items()}
-    return tuple(symbol[r] for r in got[1])
+    return next(_start_words(g, ranks, 1), None)
 
 
 def enumerate_words(g: Cfg, maxlen: int, ranks=None):
@@ -549,33 +558,20 @@ def enumerate_words(g: Cfg, maxlen: int, ranks=None):
     if g.flat_words is not None:
         return sorted((w for w in g.flat_words if len(w) <= maxlen),
                       key=shortlex_key(ranks))
-    out = {()} if derives_epsilon(g) else set()
-    # the normal form has no epsilon or unit rules, so every sub-call asks
-    # for a strictly shorter length and the recursion has no cycles
-    cnf = cnf_of(g)
-    minlen = {a: n for a, (n, _w) in _lightest(cnf).items()}
-    memo: dict = {}
+    return list(_start_words(g, ranks, sys.maxsize, maxlen))
 
-    def words(a, n):
-        got = memo.get((a, n))
-        if got is not None:
-            return got
-        acc = set()
-        if a in minlen and minlen[a] <= n:
-            if n == 1:
-                acc.update((sym,) for sym in cnf.term_bodies.get(a, ()))
-            for b, c in cnf.binary_by_head.get(a, ()):
-                for s in range(minlen[b], n - minlen[c] + 1):
-                    left = yield (b, s)
-                    if left:
-                        right = yield (c, n - s)
-                        acc.update(u + v for u in left for v in right)
-        memo[(a, n)] = acc
-        return acc
 
-    for n in range(1, maxlen + 1):
-        out |= _trampoline(words, (cnf.start, n))
-    return sorted(out, key=shortlex_key(ranks))
+def _start_words(g: Cfg, ranks, k, maxlen=sys.maxsize):
+    """The start's k least words of length <= maxlen, ascending, from a
+    forward _Pass over the lowering of g as given."""
+    low = lowered_of(g)
+    least = _Pass(low, ranks, k, forward=True, maxlen=maxlen)
+    heap = least.heap
+    symbol = {r: s for s, r in ranks.items()}
+    while heap and heap[0][0] <= maxlen:
+        got = least.step()
+        if got is not None and got[0] == low.start:
+            yield tuple(symbol[r] for r in got[2])
 
 
 # -- regular intersection (grammar x automaton product) ------------------------
@@ -708,60 +704,17 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
 # -- least completions of a prefix -------------------------------------------------
 
 
-class _Suffixes:
-    """The prefix-free half of least_completions: up to k distinct least
-    reverse(y) per node A of a lowering with A =>* y, nonempty y, settled in
-    Knuth's order and shared by every call with the same ranks and k.
-
-    words[A] lists A's settled (length, word) pairs, ascending.  The pass
-    advances one step at a time, only when a call asks, so it settles no
-    word above the least candidate some call still needed: a table whose
-    nodes derive words of exponential length costs no more than the calls
-    that reach them.
-    """
-
-    __slots__ = ("cnf", "k", "heap", "words")
-
-    def __init__(self, cnf: _Lowered, ranks, k: int):
-        self.cnf = cnf
-        self.k = k
-        self.heap = [(1, (r,), a) for a, syms in cnf.term_bodies.items()
-                     for r in sorted({ranks[s] for s in syms})[:k]]
-        heapq.heapify(self.heap)
-        self.words: dict = {}
-
-    def step(self):
-        """Pop the least candidate; (A, length, word) when it settles a new
-        word of A, None when A is full or the word repeats A's last one.  A
-        rule A -> B C pushes w(C) + w(B) once both children have words."""
-        m, w, a = heapq.heappop(self.heap)
-        k, words, heap = self.k, self.words, self.heap
-        got = words.setdefault(a, [])
-        if len(got) == k or got and got[-1] == (m, w):
-            return None
-        got.append((m, w))
-        for head, c in self.cnf.left_index.get(a, ()):
-            if len(words.get(head, ())) < k:
-                for m2, w2 in words.get(c, ()):
-                    heapq.heappush(heap, (m2 + m, w2 + w, head))
-        for head, b in self.cnf.right_index.get(a, ()):
-            if len(words.get(head, ())) < k:
-                for m2, w2 in words.get(b, ()):
-                    heapq.heappush(heap, (m + m2, w + w2, head))
-        return a, m, w
-
-
 def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> list:
     """The k shortlex-least distinct reverse(y) of length <= maxlen (no bound
     when None), ascending, over the nonempty y with prefix . y in
     language(g).
 
     A weighted item pass (Nederhof 2003) settled in Knuth's order, as in
-    _lightest, with no quotient grammar.  With x the prefix and n its length,
+    _Pass, with no quotient grammar.  With x the prefix and n its length,
     the closed items "B derives x[j:i]" are the CYK chart of x; an open item
     (i, A) says A derives x[i:n] . y for a nonempty y and weighs
     (|y|, reverse(y)).  The open items at i = n do not depend on x: they are
-    the least words of the lowering's nodes, settled by one _Suffixes pass
+    the least words of the lowering's nodes, settled by one reversed _Pass
     per (ranks, k) that every call shares.  A call keeps its own heap for
     the items with i < n and subscriptions "each word v of C opens (j, A) at
     v . w": a closed (j, B) ending at n subscribes (j, A) to C with w empty,
@@ -792,10 +745,10 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
         return sorted(tails, key=shortlex_key(ranks))[:k]
     limit = sys.maxsize if maxlen is None else maxlen
     cnf = cnf_of(g)
-    key = (k, tuple(ranks.items()))
-    suffixes = cnf.suffixes.get(key)
+    key = (k, False, tuple(ranks.items()))
+    suffixes = cnf.passes.get(key)
     if suffixes is None:
-        suffixes = cnf.suffixes[key] = _Suffixes(cnf, ranks, k)
+        suffixes = cnf.passes[key] = _Pass(cnf, ranks, k, forward=False)
     words, shared = suffixes.words, suffixes.heap
     masks, live = _cyk_masks(cnf, x)
     start = cnf.start

@@ -1,8 +1,7 @@
 """Nondeterministic finite automata and the regular-language algebra.
 
-Automata built from an explicit finite word set keep that set around
-(``finite_words``) so that membership and filtering stay constant-time;
-all constructions fall back to the generic automaton algorithms otherwise.
+A finite word set is a trie automaton like any other: every query and
+construction runs the one generic automaton algorithm.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ class Nfa:
     which fixes every lexicographic tie-break downstream.
     """
 
-    def __init__(self, states, alphabet, transitions, initial, accepting,
-                 finite_words=None):
+    def __init__(self, states, alphabet, transitions, initial, accepting):
         self.states = tuple(dict.fromkeys(states))
         self.alphabet = tuple(dict.fromkeys(alphabet))
         sset = set(self.states)
@@ -40,7 +38,6 @@ class Nfa:
         self.accepting = frozenset(accepting)
         if not self.initial <= sset or not self.accepting <= sset:
             raise ValueError("undeclared initial or accepting state")
-        self.finite_words = None if finite_words is None else frozenset(finite_words)
 
     # -- construction helpers -------------------------------------------------
 
@@ -63,7 +60,6 @@ class Nfa:
             transitions=transitions,
             initial=[name[()]],
             accepting=[name[w] for w in words],
-            finite_words=words,
         )
 
     @classmethod
@@ -91,9 +87,6 @@ class Nfa:
         return frozenset(out)
 
     def accepts(self, w: Sequence) -> bool:
-        w = tuple(w)
-        if self.finite_words is not None:
-            return w in self.finite_words
         current = self.initial
         for sym in w:
             current = self.step(current, sym)
@@ -108,10 +101,6 @@ class Nfa:
         """
         if ranks is None:
             ranks = symbol_ranks(self.alphabet)
-        if self.finite_words is not None:
-            if not self.finite_words:
-                return None
-            return min(self.finite_words, key=shortlex_key(ranks))
         # layers[j] = states from which an accepting state is reachable in
         # exactly j steps; a shortest accepted word needs at most |Q| layers
         layers = [frozenset(self.accepting)]
@@ -150,9 +139,6 @@ class Nfa:
         """All accepted words of length <= maxlen, in shortlex order."""
         if ranks is None:
             ranks = symbol_ranks(self.alphabet)
-        if self.finite_words is not None:
-            found = [w for w in self.finite_words if len(w) <= maxlen]
-            return sorted(found, key=shortlex_key(ranks))
         found = []
         frontier = [((), self.initial)]
         for _ in range(maxlen + 1):
@@ -177,21 +163,9 @@ class Nfa:
         alphabet = [f(s) for s in self.alphabet]
         trans = [(src, f(sym), dst) for (src, sym), dsts in self.transitions.items()
                  for dst in dsts]
-        words = None
-        if self.finite_words is not None:
-            words = {tuple(f(s) for s in w) for w in self.finite_words}
-        return Nfa(self.states, alphabet, trans, self.initial, self.accepting,
-                   finite_words=words)
+        return Nfa(self.states, alphabet, trans, self.initial, self.accepting)
 
     def intersect(self, other: "Nfa") -> "Nfa":
-        if self.finite_words is not None:
-            return Nfa.from_words(
-                [w for w in self.finite_words if other.accepts(w)],
-                alphabet=self.alphabet)
-        if other.finite_words is not None:
-            return Nfa.from_words(
-                [w for w in other.finite_words if self.accepts(w)],
-                alphabet=other.alphabet)
         alphabet = _merge_alphabets(self.alphabet, other.alphabet)
         start = {(p, q) for p in self.initial for q in other.initial}
         seen = set(start)
@@ -213,8 +187,6 @@ class Nfa:
 
     def union(self, other: "Nfa") -> "Nfa":
         alphabet = _merge_alphabets(self.alphabet, other.alphabet)
-        if self.finite_words is not None and other.finite_words is not None:
-            return Nfa.from_words(self.finite_words | other.finite_words, alphabet)
         states = [(0, s) for s in self.states] + [(1, s) for s in other.states]
         trans = [((0, src), sym, (0, dst)) for (src, sym), ds in self.transitions.items() for dst in ds]
         trans += [((1, src), sym, (1, dst)) for (src, sym), ds in other.transitions.items() for dst in ds]
@@ -224,9 +196,6 @@ class Nfa:
 
     def concat(self, other: "Nfa") -> "Nfa":
         alphabet = _merge_alphabets(self.alphabet, other.alphabet)
-        if self.finite_words is not None and other.finite_words is not None:
-            words = {u + v for u in self.finite_words for v in other.finite_words}
-            return Nfa.from_words(words, alphabet)
         states = [(0, s) for s in self.states] + [(1, s) for s in other.states]
         trans = [((0, src), sym, (0, dst)) for (src, sym), ds in self.transitions.items() for dst in ds]
         trans += [((1, src), sym, (1, dst)) for (src, sym), ds in other.transitions.items() for dst in ds]
@@ -244,9 +213,6 @@ class Nfa:
         return Nfa(states, alphabet, trans, initial, accepting)
 
     def reverse(self) -> "Nfa":
-        if self.finite_words is not None:
-            return Nfa.from_words({tuple(reversed(w)) for w in self.finite_words},
-                                  self.alphabet)
         trans = [(dst, sym, src) for (src, sym), ds in self.transitions.items() for dst in ds]
         return Nfa(self.states, self.alphabet, trans, self.accepting, self.initial)
 
@@ -280,9 +246,6 @@ class Nfa:
 
     def difference(self, other: "Nfa") -> "Nfa":
         alphabet = _merge_alphabets(self.alphabet, other.alphabet)
-        if self.finite_words is not None:
-            return Nfa.from_words(
-                [w for w in self.finite_words if not other.accepts(w)], self.alphabet)
         return self.intersect(other.complement(alphabet))
 
     def equivalent(self, other: "Nfa"):
@@ -309,8 +272,7 @@ class Nfa:
         return hash((self.states, self.alphabet, self.initial, self.accepting))
 
     def __repr__(self):
-        return (f"Nfa(states={len(self.states)}, alphabet={list(self.alphabet)!r}, "
-                f"finite={self.finite_words is not None})")
+        return f"Nfa(states={len(self.states)}, alphabet={list(self.alphabet)!r})"
 
 
 def _merge_alphabets(a, b):

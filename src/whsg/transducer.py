@@ -118,12 +118,6 @@ class Transducer:
     def apply_to_nfa(self, target: Nfa) -> Nfa:
         """Automaton for { v : u in language(target), (u, v) in relation }."""
         alphabet = self._result_alphabet(target.alphabet)
-        if target.finite_words is not None and not self.has_epsilon_input():
-            # letterwise machines map finite languages to finite languages
-            words = set()
-            for u in target.finite_words:
-                words |= self.apply_word(u)
-            return Nfa.from_words(words, alphabet)
         # product automaton whose arcs emit output words; epsilon arcs and
         # multi-symbol outputs are resolved by chaining and closure
         sym_edges = []

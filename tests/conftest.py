@@ -13,6 +13,13 @@ def all_words(alphabet, maxlen, minlen=1):
     return out
 
 
+def finite_language(nfa):
+    """Every word of an automaton whose language is finite, in shortlex
+    order: no accepted word of such an automaton is longer than its number
+    of states."""
+    return nfa.enumerate_words(len(nfa.states))
+
+
 @pytest.fixture(scope="session")
 def null3():
     return fixtures.null3()

@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from conftest import all_words
+from conftest import all_words, finite_language
 from whsg import cfg as cfglib
 from whsg import fixtures
 from whsg.arithmetic import check_multiply, multiply, word_eq
@@ -126,7 +126,7 @@ def test_criterion_4_multiply_contract():
     pairs = []
     for build in NAMED_TABLES.values():
         s = structure_from_table(build())
-        pool = sorted(s.reps.finite_words)
+        pool = sorted(finite_language(s.reps))
         pairs.extend((s, p, q) for p in pool for q in pool)
     s_free = fixtures.free2()
     rng = random.Random(8128)

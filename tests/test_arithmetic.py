@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import all_words
+from conftest import all_words, finite_language
 from whsg.arithmetic import check_multiply, multiply, represent, word_eq
 from whsg.errors import EmptyProductError, OperandError
 from whsg.oracle import null3_table, structure_from_table, z2_table
@@ -74,7 +74,7 @@ def test_word_eq_examples(null3, free2):
 
 def test_multiply_contract_on_sampled_pairs(free2, rees):
     for s, pool in ((free2, all_words(("a", "b"), 5)),
-                    (rees, sorted(rees.reps.finite_words))):
+                    (rees, sorted(finite_language(rees.reps)))):
         ns = normalize_generators(s)
         for p in pool[:12]:
             for q in pool[:12]:

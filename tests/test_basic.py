@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import finite_language
 from whsg.basic import green_related, is_commutative, is_group, is_monoid
 from whsg.errors import OperandError
 from whsg.oracle import small_semigroups, structure_from_table, table_decide
@@ -54,7 +55,7 @@ def test_green_requires_representatives(rees):
 
 def test_h_is_conjunction_of_r_and_l(rees, sl2):
     for s in (rees, sl2):
-        words = sorted(s.reps.finite_words)
+        words = sorted(finite_language(s.reps))
         for w, w2 in itertools.combinations(words, 2):
             expected = (green_related(s, w, w2, "R")
                         and green_related(s, w, w2, "L"))
@@ -62,7 +63,7 @@ def test_h_is_conjunction_of_r_and_l(rees, sl2):
 
 
 def test_green_is_equivalence_on_fixture(rees):
-    words = sorted(rees.reps.finite_words)
+    words = sorted(finite_language(rees.reps))
     for rel in ("R", "L", "H"):
         for w in words:
             assert green_related(rees, w, w, rel)

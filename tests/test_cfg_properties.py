@@ -1,9 +1,10 @@
 """Property tests of enumeration, shortest words, least completions, regular
 intersection and the CYK chart on random grammars with empty and unit
-bodies."""
+bodies, against brute force and the reference passes."""
 
 import pytest
 
+import knuth_reference
 from conftest import all_words
 from test_cfg import _random_cfg
 from whsg import cfg as cfglib
@@ -62,6 +63,29 @@ def test_enumeration_and_shortest_word_match_cyk(g):
         assert shortest == members[0]
     else:
         assert shortest is None or len(shortest) > 5
+
+
+@st.composite
+def cyclic_grammars(draw):
+    """grammars() with one more epsilon body and a cycle of unit rules."""
+    g = draw(grammars())
+    nts = list(g.nonterminals)
+    cycle = draw(st.lists(st.sampled_from(nts), min_size=1, max_size=3))
+    prods = list(g.productions) + [(draw(st.sampled_from(nts)), ())]
+    prods += [(x, (y,)) for x, y in zip(cycle, cycle[1:] + cycle[:1])]
+    return Cfg(nts, g.terminals, g.start, prods)
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(cyclic_grammars())
+def test_least_words_match_knuth_reference(g):
+    for order in (("a", "b"), ("b", "a")):
+        ranks = symbol_ranks(order)
+        assert cfglib.shortest_word(g, ranks) == \
+            knuth_reference.shortest_word(g, ranks)
+        assert cfglib.enumerate_words(g, 6, ranks) == \
+            knuth_reference.enumerate_words(g, 6, ranks)
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, database=None,

@@ -1,41 +1,45 @@
-"""Flat multiplication tables take constant-time shortcuts everywhere; these
-tests rebuild the same languages without the flat shape and demand identical
-behavior from the generic grammar and automaton machinery."""
+"""Flat multiplication tables take set shortcuts in every grammar operation;
+these tests rebuild the same tables without the flat shape and demand
+identical behavior from the generic grammar machinery."""
 
 import pytest
 
-from conftest import all_words
+from conftest import all_words, finite_language
 from whsg import fixtures
 from whsg.arithmetic import multiply, represent, word_eq
 from whsg.basic import green_related, is_commutative, is_group, is_monoid
 from whsg.cfg import Cfg, least_completions
-from whsg.nfa import Nfa
 from whsg.structural import is_clifford, is_completely_simple, is_free
 from whsg.structure import WhStructure
 
 
 def _unflatten_cfg(g):
-    """Same language through a wrapper nonterminal: defeats flat detection."""
-    wrapper = "&w"
-    assert wrapper not in g.nonterminals
-    prods = [(wrapper, body) for _h, body in g.productions]
-    prods.append((g.start, (wrapper,)))
-    out = Cfg(list(g.nonterminals) + [wrapper], g.terminals, g.start, prods)
+    """Same language through a fresh start symbol with one unit rule to the
+    old start: defeats flat detection."""
+    start = "&w"
+    assert start not in g.nonterminals
+    out = Cfg([start] + list(g.nonterminals), g.terminals, start,
+              [(start, (g.start,))] + list(g.productions))
     assert out.flat_words is None
     return out
 
 
-def _unflatten_nfa(n):
-    trans = [(src, sym, dst)
-             for (src, sym), dsts in n.transitions.items() for dst in dsts]
-    out = Nfa(n.states, n.alphabet, trans, n.initial, n.accepting)
-    assert out.finite_words is None
-    return out
-
-
 def _generic_twin(s):
-    return WhStructure(s.alphabet, _unflatten_nfa(s.reps),
-                       _unflatten_cfg(s.table), dict(s.assignment))
+    return WhStructure(s.alphabet, s.reps, _unflatten_cfg(s.table),
+                       dict(s.assignment))
+
+
+@pytest.mark.parametrize("name", ["bicyclic", "free2"])
+def test_twins_of_multi_nonterminal_tables_agree(name):
+    original = fixtures.NAMED[name]()
+    twin = _generic_twin(original)
+    assert twin.table_shape_violation() is None
+    pool = [w for w in all_words(original.alphabet, 3) if original.in_reps(w)]
+    assert pool
+    for p in pool:
+        for q in pool:
+            assert multiply(twin, p, q) == multiply(original, p, q)
+            assert word_eq(twin, p, q) == word_eq(original, p, q)
 
 
 @pytest.mark.parametrize("name", ["z2", "sl2", "rb22", "null3", "rees"])
@@ -53,7 +57,7 @@ def test_decisions_agree_between_flat_and_generic_paths(name):
 def test_arithmetic_agrees_between_flat_and_generic_paths(name):
     flat = fixtures.NAMED[name]()
     generic = _generic_twin(fixtures.NAMED[name]())
-    pool = sorted(flat.reps.finite_words)
+    pool = sorted(finite_language(flat.reps))
     for p in pool:
         for q in pool:
             assert multiply(flat, p, q) == multiply(generic, p, q)

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from conftest import all_words
+from conftest import all_words, finite_language
 from whsg.arithmetic import word_eq
 from whsg.errors import ParseError
 from whsg.oracle import (FiniteSemigroup, dumps_table, load_table, null3_table,
@@ -21,13 +21,13 @@ def test_table_validation():
 
 def test_structure_from_z2():
     s = structure_from_table(z2_table())
-    assert len(s.reps.finite_words) == 2
+    assert len(finite_language(s.reps)) == 2
     assert len(s.table.flat_words) == 4
 
 
 def test_structure_from_rb22():
     s = structure_from_table(rb22_table())
-    assert len(s.reps.finite_words) == 4
+    assert len(finite_language(s.reps)) == 4
     assert len(s.table.flat_words) == 16
 
 

@@ -227,3 +227,25 @@ def test_completions_settle_only_the_suffix_words_they_reach():
         t0 = time.perf_counter()
         assert call() == want
         assert time.perf_counter() - t0 < 1.0
+
+
+def _nullable_body(k):
+    """S -> Y1 ... Yk b with every Yi -> epsilon | a: one body of k nullable
+    symbols, which normalize expands into 2^k bodies."""
+    ys = [f"Y{i}" for i in range(1, k + 1)]
+    prods = [("S", tuple(ys) + ("b",))]
+    prods += [(y, body) for y in ys for body in ((), ("a",))]
+    return Cfg(["S"] + ys, ("a", "b"), "S", prods)
+
+
+def test_least_words_of_a_nullable_body_need_no_normal_form():
+    # enumerating through the normal form took 8 s at k = 16; normalize
+    # itself stays exponential on this family
+    want = [("a",) * i + ("b",) for i in range(6)]
+    for k in (10, 12, 14, 16):
+        g = _nullable_body(k)
+        assert cfglib.enumerate_words(g, 6) == want
+        assert cfglib.shortest_word(g) == ("b",)
+        for f, args in ((cfglib.enumerate_words, (6,)), (cfglib.shortest_word, ())):
+            seconds = _fastest(f, make=lambda: (_nullable_body(k),) + args)
+            assert seconds < 0.1, (f.__name__, k, seconds)

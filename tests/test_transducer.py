@@ -1,6 +1,6 @@
 import random
 
-from conftest import all_words
+from conftest import all_words, finite_language
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
@@ -19,7 +19,7 @@ def test_letter_substitution_on_word_language():
     t = Transducer.letter_map({"a": ("b", "c"), "b": ("b",), "c": ("c",)})
     target = Nfa.literal(("a", "b"), ("a", "b", "c"))
     out = t.apply_to_nfa(target)
-    assert sorted(out.finite_words or out.enumerate_words(5)) == [("b", "c", "b")]
+    assert sorted(out.enumerate_words(5)) == [("b", "c", "b")]
 
 
 def test_separator_projection_of_free2_table(free2):
@@ -96,7 +96,7 @@ def test_apply_to_nfa_matches_relation_semantics():
         target = Nfa.from_words(
             rng.sample(all_words(("a", "b"), 4), rng.randint(1, 6)))
         got = t.apply_to_nfa(target)
-        expected = _relation_image(t, target.finite_words, 6)
+        expected = _relation_image(t, finite_language(target), 6)
         for w in [()] + all_words(("a", "b"), 6):
             assert got.accepts(w) == (w in expected)
 
