@@ -11,16 +11,17 @@ per node (Huang and Chiang 2005), stepped lazily, forward or reversed.
 The shortest word is the first word of the start (k = 1) and bounded
 enumeration the start's words up to a length (k unbounded), both over the
 lowering of the grammar as given.  The lowering of its normalization
-serves one CYK chart (bit-parallel rows, with work that follows the nonzero
-rows), which answers membership and gives least completions their closed
-items; the k least completions of a prefix are a weighted item pass in the
-same Knuth order, with no quotient grammar.  Its items past the end of the
-prefix do not depend on the prefix: one reversed pass per lowering, ranks
-and k settles them for every call, advanced as far as some call has
-needed, and each call subscribes its own items to the nodes whose words
-extend them.  The same lowering serves the one grammar x automaton product
-behind regular intersection and transducer images, a goal-directed closure
-that builds only the items its start can use.
+serves one CYK chart (bit-parallel rows, with work that follows the split
+pairs whose rows are both nonzero), which answers membership and gives
+least completions their closed items; the k least completions of a prefix
+are a weighted item pass in the same Knuth order, with no quotient
+grammar.  Its items past the end of the prefix do not depend on the
+prefix: one reversed pass per lowering, ranks and k settles them for every
+call, advanced as far as some call has needed, and each call subscribes
+its own items to the nodes whose words extend them.  The same lowering
+serves the one grammar x automaton product behind regular intersection
+and transducer images, a goal-directed closure that builds only the items
+its start can use.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ class _Lowered:
 
     __slots__ = ("start", "size", "term_bodies", "by_sym", "unit", "eps",
                  "binary", "binary_by_head", "left_index", "right_index",
-                 "unit_index", "passes")
+                 "unit_index", "partners", "passes")
 
     def __init__(self, start, size, term_bodies, by_sym, unit, eps, binary):
         self.start = start
@@ -324,6 +325,9 @@ class _Lowered:
         self.left_index = defaultdict(list)      # B -> [(A, C)]
         self.right_index = defaultdict(list)     # C -> [(A, B)]
         self.unit_index = defaultdict(list)      # B -> [A] for A -> B
+        # B -> [(r, C)] and C -> [(r, B)] for binary[r] = (A, B, C), built
+        # by the first CYK chart over this lowering
+        self.partners = None
         # (k, forward, rank items) -> the _Pass that every least_completions
         # call with that key shares; its direction is always reversed there
         self.passes = {}
@@ -403,61 +407,76 @@ def _cyk_masks(cnf: _Lowered, w):
     node A derives w[i:i+l] and live[A] lists, ascending, the lengths l
     whose row masks[A][l] is nonzero.
 
-    Rows are bit-parallel over the start position.  Length l combines, for
-    each rule A -> B C whose children both have live rows, the splits
-    k + (l - k) with k live for B or l - k live for C, whichever list is
-    shorter, so the work follows the nonzero rows rather than
-    |binary| * n^2.
+    Rows are bit-parallel over the start position.  Length l combines only
+    the rules A -> B C due at l: those with some split k + (l - k) where
+    B's row at k and C's row at l - k are both nonzero.  lens[X] is the
+    bitmask of X's live lengths; when X's row at l goes live, every rule
+    with X as one child and Y as the other falls due at l + m for each live
+    length m of Y, as far as |w| and not twice (reach[r]).  Whichever child
+    of a pair goes live second schedules it, A -> B B and children that go
+    live at the same length included.  A due rule walks the splits of the
+    shorter of its children's live lists, so the work follows the split
+    pairs whose rows are both nonzero rather than |binary| * n^2.
     """
     n = len(w)
     masks = [[0] * (n + 1) for _ in range(cnf.size)]
     live = [[] for _ in range(cnf.size)]
+    binary, partners = cnf.binary, cnf.partners
+    if partners is None:
+        partners = cnf.partners = defaultdict(list)
+        for r, (_a, b, c) in enumerate(binary):
+            partners[b].append((r, c))
+            partners[c].append((r, b))
+    lens = [0] * cnf.size
+    reach = [0] * len(binary)
+    due = [[] for _ in range(n + 1)]
+    cap = (2 << n) - 1
+
+    def enliven(x, l):
+        live[x].append(l)
+        lens[x] |= 1 << l
+        for r, y in partners.get(x, ()):
+            new = (lens[y] << l) & cap & ~reach[r]
+            if new:
+                reach[r] |= new
+                while new:
+                    low = new & -new
+                    due[low.bit_length() - 1].append(r)
+                    new ^= low
+
     for i, sym in enumerate(w):
         for a in cnf.by_sym.get(sym, ()):
             masks[a][1] |= 1 << i
-    # per live left child B: its live lengths, its rows and, per rule
-    # A -> B C, the rows and live lengths of C
-    lefts = []
-
-    def enliven(b, l):
-        if not live[b] and b in cnf.left_index:
-            lefts.append((live[b], masks[b], [(a, masks[c], live[c])
-                                              for a, c in cnf.left_index[b]]))
-        live[b].append(l)
-
-    for b in sorted({a for sym in set(w) for a in cnf.by_sym.get(sym, ())}):
-        enliven(b, 1)
+    for a in {a for sym in set(w) for a in cnf.by_sym.get(sym, ())}:
+        enliven(a, 1)
     for l in range(2, n + 1):
-        grown = []
-        for lens, mb, partners in lefts:
-            for a, mc, lc in partners:
-                if not lc:
-                    continue
-                acc = 0
-                if len(lens) <= len(lc):
-                    for k in lens:
-                        y = mc[l - k]
-                        if y:
-                            acc |= mb[k] & (y >> k)
-                else:
-                    for m in lc:
-                        x = mb[l - m]
-                        if x:
-                            acc |= x & (mc[m] >> (l - m))
-                if acc:
-                    row = masks[a]
-                    if not row[l]:
-                        grown.append(a)
-                    row[l] |= acc
-        # every live length stays below the length in progress
-        for a in grown:
-            enliven(a, l)
+        # a row that goes live at l schedules only lengths above l, and no
+        # split reads a row at l (row 0 is empty)
+        for r in due[l]:
+            a, b, c = binary[r]
+            mb, mc, lb, lc = masks[b], masks[c], live[b], live[c]
+            acc = 0
+            if len(lb) <= len(lc):
+                for k in lb:
+                    y = mc[l - k]
+                    if y:
+                        acc |= mb[k] & (y >> k)
+            else:
+                for m in lc:
+                    x = mb[l - m]
+                    if x:
+                        acc |= x & (mc[m] >> (l - m))
+            if acc:
+                row = masks[a]
+                if not row[l]:
+                    enliven(a, l)
+                row[l] |= acc
     return masks, live
 
 
 def membership(g: Cfg, w) -> bool:
     """Word membership by CYK on the cached binarized form; the chart's work
-    follows its nonzero rows."""
+    follows the split pairs whose rows are both nonzero."""
     w = tuple(w)
     if g.flat_words is not None:
         return w in g.flat_words

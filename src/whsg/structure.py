@@ -359,7 +359,11 @@ def normalize_generators(s: WhStructure) -> WhStructure:
     letters = Nfa.from_words([(a,) for a in s.alphabet], s.alphabet)
     reps2 = s.reps.union(letters)
     table2 = cfglib.normalize(_slot_rewriter(s).apply_to_cfg(s.table), strict=True)
-    result = WhStructure(s.alphabet, reps2, table2, None)
+    # no shape check: each slot of a table word is kept or replaced by a
+    # letter, and reps2 = reps | letters holds both, so the rewritten table
+    # stays inside reps2#1reps2#2reps2^rev whenever s's table was inside
+    # reps#1reps#2reps^rev; every letter is its own representative in reps2
+    result = WhStructure(s.alphabet, reps2, table2, None, check=False)
     result._normalized = result
     s._normalized = result
     return result
