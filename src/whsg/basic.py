@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from . import cfg as cfglib
 from .arithmetic import check_multiply, word_eq
 from .errors import OperandError
-from .structure import (Verdict, WhStructure, normalize_generators, slot_language,
-                        slot_middle)
+from .structure import Verdict, WhStructure, normalize_generators, slot_middle, slot_word
 
 
 def is_monoid(s: WhStructure) -> Verdict:
@@ -45,7 +43,7 @@ def green_related(s: WhStructure, w, w2, rel: str = "R") -> bool:
     def reachable(x, y):
         # some v with elt(x) v = elt(y), or v elt(x) = elt(y)
         slots = (x, ns.reps, y) if rel == "R" else (ns.reps, x, y)
-        return not cfglib.is_empty_language(slot_language(ns, *slots))
+        return slot_word(ns, *slots) is not None
 
     return reachable(w, w2) and reachable(w2, w)
 

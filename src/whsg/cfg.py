@@ -5,7 +5,7 @@ Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words`` and
 every operation on them degenerates to set manipulation.  Everything else
 goes through one cached lowering to bodies of at most two symbols.  Every
-query that reads off least words runs one pass, `_Pass`: Knuth's
+query that reads off a grammar's least words runs one pass, `_Pass`: Knuth's
 generalization of Dijkstra's algorithm (1977) with up to k distinct words
 per node (Huang and Chiang 2005), stepped lazily, forward or reversed.
 The shortest word is the first word of the start (k = 1) and bounded
@@ -19,9 +19,11 @@ grammar.  Its items past the end of the prefix do not depend on the
 prefix: one reversed pass per lowering, ranks and k settles them for every
 call, advanced as far as some call has needed, and each call subscribes
 its own items to the nodes whose words extend them.  The same lowering
-serves the one grammar x automaton product behind regular intersection
-and transducer images, a goal-directed closure that builds only the items
-its start can use.
+serves the one grammar x automaton closure, goal-directed: it builds only
+the items its start can use and reads a pair's leaves once it is asked.
+Regular intersection and transducer images write a grammar from those
+items; `least_word` reads the product's least word off them by a Knuth
+pass of its own and writes none.
 """
 
 from __future__ import annotations
@@ -236,9 +238,12 @@ def normalize(g: Cfg, strict: bool = True) -> Cfg:
                 if x in nts and x not in reachable:
                     reachable.add(x)
                     agenda.append(x)
+    # each symbol's place in the _stable_key order, computed once
+    rank = {x: i for i, x in enumerate(sorted(
+        itertools.chain(reachable, g.terminals), key=_stable_key))}
     prods = sorted(((h, b) for h, b in prods if h in reachable),
-                   key=lambda p: (_stable_key(p[0]), len(p[1]),
-                                  tuple(_stable_key(x) for x in p[1])))
+                   key=lambda p: (rank[p[0]], len(p[1]),
+                                  tuple(map(rank.__getitem__, p[1]))))
     keep = [a for a in g.nonterminals if a in reachable]
     out = Cfg(keep, g.terminals, g.start, prods)
     g._normal = out
@@ -295,10 +300,6 @@ def _stable_key(x):
     return (x,) if isinstance(x, str) else ("\x00", repr(x))
 
 
-def is_empty_language(g: Cfg) -> bool:
-    return g.start not in _closure(g.productions, set(g.nonterminals))
-
-
 class _Lowered:
     """Binarized grammar: every body has at most two symbols.
 
@@ -311,7 +312,7 @@ class _Lowered:
 
     __slots__ = ("start", "size", "term_bodies", "by_sym", "unit", "eps",
                  "binary", "binary_by_head", "left_index", "right_index",
-                 "unit_index", "partners", "passes")
+                 "unit_index", "partners", "passes", "chart")
 
     def __init__(self, start, size, term_bodies, by_sym, unit, eps, binary):
         self.start = start
@@ -331,6 +332,9 @@ class _Lowered:
         # (k, forward, rank items) -> the _Pass that every least_completions
         # call with that key shares; its direction is always reversed there
         self.passes = {}
+        # (w, masks, live) of the last CYK chart over this lowering, which
+        # multiply and validate_necessary both ask for on one prefix
+        self.chart = None
         for a, b, c in binary:
             self.binary_by_head[a].append((b, c))
             self.left_index[b].append((a, c))
@@ -405,7 +409,8 @@ def cnf_of(g: Cfg) -> _Lowered:
 def _cyk_masks(cnf: _Lowered, w):
     """CYK chart of w: (masks, live), where masks[A][l] has bit i set iff
     node A derives w[i:i+l] and live[A] lists, ascending, the lengths l
-    whose row masks[A][l] is nonzero.
+    whose row masks[A][l] is nonzero.  The last chart is kept on the
+    lowering and returned again for the same word; callers only read it.
 
     Rows are bit-parallel over the start position.  Length l combines only
     the rules A -> B C due at l: those with some split k + (l - k) where
@@ -418,6 +423,8 @@ def _cyk_masks(cnf: _Lowered, w):
     shorter of its children's live lists, so the work follows the split
     pairs whose rows are both nonzero rather than |binary| * n^2.
     """
+    if cnf.chart is not None and cnf.chart[0] == w:
+        return cnf.chart[1:]
     n = len(w)
     masks = [[0] * (n + 1) for _ in range(cnf.size)]
     live = [[] for _ in range(cnf.size)]
@@ -471,6 +478,7 @@ def _cyk_masks(cnf: _Lowered, w):
                 if not row[l]:
                     enliven(a, l)
                 row[l] |= acc
+    cnf.chart = (w, masks, live)
     return masks, live
 
 
@@ -607,37 +615,89 @@ def intersect_regular(g: Cfg, a: Nfa) -> Cfg:
                               [w for w in g.flat_words if w and a.accepts(w)],
                               g.start)
     cnf = cnf_of(g)
-    leaves = [((src, nt, dst), (sym,))
-              for (src, sym), dsts in a.transitions.items()
-              for nt in cnf.by_sym.get(sym, ()) for dst in dsts]
-    tops = [(i, f) for i in a.initial for f in a.accepting]
-    return _product_grammar(cnf, leaves, tops, g.terminals)
+    return _product_grammar(cnf, *_nfa_product(cnf, a), g.terminals)
 
 
-def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
-                     extra_nts=(), extra_prods=()) -> Cfg:
-    """Normalized product of a binarized grammar with a state space.
+def least_word(g: Cfg, a: Nfa, ranks=None):
+    """shortest_word(intersect_regular(g, a), ranks), with no grammar written:
+    the shortlex-least nonempty word of language(g) & language(a), or None.
+
+    Knuth's lightest-derivation pass (1977) in the weighted-deduction form of
+    Nederhof (2003) over the items (p, A, q) of the pairs that the closure of
+    `_asked` asked, stopped at the first top item.  The terminal items seed
+    the heap, and a rule A -> B C combines settled (p, B, mid) and
+    (mid, C, q) when (A, p) was asked.  Items weigh (length, word), and
+    concatenation is monotone, so they settle in ascending order.
+    """
+    if ranks is None:
+        ranks = symbol_ranks(g.terminals)
+    if g.flat_words is not None:
+        return min((w for w in g.flat_words if w and a.accepts(w)),
+                   key=shortlex_key(ranks), default=None)
+    cnf = cnf_of(g)
+    leaves_of, tops = _nfa_product(cnf, a)
+    starts, top = _asked(cnf, leaves_of, tops)
+    if not top:
+        return None
+    top = set(top)
+    # the counter breaks ties before the states, which need not compare
+    tick = itertools.count()
+    heap = [(1, (ranks[body[0]],), next(tick), p, nt, q)
+            for nt, p in starts for q, body in leaves_of(nt, p)]
+    heapq.heapify(heap)
+    push, done = heapq.heappush, set()
+    by_start = defaultdict(list)   # (nt, p) -> (q, length, word) settled
+    by_end = defaultdict(list)     # (nt, q) -> (p, length, word) settled
+    while True:
+        m, w, _t, p, nt, q = heapq.heappop(heap)
+        if (p, nt, q) in done:
+            continue
+        if (p, nt, q) in top:
+            symbol = {r: s for s, r in ranks.items()}
+            return tuple(symbol[r] for r in w)
+        done.add((p, nt, q))
+        by_start[(nt, p)].append((q, m, w))
+        by_end[(nt, q)].append((p, m, w))
+        for head, c in cnf.left_index.get(nt, ()):
+            if (head, p) in starts:
+                for q2, m2, w2 in by_start.get((c, q), ()):
+                    if (p, head, q2) not in done:
+                        push(heap, (m + m2, w + w2, next(tick), p, head, q2))
+        for head, b in cnf.right_index.get(nt, ()):
+            for p0, m2, w2 in by_end.get((b, p), ()):
+                if (head, p0) in starts and (p0, head, q) not in done:
+                    push(heap, (m2 + m, w2 + w, next(tick), p0, head, q))
+
+
+def _nfa_product(cnf: _Lowered, a: Nfa):
+    """leaves_of, (nt, p) -> the (q, body) of nt's terminal rules along a's
+    transitions from p, and the (initial, accepting) pairs of a."""
+    trans, bodies = a.transitions, cnf.term_bodies
+
+    def leaves_of(nt, p):
+        return [(q, (sym,)) for sym in bodies.get(nt, ())
+                for q in trans.get((p, sym), ())]
+
+    return leaves_of, [(i, f) for i in a.initial for f in a.accepting]
+
+
+def _asked(cnf: _Lowered, leaves_of, tops):
+    """Goal-directed closure of a binarized grammar with a state space:
+    `starts`, (nt, p) -> the set of q of each item (p, nt, q) for the pairs
+    asked, and the top items (p, start, q) for (p, q) in `tops`.
 
     An item (p, A, q) derives what A derives along some run from state p to
-    state q.  `leaves` are the productions ((p, A, q), body) for the terminal
-    rules of A.  The closure is goal-directed, Earley's prediction over the
-    product ("parsing as intersection", Lang 1994): it builds the items of
-    (p, A) only once that pair is asked.  The pairs (p, start) of `tops` are
-    asked first.  Asking (p, A) reads the leaves of A from p and, for each
-    rule A -> B C, asks (p, B); each item (p, B, mid) then asks (mid, C), and
-    each item (mid, C, q) completes (p, A, q).  The grammar has no epsilon and
-    no unit rules, so every item a top item can use is built, and no item of
-    a pair nothing asks for, such as a nonterminal of one slot started in
-    another.  The new start derives (p, start, q) for each (p, q) in `tops`
-    that is an item; productions are then written top-down from those items,
-    for the items the start reaches only.  `extra_nts` and `extra_prods`
-    carry nonterminals the leaf bodies use besides the items.
+    state q; leaves_of(A, p) lists the (q, body) of A's terminal rules from
+    p, read only once (p, A) is asked.  The closure is Earley's prediction
+    over the product ("parsing as intersection", Lang 1994).  The pairs
+    (p, start) of `tops` are asked first.  Asking (p, A) reads the leaves of
+    A from p and, for each rule A -> B C, asks (p, B); each item (p, B, mid)
+    then asks (mid, C), and each item (mid, C, q) completes (p, A, q).  The
+    grammar has no epsilon and no unit rules, so every item a top item can
+    use is built, and no item of a pair nothing asks for, such as a
+    nonterminal of one slot started in another.
     """
-    leaf_ends = defaultdict(list)  # (nt, p) -> q of each leaf (p, nt, q)
-    for (p, nt, q), _body in leaves:
-        leaf_ends[(nt, p)].append(q)
     by_head = cnf.binary_by_head
-    # (nt, p) -> q of each item (p, nt, q), for the asked pairs only
     starts: dict = {}
     firsts = defaultdict(set)      # (B, p) -> (A, C) of A -> B C asked at p
     seconds = defaultdict(set)     # (C, mid) -> (p, A) waiting for C from mid
@@ -668,12 +728,10 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
                 continue
             ends = starts[key] = set()
             nt, p = key
-            got = leaf_ends.get(key)
-            if got:
-                for q in got:
-                    if q not in ends:
-                        ends.add(q)
-                        agenda.append((p, nt, q))
+            for q, _body in leaves_of(nt, p):
+                if q not in ends:
+                    ends.add(q)
+                    agenda.append((p, nt, q))
             for b, c in by_head.get(nt, ()):
                 left = (b, p)
                 firsts[left].add((nt, c))
@@ -692,19 +750,29 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
             if q not in ends:
                 ends.add(q)
                 agenda.append((p0, a, q))
+    return starts, [(p, cnf.start, q) for p, q in tops
+                    if q in starts.get((cnf.start, p), ())]
 
+
+def _product_grammar(cnf: _Lowered, leaves_of, tops, terminals,
+                     extra_nts=(), extra_prods=()) -> Cfg:
+    """Normalized product of a binarized grammar with a state space: the
+    closure of `_asked`, then productions written top-down from its top
+    items under a new start, for the items the start reaches only.
+    `extra_nts` and `extra_prods` carry nonterminals the leaf bodies use
+    besides the items.
+    """
+    starts, top = _asked(cnf, leaves_of, tops)
     start = ("&S",)
-    top = [(p, cnf.start, q) for p, q in tops
-           if q in starts.get((cnf.start, p), ())]
     if not top:
         return Cfg([start], terminals, start, [])
     prods = [(start, (it,)) for it in top]
     reached = set(top)
-    agenda.extend(top)
+    agenda = deque(top)
     while agenda:
         it = agenda.popleft()
         p, nt, q = it
-        for b, c in by_head.get(nt, ()):
+        for b, c in cnf.binary_by_head.get(nt, ()):
             for mid in starts.get((b, p), ()):
                 if q in starts.get((c, mid), ()):
                     left, right = (p, b, mid), (mid, c, q)
@@ -713,7 +781,9 @@ def _product_grammar(cnf: _Lowered, leaves, tops, terminals,
                         if x not in reached:
                             reached.add(x)
                             agenda.append(x)
-    prods += [leaf for leaf in leaves if leaf[0] in reached]
+    for nt, p in {(nt, p) for p, nt, _q in reached}:
+        prods += [((p, nt, q), body) for q, body in leaves_of(nt, p)
+                  if (p, nt, q) in reached]
     prods += extra_prods
     nonterminals = [start] + sorted(reached, key=repr) + list(extra_nts)
     raw = Cfg(nonterminals, terminals, start, prods)

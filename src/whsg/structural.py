@@ -22,8 +22,8 @@ from .basic import green_related
 from .errors import CapExceededError, OperandError
 from .freegroup import FreeGroupWord
 from .nfa import Nfa
-from .structure import (Verdict, WhStructure, normalize_generators, slot_language,
-                        slot_middle, slot_shape)
+from .structure import (Verdict, WhStructure, normalize_generators, slot_middle,
+                        slot_shape, slot_word)
 from .transducer import Transducer
 from .words import SEP1, SEP2, reverse
 
@@ -146,8 +146,7 @@ def cs_species_check(s: WhStructure, sp: CsSpecies) -> Verdict:
             for lam in sp.col_ids:
                 for mu in sp.col_ids:
                     escaped = ns.reps.difference(cells[(i, mu)])
-                    wit = cfglib.shortest_word(slot_language(
-                        ns, cells[(i, lam)], cells[(j, mu)], escaped), ns.ranks)
+                    wit = slot_word(ns, cells[(i, lam)], cells[(j, mu)], escaped)
                     if wit is not None:
                         return Verdict.no(
                             f"step 2: product escapes cell ({i},{mu}): "
@@ -263,8 +262,7 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
         for beta in sp.elements():
             low = sp.meet_of(alpha, beta)
             escaped = ns.reps.difference(layers[low])
-            wit = cfglib.shortest_word(
-                slot_language(ns, layers[alpha], layers[beta], escaped), ns.ranks)
+            wit = slot_word(ns, layers[alpha], layers[beta], escaped)
             if wit is not None:
                 return Verdict.no(
                     f"step 2: product escapes class {sp.labels[low]}: "
@@ -390,8 +388,7 @@ def palindromic_defect(g, witness_bound: int = 12) -> Optional[Defect]:
         shape = (Nfa.universal(letters)
                  .concat(Nfa.literal((SEP2,), (SEP2,)))
                  .concat(Nfa.universal(letters)))
-        outside = cfglib.intersect_regular(g, shape.complement(g.terminals))
-        bad = cfglib.shortest_word(outside)
+        bad = cfglib.least_word(g, shape.complement(g.terminals))
     if bad is not None:
         raise OperandError(
             f"language is not contained in A*#2A*: {' '.join(bad)!r}")

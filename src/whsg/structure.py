@@ -116,8 +116,7 @@ class WhStructure:
             reps = reps.intersect(Nfa.universal_nonempty(self.alphabet))
         shape = slot_shape(reps, reps, reps.reverse())
         full = tuple(self.alphabet) + (SEP1, SEP2)
-        outside = cfglib.intersect_regular(self.table, shape.complement(full))
-        return cfglib.shortest_word(outside, self.ranks)
+        return cfglib.least_word(self.table, shape.complement(full), self.ranks)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -155,8 +154,8 @@ def slot_shape(left: Nfa, middle: Nfa, right: Nfa) -> Nfa:
             .concat(Nfa.literal((SEP2,), (SEP2,))).concat(right))
 
 
-def slot_language(s: WhStructure, left, middle, right) -> Cfg:
-    """Grammar for the table words left #1 middle #2 right-reversed.
+def _slots(s: WhStructure, left, middle, right) -> Nfa:
+    """Automaton for left #1 middle #2 right-reversed.
 
     Each slot is an automaton or a single word; the right slot is given
     unreversed, as the product it names, and reversed here.
@@ -166,13 +165,22 @@ def slot_language(s: WhStructure, left, middle, right) -> Cfg:
             return x.reverse() if rev else x
         return Nfa.literal(reverse(x) if rev else x, s.alphabet)
 
-    shape = slot_shape(slot(left), slot(middle), slot(right, rev=True))
-    return cfglib.intersect_regular(s.table, shape)
+    return slot_shape(slot(left), slot(middle), slot(right, rev=True))
+
+
+def slot_language(s: WhStructure, left, middle, right) -> Cfg:
+    """Grammar for the table words left #1 middle #2 right-reversed."""
+    return cfglib.intersect_regular(s.table, _slots(s, left, middle, right))
+
+
+def slot_word(s: WhStructure, left, middle, right):
+    """The least word of slot_language, or None, with no grammar written."""
+    return cfglib.least_word(s.table, _slots(s, left, middle, right), s.ranks)
 
 
 def slot_middle(s: WhStructure, left, middle, right):
-    """Middle slot of the shortlex-least word of slot_language, or None."""
-    w = cfglib.shortest_word(slot_language(s, left, middle, right), s.ranks)
+    """Middle slot of slot_word, or None."""
+    w = slot_word(s, left, middle, right)
     return None if w is None else w[w.index(SEP1) + 1:w.index(SEP2)]
 
 

@@ -172,10 +172,6 @@ class Transducer:
             return Cfg.from_words(alphabet, words)
         cnf = cnf_of(g)
         reach = self._epsilon_reach()
-        pred = defaultdict(set)
-        for q, seen in reach.items():
-            for r in seen:
-                pred[r].add(q)
         letter_edges = defaultdict(list)
         eps_transitions = []
         for src, insym, out, dst in self.transitions:
@@ -188,36 +184,27 @@ class Transducer:
         def glue(x, y):
             return ("g", x, y)
 
-        leaves = []
-        glue_nodes = set()
-        for sym, edges in letter_edges.items():
-            for nt in cnf.by_sym.get(sym, ()):
-                for src, out, dst in edges:
-                    for p in pred[src]:
+        def leaves_of(nt, p):
+            # a letter move src -> dst, with epsilon-input moves p ->* src
+            # and dst ->* q read as glue around its output
+            leaves = []
+            for sym in cnf.term_bodies.get(nt, ()):
+                for src, out, dst in letter_edges.get(sym, ()):
+                    if src in reach[p]:
                         for q in reach[dst]:
-                            if glue_needed:
-                                body = (glue(p, src),) + out + (glue(dst, q),)
-                                glue_nodes.add((p, src))
-                                glue_nodes.add((dst, q))
-                            else:
-                                body = out
-                            leaves.append(((p, nt, q), body))
-        glue_prods = []
-        if glue_needed:
-            agenda = deque(glue_nodes)
-            while agenda:
-                x, y = agenda.popleft()
-                if x == y:
-                    glue_prods.append((glue(x, y), ()))
-                for src, out, dst in eps_transitions:
-                    if src == x and y in reach[dst]:
-                        if (dst, y) not in glue_nodes:
-                            glue_nodes.add((dst, y))
-                            agenda.append((dst, y))
-                        glue_prods.append((glue(x, y), out + (glue(dst, y),)))
-        glue_nts = sorted((glue(x, y) for x, y in glue_nodes), key=repr)
+                            leaves.append((q, (glue(p, src),) + out + (glue(dst, q),)
+                                           if glue_needed else out))
+            return leaves
+
+        # glue(x, y) derives the outputs of the epsilon-input runs x ->* y;
+        # written for every such pair, as normalize drops those no leaf uses
+        glue_nts = sorted((glue(x, y) for x in self.states for y in reach[x]),
+                          key=repr) if glue_needed else []
+        glue_prods = [(glue(x, x), ()) for x in self.states] if glue_needed else []
+        for src, out, dst in eps_transitions:
+            glue_prods += [(glue(src, y), out + (glue(dst, y),)) for y in reach[dst]]
         tops = [(self.initial, f) for f in self.accepting]
-        return _product_grammar(cnf, leaves, tops, alphabet, glue_nts, glue_prods)
+        return _product_grammar(cnf, leaves_of, tops, alphabet, glue_nts, glue_prods)
 
     def __repr__(self):
         return f"Transducer(states={len(self.states)}, transitions={len(self.transitions)})"

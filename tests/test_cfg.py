@@ -41,7 +41,7 @@ def test_normalize_reports_empty_language():
     g = Cfg(["O"], ("a",), "O", [("O", ("a", "O"))])
     gn = cfglib.normalize(g)
     assert not gn.productions
-    assert cfglib.is_empty_language(g)
+    assert cfglib.shortest_word(g) is None
 
 
 def test_normalize_strict_rejects_epsilon():
@@ -85,7 +85,7 @@ def test_intersect_regular_on_fixture(free2):
 def test_intersect_regular_empty_absorbs():
     empty = Cfg(["O"], ("a",), "O", [])
     got = cfglib.intersect_regular(empty, Nfa.universal(("a",)))
-    assert cfglib.is_empty_language(got)
+    assert cfglib.shortest_word(got) is None
     # no top item: the product is the empty normal form of its start
     g = Cfg(["O"], ("a", "b"), "O", [("O", ("a", "O")), ("O", ("a",))])
     got = cfglib.intersect_regular(g, Nfa.universal(("b",)))
@@ -330,7 +330,7 @@ def _assert_closures_match(g):
     # the lowering, which does not ask derives_epsilon
     low = cfglib.lowered_of(g)
     assert (knuth_reference.lightest(low).get(low.start) == (0, ())) == eps
-    assert cfglib.is_empty_language(g) == (g.start not in productive)
+    assert (cfglib.shortest_word(g) is None) == (g.start not in productive)
     gn = cfglib.normalize(g, strict=False)
     assert cfglib.enumerate_words(gn, 6) == [
         w for w in cfglib.enumerate_words(g, 6) if w]
@@ -360,7 +360,7 @@ def test_normalize_unit_chain_to_epsilon_has_no_productions():
     gn = cfglib.normalize(g, strict=False)
     assert gn.productions == ()
     assert gn.nonterminals == ("C0",)
-    assert cfglib.is_empty_language(gn)
+    assert cfglib.shortest_word(gn) is None
     with pytest.raises(ValueError):
         cfglib.normalize(g, strict=True)
     assert passes >= k  # listed against the chain: one head per naive pass

@@ -100,6 +100,35 @@ def test_intersect_regular_matches_brute_force(g, a):
     assert cfglib.enumerate_words(cfglib.intersect_regular(g, a), 5) == expected
 
 
+@hypothesis.settings(max_examples=400, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars(), automata())
+def test_least_word_matches_shortest_word_of_product(g, a):
+    product = cfglib.intersect_regular(g, a)
+    for ranks in (None, symbol_ranks(("b", "a"))):
+        assert cfglib.least_word(g, a, ranks) == cfglib.shortest_word(product, ranks)
+
+
+def test_least_word_ties_between_mixed_states():
+    # two runs read "a" into a str state and a tuple state: their items tie
+    # on (length, word), and the states themselves do not compare
+    g = Cfg(["S", "A", "B"], ("a", "b"), "S",
+            [("S", ("A", "B")), ("A", ("a",)), ("B", ("b",)), ("S", ("S", "B"))])
+    a = Nfa(["s", "x", ("x",), ("f", 0), "f"], ("a", "b"),
+            [("s", "a", "x"), ("s", "a", ("x",)), ("x", "b", "f"),
+             (("x",), "b", ("f", 0)), (("f", 0), "b", "f"), ("f", "b", ("f", 0))],
+            ["s"], ["f", ("f", 0)])
+    assert cfglib.least_word(g, a) == ("a", "b")
+    only_long = Nfa(a.states, a.alphabet, [("s", "a", "x"), ("s", "a", ("x",)),
+                                           ("x", "b", ("f", 0)), (("x",), "b", "f"),
+                                           ("f", "b", ("f", 0))],
+                    ["s"], [("f", 0)])
+    for aut in (a, only_long):
+        want = cfglib.shortest_word(cfglib.intersect_regular(g, aut))
+        assert cfglib.least_word(g, aut) == want
+    assert cfglib.least_word(g, only_long) == ("a", "b")
+
+
 def _plain_cyk(cnf, w):
     """Set of (node, i, l) with node deriving w[i:i+l], by the textbook
     recurrence over the binarized grammar."""

@@ -1,8 +1,9 @@
 """The goal-directed grammar x automaton product against the bottom-up
 closure it replaced (`_reference_product_grammar`, kept with the dense time
 bound in test_scaling): every product the library builds, through regular
-intersection, transducer images and the structure's shape check, must be the
-same grammar production for production."""
+intersection and transducer images, must be the same grammar production for
+production, and every word the structure's shape check reads off the
+closure with `least_word` the least word of the reference product."""
 
 import contextlib
 
@@ -90,10 +91,34 @@ def test_shape_checks_match_bottom_up_closure(name):
     s = fixtures.NAMED[name]()
     if s.table.flat_words is not None:
         s = _generic_twin(s)
-    with _both_closures() as pairs:
-        fresh = WhStructure(s.alphabet, s.reps, s.table, dict(s.assignment),
-                            check=False)
+    fresh = WhStructure(s.alphabet, s.reps, s.table, dict(s.assignment),
+                        check=False)
+    asked = []
+    ours = cfglib.least_word
+
+    def recorded(g, a, ranks=None):
+        got = ours(g, a, ranks)
+        asked.append((g, a, ranks, got))
+        return got
+
+    cfglib.least_word = recorded
+    try:
         assert fresh.table_shape_violation() is None
+    finally:
+        cfglib.least_word = ours
+    assert len(asked) == 1
+    # the check's automaton has no table word; its complement, the slot
+    # shape, has every one, so the least words are compared there as well
+    g, a, ranks, got = asked[0]
+    assert got is None
+    cnf = cfglib.cnf_of(g)
+    for aut in (a, a.complement(a.alphabet)):
+        ref = _reference_product_grammar(cnf, *cfglib._nfa_product(cnf, aut),
+                                         g.terminals)
+        want = cfglib.shortest_word(ref, ranks)
+        assert cfglib.least_word(g, aut, ranks) == want
+        assert (want is None) == (aut is a)
+    with _both_closures() as pairs:
         normalize_generators(fresh)
-    assert pairs
+    assert pairs or fresh.is_normalized()
     _assert_identical(pairs)

@@ -292,10 +292,11 @@ def test_defect_precondition_enforced():
 
 
 def test_empty_word_is_rejected_before_any_product(monkeypatch):
-    def no_product(g, a):
+    def no_product(*args):
         raise AssertionError("a product was built")
 
-    monkeypatch.setattr(cfglib, "intersect_regular", no_product)
+    for name in ("intersect_regular", "least_word", "_product_grammar"):
+        monkeypatch.setattr(cfglib, name, no_product)
     g = Cfg(["O", "X"], ("a", SEP2), "O",
             [("O", ("X",)), ("X", ()), ("X", ("a", SEP2, "a"))])
     with pytest.raises(OperandError, match="''"):

@@ -13,7 +13,8 @@ from whsg.errors import InvariantError, OperandError, ParseError, ReservedSymbol
 from whsg.nfa import Nfa
 from whsg.structure import (WhStructure, dumps_structure, load_structure,
                             merge_letters, normalize_generators,
-                            rename_symbols, validate_necessary)
+                            rename_symbols, slot_language, slot_middle,
+                            slot_word, validate_necessary)
 from whsg.words import SEP1, SEP2
 
 
@@ -252,6 +253,49 @@ def test_rename_symbols_bijection(free2):
 # -- validate_necessary ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["bicyclic", "free2", "rees", "rees-twin"])
+def test_slot_queries_match_the_written_product(name):
+    s = fixtures.NAMED[name.removesuffix("-twin")]()
+    if name.endswith("-twin"):
+        s = generic_twin(s)
+    reps, letters = s.reps, s.alphabet
+    some = reps.intersect(Nfa.from_words(all_words(letters, 2), letters))
+    queries = [(reps, reps, reps), (some, reps, reps.reverse())]
+    for x in letters:
+        queries += [((x,), reps, (x,)), (reps, reps, (x,)), (reps, (x,), (x,)),
+                    ((x,), (x,), reps), (some, (x,), some)]
+        queries += [((x,), (y,), (y, x)) for y in letters]
+    found = 0
+    for left, middle, right in queries:
+        want = cfglib.shortest_word(slot_language(s, left, middle, right), s.ranks)
+        assert slot_word(s, left, middle, right) == want
+        found += want is not None
+        middle_word = slot_middle(s, left, middle, right)
+        assert middle_word == (None if want is None else
+                               want[want.index(SEP1) + 1:want.index(SEP2)])
+    assert found
+
+
+def test_validate_charts_each_prefix_once(monkeypatch):
+    # multiply charts u #1 v #2, then validate_necessary asks for three
+    # completions of the same prefix: the lowering keeps that chart
+    s = generic_twin(fixtures.rees())
+    charted = []
+    chart = cfglib._cyk_masks
+
+    def recorded(cnf, w):
+        before = cnf.chart
+        got = chart(cnf, w)
+        if cnf.chart is not before:
+            charted.append((cnf, tuple(w)))
+        return got
+
+    monkeypatch.setattr(cfglib, "_cyk_masks", recorded)
+    assert validate_necessary(s, depth=3)
+    keys = [(id(cnf), w) for cnf, w in charted]
+    assert keys and len(set(keys)) == len(keys)
+
+
 def test_validate_rees_fixture(rees):
     assert validate_necessary(rees, depth=4)
 
@@ -349,9 +393,10 @@ def test_shape_check_runs_once_per_structure(monkeypatch, free2):
     s = WhStructure(free2.alphabet, free2.reps, free2.table,
                     dict(free2.assignment))
     tables = []
-    intersect = cfglib.intersect_regular
-    monkeypatch.setattr(cfglib, "intersect_regular",
-                        lambda g, a: tables.append(g) or intersect(g, a))
+    least_word = cfglib.least_word
+    monkeypatch.setattr(cfglib, "least_word",
+                        lambda g, a, ranks=None: tables.append(g)
+                        or least_word(g, a, ranks))
     assert s.table_shape_violation() is None
     assert validate_necessary(s, depth=2)
     assert not any(g is s.table for g in tables)
