@@ -2,12 +2,16 @@
 completions of a prefix, regular intersection and bounded enumeration.
 
 Grammars whose productions are all flat terminal words from the start
-symbol (finite multiplication tables, mostly) expose ``flat_words`` and
-every operation on them degenerates to set manipulation.  Everything else
-goes through one cached lowering to bodies of at most two symbols.  Every
-query that reads off a grammar's least words runs one pass, `_Pass`: Knuth's
-generalization of Dijkstra's algorithm (1977) with up to k distinct words
-per node (Huang and Chiang 2005), stepped lazily, forward or reversed.
+symbol (finite multiplication tables, mostly) expose ``flat_words``.  Three
+operations answer from that set where the finite-table procedures call them
+most: `membership`, `least_completions` and `least_word`; without them
+those procedures spend most of their time building charts and products
+over hundreds of lowered nodes.  Every other operation, and every other
+grammar, goes through one cached lowering to bodies of at most two
+symbols.  Every query that reads off a grammar's least words runs one
+pass, `_Pass`: Knuth's generalization of Dijkstra's algorithm (1977) with
+up to k distinct words per node (Huang and Chiang 2005), stepped lazily,
+forward or reversed.
 The shortest word is the first word of the start (k = 1) and bounded
 enumeration the start's words up to a length (k unbounded), both over the
 lowering of the grammar as given.  The lowering of its normalization
@@ -20,10 +24,10 @@ prefix: one reversed pass per lowering, ranks and k settles them for every
 call, advanced as far as some call has needed, and each call subscribes
 its own items to the nodes whose words extend them.  The same lowering
 serves the one grammar x automaton closure, goal-directed: it builds only
-the items its start can use and reads a pair's leaves once it is asked.
-Regular intersection and transducer images write a grammar from those
-items; `least_word` reads the product's least word off them by a Knuth
-pass of its own and writes none.
+the items its start can use and reads a pair's leaves once, when it is
+asked.  Regular intersection and transducer images write a grammar from
+those items and leaves; `least_word` reads the product's least word off
+them by a Knuth pass of its own and writes none.
 """
 
 from __future__ import annotations
@@ -108,10 +112,7 @@ class Cfg:
 
 
 def derives_epsilon(g: Cfg) -> bool:
-    if g.flat_words is not None:
-        return () in g.flat_words
-    nullable = _nullable_set(g)
-    return g.start in nullable
+    return g.start in _nullable_set(g)
 
 
 def _closure(prods, nts):
@@ -172,9 +173,6 @@ def normalize(g: Cfg, strict: bool = True) -> Cfg:
     """
     if strict and derives_epsilon(g):
         raise ValueError("language contains the empty word")
-    if g.flat_words is not None:
-        words = [w for w in g.flat_words if w]
-        return Cfg.from_words(g.terminals, words, g.start)
     if g._normal is not None:
         return g._normal
 
@@ -486,6 +484,8 @@ def membership(g: Cfg, w) -> bool:
     """Word membership by CYK on the cached binarized form; the chart's work
     follows the split pairs whose rows are both nonzero."""
     w = tuple(w)
+    # flat shortcut: with every flat path off, decide-flat ran 969 -> 143
+    # ops/s, most of it in _cyk_masks
     if g.flat_words is not None:
         return w in g.flat_words
     if not w:
@@ -571,10 +571,6 @@ def shortest_word(g: Cfg, ranks=None):
     None when the language is empty."""
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
-    if g.flat_words is not None:
-        if not g.flat_words:
-            return None
-        return min(g.flat_words, key=shortlex_key(ranks))
     return next(_start_words(g, ranks, 1), None)
 
 
@@ -582,9 +578,6 @@ def enumerate_words(g: Cfg, maxlen: int, ranks=None):
     """All words of the language with length <= maxlen, shortlex order."""
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
-    if g.flat_words is not None:
-        return sorted((w for w in g.flat_words if len(w) <= maxlen),
-                      key=shortlex_key(ranks))
     return list(_start_words(g, ranks, sys.maxsize, maxlen))
 
 
@@ -608,12 +601,8 @@ def intersect_regular(g: Cfg, a: Nfa) -> Cfg:
     """Grammar for language(g) & language(a).
 
     Product construction over the binarized grammar; like every product
-    built there, it drops the empty word, on flat grammars too.
+    built there, it drops the empty word.
     """
-    if g.flat_words is not None:
-        return Cfg.from_words(g.terminals,
-                              [w for w in g.flat_words if w and a.accepts(w)],
-                              g.start)
     cnf = cnf_of(g)
     return _product_grammar(cnf, *_nfa_product(cnf, a), g.terminals)
 
@@ -631,19 +620,21 @@ def least_word(g: Cfg, a: Nfa, ranks=None):
     """
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
+    # flat shortcut: without it decide-flat ran 65 % fewer ops/s, at 19 %
+    # more peak RSS
     if g.flat_words is not None:
         return min((w for w in g.flat_words if w and a.accepts(w)),
                    key=shortlex_key(ranks), default=None)
     cnf = cnf_of(g)
     leaves_of, tops = _nfa_product(cnf, a)
-    starts, top = _asked(cnf, leaves_of, tops)
+    starts, top, leaves = _asked(cnf, leaves_of, tops)
     if not top:
         return None
     top = set(top)
     # the counter breaks ties before the states, which need not compare
     tick = itertools.count()
     heap = [(1, (ranks[body[0]],), next(tick), p, nt, q)
-            for nt, p in starts for q, body in leaves_of(nt, p)]
+            for (nt, p), got in leaves.items() for q, body in got]
     heapq.heapify(heap)
     push, done = heapq.heappush, set()
     by_start = defaultdict(list)   # (nt, p) -> (q, length, word) settled
@@ -684,7 +675,8 @@ def _nfa_product(cnf: _Lowered, a: Nfa):
 def _asked(cnf: _Lowered, leaves_of, tops):
     """Goal-directed closure of a binarized grammar with a state space:
     `starts`, (nt, p) -> the set of q of each item (p, nt, q) for the pairs
-    asked, and the top items (p, start, q) for (p, q) in `tops`.
+    asked, the top items (p, start, q) for (p, q) in `tops`, and `leaves`,
+    (nt, p) -> leaves_of(nt, p) for the pairs asked.
 
     An item (p, A, q) derives what A derives along some run from state p to
     state q; leaves_of(A, p) lists the (q, body) of A's terminal rules from
@@ -699,6 +691,7 @@ def _asked(cnf: _Lowered, leaves_of, tops):
     """
     by_head = cnf.binary_by_head
     starts: dict = {}
+    leaves: dict = {}
     firsts = defaultdict(set)      # (B, p) -> (A, C) of A -> B C asked at p
     seconds = defaultdict(set)     # (C, mid) -> (p, A) waiting for C from mid
     asks = [(cnf.start, p) for p, _q in tops]
@@ -728,7 +721,8 @@ def _asked(cnf: _Lowered, leaves_of, tops):
                 continue
             ends = starts[key] = set()
             nt, p = key
-            for q, _body in leaves_of(nt, p):
+            leaves[key] = got = leaves_of(nt, p)
+            for q, _body in got:
                 if q not in ends:
                     ends.add(q)
                     agenda.append((p, nt, q))
@@ -751,18 +745,16 @@ def _asked(cnf: _Lowered, leaves_of, tops):
                 ends.add(q)
                 agenda.append((p0, a, q))
     return starts, [(p, cnf.start, q) for p, q in tops
-                    if q in starts.get((cnf.start, p), ())]
+                    if q in starts.get((cnf.start, p), ())], leaves
 
 
-def _product_grammar(cnf: _Lowered, leaves_of, tops, terminals,
-                     extra_nts=(), extra_prods=()) -> Cfg:
+def _product_grammar(cnf: _Lowered, leaves_of, tops, terminals) -> Cfg:
     """Normalized product of a binarized grammar with a state space: the
     closure of `_asked`, then productions written top-down from its top
-    items under a new start, for the items the start reaches only.
-    `extra_nts` and `extra_prods` carry nonterminals the leaf bodies use
-    besides the items.
+    items under a new start, for the items the start reaches only, with
+    the leaf bodies the closure read.
     """
-    starts, top = _asked(cnf, leaves_of, tops)
+    starts, top, leaves = _asked(cnf, leaves_of, tops)
     start = ("&S",)
     if not top:
         return Cfg([start], terminals, start, [])
@@ -782,10 +774,9 @@ def _product_grammar(cnf: _Lowered, leaves_of, tops, terminals,
                             reached.add(x)
                             agenda.append(x)
     for nt, p in {(nt, p) for p, nt, _q in reached}:
-        prods += [((p, nt, q), body) for q, body in leaves_of(nt, p)
+        prods += [((p, nt, q), body) for q, body in leaves[(nt, p)]
                   if (p, nt, q) in reached]
-    prods += extra_prods
-    nonterminals = [start] + sorted(reached, key=repr) + list(extra_nts)
+    nonterminals = [start] + sorted(reached, key=repr)
     raw = Cfg(nonterminals, terminals, start, prods)
     return normalize(raw, strict=False)
 
@@ -827,6 +818,8 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
         ranks = symbol_ranks(g.terminals)
     x = tuple(prefix)
     n = len(x)
+    # flat shortcut: with every flat path off, decide-flat ran 969 -> 143
+    # ops/s, most of it in _cyk_masks
     if g.flat_words is not None:
         tails = {tuple(reversed(w[n:])) for w in g.flat_words
                  if len(w) > n and w[:n] == x
@@ -913,11 +906,6 @@ def union_cfgs(grammars, terminals=None) -> Cfg:
     grammars = list(grammars)
     if terminals is None:
         terminals = tuple(dict.fromkeys(t for g in grammars for t in g.terminals))
-    if all(g.flat_words is not None for g in grammars):
-        words = set()
-        for g in grammars:
-            words |= g.flat_words
-        return Cfg.from_words(terminals, words)
     start = ("&U",)
     nonterminals = [start]
     prods = []

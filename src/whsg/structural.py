@@ -23,7 +23,7 @@ from .errors import CapExceededError, OperandError
 from .freegroup import FreeGroupWord
 from .nfa import Nfa
 from .structure import (Verdict, WhStructure, normalize_generators, slot_middle,
-                        slot_shape, slot_word)
+                        slot_word)
 from .transducer import Transducer
 from .words import SEP1, SEP2, reverse
 
@@ -522,9 +522,11 @@ def is_free(s: WhStructure, defect_witness_length: int = 12) -> Verdict:
     table = ns.table
     eliminated = {}
     for a in list(alphabet):
-        shape = slot_shape(reps, reps, Nfa.literal((a,), alphabet))
-        target = cfglib.intersect_regular(table, shape)
-        decomp = _slot_deleter(alphabet, a).apply_to_cfg(target)
+        # the deleter reads u #1 v #2 a off the table itself: every table
+        # word lies in reps #1 reps #2 reps^rev, checked at load and kept by
+        # normalize_generators and by each elimination below, whose ql and
+        # qm substitute the same word in every slot (reversed in the third)
+        decomp = _slot_deleter(alphabet, a).apply_to_cfg(table)
         d = cfglib.shortest_word(decomp, ns.ranks)
         if d is None:
             continue

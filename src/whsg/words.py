@@ -13,18 +13,7 @@ SEP1 = "#1"
 SEP2 = "#2"
 RESERVED = frozenset((SEP1, SEP2))
 
-Word = tuple
-
-
-def word(symbols: Iterable[str]) -> Word:
-    w = tuple(symbols)
-    for s in w:
-        if not isinstance(s, str) or not s:
-            raise ValueError(f"invalid symbol: {s!r}")
-    return w
-
-
-def reverse(w: Sequence[str]) -> Word:
+def reverse(w: Sequence[str]) -> tuple:
     return tuple(reversed(w))
 
 

@@ -7,6 +7,7 @@ import pytest
 import knuth_reference
 from conftest import all_words
 from test_cfg import _random_cfg
+from test_differential import _unflatten_cfg
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
@@ -141,6 +142,35 @@ def _plain_cyk(cnf, w):
                        for k in range(1, l)):
                     chart.add((a, i, l))
     return chart
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(st.lists(st.sampled_from(WORDS), max_size=6),
+                  st.lists(st.sampled_from(WORDS), max_size=6), automata())
+def test_flat_grammars_need_no_shortcut(words, more, a):
+    # the operations that lost their flat_words shortcut agree, on flat
+    # grammars and on their generic twins, with the set one-liners that
+    # were those shortcuts
+    key = shortlex_key(symbol_ranks(("a", "b")))
+    flat, other = (Cfg.from_words(("a", "b"), ws) for ws in (words, more))
+    assert flat.flat_words is not None and other.flat_words is not None
+    words, more = set(words), set(more)
+    for g, g2 in ((flat, other), (_unflatten_cfg(flat), _unflatten_cfg(other))):
+        assert cfglib.derives_epsilon(g) == (() in words)
+        if () in words:
+            with pytest.raises(ValueError):
+                cfglib.normalize(g)
+        normal = cfglib.normalize(g, strict=False)
+        assert set(cfglib.enumerate_words(normal, 8)) == words - {()}
+        assert cfglib.shortest_word(g) == min(words, key=key, default=None)
+        assert cfglib.enumerate_words(g, 3) == sorted(
+            (w for w in words if len(w) <= 3), key=key)
+        product = cfglib.intersect_regular(g, a)
+        assert set(cfglib.enumerate_words(product, 8)) == {
+            w for w in words if w and a.accepts(w)}
+        union = cfglib.union_cfgs([g, g2])
+        assert set(cfglib.enumerate_words(union, 8)) == words | more
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, database=None,

@@ -15,10 +15,8 @@ from test_scaling import _reference_product_grammar
 from whsg import cfg as cfglib
 from whsg import fixtures, transducer
 from whsg.structure import WhStructure, normalize_generators
-from whsg.transducer import Transducer
 
 hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 
 @contextlib.contextmanager
@@ -53,33 +51,6 @@ def _assert_identical(pairs):
 def test_intersection_matches_bottom_up_closure(g, a):
     with _both_closures() as pairs:
         cfglib.intersect_regular(g, a)
-    assert len(pairs) == (g.flat_words is None)
-    _assert_identical(pairs)
-
-
-# two machines whose epsilon-input moves put glue between consumed symbols:
-# x^i u x^j on a cycle, and a marker after a prefix, with a dead branch
-GLUE_TRANSDUCERS = [
-    Transducer(["s", "t"],
-               [("s", None, ("x",), "s"), ("s", "a", ("a",), "s"),
-                ("s", None, (), "t"), ("t", "a", ("a",), "t"),
-                ("t", "b", ("b",), "t"), ("t", None, ("x",), "t")],
-               "s", ["t"]),
-    Transducer(["s", "m", "t", "d"],
-               [("s", "a", ("a",), "s"), ("s", "b", ("b", "b"), "s"),
-                ("s", None, ("#",), "m"), ("m", None, (), "t"),
-                ("t", "b", (), "t"), ("t", "a", ("a",), "t"),
-                ("s", "a", (), "d")],
-               "s", ["t"]),
-]
-
-
-@hypothesis.settings(max_examples=150, derandomize=True, database=None,
-                     deadline=None)
-@hypothesis.given(grammars(), st.sampled_from(range(len(GLUE_TRANSDUCERS))))
-def test_glued_transducer_image_matches_bottom_up_closure(g, which):
-    with _both_closures() as pairs:
-        GLUE_TRANSDUCERS[which].apply_to_cfg(g)
     assert len(pairs) == 1
     _assert_identical(pairs)
 

@@ -233,8 +233,7 @@ def test_dense_chart_is_no_slower_than_full_cyk():
     assert ours <= 1.25 * full, (ours, full)
 
 
-def _reference_product_grammar(cnf, leaves_of, tops, terminals,
-                               extra_nts=(), extra_prods=()):
+def _reference_product_grammar(cnf, leaves_of, tops, terminals):
     """The product as it was built before the closure was goal-directed:
     items combined bottom-up from every leaf over the binary rules, with
     `starts` and `ends` indexes, then the same top-down write phase.  The
@@ -296,8 +295,7 @@ def _reference_product_grammar(cnf, leaves_of, tops, terminals,
                             reached.add(x)
                             agenda.append(x)
     prods += [leaf for leaf in leaves if leaf[0] in reached]
-    prods += extra_prods
-    nonterminals = [start] + sorted(reached, key=repr) + list(extra_nts)
+    nonterminals = [start] + sorted(reached, key=repr)
     raw = Cfg(nonterminals, terminals, start, prods)
     return normalize(raw, strict=False)
 

@@ -5,18 +5,24 @@ import pytest
 
 from species_enumeration import (_free_semilattice, enumerate_clifford_species,
                                  enumerate_cs_species, first_accepted)
+from test_differential import _generic_twin
 from whsg import cfg as cfglib
+from whsg import fixtures
 from whsg.arithmetic import multiply
 from whsg.basic import green_related
 from whsg.cfg import Cfg
 from whsg.errors import CapExceededError, OperandError
 from whsg.oracle import (NAMED_TABLES, direct_product, small_semigroups,
                          structure_from_table, table_decide)
-from whsg.structural import (CsSpecies, Defect, clifford_species_check,
-                             cs_species_check, is_clifford,
-                             is_completely_simple, is_free, palindromic_defect)
-from whsg.structure import normalize_generators, rename_symbols
-from whsg.words import SEP2
+from whsg.nfa import Nfa
+from whsg.structural import (CsSpecies, Defect, _slot_deleter, _three_slot_map,
+                             clifford_species_check, cs_species_check,
+                             is_clifford, is_completely_simple, is_free,
+                             palindromic_defect)
+from whsg.structure import (Verdict, normalize_generators, rename_symbols,
+                            slot_shape)
+from whsg.transducer import Transducer
+from whsg.words import SEP1, SEP2
 
 
 # -- species enumeration --------------------------------------------------------
@@ -339,6 +345,66 @@ def test_is_free_eliminates_redundant_letters(free2c):
 def test_is_free_no_on_finite_tables(z2, sl2, rb22, rees):
     for s in (z2, sl2, rb22, rees):
         assert not is_free(s)
+
+
+def _is_free_by_slot_shape(s, defect_witness_length=12):
+    """Reference is_free: each decomposition is read off the table words
+    cut down to the slot shape reps #1 reps #2 a first."""
+    ns = normalize_generators(s)
+    alphabet = list(ns.alphabet)
+    reps = ns.reps
+    table = ns.table
+    eliminated = {}
+    for a in list(alphabet):
+        shape = slot_shape(reps, reps, Nfa.literal((a,), alphabet))
+        target = cfglib.intersect_regular(table, shape)
+        decomp = _slot_deleter(alphabet, a).apply_to_cfg(target)
+        d = cfglib.shortest_word(decomp, ns.ranks)
+        if d is None:
+            continue
+        if a in d:
+            return Verdict.no("", {f"decomposition_{a}": d})
+        eliminated[a] = d
+        lmap = {b: (b,) for b in alphabet if b != a}
+        reps = Transducer.letter_map({**lmap, a: d}).apply_to_nfa(reps)
+        table = _three_slot_map(lmap, a, d).apply_to_cfg(table)
+        alphabet.remove(a)
+    if not alphabet:
+        return Verdict.no("")
+    ok, counter = reps.equivalent(Nfa.universal_nonempty(alphabet))
+    if not ok:
+        return Verdict.no("", {} if counter is None else {"counterexample": counter})
+    proj = Transducer.letter_map(
+        {**{b: (b,) for b in alphabet}, SEP1: (), SEP2: (SEP2,)})
+    defect = palindromic_defect(proj.apply_to_cfg(table),
+                                witness_bound=defect_witness_length)
+    if defect is not None:
+        return Verdict.no("", {"defect": defect.witness} if defect.witness else {})
+    return Verdict.yes({f"decomposition_{a}": d for a, d in eliminated.items()})
+
+
+def _decide_flat_corpus():
+    """The flat tables of the decide-flat benchmark workload: every
+    semigroup of order <= 3, the named tables and the products of two named
+    tables that need at most four generators, in both factor orders."""
+    tables = list(small_semigroups(3)) + [b() for b in NAMED_TABLES.values()]
+    pairs = (("z2", "z2"), ("z2", "sl2"), ("z2", "rb22"), ("z2", "null3"),
+             ("z2", "rees"), ("sl2", "sl2"), ("sl2", "rb22"), ("sl2", "null3"))
+    for x, y in pairs:
+        for u, v in ((x, y), (y, x)):
+            tables.append(direct_product(NAMED_TABLES[u](), NAMED_TABLES[v]()))
+    return [structure_from_table(t) for t in tables]
+
+
+def test_is_free_matches_the_slot_shape_formula():
+    # the table lies in reps #1 reps #2 reps^rev, so cutting it down to the
+    # slot shape before the deleter changes no decomposition
+    structures = [build() for build in fixtures.NAMED.values()]
+    structures += [_generic_twin(s) for s in structures]
+    structures += _decide_flat_corpus()
+    for s in structures:
+        got, want = is_free(s), _is_free_by_slot_shape(s)
+        assert (got.answer, got.witnesses) == (want.answer, want.witnesses), s
 
 
 def test_is_free_invariant_under_renaming(free2, free2c, null3):

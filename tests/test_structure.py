@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import all_words
 from test_differential import _generic_twin as generic_twin, _unflatten_cfg
+import whsg
 from whsg import cfg as cfglib
 from whsg import fixtures
 from whsg.arithmetic import word_eq
@@ -63,6 +68,50 @@ def test_table_outside_shape_rejected():
         with pytest.raises(InvariantError, match="'#1 a #2 a'"):
             WhStructure(alphabet, star, bad)
     WhStructure(alphabet, star, Cfg.from_words(alphabet + (SEP1, SEP2), words[1:]))
+    # a flat table word with a symbol outside the alphabet is named, too
+    foreign = Cfg.from_words(alphabet + ("z", SEP1, SEP2),
+                             good + [("z", SEP1, "a", SEP2, "a")])
+    with pytest.raises(InvariantError, match="'z #1 a #2 a'"):
+        WhStructure(alphabet, reps, foreign)
+
+
+def _structure_json(table_words, wrapped):
+    """A two-letter structure whose representatives are the letters; with
+    wrapped=True its table words hang below a unit rule, so the table is
+    not flat."""
+    prods = [["X" if wrapped else "S", w.split()] for w in table_words]
+    return json.dumps({
+        "alphabet": ["a", "b"],
+        "reps": {"states": ["0", "1"], "initial": ["0"], "accepting": ["1"],
+                 "transitions": [["0", "a", "1"], ["0", "b", "1"]]},
+        "table": {"nonterminals": ["S", "X"], "start": "S",
+                  "productions": prods + ([["S", ["X"]]] if wrapped else [])},
+    })
+
+
+def test_shape_violation_is_the_shortlex_least_under_any_hash_seed():
+    # four violators of one length, besides an entry in the shape: the flat
+    # check must name the one the generic check of the wrapped table names,
+    # whatever order string hashing gives the flat word set
+    words = ["a a #1 a #2 a", "b b #1 a #2 a", "a #1 b b #2 a",
+             "a #1 a #2 b b", "a #1 b #2 a"]
+    with pytest.raises(InvariantError) as twin:
+        load_structure(_structure_json(words, wrapped=True))
+    assert "'a a #1 a #2 a'" in str(twin.value)
+    script = ("import sys\n"
+              "from whsg.errors import InvariantError\n"
+              "from whsg.structure import load_structure\n"
+              "try:\n"
+              "    load_structure(sys.argv[1])\n"
+              "except InvariantError as exc:\n"
+              "    print(exc)\n")
+    src = str(Path(whsg.__file__).resolve().parent.parent)
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script,
+                              _structure_json(words, wrapped=False)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == str(twin.value), seed
 
 
 def test_load_checks_table_membership(free2, tmp_path):

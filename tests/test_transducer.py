@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conftest import all_words, finite_language
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg
@@ -37,33 +39,12 @@ def test_separator_projection_of_free2_table(free2):
     assert got == {w for w in expected if len(w) <= 9}
 
 
-def test_epsilon_input_transition_inserts_once():
-    # the relation {(u1 u2, u1 x u2)}: one epsilon-input move in the middle
-    t = Transducer(
-        ["s", "t"],
-        [("s", "a", ("a",), "s"), ("s", None, ("x",), "t"),
-         ("t", "a", ("a",), "t")],
-        "s", ["t"])
-    outs = t.apply_word(("a", "a"))
-    assert outs == {("x", "a", "a"), ("a", "x", "a"), ("a", "a", "x")}
-
-
-def test_epsilon_input_cycles_in_language_constructions():
-    # the relation {(u, x^i u x^j) : u over {a}} has an infinite image per
-    # input, which only the automaton and grammar constructions can carry
-    t = Transducer(
-        ["s", "t"],
-        [("s", None, ("x",), "s"), ("s", "a", ("a",), "s"),
-         ("s", None, (), "t"), ("t", "a", ("a",), "t"), ("t", None, ("x",), "t")],
-        "s", ["t"])
-    out_nfa = t.apply_to_nfa(Nfa.literal(("a",), ("a",)))
-    for w in [("a",), ("x", "a"), ("a", "x"), ("x", "a", "x", "x")]:
-        assert out_nfa.accepts(w)
-    assert not out_nfa.accepts(("a", "a"))
-    out_cfg = t.apply_to_cfg(Cfg(["O"], ("a",), "O", [("O", ("a",))]))
-    got = set(cfglib.enumerate_words(out_cfg, 3))
-    assert got == {("a",), ("x", "a"), ("a", "x"), ("x", "a", "x"),
-                   ("x", "x", "a"), ("a", "x", "x")}
+def test_every_move_reads_a_symbol():
+    # an epsilon-input move (input label None) is rejected
+    with pytest.raises(ValueError, match="input label"):
+        Transducer(["s", "t"],
+                   [("s", "a", ("a",), "s"), ("s", None, ("x",), "t")],
+                   "s", ["t"])
 
 
 def _random_letter_transducer(rng):
