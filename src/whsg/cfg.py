@@ -12,12 +12,13 @@ symbols.  Every query that reads off a grammar's least words runs one
 pass, `_Pass`: Knuth's generalization of Dijkstra's algorithm (1977) with
 up to k distinct words per node (Huang and Chiang 2005), stepped lazily,
 forward or reversed.
-The shortest word is the first word of the start (k = 1) and bounded
-enumeration the start's words up to a length (k unbounded), both over the
-lowering of the grammar as given.  The lowering of its normalization
-serves one CYK chart (bit-parallel rows, with work that follows the split
-pairs whose rows are both nonzero), which answers membership and gives
-least completions their closed items; the k least completions of a prefix
+Over the lowering of the grammar as given, it yields each nonterminal's
+words as they settle: the shortest word is the start's first (k = 1),
+bounded enumeration the start's words up to a length (k unbounded), and the
+mirror test of `is_free` reads every nonterminal's two least (k = 2).  The
+lowering of its normalization serves one CYK chart (bit-parallel rows,
+with work that follows the split pairs whose rows are both nonzero), which
+answers membership and gives least completions their closed items; the k least completions of a prefix
 are a weighted item pass in the same Knuth order, with no quotient
 grammar.  Its items past the end of the prefix do not depend on the
 prefix: one reversed pass per lowering, ranks and k settles them for every
@@ -38,7 +39,7 @@ import sys
 from collections import defaultdict, deque
 
 from .nfa import Nfa
-from .words import shortlex_key, symbol_ranks
+from .words import shortlex_key, spelled, symbol_ranks
 
 
 class Cfg:
@@ -308,13 +309,14 @@ class _Lowered:
     the lowering of a normalized grammar has neither and is the CYK form.
     """
 
-    __slots__ = ("start", "size", "term_bodies", "by_sym", "unit", "eps",
-                 "binary", "binary_by_head", "left_index", "right_index",
-                 "unit_index", "partners", "passes", "chart")
+    __slots__ = ("start", "ids", "size", "term_bodies", "by_sym", "unit",
+                 "eps", "binary", "binary_by_head", "left_index",
+                 "right_index", "unit_index", "partners", "passes", "chart")
 
-    def __init__(self, start, size, term_bodies, by_sym, unit, eps, binary):
+    def __init__(self, start, ids, term_bodies, by_sym, unit, eps, binary):
         self.start = start
-        self.size = size
+        self.ids = ids                  # symbol, wrapper or split key -> node
+        self.size = len(ids)
         self.term_bodies = term_bodies  # node -> list of terminals
         self.by_sym = by_sym            # terminal -> list of nodes
         self.unit = unit                # node -> list of nodes
@@ -386,8 +388,8 @@ def _lower(g: Cfg) -> _Lowered:
                 binary.append((cur, parts[i], nxt))
                 cur = nxt
             binary.append((cur, parts[-2], parts[-1]))
-    return _Lowered(start, len(ids), term_bodies, by_sym, unit,
-                    frozenset(eps), tuple(binary))
+    return _Lowered(start, ids, term_bodies, by_sym, unit, frozenset(eps),
+                    tuple(binary))
 
 
 def lowered_of(g: Cfg) -> _Lowered:
@@ -571,27 +573,33 @@ def shortest_word(g: Cfg, ranks=None):
     None when the language is empty."""
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
-    return next(_start_words(g, ranks, 1), None)
+    w = next((w for x, w in _least_words(g, ranks, 1) if x == g.start), None)
+    return None if w is None else spelled(w, ranks)
 
 
 def enumerate_words(g: Cfg, maxlen: int, ranks=None):
     """All words of the language with length <= maxlen, shortlex order."""
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
-    return list(_start_words(g, ranks, sys.maxsize, maxlen))
+    return [spelled(w, ranks)
+            for x, w in _least_words(g, ranks, sys.maxsize, maxlen)
+            if x == g.start]
 
 
-def _start_words(g: Cfg, ranks, k, maxlen=sys.maxsize):
-    """The start's k least words of length <= maxlen, ascending, from a
-    forward _Pass over the lowering of g as given."""
+def _least_words(g: Cfg, ranks, k, maxlen=sys.maxsize):
+    """(nonterminal, word) each time a nonterminal of g settles one of its k
+    least words of length <= maxlen, in ascending shortlex order, from a
+    forward _Pass over the lowering of g as given.  Words are tuples of
+    symbol ranks, as in _Pass: spelling every nonterminal's word would cost
+    more than the pass on a deep chain."""
     low = lowered_of(g)
+    names = {low.ids[x]: x for x in g.nonterminals if x in low.ids}
     least = _Pass(low, ranks, k, forward=True, maxlen=maxlen)
     heap = least.heap
-    symbol = {r: s for s, r in ranks.items()}
     while heap and heap[0][0] <= maxlen:
         got = least.step()
-        if got is not None and got[0] == low.start:
-            yield tuple(symbol[r] for r in got[2])
+        if got is not None and got[0] in names:
+            yield names[got[0]], got[2]
 
 
 # -- regular intersection (grammar x automaton product) ------------------------
@@ -644,8 +652,7 @@ def least_word(g: Cfg, a: Nfa, ranks=None):
         if (p, nt, q) in done:
             continue
         if (p, nt, q) in top:
-            symbol = {r: s for s, r in ranks.items()}
-            return tuple(symbol[r] for r in w)
+            return spelled(w, ranks)
         done.add((p, nt, q))
         by_start[(nt, p)].append((q, m, w))
         by_end[(nt, q)].append((p, m, w))
@@ -897,8 +904,7 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
         for head, c in cnf.left_index.get(a, ()):
             if (i, head) not in full:
                 subscribe(c, i, head, m, w)
-    symbol = {r: s for s, r in ranks.items()}
-    return [tuple(symbol[r] for r in w) for w in out]
+    return [spelled(w, ranks) for w in out]
 
 
 def union_cfgs(grammars, terminals=None) -> Cfg:

@@ -109,12 +109,6 @@ def cmd_is_clifford(args):
     return v.answer, v.witnesses, v.reason
 
 
-def cmd_is_free(args):
-    v = structural.is_free(_load(args),
-                           defect_witness_length=args.defect_witness_length)
-    return v.answer, v.witnesses, v.reason
-
-
 def cmd_from_table(args):
     t = oracle.load_table(args.table)
     s = oracle.structure_from_table(t)
@@ -132,12 +126,10 @@ def cmd_defect_check(args):
         grammar = _cfg_from_json(data["grammar"], alphabet + (SEP1, SEP2))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed grammar file: {exc}") from exc
-    defect = structural.palindromic_defect(
-        grammar, witness_bound=args.defect_witness_length)
+    defect = structural.palindromic_defect(grammar)
     if defect is None:
         return "no", {}, "every member mirrors around the separator"
-    witnesses = {"defect": defect.witness} if defect.witness else {}
-    return "yes", witnesses, defect.reason
+    return "yes", {"defect": defect.witness}, defect.reason
 
 
 def _default_output(source, suffix):
@@ -201,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "is the semigroup a Clifford semigroup?")
     p.add_argument("--max-alphabet-clifford", type=int, default=4)
 
-    p = structure_cmd("is-free", cmd_is_free, "is the semigroup free?")
-    p.add_argument("--defect-witness-length", type=int, default=12)
+    structure_cmd("is-free", _verdict_cmd(structural.is_free),
+                  "is the semigroup free?")
 
     p = sub.add_parser("from-table",
                        help="build a structure from a finite multiplication table")
@@ -213,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("defect-check",
                        help="check a grammar over A+#2 for palindromic defects")
     p.add_argument("grammar", help="grammar file (.json)")
-    p.add_argument("--defect-witness-length", type=int, default=12)
     p.set_defaults(handler=cmd_defect_check)
     return parser
 

@@ -6,7 +6,8 @@ For complete simplicity the species is the R- and L-classes of the
 generators (Rees's theorem); for Clifford it is the semilattice of H-classes
 of the products of generator subsets. Freeness eliminates redundant
 generators, then tests whether the projected table language is exactly the
-palindromic one.
+palindromic one, from the two least words of each nonterminal and free-group
+offsets; a defect's witness member is read off that certificate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .nfa import Nfa
 from .structure import (Verdict, WhStructure, normalize_generators, slot_middle,
                         slot_word)
 from .transducer import Transducer
-from .words import SEP1, SEP2, reverse
+from .words import SEP1, SEP2, reverse, spelled, symbol_ranks
 
 
 # -- species types ----------------------------------------------------------------
@@ -364,19 +365,32 @@ def is_clifford(s: WhStructure, max_alphabet: int = 4) -> Verdict:
 
 @dataclass(frozen=True)
 class Defect:
-    """Evidence that a table language is not purely palindromic."""
+    """Evidence that a table language is not purely palindromic: a reason and
+    a member x #2 w-reversed with x != w."""
 
     reason: str
-    witness: Optional[tuple] = None
+    witness: tuple
 
 
-def palindromic_defect(g, witness_bound: int = 12) -> Optional[Defect]:
+def palindromic_defect(g) -> Optional[Defect]:
     """Decide whether a language inside A*#2A* contains a word x#2w-reversed
     with x != w.
 
     Returns None when every member is palindromic around the separator;
-    otherwise a defect carrying a member witness when one exists within the
-    bound, or the structural certificate alone.
+    otherwise a defect whose witness is read off the certificate.  One
+    forward pass settles the two least words of every nonterminal of the
+    normal form.  A nonterminal's words either all hold the separator or
+    none does.  A separator-free nonterminal with two words is a defect:
+    the same context around each gives two members that differ on one side
+    only, so at most one is a mirror; it also catches every cycle among
+    separator-free nonterminals, as the normal form has no epsilon or unit
+    rules.  Otherwise each separator-free nonterminal derives one word, and
+    one breadth-first search from the start gives every separator-bearing
+    nonterminal its free-group offset p^-1 . offset . t-reversed over its
+    bodies p X t; a terminal body p #2 t that shifts, or a nonterminal
+    reached with two offsets, is a defect.  Each nonterminal's first
+    derivation, with every sibling spelled as its least word, gives the
+    members that the witness is chosen from.
     """
     if SEP2 not in g.terminals:
         raise OperandError("grammar must use the #2 separator")
@@ -395,125 +409,83 @@ def palindromic_defect(g, witness_bound: int = 12) -> Optional[Defect]:
     gn = cfglib.normalize(g, strict=False)
     if not gn.productions:
         return None
-    # the nonterminals that reach the separator: one worklist over the
-    # heads each nonterminal occurs under
-    nts = set(gn.nonterminals)
-    marked = set()
-    occurs: dict = {}
-    for head, body in gn.productions:
-        if SEP2 in body:
-            marked.add(head)
-        for x in body:
-            if x in nts:
-                occurs.setdefault(x, []).append(head)
-    agenda = list(marked)
-    while agenda:
-        for head in occurs.get(agenda.pop(), ()):
-            if head not in marked:
-                marked.add(head)
-                agenda.append(head)
-    plain = nts - marked
+    ranks = symbol_ranks(gn.terminals)
+    words: dict = {}
+    pumped = None
+    for x, w in cfglib._least_words(gn, ranks, 2):
+        got = words.setdefault(x, [])
+        got.append(w)
+        if pumped is None and len(got) == 2 and ranks[SEP2] not in got[0]:
+            pumped = x
+    least = {x: spelled(got[0], ranks) for x, got in words.items()}
+    # the symbols whose words hold the separator, #2 itself included: each
+    # body of a marked head has exactly one
+    marked = {x for x, w in least.items() if SEP2 in w}
+    marked.add(SEP2)
+
+    def spell(syms):
+        return tuple(s for x in syms for s in least.get(x, (x,)))
 
     by_head: dict = {}
     for head, body in gn.productions:
         by_head.setdefault(head, []).append(body)
-
-    # one iterative depth-first pass over the separator-free nonterminals: a
-    # cycle among them pumps one side only; without one, the post-order
-    # lists every nonterminal after those its bodies use
-    edges = {x: {y for body in by_head[x] for y in body if y in plain}
-             for x in plain}
-    state: dict = {}
-    order = []
-    for root in plain:
-        if root in state:
-            continue
-        state[root] = "open"
-        stack = [(root, iter(edges[root]))]
-        while stack:
-            x, children = stack[-1]
-            for y in children:
-                if state.get(y) == "open":
-                    return Defect(
-                        f"nonterminal {root!r} recurs on one side of the "
-                        f"separator; pumping it breaks the mirror symmetry",
-                        _palindromic_witness(gn, witness_bound))
-                if y not in state:
-                    state[y] = "open"
-                    stack.append((y, iter(edges[y])))
-                    break
-            else:
-                stack.pop()
-                state[x] = "done"
-                order.append(x)
-
-    # expand the (finitely many) words of separator-free nonterminals away
-    finite_words: dict = {}
-
-    def spliced(body):
-        options = [finite_words[x] if x in plain else [(x,)] for x in body]
-        for combo in itertools.product(*options):
-            yield tuple(sym for part in combo for sym in part)
-
-    for x in order:
-        finite_words[x] = sorted({w for body in by_head[x] for w in spliced(body)})
-    prods = [(head, w) for head, body in gn.productions if head not in plain
-             for w in spliced(body)]
-
-    # every remaining body is p·S·t or p·#2·t with p, t separator-free
-    values = {gn.start: FreeGroupWord()}
+    # via[x] = (head, body, i): the first derivation that reaches x
+    via = {gn.start: None}
+    offsets = {gn.start: FreeGroupWord()}
     agenda = deque([gn.start])
-    spliced_by_head: dict = {}
-    for head, body in prods:
-        spliced_by_head.setdefault(head, []).append(body)
+
+    def context(x):
+        left, right = [], []
+        while via[x] is not None:
+            x, body, i = via[x]
+            left += reversed(spell(body[:i]))
+            right += spell(body[i + 1:])
+        return reverse(left), tuple(right)
+
+    def skewed(*members):
+        return next(w for w in members if not _mirrors(w))
+
     while agenda:
         head = agenda.popleft()
-        for body in spliced_by_head.get(head, ()):
-            split = _split_single(body, marked)
-            if split is None:
-                raise OperandError(
-                    "grammar body does not have exactly one separator-bearing symbol")
-            p, x, t = split
-            z = (FreeGroupWord.embed(p, -1) * values[head]
+        for body in by_head[head]:
+            for i, x in enumerate(body):
+                if x in by_head and x not in via:
+                    via[x] = (head, body, i)
+                    agenda.append(x)
+            if pumped is not None or head not in marked:
+                continue
+            i = next(i for i, x in enumerate(body) if x in marked)
+            p, x, t = spell(body[:i]), body[i], spell(body[i + 1:])
+            z = (FreeGroupWord.embed(p, -1) * offsets[head]
                  * FreeGroupWord.embed(reverse(t)))
             if x == SEP2:
                 if not z.is_identity():
-                    return Defect(
-                        f"terminal production of {head!r} shifts one side by "
-                        f"{z!r}", _palindromic_witness(gn, witness_bound))
-            else:
-                known = values.get(x)
-                if known is None:
-                    values[x] = z
-                    agenda.append(x)
-                elif known != z:
-                    return Defect(
-                        f"nonterminal {x!r} is reached with two different "
-                        f"side offsets", _palindromic_witness(gn, witness_bound))
+                    u, v = context(head)
+                    return Defect(f"terminal production of {head!r} shifts one "
+                                  f"side by {z!r}", u + p + (SEP2,) + t + v)
+            elif x not in offsets:
+                offsets[x] = z
+            elif offsets[x] != z:
+                u, v = context(head)
+                u0, v0 = context(x)
+                return Defect(
+                    f"nonterminal {x!r} is reached with two different side "
+                    f"offsets", skewed(u0 + least[x] + v0,
+                                       u + p + least[x] + t + v))
+    if pumped is not None:
+        u, v = context(pumped)
+        w1, w2 = (spelled(w, ranks) for w in words[pumped])
+        return Defect(f"nonterminal {pumped!r} derives two different words on "
+                      f"one side of the separator", skewed(u + w1 + v, u + w2 + v))
     return None
 
 
-def _split_single(body, marked):
-    pivot = None
-    for i, sym in enumerate(body):
-        if sym == SEP2 or sym in marked:
-            if pivot is not None:
-                return None
-            pivot = i
-    if pivot is None:
-        return None
-    return body[:pivot], body[pivot], body[pivot + 1:]
+def _mirrors(w) -> bool:
+    i = w.index(SEP2)
+    return w[:i] == reverse(w[i + 1:])
 
 
-def _palindromic_witness(g, bound):
-    for w in cfglib.enumerate_words(g, bound):
-        i = w.index(SEP2)
-        if w[:i] != reverse(w[i + 1:]):
-            return w
-    return None
-
-
-def is_free(s: WhStructure, defect_witness_length: int = 12) -> Verdict:
+def is_free(s: WhStructure) -> Verdict:
     """Eliminate decomposable generators, then demand that the representatives
     are all nonempty words and the projected table is purely palindromic."""
     ns = normalize_generators(s)
@@ -551,12 +523,10 @@ def is_free(s: WhStructure, defect_witness_length: int = 12) -> Verdict:
             + ",".join(alphabet), extra)
     proj = Transducer.letter_map(
         {**{b: (b,) for b in alphabet}, SEP1: (), SEP2: (SEP2,)})
-    defect = palindromic_defect(proj.apply_to_cfg(table),
-                                witness_bound=defect_witness_length)
+    defect = palindromic_defect(proj.apply_to_cfg(table))
     if defect is not None:
-        extra = {"defect": defect.witness} if defect.witness else {}
         return Verdict.no(f"projected table is not palindromic: {defect.reason}",
-                          extra)
+                          {"defect": defect.witness})
     witnesses = {f"decomposition_{a}": d for a, d in eliminated.items()}
     return Verdict.yes(witnesses, reason="basis " + ",".join(alphabet))
 

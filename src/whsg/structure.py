@@ -99,23 +99,23 @@ class WhStructure:
         return self._shape_violation[0]
 
     def _find_shape_violation(self):
+        # the table's symbols outside the alphabet and separators sort after
+        # them, in the table's order, on both paths
+        ranks = symbol_ranks((*self.alphabet, SEP1, SEP2, *self.table.terminals))
         # flat shortcut: without it decide-flat's setup_s rose from 7 to 22 ms
         if self.table.flat_words is not None:
             violators = [w for w in self.table.flat_words
                          if not self._in_shape(w)]
-            # the shortlex-least, as least_word finds below; a symbol outside
-            # the alphabet and separators sorts after them
-            rank = self.ranks
-            return min(violators, default=None, key=lambda w: (
-                len(w), [rank.get(x, len(rank)) for x in w]))
+            # the shortlex-least, as least_word finds below
+            return min(violators, default=None, key=shortlex_key(ranks))
         if cfglib.derives_epsilon(self.table):  # products drop the empty word
             return ()
         reps = self.reps
         if reps.accepts(()):  # a representative is a nonempty word
             reps = reps.intersect(Nfa.universal_nonempty(self.alphabet))
         shape = slot_shape(reps, reps, reps.reverse())
-        full = tuple(self.alphabet) + (SEP1, SEP2)
-        return cfglib.least_word(self.table, shape.complement(full), self.ranks)
+        return cfglib.least_word(self.table, shape.complement(tuple(ranks)),
+                                 ranks)
 
     def _in_shape(self, w) -> bool:
         parts = _split_table_word(w)

@@ -29,6 +29,12 @@ def symbol_ranks(symbols: Iterable[str]) -> dict:
     return ranks
 
 
+def spelled(w: Sequence[int], ranks: Mapping) -> tuple:
+    """The symbols of a word given as a tuple of symbol ranks."""
+    symbol = {r: s for s, r in ranks.items()}
+    return tuple(map(symbol.__getitem__, w))
+
+
 def shortlex_key(ranks: Mapping):
     """Sort key for words: length first, then symbol ranks left to right."""
 

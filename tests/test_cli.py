@@ -116,6 +116,20 @@ def test_defect_check(fixture_dir, capsys):
     code, report = run(capsys, "defect-check", fixture_dir / "skewed.json")
     assert code == 0 and report["answer"] == "yes"
     assert report["witnesses"]["defect"] == ["a", "#2", "b"]
+    # Y derives a, a a, ... on one side: a pumping defect has a witness too
+    pumping = fixture_dir / "pumping.json"
+    pumping.write_text(json.dumps({
+        "alphabet": ["a"],
+        "grammar": {
+            "nonterminals": ["O", "Y"],
+            "start": "O",
+            "productions": [["O", ["Y", "#2", "a"]], ["Y", ["a", "Y"]],
+                            ["Y", ["a"]]],
+        },
+    }))
+    code, report = run(capsys, "defect-check", pumping)
+    assert code == 0 and report["answer"] == "yes"
+    assert report["witnesses"]["defect"] == ["a", "a", "#2", "a"]
 
 
 def test_input_error_exit_code(fixture_dir, capsys):

@@ -22,7 +22,7 @@ from whsg.arithmetic import multiply, word_eq
 from whsg.cfg import Cfg, normalize
 from whsg.nfa import Nfa
 from whsg.oracle import direct_product, rb22_table, structure_from_table, table_decide
-from whsg.structural import is_clifford, is_completely_simple
+from whsg.structural import is_clifford, is_completely_simple, palindromic_defect
 from whsg.structure import WhStructure
 from whsg.words import SEP1, SEP2
 
@@ -382,3 +382,52 @@ def test_least_words_of_a_nullable_body_need_no_normal_form():
         for f, args in ((cfglib.enumerate_words, (6,)), (cfglib.shortest_word, ())):
             seconds = _fastest(f, make=lambda: (_nullable_body(k),) + args)
             assert seconds < 0.1, (f.__name__, k, seconds)
+
+
+def _wide_mirror(k):
+    """S -> X1 ... Xk #2 Xk ... X1 with every Xi -> a | b: each Xi is a
+    defect, and splicing its words into the body writes 2^(2k) bodies."""
+    xs = [f"X{i}" for i in range(1, k + 1)]
+    prods = [("S", tuple(xs) + (SEP2,) + tuple(reversed(xs)))]
+    prods += [(x, (c,)) for x in xs for c in ("a", "b")]
+    return Cfg(["S"] + xs, ("a", "b", SEP2), "S", prods)
+
+
+def _two_letter_doubling(k):
+    """S -> X0 #2 X0, Xi -> X(i+1) X(i+1), Xk -> a | b: X0 has 2^(2^k)
+    words of length 2^k."""
+    xs = [f"X{i}" for i in range(k + 1)]
+    prods = [("S", (xs[0], SEP2, xs[0]))]
+    prods += [(x, (y, y)) for x, y in zip(xs, xs[1:])]
+    prods += [(xs[-1], ("a",)), (xs[-1], ("b",))]
+    return Cfg(["S"] + xs, ("a", "b", SEP2), "S", prods)
+
+
+def _assert_skewed_member(g, d):
+    assert d is not None and cfglib.membership(g, d.witness)
+    i = d.witness.index(SEP2)
+    assert d.witness[:i] != tuple(reversed(d.witness[i + 1:]))
+
+
+def test_wide_mirror_defect_is_near_linear():
+    # the splicing search wrote no witness from k = 6 on and took 0.72 s at
+    # k = 9; the square is the whole-tuple words of the least-words pass
+    sizes = [128, 256, 512, 1024]
+    times = []
+    for k in sizes:
+        times.append(_fastest(palindromic_defect, make=lambda: (_wide_mirror(k),)))
+        g = _wide_mirror(k)
+        _assert_skewed_member(g, palindromic_defect(g))
+    slope = _fitted_slope(sizes, times)
+    assert slope <= 2.3, (slope, times)
+
+
+def test_two_letter_doubling_defect_is_read_off_the_certificate():
+    # splicing took 0.16 s at k = 3 and was killed at k = 4 (2^32 bodies)
+    for k in (4, 8):
+        g = _two_letter_doubling(k)
+        t0 = time.perf_counter()
+        d = palindromic_defect(g)
+        assert time.perf_counter() - t0 < 1.0, k
+        _assert_skewed_member(g, d)
+        assert len(d.witness) == 2 ** (k + 1) + 1

@@ -75,6 +75,19 @@ def test_table_outside_shape_rejected():
         WhStructure(alphabet, reps, foreign)
 
 
+def test_table_symbol_outside_the_alphabet_is_named_behind_a_unit_rule():
+    # the generic check's complement spans the table's own terminals too
+    alphabet = ("a",)
+    reps = Nfa.from_words([("a",)], alphabet)
+    words = [("a", SEP1, "a", SEP2, "a"), ("z", SEP1, "a", SEP2, "a")]
+    terminals = alphabet + ("z", SEP1, SEP2)
+    for table in (Cfg.from_words(terminals, words),
+                  Cfg(["O", "X"], terminals, "O",
+                      [("O", ("X",))] + [("X", w) for w in words])):
+        with pytest.raises(InvariantError, match="'z #1 a #2 a'"):
+            WhStructure(alphabet, reps, table)
+
+
 def _structure_json(table_words, wrapped):
     """A two-letter structure whose representatives are the letters; with
     wrapped=True its table words hang below a unit rule, so the table is
