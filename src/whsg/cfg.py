@@ -26,9 +26,11 @@ call, advanced as far as some call has needed, and each call subscribes
 its own items to the nodes whose words extend them.  The same lowering
 serves the one grammar x automaton closure, goal-directed: it builds only
 the items its start can use and reads a pair's leaves once, when it is
-asked.  Regular intersection and transducer images write a grammar from
-those items and leaves; `least_word` reads the product's least word off
-them by a Knuth pass of its own and writes none.
+asked.  Regular intersection and transducer images of grammars write a
+grammar from those items and leaves; `least_word` reads the product's
+least word off them by a Knuth pass of its own and writes none.  No
+automaton goes through a transducer: `is_free` substitutes its
+representatives by a letter homomorphism, `Nfa.substitute`.
 """
 
 from __future__ import annotations
@@ -309,23 +311,22 @@ class _Lowered:
     the lowering of a normalized grammar has neither and is the CYK form.
     """
 
-    __slots__ = ("start", "ids", "size", "term_bodies", "by_sym", "unit",
-                 "eps", "binary", "binary_by_head", "left_index",
+    __slots__ = ("start", "ids", "size", "term_bodies", "by_sym", "eps",
+                 "binary", "binary_by_head", "left_index",
                  "right_index", "unit_index", "partners", "passes", "chart")
 
-    def __init__(self, start, ids, term_bodies, by_sym, unit, eps, binary):
+    def __init__(self, start, ids, term_bodies, by_sym, unit_index, eps, binary):
         self.start = start
         self.ids = ids                  # symbol, wrapper or split key -> node
         self.size = len(ids)
         self.term_bodies = term_bodies  # node -> list of terminals
         self.by_sym = by_sym            # terminal -> list of nodes
-        self.unit = unit                # node -> list of nodes
         self.eps = eps                  # nodes with an epsilon body
         self.binary = binary            # tuple of (A, B, C) node triples
         self.binary_by_head = defaultdict(list)  # A -> [(B, C)]
         self.left_index = defaultdict(list)      # B -> [(A, C)]
         self.right_index = defaultdict(list)     # C -> [(A, B)]
-        self.unit_index = defaultdict(list)      # B -> [A] for A -> B
+        self.unit_index = unit_index    # B -> [A] for A -> B
         # B -> [(r, C)] and C -> [(r, B)] for binary[r] = (A, B, C), built
         # by the first CYK chart over this lowering
         self.partners = None
@@ -339,9 +340,6 @@ class _Lowered:
             self.binary_by_head[a].append((b, c))
             self.left_index[b].append((a, c))
             self.right_index[c].append((a, b))
-        for a, targets in unit.items():
-            for b in targets:
-                self.unit_index[b].append(a)
 
 
 def _lower(g: Cfg) -> _Lowered:
@@ -356,7 +354,7 @@ def _lower(g: Cfg) -> _Lowered:
 
     term_bodies = defaultdict(list)
     by_sym = defaultdict(list)
-    unit = defaultdict(list)
+    unit_index = defaultdict(list)
     eps = set()
     binary = []
     wrappers: dict = {}
@@ -376,7 +374,7 @@ def _lower(g: Cfg) -> _Lowered:
         elif len(body) == 1:
             x = body[0]
             if x in nts:
-                unit[h].append(node(x))
+                unit_index[node(x)].append(h)
             else:
                 by_sym[x].append(h)
                 term_bodies[h].append(x)
@@ -388,7 +386,7 @@ def _lower(g: Cfg) -> _Lowered:
                 binary.append((cur, parts[i], nxt))
                 cur = nxt
             binary.append((cur, parts[-2], parts[-1]))
-    return _Lowered(start, ids, term_bodies, by_sym, unit, frozenset(eps),
+    return _Lowered(start, ids, term_bodies, by_sym, unit_index, frozenset(eps),
                     tuple(binary))
 
 

@@ -165,6 +165,31 @@ class Nfa:
                  for dst in dsts]
         return Nfa(self.states, alphabet, trans, self.initial, self.accepting)
 
+    def substitute(self, images) -> "Nfa":
+        """Image under the homomorphism x -> images[x], every image nonempty.
+
+        Each arc on x becomes a chain of fresh states spelling images[x]; the
+        arcs on a symbol without an image are dropped.  The image symbols keep
+        this automaton's alphabet order, new ones follow in order of use.
+        """
+        outs = dict.fromkeys(s for out in images.values() for s in out)
+        alphabet = [s for s in self.alphabet if s in outs] + list(outs)
+        index = {q: i for i, q in enumerate(self.states)}
+        fresh = len(index)
+        trans = []
+        for (src, sym), dsts in self.transitions.items():
+            out = images.get(sym)
+            if out is None:
+                continue
+            for dst in dsts:
+                cur = index[src]
+                for s in out[:-1]:
+                    trans.append((cur, s, fresh))
+                    cur, fresh = fresh, fresh + 1
+                trans.append((cur, out[-1], index[dst]))
+        return Nfa(range(fresh), alphabet, trans, [index[q] for q in self.initial],
+                   [index[q] for q in self.accepting])
+
     def intersect(self, other: "Nfa") -> "Nfa":
         alphabet = _merge_alphabets(self.alphabet, other.alphabet)
         start = {(p, q) for p in self.initial for q in other.initial}

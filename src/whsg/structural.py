@@ -496,8 +496,9 @@ def is_free(s: WhStructure) -> Verdict:
     for a in list(alphabet):
         # the deleter reads u #1 v #2 a off the table itself: every table
         # word lies in reps #1 reps #2 reps^rev, checked at load and kept by
-        # normalize_generators and by each elimination below, whose ql and
-        # qm substitute the same word in every slot (reversed in the third)
+        # normalize_generators and by each elimination below, which
+        # substitutes the same word in the representatives and in every
+        # slot (reversed in the third)
         decomp = _slot_deleter(alphabet, a).apply_to_cfg(table)
         d = cfglib.shortest_word(decomp, ns.ranks)
         if d is None:
@@ -508,10 +509,8 @@ def is_free(s: WhStructure) -> Verdict:
                 f"{a!r} itself", {f"decomposition_{a}": d})
         eliminated[a] = d
         lmap = {b: (b,) for b in alphabet if b != a}
-        ql = Transducer.letter_map({**lmap, a: d})
-        qm = _three_slot_map(lmap, a, d)
-        reps = ql.apply_to_nfa(reps)
-        table = qm.apply_to_cfg(table)
+        reps = reps.substitute({**lmap, a: d})
+        table = _three_slot_map(lmap, a, d).apply_to_cfg(table)
         alphabet.remove(a)
     if not alphabet:
         return Verdict.no("every generator was eliminated")

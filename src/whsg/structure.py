@@ -67,7 +67,6 @@ class WhStructure:
                 raise InvariantError(f"assignment for undeclared symbol {key!r}")
         self.assignment = {a: tuple(assignment.get(a, (a,))) for a in self.alphabet}
         self.ranks = symbol_ranks(self.alphabet)
-        self.key = shortlex_key(self.ranks)
         self._in_reps_cache: dict = {}
         self._mul_cache: dict = {}
         self._chk_cache: dict = {}

@@ -1,18 +1,18 @@
 """Finite transducers realizing rational relations on words.
 
 A transition reads exactly one input symbol and emits an output word,
-possibly empty.  Applying a transducer to a regular or context-free
-language yields the image language, of the same kind.
+possibly empty.  A transducer acts on context-free languages only: its
+image of a grammar's language is again context-free.  Regular languages
+are only ever substituted letterwise, by `Nfa.substitute`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 
 # normalize is no longer called here but stays importable from this module:
 # benchmark/selfcheck.py checks that tracing wraps such copied bindings
 from .cfg import Cfg, _product_grammar, cnf_of, normalize
-from .nfa import Nfa
 
 
 class Transducer:
@@ -46,21 +46,10 @@ class Transducer:
         trans = [("s", sym, tuple(out), "s") for sym, out in mapping.items()]
         return cls(["s"], trans, "s", ["s"])
 
-    @classmethod
-    def identity(cls, alphabet) -> "Transducer":
-        return cls.letter_map({s: (s,) for s in alphabet})
-
-    def output_symbols(self):
-        syms = []
-        for _src, _insym, out, _dst in self.transitions:
-            syms.extend(out)
-        return tuple(dict.fromkeys(syms))
-
     def _result_alphabet(self, base):
-        outs = set(self.output_symbols())
-        ordered = [s for s in base if s in outs]
-        ordered += [s for s in self.output_symbols() if s not in ordered]
-        return tuple(ordered)
+        outs = dict.fromkeys(s for _src, _insym, out, _dst in self.transitions
+                             for s in out)
+        return tuple(dict.fromkeys([s for s in base if s in outs] + list(outs)))
 
     # -- application -----------------------------------------------------------
 
@@ -72,43 +61,6 @@ class Transducer:
             runs = {(dst, acc + out) for st, acc in runs
                     for dst, out in moves.get((st, sym), ())}
         return {acc for st, acc in runs if st in self.accepting}
-
-    def apply_to_nfa(self, target: Nfa) -> Nfa:
-        """Automaton for { v : u in language(target), (u, v) in relation }."""
-        alphabet = self._result_alphabet(target.alphabet)
-        # product automaton whose arcs emit output words; multi-symbol
-        # outputs are chained, and empty ones are epsilon arcs to close over
-        sym_edges = []
-        eps_edges = []
-        nodes = set()
-
-        def emit(src_node, out, dst_node):
-            # chain nodes carry the emitted word: transitions sharing both
-            # endpoints but emitting different words must not share spine
-            cur = src_node
-            if not out:
-                eps_edges.append((src_node, dst_node))
-                return
-            for i, sym in enumerate(out):
-                nxt = (dst_node if i == len(out) - 1
-                       else ("c", src_node, dst_node, out, i))
-                nodes.add(nxt)
-                sym_edges.append((cur, sym, nxt))
-                cur = nxt
-
-        for n_state in target.states:
-            for t_state in self.states:
-                nodes.add((n_state, t_state))
-        for src, insym, out, dst in self.transitions:
-            for (q, sym), q2s in target.transitions.items():
-                if sym != insym:
-                    continue
-                for q2 in q2s:
-                    emit((q, src), out, (q2, dst))
-        initials = {(q, self.initial) for q in target.initial}
-        accepting = {(q, t) for q in target.accepting for t in self.accepting}
-        return _eliminate_epsilon(nodes, sym_edges, eps_edges, initials,
-                                  accepting, alphabet)
 
     def apply_to_cfg(self, g: Cfg) -> Cfg:
         """Grammar for { v : u in language(g), (u, v) in relation }.
@@ -138,48 +90,3 @@ class Transducer:
 
     def __repr__(self):
         return f"Transducer(states={len(self.states)}, transitions={len(self.transitions)})"
-
-
-def _eliminate_epsilon(nodes, sym_edges, eps_edges, initials, accepting, alphabet):
-    succ = defaultdict(set)
-    for u, v in eps_edges:
-        succ[u].add(v)
-
-    closure_cache = {}
-
-    def closure(u):
-        got = closure_cache.get(u)
-        if got is not None:
-            return got
-        seen = {u}
-        agenda = deque([u])
-        while agenda:
-            cur = agenda.popleft()
-            for nxt in succ.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    agenda.append(nxt)
-        closure_cache[u] = frozenset(seen)
-        return closure_cache[u]
-
-    out_edges = defaultdict(set)
-    for u, sym, v in sym_edges:
-        out_edges[u].add((sym, v))
-
-    new_trans = []
-    new_accepting = set()
-    reachable = set(initials)
-    agenda = deque(initials)
-    while agenda:
-        u = agenda.popleft()
-        cl = closure(u)
-        if cl & accepting:
-            new_accepting.add(u)
-        for mid in cl:
-            for sym, v in out_edges.get(mid, ()):
-                new_trans.append((u, sym, v))
-                if v not in reachable:
-                    reachable.add(v)
-                    agenda.append(v)
-    return Nfa(reachable | set(initials), alphabet, new_trans, initials,
-               new_accepting)

@@ -21,8 +21,8 @@ from whsg.structural import (CsSpecies, Defect, _slot_deleter, _three_slot_map,
                              clifford_species_check, cs_species_check,
                              is_clifford, is_completely_simple, is_free,
                              palindromic_defect)
-from whsg.structure import (Verdict, normalize_generators, rename_symbols,
-                            slot_shape)
+from whsg.structure import (Verdict, WhStructure, normalize_generators,
+                            rename_symbols, slot_shape)
 from whsg.transducer import Transducer
 from whsg.words import SEP1, SEP2
 
@@ -411,7 +411,7 @@ def _is_free_by_slot_shape(s):
             return Verdict.no("", {f"decomposition_{a}": d})
         eliminated[a] = d
         lmap = {b: (b,) for b in alphabet if b != a}
-        reps = Transducer.letter_map({**lmap, a: d}).apply_to_nfa(reps)
+        reps = reps.substitute({**lmap, a: d})
         table = _three_slot_map(lmap, a, d).apply_to_cfg(table)
         alphabet.remove(a)
     if not alphabet:
@@ -449,6 +449,21 @@ def test_is_free_matches_the_slot_shape_formula():
     for s in structures:
         got, want = is_free(s), _is_free_by_slot_shape(s)
         assert (got.answer, got.witnesses) == (want.answer, want.witnesses), s
+
+
+def test_is_free_eliminates_two_letters_in_a_row(free2):
+    # the second elimination substitutes into representatives and a table
+    # that the first has already rewritten; in the second alphabet c comes
+    # first and its image b a is out of alphabet order
+    for alphabet, c, d in ((("a", "b", "c", "d"), ("a", "b"), ("b", "a", "b")),
+                           (("c", "a", "b", "d"), ("b", "a"), ("b", "b"))):
+        s = WhStructure(alphabet, free2.reps, free2.table,
+                        {"a": ("a",), "b": ("b",), "c": c, "d": d})
+        v = is_free(s)
+        assert v and v.reason == "basis a,b"
+        assert v.witnesses == {"decomposition_c": c, "decomposition_d": d}
+        want = _is_free_by_slot_shape(s)
+        assert (v.answer, v.witnesses) == (want.answer, want.witnesses)
 
 
 def test_is_free_invariant_under_renaming(free2, free2c, null3):

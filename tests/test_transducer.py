@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import all_words, finite_language
+from conftest import all_words
+from test_cfg import _random_nfa
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
@@ -10,18 +11,32 @@ from whsg.transducer import Transducer
 from whsg.words import SEP1, SEP2, reverse
 
 
-def test_identity_relation_preserves_languages(free2):
-    t = Transducer.identity(("a", "b"))
-    out = t.apply_to_nfa(free2.reps)
+def test_identity_substitution_preserves_languages(free2):
+    out = free2.reps.substitute({"a": ("a",), "b": ("b",)})
     ok, _ = out.equivalent(free2.reps)
     assert ok
 
 
 def test_letter_substitution_on_word_language():
-    t = Transducer.letter_map({"a": ("b", "c"), "b": ("b",), "c": ("c",)})
     target = Nfa.literal(("a", "b"), ("a", "b", "c"))
-    out = t.apply_to_nfa(target)
+    out = target.substitute({"a": ("b", "c"), "b": ("b",), "c": ("c",)})
     assert sorted(out.enumerate_words(5)) == [("b", "c", "b")]
+
+
+def test_substitution_alphabet_keeps_the_automaton_order():
+    target = Nfa.universal(("a", "b", "c"))
+    out = target.substitute({"a": ("c", "b"), "b": ("b",), "c": ("c",)})
+    assert out.alphabet == ("b", "c")
+
+
+def test_substitution_drops_arcs_of_symbols_without_image():
+    # a* b a*: without an image for b, only the empty-prefix path survives
+    target = Nfa(["p", "q"], ("a", "b"),
+                 [("p", "a", "p"), ("p", "b", "q"), ("q", "a", "q")],
+                 ["p"], ["p", "q"])
+    out = target.substitute({"a": ("a", "a")})
+    assert out.alphabet == ("a",)
+    assert out.enumerate_words(4) == [(), ("a", "a"), ("a", "a", "a", "a")]
 
 
 def test_separator_projection_of_free2_table(free2):
@@ -70,15 +85,18 @@ def _relation_image(t, inputs, maxlen):
     return image
 
 
-def test_apply_to_nfa_matches_relation_semantics():
+def test_substitution_matches_the_brute_force_image():
     rng = random.Random(20240812)
+    words = [()] + all_words(("a", "b"), 6)
     for _ in range(25):
-        t = _random_letter_transducer(rng)
-        target = Nfa.from_words(
-            rng.sample(all_words(("a", "b"), 4), rng.randint(1, 6)))
-        got = t.apply_to_nfa(target)
-        expected = _relation_image(t, finite_language(target), 6)
-        for w in [()] + all_words(("a", "b"), 6):
+        target = _random_nfa(rng)
+        images = {x: tuple(rng.choice("ab") for _ in range(rng.randint(1, 2)))
+                  for x in "ab"}
+        got = target.substitute(images)
+        # images are nonempty, so no input longer than 6 has an image this short
+        expected = {sum((images[x] for x in u), ())
+                    for u in words if target.accepts(u)}
+        for w in words:
             assert got.accepts(w) == (w in expected)
 
 
