@@ -2,35 +2,31 @@
 completions of a prefix, regular intersection and bounded enumeration.
 
 Grammars whose productions are all flat terminal words from the start
-symbol (finite multiplication tables, mostly) expose ``flat_words``.  Three
-operations answer from that set where the finite-table procedures call them
-most: `membership`, `least_completions` and `least_word`; without them
-those procedures spend most of their time building charts and products
-over hundreds of lowered nodes.  Every other operation, and every other
-grammar, goes through one cached lowering to bodies of at most two
-symbols.  Every query that reads off a grammar's least words runs one
-pass, `_Pass`: Knuth's generalization of Dijkstra's algorithm (1977) with
-up to k distinct words per node (Huang and Chiang 2005), stepped lazily,
-forward or reversed.
-Over the lowering of the grammar as given, it yields each nonterminal's
-words as they settle: the shortest word is the start's first (k = 1),
-bounded enumeration the start's words up to a length (k unbounded), and the
-mirror test of `is_free` reads every nonterminal's two least (k = 2).  The
-lowering of its normalization serves one CYK chart (bit-parallel rows,
-with work that follows the split pairs whose rows are both nonzero), which
-answers membership and gives least completions their closed items; the k least completions of a prefix
-are a weighted item pass in the same Knuth order, with no quotient
-grammar.  Its items past the end of the prefix do not depend on the
-prefix: one reversed pass per lowering, ranks and k settles them for every
-call, advanced as far as some call has needed, and each call subscribes
-its own items to the nodes whose words extend them.  The same lowering
-serves the one grammar x automaton closure, goal-directed: it builds only
-the items its start can use and reads a pair's leaves once, when it is
-asked.  Regular intersection and transducer images of grammars write a
-grammar from those items and leaves; `least_word` reads the product's
-least word off them by a Knuth pass of its own and writes none.  No
-automaton goes through a transducer: `is_free` substitutes its
-representatives by a letter homomorphism, `Nfa.substitute`.
+symbol (finite multiplication tables, mostly) expose ``flat_words``, from
+which `membership`, `least_completions` and `least_word` answer; without
+them the finite-table procedures spend most of their time on charts and
+products over hundreds of lowered nodes.  Everything else goes through one
+cached lowering to bodies of at most two symbols.  Least words come from
+one lazily stepped pass, `_Pass`: Knuth's generalization of Dijkstra's
+algorithm (1977) with up to k distinct words per node (Huang and Chiang
+2005), forward or reversed.  Over the lowering as given it yields the
+shortest word (k = 1), the mirror test's two least words per nonterminal
+(k = 2) and bounded enumeration (k unbounded, goal-directed by each node's
+least context).  The lowering of the normalization carries a one-symbol
+left context (`_after`), the nodes that may begin after each terminal, and
+serves one CYK chart (bit-parallel rows, with work that follows the split
+pairs whose rows are both nonzero) that keeps only the items whose node
+may begin after the symbol before them.  It answers membership and gives
+least completions their closed items; the k least completions of a prefix
+are a weighted item pass in the same Knuth order that opens only items
+the left context admits.  Its items past the end of the prefix do not
+depend on the prefix: one reversed pass per lowering, ranks and k settles
+them for every call, and each call subscribes its own items to the nodes
+whose words extend them.  The same lowering serves the one goal-directed
+grammar x automaton closure, which builds only the items its start can use;
+regular intersection and transducer images write a grammar from them, and
+`least_word` reads the product's least word off them and writes none.
+`is_free` substitutes its representatives by `Nfa.substitute`.
 """
 
 from __future__ import annotations
@@ -313,7 +309,8 @@ class _Lowered:
 
     __slots__ = ("start", "ids", "size", "term_bodies", "by_sym", "eps",
                  "binary", "binary_by_head", "left_index",
-                 "right_index", "unit_index", "partners", "passes", "chart")
+                 "right_index", "unit_index", "partners", "after", "passes",
+                 "chart")
 
     def __init__(self, start, ids, term_bodies, by_sym, unit_index, eps, binary):
         self.start = start
@@ -330,11 +327,13 @@ class _Lowered:
         # B -> [(r, C)] and C -> [(r, B)] for binary[r] = (A, B, C), built
         # by the first CYK chart over this lowering
         self.partners = None
+        # the one-symbol left context of _after, built by the first chart
+        self.after = None
         # (k, forward, rank items) -> the _Pass that every least_completions
         # call with that key shares; its direction is always reversed there
         self.passes = {}
-        # (w, masks, live) of the last CYK chart over this lowering, which
-        # multiply and validate_necessary both ask for on one prefix
+        # (w, masks, live, allow) of the last CYK chart over this lowering,
+        # which multiply and validate_necessary both ask for on one prefix
         self.chart = None
         for a, b, c in binary:
             self.binary_by_head[a].append((b, c))
@@ -404,11 +403,45 @@ def cnf_of(g: Cfg) -> _Lowered:
     return lowered_of(gn)
 
 
+def _after(cnf: _Lowered):
+    """One-symbol left context (Graham, Harrison and Ruzzo 1980, cut to one
+    symbol): terminal t -> the nodes that may begin right after t in a word
+    of the start, None -> those that may begin one.  Two worklist closures
+    over the rules A -> B C: the terminals words end with (A's as C's), then
+    those that may precede a node (B's as A's; C's include B's last ones)."""
+
+    def close(sets, edges):
+        todo = list(sets)
+        while todo:
+            x = todo.pop()
+            for y, _z in edges.get(x, ()):
+                if not sets[x] <= sets[y]:
+                    sets[y] |= sets[x]
+                    todo.append(y)
+
+    last = defaultdict(set, {a: set(ts) for a, ts in cnf.term_bodies.items()})
+    close(last, cnf.right_index)
+    before = defaultdict(set, {cnf.start: {None}})
+    # every node of a normalized lowering is on a derivation of the start
+    for _a, b, c in cnf.binary:
+        before[c] |= last[b]
+    close(before, cnf.binary_by_head)
+    after = defaultdict(list)
+    for x, ts in before.items():
+        for t in ts:
+            after[t].append(x)
+    return after
+
+
 def _cyk_masks(cnf: _Lowered, w):
     """CYK chart of w: (masks, live), where masks[A][l] has bit i set iff
-    node A derives w[i:i+l] and live[A] lists, ascending, the lengths l
-    whose row masks[A][l] is nonzero.  The last chart is kept on the
-    lowering and returned again for the same word; callers only read it.
+    node A derives w[i:i+l] and may begin after w[i-1] (`_after`; at the
+    word's start when i = 0), and live[A] lists, ascending, the lengths l
+    whose row masks[A][l] is nonzero.  Every item on a derivation of a word
+    with prefix w stays.  Each row is masked with allow[A], the positions
+    whose preceding symbol admits A, built per symbol in O(n + sum of
+    |after[t]|).  The last chart and allow are kept on the lowering and
+    returned again for the same word; callers only read them.
 
     Rows are bit-parallel over the start position.  Length l combines only
     the rules A -> B C due at l: those with some split k + (l - k) where
@@ -422,16 +455,25 @@ def _cyk_masks(cnf: _Lowered, w):
     pairs whose rows are both nonzero rather than |binary| * n^2.
     """
     if cnf.chart is not None and cnf.chart[0] == w:
-        return cnf.chart[1:]
+        return cnf.chart[1:3]
     n = len(w)
     masks = [[0] * (n + 1) for _ in range(cnf.size)]
     live = [[] for _ in range(cnf.size)]
-    binary, partners = cnf.binary, cnf.partners
+    binary, partners, after = cnf.binary, cnf.partners, cnf.after
     if partners is None:
         partners = cnf.partners = defaultdict(list)
         for r, (_a, b, c) in enumerate(binary):
             partners[b].append((r, c))
             partners[c].append((r, b))
+    if after is None:
+        after = cnf.after = _after(cnf)
+    at = {None: 1}              # symbol -> bitmask of the positions after it
+    for i, sym in enumerate(w):
+        at[sym] = at.get(sym, 0) | 2 << i
+    allow = [0] * cnf.size
+    for sym, bits in at.items():
+        for a in after.get(sym, ()):
+            allow[a] |= bits
     lens = [0] * cnf.size
     reach = [0] * len(binary)
     due = [[] for _ in range(n + 1)]
@@ -449,16 +491,19 @@ def _cyk_masks(cnf: _Lowered, w):
                     due[low.bit_length() - 1].append(r)
                     new ^= low
 
-    for i, sym in enumerate(w):
+    for sym, bits in at.items():
         for a in cnf.by_sym.get(sym, ()):
-            masks[a][1] |= 1 << i
-    for a in {a for sym in set(w) for a in cnf.by_sym.get(sym, ())}:
-        enliven(a, 1)
+            masks[a][1] |= bits >> 1 & allow[a]
+    for a in {a for sym in at for a in cnf.by_sym.get(sym, ())}:
+        if masks[a][1]:
+            enliven(a, 1)
     for l in range(2, n + 1):
         # a row that goes live at l schedules only lengths above l, and no
         # split reads a row at l (row 0 is empty)
         for r in due[l]:
             a, b, c = binary[r]
+            if not allow[a]:
+                continue
             mb, mc, lb, lc = masks[b], masks[c], live[b], live[c]
             acc = 0
             if len(lb) <= len(lc):
@@ -471,12 +516,13 @@ def _cyk_masks(cnf: _Lowered, w):
                     x = mb[l - m]
                     if x:
                         acc |= x & (mc[m] >> (l - m))
+            acc &= allow[a]
             if acc:
                 row = masks[a]
                 if not row[l]:
                     enliven(a, l)
                 row[l] |= acc
-    cnf.chart = (w, masks, live)
+    cnf.chart = (w, masks, live, allow)
     return masks, live
 
 
@@ -516,23 +562,28 @@ class _Pass:
 
     words[A] lists A's settled (length, word) pairs, ascending.  The pass
     advances only when a caller steps it, so a grammar whose nodes derive
-    words of exponential length costs no more than the words asked for;
-    and it pushes no candidate longer than maxlen, so a bounded enumeration
-    does not pair up every two words of a rule's children.
+    words of exponential length costs no more than the words asked for.
+    With a finite maxlen it pushes no word of A longer than cap[A], maxlen
+    less A's least context (`_outside`), so a bounded enumeration steps no
+    word that cannot reach the start within maxlen.
     """
 
-    __slots__ = ("k", "maxlen", "left", "right", "unit", "heap", "words")
+    __slots__ = ("k", "cap", "left", "right", "unit", "heap", "words")
 
     def __init__(self, low: _Lowered, ranks, k: int, forward: bool,
                  maxlen: int = sys.maxsize):
         self.k = k
-        self.maxlen = maxlen
+        outside = (_outside(low) if maxlen < sys.maxsize
+                   else dict.fromkeys(range(low.size), 0))
+        self.cap = cap = [maxlen - outside[a] if a in outside else -1
+                          for a in range(low.size)]
         # reversed is forward over the grammar with every binary body swapped
         self.left, self.right = ((low.left_index, low.right_index) if forward
                                  else (low.right_index, low.left_index))
         self.unit = low.unit_index
-        self.heap = [(0, (), a) for a in low.eps]
+        self.heap = [(0, (), a) for a in low.eps if cap[a] >= 0]
         self.heap += [(1, (r,), a) for a, syms in low.term_bodies.items()
+                      if cap[a] >= 1
                       for r in sorted({ranks[s] for s in syms})[:k]]
         heapq.heapify(self.heap)
         self.words: dict = {}
@@ -546,24 +597,60 @@ class _Pass:
         if len(got) == k or got and got[-1] == (m, w):
             return None
         got.append((m, w))
+        cap = self.cap
         for head in self.unit.get(a, ()):
-            if len(words.get(head, ())) < k:
+            if m <= cap[head] and len(words.get(head, ())) < k:
                 heapq.heappush(heap, (m, w, head))
-        # a sibling's words ascend, so its first one past maxlen ends a loop
-        room = self.maxlen - m
+        # a sibling's words ascend, so its first one past the head's cap
+        # ends a loop
         for head, c in self.left.get(a, ()):
             if len(words.get(head, ())) < k:
+                room = cap[head] - m
                 for m2, w2 in words.get(c, ()):
                     if m2 > room:
                         break
                     heapq.heappush(heap, (m + m2, w + w2, head))
         for head, b in self.right.get(a, ()):
             if len(words.get(head, ())) < k:
+                room = cap[head] - m
                 for m2, w2 in words.get(b, ()):
                     if m2 > room:
                         break
                     heapq.heappush(heap, (m2 + m, w2 + w, head))
         return a, m, w
+
+
+def _outside(low: _Lowered):
+    """node -> the least length of a context the start gives it, if any:
+    Knuth's pass (1977) over each node's least length, then Dijkstra's from
+    the start, where A -> B C gives B A's context and C's least length."""
+
+    def settle(got, heap, grow):
+        heapq.heapify(heap)
+        while heap:
+            m, a = heapq.heappop(heap)
+            if a not in got:
+                got[a] = m
+                for item in grow(a, m):
+                    heapq.heappush(heap, item)
+        return got
+
+    # a node's least length settles its unit heads, and each binary head
+    # whose other child has settled
+    inside = {}
+    settle(inside, [(0, a) for a in low.eps] + [(1, a) for a in low.term_bodies],
+           lambda a, m: [(m, h) for h in low.unit_index.get(a, ())]
+           + [(m + inside[y], h) for index in (low.left_index, low.right_index)
+              for h, y in index.get(a, ()) if y in inside])
+    units = defaultdict(list)   # A -> [B] for A -> B
+    for b, heads in low.unit_index.items():
+        for a in heads:
+            units[a].append(b)
+    return settle({}, [(0, low.start)] if low.start in inside else [],
+                  lambda a, m: [(m, b) for b in units.get(a, ())]
+                  + [x for b, c in low.binary_by_head.get(a, ())
+                     if b in inside and c in inside
+                     for x in ((m + inside[c], b), (m + inside[b], c))])
 
 
 def shortest_word(g: Cfg, ranks=None):
@@ -807,17 +894,18 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
     A -> B C; subscribing pushes the words C already has, and each word the
     shared pass settles later goes to C's subscribers.  A rule A -> B C also
     turns closed (j, B, i) and open (i, C) into open (j, A) of C's weight.
-    The call advances the shared pass only while its least candidate lies
-    below the call's own, so the two heaps pop in one Knuth order and the
-    call settles no suffix word a pass over both would not settle.
+    The call opens or subscribes (j, A) only when A may begin at j (the
+    chart's allow): an item that may not feeds none that may, and every
+    item on a derivation of the start may.  The call advances the shared
+    pass only while its least candidate lies below the call's own, so the
+    two heaps pop in one Knuth order.
 
     Every step is monotone and never below an input, so words leave the
     heaps in ascending order.  Each item settles up to k distinct words
     (Huang and Chiang 2005): concatenation is strictly monotone on both
     sides, so a word outside an item's k least yields none of the k least
-    above it.  As words leave in ascending order, a word that repeats one
-    settled for its item comes before any larger one, so comparing it with
-    the item's last settled word finds it.
+    above it, and a word that repeats one settled for its item equals the
+    item's last settled word.
     """
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
@@ -838,6 +926,7 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
         suffixes = cnf.passes[key] = _Pass(cnf, ranks, k, forward=False)
     words, shared = suffixes.words, suffixes.heap
     masks, live = _cyk_masks(cnf, x)
+    allow = cnf.chart[3]
     start = cnf.start
     many = k > 1
     heap = []
@@ -859,7 +948,8 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
         for l in live[b]:
             if row[l] >> (n - l) & 1:
                 for head, c in cs:
-                    subscribe(c, n - l, head, 0, ())
+                    if allow[head] >> (n - l) & 1:
+                        subscribe(c, n - l, head, 0, ())
     while True:
         while shared and shared[0][0] <= limit and (
                 not heap or shared[0][:2] < heap[0][:2]):
@@ -897,10 +987,11 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
             for l in live[b]:
                 if l > i:
                     break
-                if row[l] >> (i - l) & 1 and (i - l, head) not in full:
+                if (row[l] & allow[head]) >> (i - l) & 1 and (
+                        i - l, head) not in full:
                     heapq.heappush(heap, (m, w, i - l, head))
         for head, c in cnf.left_index.get(a, ()):
-            if (i, head) not in full:
+            if allow[head] >> i & 1 and (i, head) not in full:
                 subscribe(c, i, head, m, w)
     return [spelled(w, ranks) for w in out]
 

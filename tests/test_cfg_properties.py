@@ -6,7 +6,7 @@ import pytest
 
 import knuth_reference
 from conftest import all_words
-from test_cfg import _random_cfg
+from test_cfg import _may_begin_after, _random_cfg
 from test_differential import _unflatten_cfg
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg
@@ -179,7 +179,11 @@ def test_flat_grammars_need_no_shortcut(words, more, a):
 def test_chart_and_membership_match_plain_cyk(g, w):
     w = tuple(w)
     cnf = cfglib.cnf_of(g)
-    chart = _plain_cyk(cnf, w)
+    # the chart keeps only the items whose node may begin after the symbol
+    # before them
+    before = _may_begin_after(cnf)
+    chart = {(a, i, l) for a, i, l in _plain_cyk(cnf, w)
+             if (w[i - 1] if i else None) in before.get(a, ())}
     masks, live = cfglib._cyk_masks(cnf, w)
     for a in range(cnf.size):
         assert live[a] == sorted({l for b, _i, l in chart if b == a})
@@ -188,6 +192,34 @@ def test_chart_and_membership_match_plain_cyk(g, w):
                                       if (a, i, l) in chart)
     if w:
         assert cfglib.membership(g, w) == ((cnf.start, 0, len(w)) in chart)
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars())
+def test_left_context_admits_every_item_on_a_derivation(g):
+    # the items of every derivation of every member of length <= 6, read
+    # top-down off the unpruned chart
+    cnf = cfglib.cnf_of(g)
+    after = cfglib._after(cnf)
+    for w in knuth_reference.enumerate_words(g, 6):
+        if not w:
+            continue
+        chart = _plain_cyk(cnf, w)
+        top = (cnf.start, 0, len(w))
+        assert top in chart
+        todo, seen = [top], {top}
+        while todo:
+            a, i, l = todo.pop()
+            assert a in after.get(w[i - 1] if i else None, ()), (w, a, i, l)
+            for b, c in cnf.binary_by_head.get(a, ()):
+                for k in range(1, l):
+                    left, right = (b, i, k), (c, i + k, l - k)
+                    if left in chart and right in chart:
+                        for it in (left, right):
+                            if it not in seen:
+                                seen.add(it)
+                                todo.append(it)
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, database=None,

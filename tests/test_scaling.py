@@ -9,13 +9,15 @@ moves by more than the bound's margin.
 
 import copy
 import gc
+import heapq
 import math
 import random
 import time
+import types
 from collections import defaultdict, deque
 
 from conftest import finite_language
-from test_cfg import _random_cfg
+from test_cfg import _pruned_chart, _random_cfg
 from test_differential import _generic_twin
 from whsg import cfg as cfglib
 from whsg import fixtures
@@ -199,7 +201,8 @@ def test_scheduled_chart_matches_row_tracked_chart():
                 p, q = (_representative(name, s, m, rng) for _ in range(2))
                 assert s.in_reps(p) and s.in_reps(q)
                 w = p + (SEP1,) + q + (SEP2,)
-                assert cfglib._cyk_masks(cnf, w) == _row_tracked_cyk_masks(cnf, w)
+                assert cfglib._cyk_masks(cnf, w) == _pruned_chart(
+                    cnf, w, _row_tracked_cyk_masks(cnf, w)[0])
     # S -> B C with B and C live at the same lengths, and B -> B B
     pair = Cfg(["S", "B", "C"], ("a", "b"), "S",
                [("S", ("B", "C")), ("B", ("B", "B")), ("C", ("B", "B")),
@@ -209,7 +212,8 @@ def test_scheduled_chart_matches_row_tracked_chart():
         cnf = cfglib.cnf_of(g)
         for n in (0, 1, 2, 7, 40):
             w = tuple(rng.choice("ab") for _ in range(n))
-            assert cfglib._cyk_masks(cnf, w) == _row_tracked_cyk_masks(cnf, w)
+            assert cfglib._cyk_masks(cnf, w) == _pruned_chart(
+                cnf, w, _row_tracked_cyk_masks(cnf, w)[0])
 
 
 def test_scheduled_chart_beats_row_tracked_chart():
@@ -222,13 +226,13 @@ def test_scheduled_chart_beats_row_tracked_chart():
     w = b * 40 + a * 60 + (SEP1,) + b * 70 + a * 50 + (SEP2,)
     masks, live = _row_tracked_cyk_masks(cnf, w)
     # (rule, length) visits are deterministic, unlike the timing below:
-    # each visit reads its rule off binary once; 870 of the row-tracked
-    # chart's 8,370 were measured
+    # each visit reads its rule off binary once; of the row-tracked chart's
+    # 8,370, scheduling by length sums left 870 and the left context 480
     counted = copy.copy(cnf)
     counted.chart, counted.binary = None, _CountingTuple(cnf.binary)
-    assert cfglib._cyk_masks(counted, w) == (masks, live)
+    assert cfglib._cyk_masks(counted, w) == _pruned_chart(cnf, w, masks)
     visits = counted.binary.reads
-    assert visits <= 0.12 * _row_tracked_visits(cnf, live, len(w)), visits
+    assert visits <= 0.06 * _row_tracked_visits(cnf, live, len(w)), visits
     # alternated, as in the dense test below
     ours = tracked = math.inf
     for _ in range(5):
@@ -237,6 +241,31 @@ def test_scheduled_chart_beats_row_tracked_chart():
         tracked = min(tracked, _fastest(_row_tracked_cyk_masks, 1,
                                         lambda: (cnf, w)))
     assert ours <= 0.7 * tracked, (ours, tracked)
+
+
+def test_left_context_prunes_the_chart_and_the_completions(monkeypatch):
+    # the chart keeps only the items whose node may begin after the symbol
+    # before them, and a least completion opens only such items
+    s = fixtures.bicyclic()
+    cnf = cfglib.cnf_of(s.table)
+    b, a = ("b",), ("a",)
+    w = b * 40 + a * 60 + (SEP1,) + b * 70 + a * 50 + (SEP2,)
+    _masks, live = cfglib._cyk_masks(_uncharted(cnf), w)
+    # 707 live entries without the left context; 379 were measured
+    assert sum(map(len, live)) <= 400
+    pushes = []
+
+    def push(heap, item):
+        pushes.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(cfglib, "heapq", types.SimpleNamespace(
+        heapify=heapq.heapify, heappop=heapq.heappop, heappush=push))
+    cnf.passes.clear()
+    assert cfglib.least_completions(s.table, w) == [b * 50 + a * 50]
+    # the call and its fresh shared pass pushed 2,175 without the left
+    # context; 1,172 were measured
+    assert len(pushes) <= 1300, len(pushes)
 
 
 def test_dense_chart_is_no_slower_than_full_cyk():
