@@ -153,14 +153,10 @@ def _nullable_set(g: Cfg):
                      if all(x in nts for x in b)], nts)
 
 
-def normalize(g: Cfg, strict: bool = True) -> Cfg:
+def normalize(g: Cfg) -> Cfg:
     """Equivalent grammar without epsilon productions, unit productions or
-    useless symbols.
-
-    With strict=True the language must not contain the empty word, also
-    when the result is already cached; with strict=False the empty word is
-    silently dropped from the language.  An empty language yields a grammar
-    with no productions.
+    useless symbols, less the empty word if the language holds it.  An
+    empty language yields a grammar with no productions.
 
     Time is linear in the grammar size plus the output size (the nullable
     and productive sets are one counter-based pass each), up to the sort of
@@ -170,8 +166,6 @@ def normalize(g: Cfg, strict: bool = True) -> Cfg:
     those it reaches by unit rules (one pass over the strongly connected
     components of the unit graph).
     """
-    if strict and derives_epsilon(g):
-        raise ValueError("language contains the empty word")
     if g._normal is not None:
         return g._normal
 
@@ -397,10 +391,9 @@ def lowered_of(g: Cfg) -> _Lowered:
 
 
 def cnf_of(g: Cfg) -> _Lowered:
-    """The lowering of normalize(g, strict=False): terminal rules A -> a and
-    binary rules A -> B C only, as CYK, completions and products need."""
-    gn = g._normal if g._normal is not None else normalize(g, strict=False)
-    return lowered_of(gn)
+    """The lowering of normalize(g): terminal rules A -> a and binary rules
+    A -> B C only, as CYK, completions and products need."""
+    return lowered_of(normalize(g))
 
 
 def _after(cnf: _Lowered):
@@ -870,7 +863,7 @@ def _product_grammar(cnf: _Lowered, leaves_of, tops, terminals) -> Cfg:
                   if (p, nt, q) in reached]
     nonterminals = [start] + sorted(reached, key=repr)
     raw = Cfg(nonterminals, terminals, start, prods)
-    return normalize(raw, strict=False)
+    return normalize(raw)
 
 
 # -- least completions of a prefix -------------------------------------------------

@@ -60,40 +60,22 @@ def rees() -> WhStructure:
     letter of their own, and the letter e is assigned the representative deb
     of the element it shares with that word.
     """
-    pairs = {(i, l) for i in (1, 2) for l in (1, 2, 3)}
-
-    def mult(x, y):
-        if x == "one":
-            return y
-        if y == "one":
-            return x
-        if x == "zero" or y == "zero":
-            return "zero"
-        (i, l), (j, m) = x, y
-        if l == 1 and j == 1:
-            return "zero"
-        return (i, m)
-
-    elt = {"a": (1, 1), "b": (1, 2), "c": (2, 1), "d": (2, 3), "e": (2, 2),
+    t = oracle.rees_monoid_table()
+    elt = {"a": "p11", "b": "p12", "c": "p21", "d": "p23", "e": "p22",
            "i": "one", "z": "zero"}
-    alphabet = ("a", "b", "c", "d", "e", "i", "z")
+    alphabet = tuple(elt)
     rep_words = [("a",), ("b",), ("c",), ("d",), ("b", "e", "d"),
                  ("d", "e", "b"), ("i",), ("z",)]
 
     def value(w):
-        acc = elt[w[0]]
-        for sym in w[1:]:
-            acc = mult(acc, elt[sym])
-        return acc
+        return t.eval_word([elt[a] for a in w])
 
-    rep_of = {}
-    for w in rep_words:
-        rep_of[value(w)] = w
-    assert set(rep_of) == pairs | {"one", "zero"} and len(rep_of) == 8
+    rep_of = {value(w): w for w in rep_words}
+    assert set(rep_of) == set(t.elements)
     entries = set()
     for u in rep_words:
         for v in rep_words:
-            w = rep_of[mult(value(u), value(v))]
+            w = rep_of[t.product(value(u), value(v))]
             entries.add(u + (SEP1,) + v + (SEP2,) + reverse(w))
     table = Cfg.from_words(alphabet + (SEP1, SEP2), entries)
     assignment = {x: (x,) for x in alphabet}

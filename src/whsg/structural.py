@@ -3,11 +3,13 @@
 The first two derive one candidate shape, a species, from Green's relations
 on the generators and validate it with language checks and product checks.
 For complete simplicity the species is the R- and L-classes of the
-generators (Rees's theorem); for Clifford it is the semilattice of H-classes
-of the products of generator subsets. Freeness eliminates redundant
-generators, then tests whether the projected table language is exactly the
-palindromic one, from the two least words of each nonterminal and free-group
-offsets; a defect's witness member is read off that certificate.
+generators (Rees's theorem), a rectangular band of cells; for Clifford it is
+the semilattice of H-classes of the products of generator subsets. Both run
+one cell phase over their finite band (`_cells`), then check their groups.
+Freeness eliminates redundant generators, then tests whether the projected
+table language is exactly the palindromic one, from the two least words of
+each nonterminal and free-group offsets; a defect's witness member is read
+off that certificate.
 """
 
 from __future__ import annotations
@@ -98,19 +100,55 @@ def _blocks(letters, assign):
     return "|".join("".join(by_class[c]) for c in sorted(by_class))
 
 
+# -- cells of a finite band -------------------------------------------------------
+
+
+def _band_automaton(alphabet, keys, place, mul, target):
+    """Words whose letters' cells multiply out to `target` in the band.
+
+    The state after a nonempty prefix is its cell x, as (x,); the start,
+    (), is therefore no cell.  In a band a cell x leads on to `target`
+    exactly when x target = target, so only those cells are states."""
+    live = [x for x in keys if mul(x, target) == target]
+    places = {a: place(a) for a in alphabet}
+    moves = [((), a, p) for a, p in places.items()]
+    moves += [((x,), a, mul(x, p)) for x in live for a, p in places.items()]
+    return Nfa([()] + [(x,) for x in live], alphabet,
+               [(q, a, (y,)) for q, a, y in moves if y in live], [()], [(target,)])
+
+
+def _cells(ns, keys, place, mul, name, tag):
+    """Steps 1-3 of both species checks over a finite band of cells: letter a
+    lies in cell place(a), cells x and y multiply to mul(x, y), and name(x)
+    prints x.  Step 1 gives each cell the representatives whose letters
+    multiply out to it and picks the least, step 2 checks that products of
+    two cells' representatives stay in the product cell, and step 3 finds a
+    member of each cell that stabilizes its pick on the right.  Returns
+    (cells, units), or the no-verdict of the first failing step."""
+    cells, picks = {}, {}
+    for x in keys:
+        cells[x] = ns.reps.intersect(_band_automaton(ns.alphabet, keys, place, mul, x))
+        picks[x] = cells[x].shortest_word(ns.ranks)
+        if picks[x] is None:
+            return Verdict.no(f"step 1: no representative in {name(x)} [{tag}]")
+    escaped = {x: ns.reps.difference(cells[x]) for x in keys}
+    for x in keys:
+        for y in keys:
+            low = mul(x, y)
+            wit = slot_word(ns, cells[x], cells[y], escaped[low])
+            if wit is not None:
+                return Verdict.no(f"step 2: product escapes {name(low)}: "
+                                  f"{' '.join(wit)} [{tag}]")
+    units = {}
+    for x, w in picks.items():
+        units[x] = slot_middle(ns, w, cells[x], w)
+        if units[x] is None:
+            return Verdict.no(f"step 3: nothing stabilizes {name(x)} on the "
+                              f"right [{tag}]")
+    return cells, units
+
+
 # -- completely simple ---------------------------------------------------------------
-
-
-def _first_last_automaton(alphabet, first, last):
-    """Words over the alphabet with first letter in `first`, last in `last`."""
-    states = ["s", "y", "n"]
-    trans = []
-    for a in alphabet:
-        if a in first:
-            trans.append(("s", a, "y" if a in last else "n"))
-        for src in ("y", "n"):
-            trans.append((src, a, "y" if a in last else "n"))
-    return Nfa(states, alphabet, trans, ["s"], ["y"])
 
 
 def _square_unstable(ns) -> Optional[Verdict]:
@@ -128,37 +166,12 @@ def cs_species_check(s: WhStructure, sp: CsSpecies) -> Verdict:
     """Validate one row/column species for complete simplicity."""
     ns = normalize_generators(s)
     tag = sp.describe()
-    cells = {}
-    picks = {}
-    for i in sp.row_ids:
-        first = {a for a in sp.letters if sp.row_of(a) == i}
-        for lam in sp.col_ids:
-            last = {a for a in sp.letters if sp.col_of(a) == lam}
-            cell = ns.reps.intersect(
-                _first_last_automaton(ns.alphabet, first, last))
-            w = cell.shortest_word(ns.ranks)
-            if w is None:
-                return Verdict.no(f"step 1: no representative in cell "
-                                  f"({i},{lam}) [{tag}]")
-            cells[(i, lam)] = cell
-            picks[(i, lam)] = w
-    for i in sp.row_ids:
-        for j in sp.row_ids:
-            for lam in sp.col_ids:
-                for mu in sp.col_ids:
-                    escaped = ns.reps.difference(cells[(i, mu)])
-                    wit = slot_word(ns, cells[(i, lam)], cells[(j, mu)], escaped)
-                    if wit is not None:
-                        return Verdict.no(
-                            f"step 2: product escapes cell ({i},{mu}): "
-                            f"{' '.join(wit)} [{tag}]")
-    units = {}
-    for (i, lam), w in picks.items():
-        unit = slot_middle(ns, w, cells[(i, lam)], w)
-        if unit is None:
-            return Verdict.no(f"step 3: nothing stabilizes cell ({i},{lam}) "
-                              f"on the right [{tag}]")
-        units[(i, lam)] = unit
+    found = _cells(ns, [(i, lam) for i in sp.row_ids for lam in sp.col_ids],
+                   lambda a: (sp.row_of(a), sp.col_of(a)), lambda x, y: (x[0], y[1]),
+                   lambda x: f"cell ({x[0]},{x[1]})", tag)
+    if isinstance(found, Verdict):
+        return found
+    cells, units = found
     for a in sp.letters:
         for lam in sp.col_ids:
             if not check_multiply(ns, units[(sp.row_of(a), lam)], (a,), (a,)):
@@ -232,49 +245,15 @@ def is_completely_simple(s: WhStructure) -> Verdict:
 # -- Clifford -------------------------------------------------------------------------
 
 
-def _meet_tracking_automaton(sp: CliffordSpecies, alphabet, target):
-    """Words whose running meet of letter placements ends at `target`."""
-    states = ["s"] + [("m", x) for x in sp.elements()]
-    trans = []
-    for a in alphabet:
-        pa = sp.place(a)
-        trans.append(("s", a, ("m", pa)))
-        for x in sp.elements():
-            trans.append((("m", x), a, ("m", sp.meet_of(x, pa))))
-    return Nfa(states, alphabet, trans, ["s"], [("m", target)])
-
-
 def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
     """Validate one semilattice species for being a Clifford semigroup."""
     ns = normalize_generators(s)
     tag = sp.describe()
-    layers = {}
-    picks = {}
-    for alpha in sp.elements():
-        layer = ns.reps.intersect(
-            _meet_tracking_automaton(sp, ns.alphabet, alpha))
-        w = layer.shortest_word(ns.ranks)
-        if w is None:
-            return Verdict.no(f"step 1: no representative lands in class "
-                              f"{sp.labels[alpha]} [{tag}]")
-        layers[alpha] = layer
-        picks[alpha] = w
-    for alpha in sp.elements():
-        for beta in sp.elements():
-            low = sp.meet_of(alpha, beta)
-            escaped = ns.reps.difference(layers[low])
-            wit = slot_word(ns, layers[alpha], layers[beta], escaped)
-            if wit is not None:
-                return Verdict.no(
-                    f"step 2: product escapes class {sp.labels[low]}: "
-                    f"{' '.join(wit)} [{tag}]")
-    idem = {}
-    for alpha in sp.elements():
-        w = picks[alpha]
-        idem[alpha] = slot_middle(ns, w, layers[alpha], w)
-        if idem[alpha] is None:
-            return Verdict.no(f"step 3: nothing stabilizes class "
-                              f"{sp.labels[alpha]} on the right [{tag}]")
+    found = _cells(ns, sp.elements(), sp.place, sp.meet_of,
+                   lambda x: f"class {sp.labels[x]}", tag)
+    if isinstance(found, Verdict):
+        return found
+    cells, idem = found
     for alpha in sp.elements():
         for beta in sp.elements():
             if not check_multiply(ns, idem[alpha], idem[beta],
@@ -296,7 +275,7 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
         for a in sp.letters:
             if not sp.ge(sp.place(a), alpha):
                 continue
-            v = slot_middle(ns, (a,), layers[alpha], idem[alpha])
+            v = slot_middle(ns, (a,), cells[alpha], idem[alpha])
             if v is None:
                 return Verdict.no(f"step 6: generator {a!r} has no right "
                                   f"inverse into class {sp.labels[alpha]} [{tag}]")
@@ -406,7 +385,7 @@ def palindromic_defect(g) -> Optional[Defect]:
     if bad is not None:
         raise OperandError(
             f"language is not contained in A*#2A*: {' '.join(bad)!r}")
-    gn = cfglib.normalize(g, strict=False)
+    gn = cfglib.normalize(g)
     if not gn.productions:
         return None
     ranks = symbol_ranks(gn.terminals)

@@ -372,7 +372,7 @@ def normalize_generators(s: WhStructure) -> WhStructure:
         return s
     letters = Nfa.from_words([(a,) for a in s.alphabet], s.alphabet)
     reps2 = s.reps.union(letters)
-    table2 = cfglib.normalize(_slot_rewriter(s).apply_to_cfg(s.table), strict=True)
+    table2 = _slot_rewriter(s).apply_to_cfg(s.table)
     # no shape check: each slot of a table word is kept or replaced by a
     # letter, and reps2 = reps | letters holds both, so the rewritten table
     # stays inside reps2#1reps2#2reps2^rev whenever s's table was inside

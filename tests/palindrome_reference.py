@@ -39,7 +39,7 @@ def palindromic_defect(g, witness_bound: int = 12) -> Optional[Defect]:
     if bad is not None:
         raise OperandError(
             f"language is not contained in A*#2A*: {' '.join(bad)!r}")
-    gn = cfglib.normalize(g, strict=False)
+    gn = cfglib.normalize(g)
     if not gn.productions:
         return None
     # the nonterminals that reach the separator: one worklist over the

@@ -1,8 +1,6 @@
 import random
 import time
 
-import pytest
-
 import knuth_reference
 from conftest import all_words
 from whsg import cfg as cfglib
@@ -42,22 +40,6 @@ def test_normalize_reports_empty_language():
     gn = cfglib.normalize(g)
     assert not gn.productions
     assert cfglib.shortest_word(g) is None
-
-
-def test_normalize_strict_rejects_epsilon():
-    g = Cfg(["O"], ("a",), "O", [("O", ()), ("O", ("a",))])
-    with pytest.raises(ValueError):
-        cfglib.normalize(g, strict=True)
-    gn = cfglib.normalize(g, strict=False)
-    assert cfglib.membership(gn, ("a",))
-
-
-def test_normalize_strict_checks_cached_result():
-    for warm in (lambda g: cfglib.normalize(g, strict=False), cfglib.cnf_of):
-        g = Cfg(["O"], ("a",), "O", [("O", ()), ("O", ("a", "O"))])
-        warm(g)
-        with pytest.raises(ValueError):
-            cfglib.normalize(g, strict=True)
 
 
 def test_membership_free2_table(free2):
@@ -393,7 +375,7 @@ def _assert_closures_match(g):
     low = cfglib.lowered_of(g)
     assert (knuth_reference.lightest(low).get(low.start) == (0, ())) == eps
     assert (cfglib.shortest_word(g) is None) == (g.start not in productive)
-    gn = cfglib.normalize(g, strict=False)
+    gn = cfglib.normalize(g)
     assert cfglib.enumerate_words(gn, 6) == [
         w for w in cfglib.enumerate_words(g, 6) if w]
     if g.start not in productive:
@@ -419,10 +401,8 @@ def test_normalize_unit_chain_to_epsilon_has_no_productions():
     g = Cfg(nts, ("a",), "C0", prods)
     passes = _assert_closures_match(g)
     assert cfglib.derives_epsilon(g)
-    gn = cfglib.normalize(g, strict=False)
+    gn = cfglib.normalize(g)
     assert gn.productions == ()
     assert gn.nonterminals == ("C0",)
     assert cfglib.shortest_word(gn) is None
-    with pytest.raises(ValueError):
-        cfglib.normalize(g, strict=True)
     assert passes >= k  # listed against the chain: one head per naive pass

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -5,6 +6,7 @@ import re
 import pytest
 
 import palindrome_reference
+from conftest import all_words
 from species_enumeration import (_free_semilattice, enumerate_clifford_species,
                                  enumerate_cs_species, first_accepted)
 from test_differential import _generic_twin
@@ -17,10 +19,10 @@ from whsg.errors import CapExceededError, OperandError
 from whsg.oracle import (NAMED_TABLES, direct_product, small_semigroups,
                          structure_from_table, table_decide)
 from whsg.nfa import Nfa
-from whsg.structural import (CsSpecies, Defect, _slot_deleter, _three_slot_map,
-                             clifford_species_check, cs_species_check,
-                             is_clifford, is_completely_simple, is_free,
-                             palindromic_defect)
+from whsg.structural import (CsSpecies, Defect, _band_automaton, _slot_deleter,
+                             _three_slot_map, clifford_species_check,
+                             cs_species_check, is_clifford,
+                             is_completely_simple, is_free, palindromic_defect)
 from whsg.structure import (Verdict, WhStructure, normalize_generators,
                             rename_symbols, slot_shape)
 from whsg.transducer import Transducer
@@ -110,6 +112,32 @@ def test_congruence_enumeration_matches_brute_force(n):
 
 
 # -- species checks ---------------------------------------------------------------
+
+
+def _species_bands():
+    """(letters, keys, place, mul) of every CS species over two and three
+    letters and every Clifford species over two, as the checks read them."""
+    bands = []
+    for n in (2, 3):
+        for sp in enumerate_cs_species(tuple("abc"[:n])):
+            bands.append((sp.letters,
+                          [(i, lam) for i in sp.row_ids for lam in sp.col_ids],
+                          lambda a, sp=sp: (sp.row_of(a), sp.col_of(a)),
+                          lambda x, y: (x[0], y[1])))
+    for sp in enumerate_clifford_species(("a", "b")):
+        bands.append((sp.letters, list(sp.elements()), sp.place, sp.meet_of))
+    return bands
+
+
+def test_band_automaton_accepts_the_words_of_its_cell():
+    # brute force: a word lies in the cell its letters' places multiply out to
+    for letters, keys, place, mul in _species_bands():
+        words = all_words(letters, 4)
+        product = {w: functools.reduce(mul, map(place, w)) for w in words}
+        for x in keys:
+            nfa = _band_automaton(letters, keys, place, mul, x)
+            assert ({w for w in words if nfa.accepts(w)}
+                    == {w for w in words if product[w] == x}), (keys, x)
 
 
 def test_cs_species_check_rb22(rb22):
