@@ -6,8 +6,8 @@ table, with polynomial-time word problem and witness-bearing property tests.
 from .arithmetic import check_multiply, multiply, represent, word_eq
 from .basic import green_related, is_commutative, is_group, is_monoid
 from .cfg import Cfg
-from .errors import (CapExceededError, EmptyProductError, InvariantError,
-                     OperandError, ParseError, ReservedSymbolError, WhsgError)
+from .errors import (EmptyProductError, InvariantError, OperandError,
+                     ParseError, ReservedSymbolError, WhsgError)
 from .freegroup import FreeGroupWord
 from .nfa import Nfa
 from .oracle import FiniteSemigroup, structure_from_table, table_decide
@@ -24,9 +24,9 @@ from .words import SEP1, SEP2
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cfg", "CapExceededError", "CliffordSpecies", "CsSpecies", "Defect",
-    "EmptyProductError", "FiniteSemigroup", "FreeGroupWord", "InvariantError",
-    "Nfa", "OperandError", "ParseError", "ReservedSymbolError", "SEP1", "SEP2",
+    "Cfg", "CliffordSpecies", "CsSpecies", "Defect", "EmptyProductError",
+    "FiniteSemigroup", "FreeGroupWord", "InvariantError", "Nfa",
+    "OperandError", "ParseError", "ReservedSymbolError", "SEP1", "SEP2",
     "Transducer", "Verdict", "WhStructure", "WhsgError", "check_multiply",
     "clifford_species_check", "cs_species_check", "green_related",
     "is_clifford", "is_commutative", "is_completely_simple", "is_free",

@@ -2,9 +2,9 @@
 
 Each run prints one JSON object {"answer", "witnesses", "reason",
 "elapsed_ms"} and exits 0 when the procedure ran (whatever the verdict),
-1 on input errors, 2 when a size cap was exceeded, and 3 on an
-internal error (a fault of whsg itself; the reason starts with
-"internal error:" and the traceback goes to stderr).
+1 on input errors, and 3 on an internal error (a fault of whsg itself; the
+reason starts with "internal error:" and the traceback goes to stderr).
+A malformed command line is argparse's usage error: exit 2, and no JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import traceback
 from pathlib import Path
 
 from . import arithmetic, basic, oracle, structural
-from .errors import CapExceededError, OperandError, ParseError, WhsgError
+from .errors import OperandError, ParseError, WhsgError
 from .structure import (load_structure, normalize_generators, save_structure,
                         validate_necessary)
 from .words import SEP1, SEP2
@@ -103,12 +103,6 @@ def _verdict_cmd(fn):
     return run
 
 
-def cmd_is_clifford(args):
-    v = structural.is_clifford(_load(args),
-                               max_alphabet=args.max_alphabet_clifford)
-    return v.answer, v.witnesses, v.reason
-
-
 def cmd_from_table(args):
     t = oracle.load_table(args.table)
     s = oracle.structure_from_table(t)
@@ -189,9 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
                   _verdict_cmd(structural.is_completely_simple),
                   "is the semigroup completely simple?")
 
-    p = structure_cmd("is-clifford", cmd_is_clifford,
-                      "is the semigroup a Clifford semigroup?")
-    p.add_argument("--max-alphabet-clifford", type=int, default=4)
+    structure_cmd("is-clifford", _verdict_cmd(structural.is_clifford),
+                  "is the semigroup a Clifford semigroup?")
 
     structure_cmd("is-free", _verdict_cmd(structural.is_free),
                   "is the semigroup free?")
@@ -215,9 +208,6 @@ def main(argv=None) -> int:
     code = 0
     try:
         answer, witnesses, reason = args.handler(args)
-    except CapExceededError as exc:
-        answer, witnesses, reason = "error", {}, str(exc)
-        code = 2
     except (WhsgError, OSError) as exc:
         answer, witnesses, reason = "error", {}, str(exc)
         code = 1

@@ -23,7 +23,3 @@ class OperandError(WhsgError):
 
 class EmptyProductError(WhsgError):
     """A product has no representative, so the structure is not interpretable."""
-
-
-class CapExceededError(WhsgError):
-    """An input exceeded the size cap configured for a procedure."""

@@ -4,8 +4,9 @@ The first two derive one candidate shape, a species, from Green's relations
 on the generators and validate it with language checks and product checks.
 For complete simplicity the species is the R- and L-classes of the
 generators (Rees's theorem), a rectangular band of cells; for Clifford it is
-the semilattice of H-classes of the products of generator subsets. Both run
-one cell phase over their finite band (`_cells`), then check their groups.
+the semilattice of H-classes that a closure from the generators reaches.
+Both sort words into classes by `_place`, run one cell phase over their
+finite band (`_cells`), then check their groups.
 Freeness eliminates redundant generators, then tests whether the projected
 table language is exactly the palindromic one, from the two least words of
 each nonterminal and free-group offsets; a defect's witness member is read
@@ -14,6 +15,7 @@ off that certificate.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from typing import Optional
 from . import cfg as cfglib
 from .arithmetic import check_multiply, multiply
 from .basic import green_related
-from .errors import CapExceededError, OperandError
+from .errors import OperandError
 from .freegroup import FreeGroupWord
 from .nfa import Nfa
 from .structure import (Verdict, WhStructure, normalize_generators, slot_middle,
@@ -210,19 +212,20 @@ def cs_species_check(s: WhStructure, sp: CsSpecies) -> Verdict:
     return Verdict.yes(witnesses, reason=tag)
 
 
+def _place(ns, firsts, w, rel) -> int:
+    """The index of w's `rel`-class in `firsts`, where it is appended if new."""
+    for i, first in enumerate(firsts):
+        if green_related(ns, first, w, rel):
+            return i
+    firsts.append(w)
+    return len(firsts) - 1
+
+
 def _classes(ns, words, rel) -> tuple:
     """Label each word by its `rel`-class among the words, numbered in order
     of first occurrence; each word is compared with one word per class."""
-    firsts, labels = [], []
-    for w in words:
-        for i, first in enumerate(firsts):
-            if green_related(ns, first, w, rel):
-                labels.append(i)
-                break
-        else:
-            labels.append(len(firsts))
-            firsts.append(w)
-    return tuple(labels)
+    firsts = []
+    return tuple(_place(ns, firsts, w, rel) for w in words)
 
 
 def is_completely_simple(s: WhStructure) -> Verdict:
@@ -286,56 +289,66 @@ def clifford_species_check(s: WhStructure, sp: CliffordSpecies) -> Verdict:
     return Verdict.yes(witnesses, reason=tag)
 
 
-def is_clifford(s: WhStructure, max_alphabet: int = 4) -> Verdict:
+def is_clifford(s: WhStructure) -> Verdict:
     """Check the one semilattice species the H-classes allow.
 
-    In a Clifford semigroup H is a congruence and its quotient a semilattice,
-    so the product of a set of generators lies in the H-class of the join of
-    their classes, in whatever order the letters come. Nonempty generator
-    subsets are therefore identified when the products of their letters, in
-    alphabet order, are H-related. Unless that partition is compatible with
-    joining each generator the semigroup is not Clifford; otherwise its
-    quotient of the free semilattice is the only species that can be accepted.
+    In a Clifford semigroup H is a congruence, and its quotient is the
+    semilattice that the classes of the generators generate.  A closure from
+    the letters finds it with about n products per class: a generator subset
+    whose product opens a new H-class labels it, and is extended by every
+    other letter.  A class joins another by taking in the letters of the
+    other's label one at a time.  Unless that table is commutative and
+    associative the semigroup is not Clifford; otherwise it is the only
+    species that can be accepted.
     """
     ns = normalize_generators(s)
     unstable = _square_unstable(ns)
     if unstable is not None:
         return unstable
-    n = len(ns.alphabet)
-    if n > max_alphabet:
-        raise CapExceededError(
-            f"alphabet of size {n} exceeds the cap {max_alphabet} on the "
-            f"generators whose 2^n - 1 nonempty subsets are multiplied out")
-    # (size, lex) order: the singletons come first, in alphabet order
-    subsets = [frozenset(c) for size in range(1, n + 1)
-               for c in itertools.combinations(range(n), size)]
-    index = {x: i for i, x in enumerate(subsets)}
-    products = []
-    for x in subsets:
-        *rest, last = sorted(x)
-        letter = (ns.alphabet[last],)
-        products.append(multiply(ns, products[index[frozenset(rest)]], letter)
-                        if rest else letter)
-    part = _classes(ns, products, "H")
-    firsts = [subsets[part.index(c)] for c in range(len(set(part)))]
+    letters = ns.alphabet
+    # keyed by (size, subset), so that each class's label is the least
+    # generator subset in it, as in the enumerated species
+    heap = [(1, (i,), (a,)) for i, a in enumerate(letters)]
+    pushed = {x for _, x, _ in heap}
+    firsts, labels, cls = [], [], {}
+    while heap:
+        _, x, w = heapq.heappop(heap)
+        cls[x] = _place(ns, firsts, w, "H")
+        if cls[x] == len(labels):
+            labels.append(x)
+            for i, a in enumerate(letters):
+                y = tuple(sorted({*x, i}))
+                if y not in pushed:
+                    pushed.add(y)
+                    heapq.heappush(heap, (len(y), y, multiply(ns, w, (a,))))
 
-    def spell(x):
-        return "{" + ",".join(ns.alphabet[i] for i in sorted(x)) + "}"
+    def join(c, d):
+        for i in labels[d]:
+            c = cls[tuple(sorted({*labels[c], i}))]
+        return c
 
-    for x in subsets:
-        first = firsts[part[index[x]]]
-        for i, a in enumerate(ns.alphabet):
-            if part[index[first | {i}]] != part[index[x | {i}]]:
+    def spell(c):
+        return "{" + ",".join(letters[i] for i in labels[c]) + "}"
+
+    k = len(labels)
+    meet = tuple(tuple(join(c, d) for d in range(k)) for c in range(k))
+    for c in range(k):
+        for d in range(c + 1, k):
+            if meet[c][d] != meet[d][c]:
                 return Verdict.no(
-                    f"generator subsets {spell(first)} and {spell(x)} have "
-                    f"H-related products, but their joins with {a!r}, "
-                    f"{spell(first | {i})} and {spell(x | {i})}, do not, so H "
-                    f"is not a congruence onto a semilattice")
-    sp = CliffordSpecies(
-        ns.alphabet,
-        tuple(tuple(part[index[x | y]] for y in firsts) for x in firsts),
-        part[:n],
-        tuple("".join(ns.alphabet[i] for i in sorted(x)) for x in firsts))
+                    f"classes {spell(c)} and {spell(d)} join to "
+                    f"{spell(meet[c][d])} one way and to {spell(meet[d][c])} "
+                    f"the other, so H is not a congruence onto a semilattice")
+    for c, d, e in itertools.product(range(k), repeat=3):
+        left, right = meet[meet[c][d]][e], meet[c][meet[d][e]]
+        if left != right:
+            return Verdict.no(
+                f"classes {spell(c)}, {spell(d)} and {spell(e)} join to "
+                f"{spell(left)} through {spell(meet[c][d])} and to "
+                f"{spell(right)} through {spell(meet[d][e])}, so H is not a "
+                f"congruence onto a semilattice")
+    sp = CliffordSpecies(letters, meet, tuple(cls[(i,)] for i in range(len(letters))),
+                         tuple(",".join(letters[i] for i in x) for x in labels))
     return clifford_species_check(ns, sp)
 
 

@@ -7,10 +7,13 @@ verdict, witnesses and yes-reason as the derived species."""
 import itertools
 from collections import deque
 
-from whsg.errors import CapExceededError
 from whsg.structural import (CliffordSpecies, CsSpecies, _square_unstable,
                              clifford_species_check, cs_species_check)
 from whsg.structure import Verdict, normalize_generators
+
+
+class TooManySpecies(Exception):
+    """The enumeration found more species than its `max_species` allows."""
 
 
 def _growth_strings(n):
@@ -96,7 +99,7 @@ def enumerate_clifford_species(alphabet, max_species=10000):
             if merged not in seen:
                 seen.add(merged)
                 if len(seen) > max_species:
-                    raise CapExceededError(
+                    raise TooManySpecies(
                         f"more than {max_species} semilattice species")
                 agenda.append(merged)
                 partitions.append(merged)
@@ -113,7 +116,7 @@ def enumerate_clifford_species(alphabet, max_species=10000):
                   for j in range(k))
             for i in range(k))
         placement = tuple(part[singleton[i]] for i in range(n))
-        labels = tuple("".join(alphabet[i] for i in sorted(class_rep[c]))
+        labels = tuple(",".join(alphabet[i] for i in sorted(class_rep[c]))
                        for c in range(k))
         species.append(CliffordSpecies(alphabet, meet_table, placement, labels))
     return species

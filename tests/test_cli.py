@@ -177,10 +177,29 @@ def test_internal_error_exit_code(fixture_dir, capsys, monkeypatch):
     assert "kernel fault" in report["reason"]
 
 
-def test_cap_exceeded_exit_code(fixture_dir, capsys):
-    code, report = run(capsys, "is-clifford", fixture_dir / "z2.whs",
-                       "--max-alphabet-clifford", "1")
-    assert code == 2 and report["answer"] == "error"
+def test_is_clifford_on_five_generators(fixture_dir, capsys):
+    # the chain semilattice min(i, j), every element a generator
+    names = [f"c{i}" for i in range(5)]
+    chain = fixture_dir / "chain5.json"
+    chain.write_text(json.dumps({
+        "elements": names,
+        "table": [[names[min(i, j)] for j in range(5)] for i in range(5)],
+        "generators": names,
+    }))
+    code, _ = run(capsys, "from-table", chain, "-o", fixture_dir / "chain5.whs")
+    assert code == 0
+    code, report = run(capsys, "is-clifford", fixture_dir / "chain5.whs")
+    assert code == 0 and report["answer"] == "yes"
+    assert len(report["witnesses"]) == 5
+
+
+def test_is_clifford_takes_no_options(fixture_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["is-clifford", str(fixture_dir / "z2.whs"),
+              "--max-alphabet-clifford", "1"])
+    assert exc.value.code == 2
+    streams = capsys.readouterr()
+    assert streams.out == "" and "unrecognized arguments" in streams.err
 
 
 def test_reports_are_deterministic(fixture_dir, capsys):

@@ -24,7 +24,8 @@ from whsg import fixtures
 from whsg.arithmetic import multiply, word_eq
 from whsg.cfg import Cfg, normalize
 from whsg.nfa import Nfa
-from whsg.oracle import direct_product, rb22_table, structure_from_table, table_decide
+from whsg.oracle import (FiniteSemigroup, direct_product, rb22_table,
+                         structure_from_table, table_decide, z2_table)
 from whsg.structural import is_clifford, is_completely_simple, palindromic_defect
 from whsg.structure import WhStructure
 from whsg.words import SEP1, SEP2
@@ -391,6 +392,35 @@ def test_species_of_a_four_generator_band_are_derived_quickly():
         assert decide(structure_from_table(t)).answer == table_decide(t, prop).answer
         seconds = _fastest(decide, make=lambda: (structure_from_table(t),))
         assert seconds < 1.0, (prop, seconds)
+
+
+def _chain_table(n):
+    """The chain semilattice min(i, j) on n elements, each a generator."""
+    names = [f"c{i}" for i in range(n)]
+    return FiniteSemigroup.from_rows(
+        names, [[names[min(i, j)] for j in range(n)] for i in range(n)], names)
+
+
+def _h_class_count(t):
+    """H-classes of a table, by the principal right and left ideals of S^1."""
+    return len({(frozenset({x, *(t.table[(x, y)] for y in t.elements)}),
+                 frozenset({x, *(t.table[(y, x)] for y in t.elements)}))
+                for x in t.elements})
+
+
+def test_clifford_semilattice_of_many_generators_is_found_quickly():
+    # a closure from the letters makes about n products per class, not one
+    # per generator subset
+    tables = [_chain_table(n) for n in range(5, 9)]
+    tables += [direct_product(z2_table(), _chain_table(n)) for n in (5, 6)]
+    for t in tables:
+        assert len(t.generators) >= 5
+        v = is_clifford(structure_from_table(t))
+        assert v.answer == table_decide(t, "clifford").answer == "yes"
+        assert v.reason.startswith(f"semilattice of {_h_class_count(t)} classes")
+        assert len(v.witnesses) == _h_class_count(t)
+        seconds = _fastest(is_clifford, make=lambda: (structure_from_table(t),))
+        assert seconds < 1.0, (t.elements, seconds)
 
 
 def _doubling_chain_structure(depth=60):

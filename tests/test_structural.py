@@ -7,17 +7,18 @@ import pytest
 
 import palindrome_reference
 from conftest import all_words
-from species_enumeration import (_free_semilattice, enumerate_clifford_species,
+from species_enumeration import (TooManySpecies, _free_semilattice,
+                                 enumerate_clifford_species,
                                  enumerate_cs_species, first_accepted)
 from test_differential import _generic_twin
 from whsg import cfg as cfglib
 from whsg import fixtures
-from whsg.arithmetic import multiply
+from whsg.arithmetic import check_multiply, multiply, word_eq
 from whsg.basic import green_related
 from whsg.cfg import Cfg
-from whsg.errors import CapExceededError, OperandError
-from whsg.oracle import (NAMED_TABLES, direct_product, small_semigroups,
-                         structure_from_table, table_decide)
+from whsg.errors import OperandError
+from whsg.oracle import (NAMED_TABLES, FiniteSemigroup, direct_product,
+                         small_semigroups, structure_from_table, table_decide)
 from whsg.nfa import Nfa
 from whsg.structural import (CsSpecies, Defect, _band_automaton, _slot_deleter,
                              _three_slot_map, clifford_species_check,
@@ -70,7 +71,7 @@ def test_clifford_species_on_two_letters_cover_all_congruences():
 
 
 def test_clifford_species_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(TooManySpecies):
         enumerate_clifford_species(("a", "b", "c"), max_species=2)
 
 
@@ -181,9 +182,24 @@ def test_is_clifford(sl2, null3, z2):
     assert is_clifford(z2)
 
 
-def test_species_caps_raise(rb22):
-    with pytest.raises(CapExceededError):
-        is_clifford(rb22, max_alphabet=1)
+def test_clifford_labels_of_distinct_classes_are_distinct():
+    # the free semilattice on generators named a, ab and b: labels joined
+    # without a separator would name both {ab} and {a,b} ab, and the two
+    # classes would share one witness key
+    gens = ("a", "ab", "b")
+    subsets = [frozenset(c) for k in (1, 2, 3)
+               for c in itertools.combinations(gens, k)]
+    names = ["+".join(sorted(x)) for x in subsets]
+    rows = [[names[subsets.index(x | y)] for y in subsets] for x in subsets]
+    s = structure_from_table(FiniteSemigroup.from_rows(names, rows, gens))
+    v = is_clifford(s)
+    assert v and v.reason.startswith("semilattice of 7 classes")
+    assert len(v.witnesses) == 7
+    assert {"idempotent_ab", "idempotent_a,b"} <= set(v.witnesses)
+    for w in v.witnesses.values():
+        assert check_multiply(s, w, w, w)
+    assert not any(word_eq(s, u, w) for u, w in
+                   itertools.combinations(v.witnesses.values(), 2))
 
 
 def test_species_checks_match_oracle_on_small_tables():
@@ -229,35 +245,55 @@ def test_derived_species_match_first_enumerated(prop, decide):
             assert got.reason == want.reason, label
 
 
-_REFUTATION = re.compile(r"generator subsets \{(.*?)\} and \{(.*?)\} have "
-                         r"H-related products, but their joins with '(.*?)'")
+_TWO_CLASSES = re.compile(r"classes \{([^}]*)\} and \{([^}]*)\} join to \{")
+_THREE_CLASSES = re.compile(r"classes \{([^}]*)\}, \{([^}]*)\} and \{([^}]*)\} "
+                            r"join to \{[^}]*\} through \{([^}]*)\} and to "
+                            r"\{[^}]*\} through \{([^}]*)\}")
+
+
+def _t2_table():
+    """The full transformation monoid on two points, (f g)(i) = f(g(i)),
+    generated by the swap t10 and the constants t00 and t11: its joins of
+    classes commute but do not associate."""
+    maps = [(1, 0), (0, 0), (1, 1), (0, 1)]
+    names = ["t" + "".join(map(str, f)) for f in maps]
+    rows = [[names[maps.index(tuple(f[i] for i in g))] for g in maps]
+            for f in maps]
+    return FiniteSemigroup.from_rows(names, rows, names[:3])
 
 
 def test_clifford_refutations_recheck_with_green_relations():
+    # a refutation names classes by their labels; joining the words of those
+    # labels letter by letter, the two sides it compares are not H-related
     def product(ns, letters):
-        # the letters of a subset multiplied out in alphabet order
         word = (letters[0],)
         for a in letters[1:]:
             word = multiply(ns, word, (a,))
         return word
 
-    found = 0
-    for label, s in _species_corpus():
+    found = {"commute": 0, "associate": 0}
+    corpus = _species_corpus() + [("t2", structure_from_table(_t2_table()))]
+    for label, s in corpus:
         v = is_clifford(s)
-        m = _REFUTATION.match(v.reason)
-        if m is None:
+        if "join to" not in v.reason:
             continue
-        found += 1
-        ns = normalize_generators(s)
-        x, y = (set(m.group(k).split(",")) for k in (1, 2))
-        a = m.group(3)
         assert not v, label
-        spelled = [[b for b in ns.alphabet if b in z]
-                   for z in (x, y, x | {a}, y | {a})]
-        px, py, pxa, pya = (product(ns, z) for z in spelled)
-        assert green_related(ns, px, py, "H"), label
-        assert not green_related(ns, pxa, pya, "H"), label
-    assert found
+        ns = normalize_generators(s)
+        m = _TWO_CLASSES.match(v.reason)
+        if m is not None:
+            found["commute"] += 1
+            c, d = (m.group(k).split(",") for k in (1, 2))
+            sides = c + d, d + c
+        else:
+            m = _THREE_CLASSES.match(v.reason)
+            assert m is not None, (label, v.reason)
+            found["associate"] += 1
+            c, d, e, cd, de = (m.group(k).split(",") for k in range(1, 6))
+            sides = cd + e, c + de
+        left, right = (product(ns, side) for side in sides)
+        assert not green_related(ns, left, right, "H"), (label, v.reason)
+    # rb22 x sl2 and sl2 x rb22 fail to commute, t2 to associate
+    assert found["commute"] and found["associate"], found
 
 
 # -- palindromic defects -------------------------------------------------------------
