@@ -17,9 +17,9 @@ import traceback
 from pathlib import Path
 
 from . import arithmetic, basic, oracle, structural
-from .errors import OperandError, ParseError, WhsgError
-from .structure import (load_structure, normalize_generators, save_structure,
-                        validate_necessary)
+from .errors import OperandError, WhsgError
+from .structure import (load_grammar, load_structure, normalize_generators,
+                        save_structure, validate_necessary)
 from .words import SEP1, SEP2
 
 
@@ -44,60 +44,46 @@ def tokenize(text: str, symbols) -> tuple:
     return tuple(out)
 
 
-def _load(args):
-    path = args.structure if args.structure is not None else args.structure_opt
-    if path is None:
-        raise ParseError("no structure file given (positional or --structure)")
-    return load_structure(path)
-
-
-def _word(args, s, text):
+def _word(s, text):
     return tokenize(text, set(s.alphabet) | {SEP1, SEP2})
 
 
-def cmd_validate(args):
-    s = _load(args)
+def cmd_validate(s, args):
     v = validate_necessary(s, depth=args.depth)
     return v.answer, v.witnesses, v.reason
 
 
-def cmd_normalize(args):
-    s = _load(args)
+def cmd_normalize(s, args):
     ns = normalize_generators(s)
-    source = args.structure if args.structure is not None else args.structure_opt
-    out = args.output or _default_output(source, ".normalized.whs")
+    out = args.output or _default_output(args.structure, ".normalized.whs")
     save_structure(ns, out)
     return "yes", {}, f"wrote {out}"
 
 
-def cmd_multiply(args):
-    s = _load(args)
-    r = arithmetic.multiply(s, _word(args, s, args.left), _word(args, s, args.right))
+def cmd_multiply(s, args):
+    r = arithmetic.multiply(s, _word(s, args.left), _word(s, args.right))
     return "yes", {"result": r}, ""
 
 
-def cmd_represent(args):
-    s = _load(args)
-    r = arithmetic.represent(s, _word(args, s, args.word))
+def cmd_represent(s, args):
+    r = arithmetic.represent(s, _word(s, args.word))
     return "yes", {"result": r}, ""
 
 
-def cmd_word_eq(args):
-    s = _load(args)
-    res = arithmetic.word_eq(s, _word(args, s, args.left), _word(args, s, args.right))
+def cmd_word_eq(s, args):
+    res = arithmetic.word_eq(s, _word(s, args.left), _word(s, args.right))
     return "true" if res else "false", {}, ""
 
 
-def cmd_green(args):
-    s = _load(args)
-    res = basic.green_related(s, _word(args, s, args.left),
-                              _word(args, s, args.right), args.rel)
+def cmd_green(s, args):
+    res = basic.green_related(s, _word(s, args.left),
+                              _word(s, args.right), args.rel)
     return "true" if res else "false", {}, ""
 
 
 def _verdict_cmd(fn):
-    def run(args):
-        v = fn(_load(args))
+    def run(s, args):
+        v = fn(s)
         return v.answer, v.witnesses, v.reason
 
     return run
@@ -112,15 +98,7 @@ def cmd_from_table(args):
 
 
 def cmd_defect_check(args):
-    from .structure import _cfg_from_json, _read_json
-
-    data = _read_json(args.grammar)
-    try:
-        alphabet = tuple(str(a) for a in data["alphabet"])
-        grammar = _cfg_from_json(data["grammar"], alphabet + (SEP1, SEP2))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed grammar file: {exc}") from exc
-    defect = structural.palindromic_defect(grammar)
+    defect = structural.palindromic_defect(load_grammar(args.grammar))
     if defect is None:
         return "no", {}, "every member mirrors around the separator"
     return "yes", {"defect": defect.witness}, defect.reason
@@ -141,10 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def structure_cmd(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("structure", nargs="?", help="structure file (.whs)")
-        p.add_argument("--structure", dest="structure_opt",
-                       help="structure file (alternative to the positional)")
-        p.set_defaults(handler=fn)
+        p.add_argument("structure", help="structure file (.whs)")
+        p.set_defaults(handler=lambda args: fn(load_structure(args.structure), args))
         return p
 
     p = structure_cmd("validate", cmd_validate,

@@ -10,7 +10,7 @@ from collections import deque
 from .cfg import Cfg
 from .errors import ParseError
 from .nfa import Nfa
-from .structure import Verdict, WhStructure
+from .structure import Verdict, WhStructure, load_table_rows
 from .words import SEP1, SEP2, reverse
 
 
@@ -46,6 +46,13 @@ class FiniteSemigroup:
     @classmethod
     def from_rows(cls, elements, rows, generators):
         elements = list(elements)
+        if len(rows) != len(elements):
+            raise ParseError(f"table has {len(rows)} rows for "
+                             f"{len(elements)} elements")
+        for x, row in zip(elements, rows):
+            if len(row) != len(elements):
+                raise ParseError(f"table row of {x!r} has {len(row)} entries "
+                                 f"for {len(elements)} elements")
         table = {(elements[i], elements[j]): rows[i][j]
                  for i in range(len(elements)) for j in range(len(elements))}
         return cls(elements, table, generators)
@@ -89,22 +96,8 @@ class FiniteSemigroup:
 
 
 def load_table(source) -> FiniteSemigroup:
-    try:
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            text = str(source)
-            if text.lstrip().startswith("{"):
-                data = json.loads(text)
-            else:
-                with open(text, encoding="utf-8") as fh:
-                    data = json.load(fh)
-        return FiniteSemigroup.from_rows(
-            [str(e) for e in data["elements"]],
-            [[str(x) for x in row] for row in data["table"]],
-            [str(g) for g in data["generators"]])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
-        raise ParseError(f"cannot read table: {exc}") from exc
+    """Load a table file from a path, file object or JSON text."""
+    return FiniteSemigroup.from_rows(*load_table_rows(source))
 
 
 def dumps_table(t: FiniteSemigroup) -> str:

@@ -79,9 +79,7 @@ class WhStructure:
     # -- invariants ------------------------------------------------------------
 
     def check_invariants(self):
-        for a in self.alphabet:
-            if a in RESERVED:
-                raise ReservedSymbolError(f"reserved symbol {a!r} declared in alphabet")
+        _check_alphabet(self.alphabet)
         for a, w in self.assignment.items():
             if not self.in_reps(w):
                 raise InvariantError(
@@ -207,16 +205,19 @@ def _split_table_word(w):
 
 def load_structure(source) -> WhStructure:
     """Load a structure from a path, file object or JSON text."""
-    data = _read_json(source)
-    try:
-        alphabet = [str(s) for s in data["alphabet"]]
-        reps = _nfa_from_json(data["reps"], alphabet)
-        table = _cfg_from_json(data["table"], tuple(alphabet) + (SEP1, SEP2))
-        assignment = {str(k): tuple(str(x) for x in v)
-                      for k, v in data.get("assignment", {}).items()}
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ParseError(f"malformed structure file: {exc}") from exc
-    return WhStructure(alphabet, reps, table, assignment)
+    return WhStructure(*_read(source, "structure", _structure_from_json))
+
+
+def load_grammar(source) -> Cfg:
+    """Load a defect-check grammar from a path, file object or JSON text."""
+    alphabet, grammar = _read(source, "grammar", _grammar_from_json)
+    _check_alphabet(alphabet)
+    return grammar
+
+
+def load_table_rows(source):
+    """(elements, rows, generators) of a table file, for FiniteSemigroup.from_rows."""
+    return _read(source, "table", _rows_from_json)
 
 
 def save_structure(s: WhStructure, target) -> None:
@@ -230,9 +231,7 @@ def save_structure(s: WhStructure, target) -> None:
 
 def dumps_structure(s: WhStructure) -> str:
     state_rank = {q: i for i, q in enumerate(s.reps.states)}
-    sym_rank = dict(s.ranks)
-    for extra in (SEP1, SEP2):
-        sym_rank.setdefault(extra, len(sym_rank))
+    sym_rank = s.ranks
     trans = sorted(
         ((src, sym, dst)
          for (src, sym), dsts in s.reps.transitions.items() for dst in dsts),
@@ -270,33 +269,78 @@ def _nonterminal_names(table: Cfg):
     return {a: f"N{i}" for i, a in enumerate(table.nonterminals)}
 
 
-def _read_json(source):
+def _check_alphabet(alphabet):
+    for a in alphabet:
+        if a in RESERVED:
+            raise ReservedSymbolError(f"reserved symbol {a!r} declared in alphabet")
+
+
+def _read(source, kind, convert):
+    """convert(data) for the JSON data of a path, file object or JSON text;
+    errors in reading or converting raise ParseError naming the kind of file."""
     try:
         if hasattr(source, "read"):
-            return json.load(source)
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            return json.loads(text)
-        with open(text, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read structure input: {exc}") from exc
+            data = json.load(source)
+        else:
+            text = str(source)
+            if text.lstrip().startswith("{"):
+                data = json.loads(text)
+            else:
+                with open(text, encoding="utf-8") as fh:
+                    data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bytes that are not UTF-8 or text that is not JSON;
+        # RecursionError: arrays or objects nested past the interpreter's limit
+        raise ParseError(f"cannot read {kind} file: {exc}") from exc
+    try:
+        return convert(data)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ParseError(f"malformed {kind} file: {exc}") from exc
+
+
+def _array(value, what):
+    if not isinstance(value, list):
+        raise TypeError(f"{what} is not a JSON array")
+    return value
+
+
+def _strings(value, what):
+    return [str(x) for x in _array(value, what)]
+
+
+def _structure_from_json(data):
+    alphabet = _strings(data["alphabet"], "alphabet")
+    return (alphabet, _nfa_from_json(data["reps"], alphabet),
+            _cfg_from_json(data["table"], (*alphabet, SEP1, SEP2)),
+            {str(k): _strings(v, f"assignment of {k!r}")
+             for k, v in data.get("assignment", {}).items()})
+
+
+def _grammar_from_json(data):
+    alphabet = _strings(data["alphabet"], "alphabet")
+    return alphabet, _cfg_from_json(data["grammar"], (*alphabet, SEP1, SEP2))
+
+
+def _rows_from_json(data):
+    return (_strings(data["elements"], "elements"),
+            [_strings(row, "table row") for row in _array(data["table"], "table")],
+            _strings(data["generators"], "generators"))
 
 
 def _nfa_from_json(data, alphabet):
-    states = [str(q) for q in data["states"]]
-    trans = [(str(src), str(sym), str(dst)) for src, sym, dst in data["transitions"]]
-    return Nfa(states, alphabet, trans, [str(q) for q in data["initial"]],
-               [str(q) for q in data["accepting"]])
+    # Nfa unpacks each transition into its three parts
+    return Nfa(_strings(data["states"], "states"), alphabet,
+               [_strings(t, "transition")
+                for t in _array(data["transitions"], "transitions")],
+               _strings(data["initial"], "initial"),
+               _strings(data["accepting"], "accepting"))
 
 
 def _cfg_from_json(data, terminals):
-    """Grammar from its JSON form; malformed parts raise KeyError, TypeError
-    or ValueError, which callers report as ParseError."""
-    prods = [(str(head), tuple(str(x) for x in body))
-             for head, body in data["productions"]]
-    return Cfg([str(a) for a in data["nonterminals"]], terminals,
-               str(data["start"]), prods)
+    prods = [_array(p, "production") for p in _array(data["productions"], "productions")]
+    return Cfg(_strings(data["nonterminals"], "nonterminals"), terminals,
+               str(data["start"]),
+               [(str(head), _strings(body, "production body")) for head, body in prods])
 
 
 # -- symbol surgery --------------------------------------------------------------
@@ -418,7 +462,10 @@ def _slot_rewriter(s: WhStructure) -> Transducer:
 # -- decidable validation ----------------------------------------------------------
 
 
-def validate_necessary(s: WhStructure, depth: int = 4, sample_cap: int = 200) -> Verdict:
+VALIDATE_SAMPLE_CAP = 200  # representatives sampled by validate_necessary
+
+
+def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
     """Check the decidable necessary conditions for the structure to describe
     a semigroup.
 
@@ -435,7 +482,8 @@ def validate_necessary(s: WhStructure, depth: int = 4, sample_cap: int = 200) ->
     if bad is not None:
         return Verdict.no(f"table word {' '.join(bad)!r} violates the slot shape")
     ns = normalize_generators(s)
-    words = ns.reps.enumerate_words(max(depth - 1, 1), ns.ranks)[:sample_cap]
+    words = ns.reps.enumerate_words(max(depth - 1, 1),
+                                    ns.ranks)[:VALIDATE_SAMPLE_CAP]
     if not words:
         return Verdict.no("representative language is empty")
 

@@ -210,11 +210,104 @@ def test_reports_are_deterministic(fixture_dir, capsys):
     assert first == second
 
 
-def test_structure_flag_replaces_positional(fixture_dir, capsys):
-    code, report = run(capsys, "is-group", "--structure", fixture_dir / "z2.whs")
-    assert code == 0 and report["answer"] == "yes"
-    code, report = run(capsys, "is-group")
-    assert code == 1 and "no structure file" in report["reason"]
+def test_structure_flag_and_missing_file_are_usage_errors(fixture_dir, capsys):
+    for argv in (["is-group", "--structure", str(fixture_dir / "z2.whs")],
+                 ["is-group"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def _structure_data(fixture_dir):
+    return json.loads(dumps_structure(z2()))
+
+
+def _table_data(fixture_dir):
+    return json.loads(dumps_table(z2_table()))
+
+
+def _grammar_data(fixture_dir):
+    return json.loads((fixture_dir / "mirror.json").read_text())
+
+
+# every list of each kind of input file, by its path in the JSON value
+JSON_ARRAYS = [
+    ("is-monoid", "structure", _structure_data,
+     [["alphabet"], ["reps", "states"], ["reps", "initial"],
+      ["reps", "accepting"], ["reps", "transitions"], ["reps", "transitions", 0],
+      ["table", "nonterminals"], ["table", "productions"],
+      ["table", "productions", 0], ["table", "productions", 0, 1],
+      ["assignment", "e"]]),
+    ("from-table", "table", _table_data,
+     [["elements"], ["table"], ["table", 0], ["generators"]]),
+    ("defect-check", "grammar", _grammar_data,
+     [["alphabet"], ["grammar", "nonterminals"], ["grammar", "productions"],
+      ["grammar", "productions", 0], ["grammar", "productions", 0, 1]]),
+]
+
+
+@pytest.mark.parametrize("command, kind, make, path", [
+    pytest.param(command, kind, make, path,
+                 id=f"{kind}:{'/'.join(map(str, path))}")
+    for command, kind, make, paths in JSON_ARRAYS for path in paths])
+def test_lists_must_be_json_arrays(fixture_dir, capsys, command, kind, make, path):
+    # the list becomes the string of its entries, as "generators": "eg",
+    # which a reader iterating it would take character by character
+    data = make(fixture_dir)
+    *outer, last = path
+    holder = data
+    for key in outer:
+        holder = holder[key]
+    holder[last] = "".join(map(str, holder[last]))
+    bad = fixture_dir / f"{kind}_not_an_array.json"
+    bad.write_text(json.dumps(data))
+    code, report = run(capsys, command, bad)
+    assert code == 1 and report["answer"] == "error"
+    assert report["reason"].startswith(f"malformed {kind} file: ")
+    assert "is not a JSON array" in report["reason"]
+
+
+@pytest.mark.parametrize("rows", [[["e", "x", "y"]], [["e"], ["e"]]],
+                         ids=["wide-row", "extra-row"])
+def test_table_rows_must_match_the_elements(fixture_dir, capsys, rows):
+    bad = fixture_dir / "bad_rows.json"
+    bad.write_text(json.dumps({"elements": ["e"], "table": rows,
+                               "generators": ["e"]}))
+    out = fixture_dir / "bad_rows.whs"
+    code, report = run(capsys, "from-table", bad, "-o", out)
+    assert code == 1 and report["answer"] == "error"
+    assert "elements" in report["reason"] and not out.exists()
+
+
+def test_grammar_alphabet_may_not_declare_a_separator(fixture_dir, capsys):
+    grammar = _grammar_data(fixture_dir)
+    grammar["alphabet"].append("#2")
+    bad = fixture_dir / "reserved.json"
+    bad.write_text(json.dumps(grammar))
+    code, report = run(capsys, "defect-check", bad)
+    assert code == 1 and report["answer"] == "error"
+    assert "reserved symbol '#2'" in report["reason"]
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}",
+                                     b'{"alphabet": ' + b"[" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_undecodable_file_is_an_input_error(fixture_dir, capsys, content):
+    bad = fixture_dir / "undecodable.whs"
+    bad.write_bytes(content)
+    code, report = run(capsys, "is-monoid", bad)
+    assert code == 1 and report["answer"] == "error"
+    assert report["reason"].startswith("cannot read structure file: ")
+
+
+@pytest.mark.parametrize("command, kind", [("is-monoid", "structure"),
+                                           ("from-table", "table"),
+                                           ("defect-check", "grammar")])
+def test_unreadable_file_names_its_kind(fixture_dir, capsys, command, kind):
+    code, report = run(capsys, command, fixture_dir / "missing.json")
+    assert code == 1 and report["answer"] == "error"
+    assert report["reason"].startswith(f"cannot read {kind} file: ")
 
 
 def test_multicharacter_symbols_tokenize_end_to_end(fixture_dir, capsys):

@@ -19,6 +19,15 @@ def test_table_validation():
         FiniteSemigroup.from_rows(["x", "y"], [["x", "x"], ["y", "y"]], ["x"])
 
 
+@pytest.mark.parametrize("rows", [[["x", "x", "x"], ["x", "x", "x"]],
+                                  [["x", "x"]],
+                                  [["x", "x"], ["x", "x"], ["x", "x"]]],
+                         ids=["wide", "short", "tall"])
+def test_rows_must_match_the_elements(rows):
+    with pytest.raises(ParseError):
+        FiniteSemigroup.from_rows(["x", "y"], rows, ["x", "y"])
+
+
 def test_structure_from_z2():
     s = structure_from_table(z2_table())
     assert len(finite_language(s.reps)) == 2
