@@ -11,9 +11,8 @@ from .errors import (EmptyProductError, InvariantError, OperandError,
 from .freegroup import FreeGroupWord
 from .nfa import Nfa
 from .oracle import FiniteSemigroup, structure_from_table, table_decide
-from .structure import (Verdict, WhStructure, load_structure, merge_letters,
-                        normalize_generators, rename_symbols, save_structure,
-                        validate_necessary)
+from .structure import (Verdict, WhStructure, load_structure,
+                        normalize_generators, save_structure, validate_necessary)
 from .structural import (CliffordSpecies, CsSpecies, Defect,
                          clifford_species_check, cs_species_check,
                          is_clifford, is_completely_simple, is_free,
@@ -30,8 +29,8 @@ __all__ = [
     "Transducer", "Verdict", "WhStructure", "WhsgError", "check_multiply",
     "clifford_species_check", "cs_species_check", "green_related",
     "is_clifford", "is_commutative", "is_completely_simple", "is_free",
-    "is_group", "is_monoid", "load_structure", "merge_letters", "multiply",
-    "normalize_generators", "palindromic_defect", "rename_symbols",
-    "represent", "save_structure", "structure_from_table", "table_decide",
+    "is_group", "is_monoid", "load_structure", "multiply",
+    "normalize_generators", "palindromic_defect", "represent",
+    "save_structure", "structure_from_table", "table_decide",
     "validate_necessary", "word_eq",
 ]

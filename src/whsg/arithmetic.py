@@ -77,8 +77,9 @@ def word_eq(s: WhStructure, w, w2) -> bool:
     """The word problem: do two alphabet words name the same element?
 
     Single letters compare directly (the interpretation is injective on the
-    alphabet); otherwise the longer word splits at half length and the three
-    representatives feed one product check.
+    alphabet; loading checks what of that is decidable, that no two letters
+    are assigned the same representative); otherwise the longer word splits
+    at half length and the three representatives feed one product check.
     """
     w, w2 = tuple(w), tuple(w2)
     if not w or not w2:

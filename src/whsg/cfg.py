@@ -11,9 +11,9 @@ one lazily stepped pass, `_Pass`: Knuth's generalization of Dijkstra's
 algorithm (1977) with up to k distinct words per node (Huang and Chiang
 2005), forward or reversed.  Over the lowering as given it yields the
 shortest word (k = 1), the mirror test's two least words per nonterminal
-(k = 2) and bounded enumeration (k unbounded, goal-directed by each node's
-least context).  The lowering of the normalization carries a one-symbol
-left context (`_after`), the nodes that may begin after each terminal, and
+(k = 2) and bounded enumeration (k unbounded, no candidate past the
+bound).  The lowering of the normalization carries a one-symbol left
+context (`_after`), the nodes that may begin after each terminal, and
 serves one CYK chart (bit-parallel rows, with work that follows the split
 pairs whose rows are both nonzero) that keeps only the items whose node
 may begin after the symbol before them.  It answers membership and gives
@@ -84,14 +84,6 @@ class Cfg:
             if head != self.start or any(x not in ts for x in body):
                 return None
         return frozenset(body for _h, body in self.productions)
-
-    def map_terminals(self, f) -> "Cfg":
-        """Relabel terminals through f; nonterminals are untouched."""
-        nts = set(self.nonterminals)
-        terminals = [f(t) for t in self.terminals]
-        prods = [(h, tuple(x if x in nts else f(x) for x in b))
-                 for h, b in self.productions]
-        return Cfg(self.nonterminals, terminals, self.start, prods)
 
     def __eq__(self, other):
         if not isinstance(other, Cfg):
@@ -555,28 +547,23 @@ class _Pass:
 
     words[A] lists A's settled (length, word) pairs, ascending.  The pass
     advances only when a caller steps it, so a grammar whose nodes derive
-    words of exponential length costs no more than the words asked for.
-    With a finite maxlen it pushes no word of A longer than cap[A], maxlen
-    less A's least context (`_outside`), so a bounded enumeration steps no
-    word that cannot reach the start within maxlen.
+    words of exponential length costs no more than the words asked for;
+    and it pushes no candidate longer than maxlen, so a bounded enumeration
+    does not pair up every two words of a rule's children.
     """
 
-    __slots__ = ("k", "cap", "left", "right", "unit", "heap", "words")
+    __slots__ = ("k", "maxlen", "left", "right", "unit", "heap", "words")
 
     def __init__(self, low: _Lowered, ranks, k: int, forward: bool,
                  maxlen: int = sys.maxsize):
         self.k = k
-        outside = (_outside(low) if maxlen < sys.maxsize
-                   else dict.fromkeys(range(low.size), 0))
-        self.cap = cap = [maxlen - outside[a] if a in outside else -1
-                          for a in range(low.size)]
+        self.maxlen = maxlen
         # reversed is forward over the grammar with every binary body swapped
         self.left, self.right = ((low.left_index, low.right_index) if forward
                                  else (low.right_index, low.left_index))
         self.unit = low.unit_index
-        self.heap = [(0, (), a) for a in low.eps if cap[a] >= 0]
+        self.heap = [(0, (), a) for a in low.eps]
         self.heap += [(1, (r,), a) for a, syms in low.term_bodies.items()
-                      if cap[a] >= 1
                       for r in sorted({ranks[s] for s in syms})[:k]]
         heapq.heapify(self.heap)
         self.words: dict = {}
@@ -590,60 +577,24 @@ class _Pass:
         if len(got) == k or got and got[-1] == (m, w):
             return None
         got.append((m, w))
-        cap = self.cap
         for head in self.unit.get(a, ()):
-            if m <= cap[head] and len(words.get(head, ())) < k:
+            if len(words.get(head, ())) < k:
                 heapq.heappush(heap, (m, w, head))
-        # a sibling's words ascend, so its first one past the head's cap
-        # ends a loop
+        # a sibling's words ascend, so its first one past maxlen ends a loop
+        room = self.maxlen - m
         for head, c in self.left.get(a, ()):
             if len(words.get(head, ())) < k:
-                room = cap[head] - m
                 for m2, w2 in words.get(c, ()):
                     if m2 > room:
                         break
                     heapq.heappush(heap, (m + m2, w + w2, head))
         for head, b in self.right.get(a, ()):
             if len(words.get(head, ())) < k:
-                room = cap[head] - m
                 for m2, w2 in words.get(b, ()):
                     if m2 > room:
                         break
                     heapq.heappush(heap, (m2 + m, w2 + w, head))
         return a, m, w
-
-
-def _outside(low: _Lowered):
-    """node -> the least length of a context the start gives it, if any:
-    Knuth's pass (1977) over each node's least length, then Dijkstra's from
-    the start, where A -> B C gives B A's context and C's least length."""
-
-    def settle(got, heap, grow):
-        heapq.heapify(heap)
-        while heap:
-            m, a = heapq.heappop(heap)
-            if a not in got:
-                got[a] = m
-                for item in grow(a, m):
-                    heapq.heappush(heap, item)
-        return got
-
-    # a node's least length settles its unit heads, and each binary head
-    # whose other child has settled
-    inside = {}
-    settle(inside, [(0, a) for a in low.eps] + [(1, a) for a in low.term_bodies],
-           lambda a, m: [(m, h) for h in low.unit_index.get(a, ())]
-           + [(m + inside[y], h) for index in (low.left_index, low.right_index)
-              for h, y in index.get(a, ()) if y in inside])
-    units = defaultdict(list)   # A -> [B] for A -> B
-    for b, heads in low.unit_index.items():
-        for a in heads:
-            units[a].append(b)
-    return settle({}, [(0, low.start)] if low.start in inside else [],
-                  lambda a, m: [(m, b) for b in units.get(a, ())]
-                  + [x for b, c in low.binary_by_head.get(a, ())
-                     if b in inside and c in inside
-                     for x in ((m + inside[c], b), (m + inside[b], c))])
 
 
 def shortest_word(g: Cfg, ranks=None):

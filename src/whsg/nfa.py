@@ -158,13 +158,6 @@ class Nfa:
 
     # -- algebra ---------------------------------------------------------------
 
-    def map_symbols(self, f) -> "Nfa":
-        """Relabel transition symbols through f (words mapped letterwise)."""
-        alphabet = [f(s) for s in self.alphabet]
-        trans = [(src, f(sym), dst) for (src, sym), dsts in self.transitions.items()
-                 for dst in dsts]
-        return Nfa(self.states, alphabet, trans, self.initial, self.accepting)
-
     def substitute(self, images) -> "Nfa":
         """Image under the homomorphism x -> images[x], every image nonempty.
 

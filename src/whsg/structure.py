@@ -80,10 +80,16 @@ class WhStructure:
 
     def check_invariants(self):
         _check_alphabet(self.alphabet)
+        letter_of = {}
         for a, w in self.assignment.items():
             if not self.in_reps(w):
                 raise InvariantError(
                     f"assignment word {' '.join(w)!r} for {a!r} is not a representative")
+            # word_eq takes distinct letters to name distinct elements
+            other = letter_of.setdefault(w, a)
+            if other != a:
+                raise InvariantError(
+                    f"letters {other!r} and {a!r} are both assigned {' '.join(w)!r}")
         bad = self.table_shape_violation()
         if bad is not None:
             raise InvariantError(
@@ -172,13 +178,9 @@ def _slots(s: WhStructure, left, middle, right) -> Nfa:
     return slot_shape(slot(left), slot(middle), slot(right, rev=True))
 
 
-def slot_language(s: WhStructure, left, middle, right) -> Cfg:
-    """Grammar for the table words left #1 middle #2 right-reversed."""
-    return cfglib.intersect_regular(s.table, _slots(s, left, middle, right))
-
-
 def slot_word(s: WhStructure, left, middle, right):
-    """The least word of slot_language, or None, with no grammar written."""
+    """The least table word left #1 middle #2 right-reversed, or None, with
+    no grammar written."""
     return cfglib.least_word(s.table, _slots(s, left, middle, right), s.ranks)
 
 
@@ -341,61 +343,6 @@ def _cfg_from_json(data, terminals):
     return Cfg(_strings(data["nonterminals"], "nonterminals"), terminals,
                str(data["start"]),
                [(str(head), _strings(body, "production body")) for head, body in prods])
-
-
-# -- symbol surgery --------------------------------------------------------------
-
-
-def merge_letters(s: WhStructure, a: str, b: str,
-                  verify_depth: int = 0) -> WhStructure:
-    """Substitute b by a everywhere and drop b from the alphabet.
-
-    The caller asserts elt(a) = elt(b); that cannot be decided from the
-    structure (distinct letters name distinct elements under any injective
-    reading).  With verify_depth > 0 and both letters in the representative
-    language, table entries up to that length are sampled and every product
-    entry ending in one letter must have a twin ending in the other.
-    """
-    if a == b:
-        raise OperandError("cannot merge a letter with itself")
-    if a not in s.alphabet or b not in s.alphabet:
-        raise OperandError(f"unknown symbols {a!r}, {b!r}")
-    if verify_depth and s.in_reps((a,)) and s.in_reps((b,)):
-        for x, y in ((a, b), (b, a)):
-            ending = slot_language(s, s.reps, s.reps, (x,))
-            for w in cfglib.enumerate_words(ending, verify_depth, s.ranks):
-                twin = w[:-1] + (y,)
-                if not cfglib.membership(s.table, twin):
-                    raise OperandError(
-                        f"table entry {' '.join(w)!r} has no twin ending in "
-                        f"{y!r}; the letters do not look interchangeable")
-
-    def sub(sym):
-        return a if sym == b else sym
-
-    alphabet = [x for x in s.alphabet if x != b]
-    reps = s.reps.map_symbols(sub)
-    table = s.table.map_terminals(sub)
-    assignment = {x: tuple(sub(sym) for sym in w)
-                  for x, w in s.assignment.items() if x != b}
-    return WhStructure(alphabet, reps, table, assignment)
-
-
-def rename_symbols(s: WhStructure, mapping) -> WhStructure:
-    """Apply a symbol bijection to the whole structure."""
-    values = [mapping[a] for a in s.alphabet]
-    if len(set(values)) != len(values):
-        raise OperandError("renaming must be a bijection on the alphabet")
-
-    def sub(sym):
-        return mapping.get(sym, sym)
-
-    alphabet = values
-    reps = s.reps.map_symbols(sub)
-    table = s.table.map_terminals(sub)
-    assignment = {sub(x): tuple(sub(sym) for sym in w)
-                  for x, w in s.assignment.items()}
-    return WhStructure(alphabet, reps, table, assignment)
 
 
 # -- normalization ----------------------------------------------------------------

@@ -16,9 +16,8 @@ from whsg.arithmetic import word_eq
 from whsg.cfg import Cfg
 from whsg.errors import InvariantError, OperandError, ParseError, ReservedSymbolError
 from whsg.nfa import Nfa
-from whsg.structure import (WhStructure, dumps_structure, load_structure,
-                            merge_letters, normalize_generators,
-                            rename_symbols, slot_language, slot_middle,
+from whsg.structure import (WhStructure, _slots, dumps_structure,
+                            load_structure, normalize_generators, slot_middle,
                             slot_word, validate_necessary)
 from whsg.words import SEP1, SEP2
 
@@ -41,6 +40,19 @@ def test_assignment_outside_reps_rejected(free2):
     with pytest.raises(InvariantError):
         WhStructure(("a", "b", "c"), free2.reps, free2.table,
                     {"c": ("c", "c")})
+
+
+def test_two_letters_assigned_one_representative_rejected(free2, z2):
+    # word_eq compares single letters by name, so c assigned b's word would
+    # make b and c unequal while ab and ac are equal
+    with pytest.raises(InvariantError, match="'b' and 'c'"):
+        WhStructure(("a", "b", "c"), free2.reps, free2.table, {"c": ("b",)})
+    with pytest.raises(InvariantError, match="'g' and 'h'"):
+        WhStructure(("e", "g", "h"), z2.reps, z2.table, {"h": ("g",)})
+    # b and g above keep the default assignment; two longer words collide too
+    with pytest.raises(InvariantError, match="'c' and 'd'"):
+        WhStructure(("a", "b", "c", "d"), free2.reps, free2.table,
+                    {"c": ("a", "b"), "d": ("a", "b")})
 
 
 def test_table_outside_shape_rejected():
@@ -155,50 +167,15 @@ def test_save_is_deterministic(free2):
     assert list(data) == ["alphabet", "reps", "table", "assignment"]
 
 
-# -- merge_letters ------------------------------------------------------------
+# -- exports ------------------------------------------------------------------
 
 
-def _null2_with_duplicate():
-    # three letters over a two-element null semigroup: b and c both name x
-    alphabet = ("a", "b", "c")
-    words = [(x,) for x in alphabet]
-    entries = [u + (SEP1,) + v + (SEP2, "a") for u in words for v in words]
-    return WhStructure(alphabet, Nfa.from_words(words, alphabet),
-                       Cfg.from_words(alphabet + (SEP1, SEP2), entries))
-
-
-def test_merge_duplicate_letters():
-    s = _null2_with_duplicate()
-    merged = merge_letters(s, "b", "c")
-    assert merged.alphabet == ("a", "b")
-    assert sorted(merged.reps.enumerate_words(2)) == [("a",), ("b",)]
-    assert merged.table_accepts(("b", SEP1, "b", SEP2, "a"))
-
-
-def test_merge_requires_distinct_known_letters(null3):
-    with pytest.raises(OperandError):
-        merge_letters(null3, "a", "a")
-    with pytest.raises(OperandError):
-        merge_letters(null3, "a", "z")
-
-
-def test_merge_pre_check_samples_table_twins(null3):
-    s = _null2_with_duplicate()
-    merged = merge_letters(s, "b", "c", verify_depth=6)
-    assert merged.alphabet == ("a", "b")
-    # merging the zero letter with a non-zero letter is refused: products
-    # ending in the zero have no twins ending in b
-    with pytest.raises(OperandError):
-        merge_letters(null3, "a", "b", verify_depth=6)
-
-
-def test_merge_preserves_untouched_verdicts():
-    s = _null2_with_duplicate()
-    merged = merge_letters(s, "b", "c")
-    survivors = ("a", "b")
-    for w in all_words(survivors, 4):
-        for w2 in all_words(survivors, 2):
-            assert word_eq(s, w, w2) == word_eq(merged, w, w2)
+def test_every_exported_name_resolves_once():
+    # a name left in __all__ after its definition is deleted breaks
+    # `from whsg import *` for every caller
+    assert len(set(whsg.__all__)) == len(whsg.__all__)
+    missing = [name for name in whsg.__all__ if not hasattr(whsg, name)]
+    assert not missing
 
 
 # -- normalize_generators -----------------------------------------------------
@@ -229,7 +206,7 @@ def test_normalize_rewrites_assigned_slots():
     # of words in b (lengths add): the rewritten table must contain a-slot
     # entries exactly where the original has bb-slot entries
     alphabet = ("a", "b")
-    reps = Nfa.universal_nonempty(("b",)).map_symbols(lambda s: s)
+    reps = Nfa.universal_nonempty(("b",))
     entries = []
     for i in range(1, 4):
         for j in range(1, 4):
@@ -304,14 +281,6 @@ def test_normalize_preserves_word_eq(rees):
             assert word_eq(rees, w, w2) == word_eq(ns, w, w2)
 
 
-def test_rename_symbols_bijection(free2):
-    s = rename_symbols(free2, {"a": "b", "b": "a"})
-    assert s.alphabet == ("b", "a")
-    assert s.table_accepts(("b", SEP1, "a", SEP2, "a", "b"))
-    with pytest.raises(OperandError):
-        rename_symbols(free2, {"a": "x", "b": "x"})
-
-
 # -- validate_necessary ---------------------------------------------------------
 
 
@@ -329,7 +298,8 @@ def test_slot_queries_match_the_written_product(name):
         queries += [((x,), (y,), (y, x)) for y in letters]
     found = 0
     for left, middle, right in queries:
-        want = cfglib.shortest_word(slot_language(s, left, middle, right), s.ranks)
+        written = cfglib.intersect_regular(s.table, _slots(s, left, middle, right))
+        want = cfglib.shortest_word(written, s.ranks)
         assert slot_word(s, left, middle, right) == want
         found += want is not None
         middle_word = slot_middle(s, left, middle, right)
