@@ -63,10 +63,6 @@ class Nfa:
         )
 
     @classmethod
-    def literal(cls, word, alphabet=None) -> "Nfa":
-        return cls.from_words([tuple(word)], alphabet=alphabet)
-
-    @classmethod
     def universal(cls, alphabet) -> "Nfa":
         """All words over the alphabet, including the empty one."""
         alphabet = tuple(alphabet)
@@ -77,6 +73,30 @@ class Nfa:
         alphabet = tuple(alphabet)
         trans = [("u0", s, "u1") for s in alphabet] + [("u1", s, "u1") for s in alphabet]
         return cls(["u0", "u1"], alphabet, trans, ["u0"], ["u1"])
+
+    @classmethod
+    def joined(cls, parts, seps) -> "Nfa":
+        """Automaton for parts[0] seps[0] parts[1] ... seps[-1] parts[-1].
+
+        State q of part i is (2i, q); separator i - 1 leads into (2i - 1,),
+        which moves as part i's initial states do and ends part i only if
+        part i accepts the empty word.  States sort by repr in part order."""
+        alphabet, states, trans, ends = [], [], [], []
+        for i, part in enumerate(parts):
+            tag = 2 * i
+            moves = [(p, s, q) for (p, s), qs in part.transitions.items() for q in qs]
+            if i:
+                entry = (tag - 1,)
+                alphabet.append(seps[i - 1])
+                states.append(entry)
+                trans += [(f, seps[i - 1], entry) for f in ends]
+                trans += [(entry, s, (tag, q)) for p, s, q in moves if p in part.initial]
+                ends = [entry] if part.initial & part.accepting else []
+            alphabet += part.alphabet
+            states += [(tag, q) for q in part.states]
+            trans += [((tag, p), s, (tag, q)) for p, s, q in moves]
+            ends += [(tag, q) for q in part.accepting]
+        return cls(states, alphabet, trans, [(0, q) for q in parts[0].initial], ends)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -210,24 +230,6 @@ class Nfa:
         trans += [((1, src), sym, (1, dst)) for (src, sym), ds in other.transitions.items() for dst in ds]
         initial = [(0, s) for s in self.initial] + [(1, s) for s in other.initial]
         accepting = [(0, s) for s in self.accepting] + [(1, s) for s in other.accepting]
-        return Nfa(states, alphabet, trans, initial, accepting)
-
-    def concat(self, other: "Nfa") -> "Nfa":
-        alphabet = _merge_alphabets(self.alphabet, other.alphabet)
-        states = [(0, s) for s in self.states] + [(1, s) for s in other.states]
-        trans = [((0, src), sym, (0, dst)) for (src, sym), ds in self.transitions.items() for dst in ds]
-        trans += [((1, src), sym, (1, dst)) for (src, sym), ds in other.transitions.items() for dst in ds]
-        # bridge: leaving an accepting state of self behaves like leaving an
-        # initial state of other
-        for (src, sym), ds in other.transitions.items():
-            if src in other.initial:
-                for f in self.accepting:
-                    for dst in ds:
-                        trans.append(((0, f), sym, (1, dst)))
-        initial = [(0, s) for s in self.initial]
-        accepting = [(1, s) for s in other.accepting]
-        if other.initial & other.accepting:
-            accepting += [(0, s) for s in self.accepting]
         return Nfa(states, alphabet, trans, initial, accepting)
 
     def reverse(self) -> "Nfa":

@@ -365,8 +365,8 @@ class Defect:
 
 
 def palindromic_defect(g) -> Optional[Defect]:
-    """Decide whether a language inside A*#2A* contains a word x#2w-reversed
-    with x != w.
+    """Decide whether a language inside A*#2A* (an `Nfa.joined` shape, else
+    OperandError) contains a word x#2w-reversed with x != w.
 
     Returns None when every member is palindromic around the separator;
     otherwise a defect whose witness is read off the certificate.  One
@@ -391,9 +391,7 @@ def palindromic_defect(g) -> Optional[Defect]:
         bad = ()
     else:
         letters = tuple(t for t in g.terminals if t not in (SEP1, SEP2))
-        shape = (Nfa.universal(letters)
-                 .concat(Nfa.literal((SEP2,), (SEP2,)))
-                 .concat(Nfa.universal(letters)))
+        shape = Nfa.joined((Nfa.universal(letters),) * 2, (SEP2,))
         bad = cfglib.least_word(g, shape.complement(g.terminals))
     if bad is not None:
         raise OperandError(

@@ -116,9 +116,8 @@ class WhStructure:
         reps = self.reps
         if reps.accepts(()):  # a representative is a nonempty word
             reps = reps.intersect(Nfa.universal_nonempty(self.alphabet))
-        shape = slot_shape(reps, reps, reps.reverse())
-        return cfglib.least_word(self.table, shape.complement(tuple(ranks)),
-                                 ranks)
+        outside = slot_shape(reps, reps, reps.reverse()).complement(tuple(ranks))
+        return cfglib.least_word(self.table, outside, ranks)
 
     def _in_shape(self, w) -> bool:
         parts = _split_table_word(w)
@@ -159,9 +158,8 @@ class WhStructure:
 
 
 def slot_shape(left: Nfa, middle: Nfa, right: Nfa) -> Nfa:
-    """Automaton for the table-word shape left #1 middle #2 right."""
-    return (left.concat(Nfa.literal((SEP1,), (SEP1,))).concat(middle)
-            .concat(Nfa.literal((SEP2,), (SEP2,))).concat(right))
+    """Automaton for the table-word shape left #1 middle #2 right, in one pass."""
+    return Nfa.joined((left, middle, right), (SEP1, SEP2))
 
 
 def _slots(s: WhStructure, left, middle, right) -> Nfa:
@@ -173,7 +171,7 @@ def _slots(s: WhStructure, left, middle, right) -> Nfa:
     def slot(x, rev=False):
         if isinstance(x, Nfa):
             return x.reverse() if rev else x
-        return Nfa.literal(reverse(x) if rev else x, s.alphabet)
+        return Nfa.from_words([reverse(x) if rev else x], s.alphabet)
 
     return slot_shape(slot(left), slot(middle), slot(right, rev=True))
 

@@ -32,9 +32,10 @@ def palindromic_defect(g, witness_bound: int = 12) -> Optional[Defect]:
         bad = ()
     else:
         letters = tuple(t for t in g.terminals if t not in (SEP1, SEP2))
-        shape = (Nfa.universal(letters)
-                 .concat(Nfa.literal((SEP2,), (SEP2,)))
-                 .concat(Nfa.universal(letters)))
+        # A*#2A*, built by hand so that the reference shares no shape code
+        shape = Nfa(["x", "y"], letters + (SEP2,),
+                    [(q, a, q) for q in ("x", "y") for a in letters]
+                    + [("x", SEP2, "y")], ["x"], ["y"])
         bad = cfglib.least_word(g, shape.complement(g.terminals))
     if bad is not None:
         raise OperandError(

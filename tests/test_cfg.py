@@ -53,10 +53,9 @@ def test_membership_null3_table(null3):
 
 
 def test_intersect_regular_on_fixture(free2):
-    shape = (Nfa.literal(("a",), ("a", "b")).concat(Nfa.literal((SEP1,), (SEP1,)))
-             .concat(Nfa.literal(("b",), ("a", "b")))
-             .concat(Nfa.literal((SEP2,), (SEP2,)))
-             .concat(Nfa.universal(("a", "b"))))
+    shape = Nfa.joined((Nfa.from_words([("a",)], ("a", "b")),
+                        Nfa.from_words([("b",)], ("a", "b")),
+                        Nfa.universal(("a", "b"))), (SEP1, SEP2))
     got = cfglib.intersect_regular(free2.table, shape)
     expected = [w for w in cfglib.enumerate_words(free2.table, 6)
                 if shape.accepts(w)]
@@ -86,9 +85,8 @@ def test_intersect_regular_drops_empty_word():
 
 
 def test_intersect_regular_with_superset_shape(null3):
-    shape = (null3.reps.concat(Nfa.literal((SEP1,), (SEP1,)))
-             .concat(null3.reps).concat(Nfa.literal((SEP2,), (SEP2,)))
-             .concat(null3.reps.reverse()))
+    shape = Nfa.joined((null3.reps, null3.reps, null3.reps.reverse()),
+                       (SEP1, SEP2))
     got = cfglib.intersect_regular(null3.table, shape)
     assert set(cfglib.enumerate_words(got, 8)) == set(
         cfglib.enumerate_words(null3.table, 8))
@@ -111,9 +109,8 @@ def test_shortest_word_identity_language_from_z2(z2):
     identity = next(x for x in ("e", "g")
                     if all(table[(x, y)] == y == table[(y, x)] for y in ("e", "g")))
     assert identity == "e"
-    shape = (Nfa.literal(("g",), ("e", "g")).concat(Nfa.literal((SEP1,), (SEP1,)))
-             .concat(z2.reps).concat(Nfa.literal((SEP2,), (SEP2,)))
-             .concat(Nfa.literal(("g",), ("e", "g"))))
+    g = Nfa.from_words([("g",)], ("e", "g"))
+    shape = Nfa.joined((g, z2.reps, g), (SEP1, SEP2))
     candidates = cfglib.intersect_regular(z2.table, shape)
     w = cfglib.shortest_word(candidates, z2.ranks)
     middle = w[w.index(SEP1) + 1:w.index(SEP2)]

@@ -81,17 +81,13 @@ def test_least_completions_flat_and_generic_agree(rees):
             assert got_flat == least_completions(generic, prefix, rees.ranks, k, 8)
 
 
-def test_fixture_files_match_generators():
-    # the committed fixture files are exactly what the builders emit
-    import json
+def test_fixture_files_match_generators(tmp_path):
+    # the committed fixture files are byte for byte what
+    # `python -m whsg.fixtures` writes, and there are no others
     from pathlib import Path
 
-    from whsg.oracle import NAMED_TABLES, dumps_table
-    from whsg.structure import dumps_structure
-
     root = Path(__file__).resolve().parent.parent / "fixtures"
-    for name, build in fixtures.NAMED.items():
-        assert (root / f"{name}.whs").read_text() == dumps_structure(build())
-    for name, build in NAMED_TABLES.items():
-        on_disk = json.loads((root / f"{name}_table.json").read_text())
-        assert on_disk == json.loads(dumps_table(build()))
+    written = {p.name: p for p in fixtures.write_all(tmp_path)}
+    assert sorted(written) == sorted(p.name for p in root.iterdir())
+    for name, path in written.items():
+        assert path.read_bytes() == (root / name).read_bytes(), name

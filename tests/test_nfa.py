@@ -2,7 +2,7 @@ import random
 
 from conftest import all_words
 from whsg.nfa import Nfa
-from whsg.words import symbol_ranks
+from whsg.words import SEP1, SEP2, symbol_ranks
 
 
 def test_membership_full_language():
@@ -24,7 +24,7 @@ def test_membership_finite_fixture_language(rees):
 
 
 def test_reversal_single_word():
-    n = Nfa.literal(("a", "b"), ("a", "b"))
+    n = Nfa.from_words([("a", "b")], ("a", "b"))
     r = n.reverse()
     assert r.accepts(("b", "a"))
     assert not r.accepts(("a", "b"))
@@ -45,8 +45,10 @@ def test_equivalence_detects_difference():
 
 def test_emptiness_witness_of_intersection():
     # words over {a,b} ending in b, intersected with words starting with a
-    ends_b = Nfa.universal(("a", "b")).concat(Nfa.literal(("b",), ("a", "b")))
-    starts_a = Nfa.literal(("a",), ("a", "b")).concat(Nfa.universal(("a", "b")))
+    ends_b = Nfa(["p", "q"], ("a", "b"),
+                 [("p", "a", "p"), ("p", "b", "p"), ("p", "b", "q")], ["p"], ["q"])
+    starts_a = Nfa(["p", "q"], ("a", "b"),
+                   [("p", "a", "q"), ("q", "a", "q"), ("q", "b", "q")], ["p"], ["q"])
     product = ends_b.intersect(starts_a)
     expected = [w for w in all_words(("a", "b"), 2)
                 if w[-1] == "b" and w[0] == "a"]
@@ -88,7 +90,6 @@ def test_algebra_agrees_with_enumeration():
         inter = x.intersect(y)
         union = x.union(y)
         comp = x.complement(("a", "b"))
-        conc = x.concat(y)
         rev = x.reverse()
         diff = x.difference(y)
         for w in words:
@@ -97,12 +98,51 @@ def test_algebra_agrees_with_enumeration():
             assert comp.accepts(w) == (not x.accepts(w))
             assert diff.accepts(w) == (x.accepts(w) and not y.accepts(w))
             assert rev.accepts(w) == x.accepts(tuple(reversed(w)))
-        for w in words:
-            if len(w) > 4:
-                continue
-            expect = any(x.accepts(w[:i]) and y.accepts(w[i:])
-                         for i in range(len(w) + 1))
-            assert conc.accepts(w) == expect
+        # joined: two and three parts, a word checked by splitting it at
+        # its separators
+        for parts, seps, maxlen in (((x, y), (SEP1,), 6),
+                                    ((x, y, _random_nfa(rng)), (SEP1, SEP2), 5)):
+            joined = Nfa.joined(parts, seps)
+            for w in [()] + all_words(("a", "b") + seps, maxlen):
+                pieces = _split_at(w, seps)
+                expect = pieces is not None and all(
+                    p.accepts(piece) for p, piece in zip(parts, pieces))
+                assert joined.accepts(w) == expect
+
+
+def _split_at(w, seps):
+    """The pieces of w between its separators, if those are seps in order."""
+    pieces, cur, got = [], [], []
+    for s in w:
+        if s in seps:
+            pieces.append(tuple(cur))
+            got.append(s)
+            cur = []
+        else:
+            cur.append(s)
+    pieces.append(tuple(cur))
+    return pieces if tuple(got) == tuple(seps) else None
+
+
+def test_joined_names_states_by_part():
+    # a #1 b* #2 (empty or c): state q of part i is (2i, q) and separator
+    # i - 1 leads into (2i - 1,), which accepts as part i accepts the empty
+    # word; repr puts the parts in order
+    a = Nfa.from_words([("a",)])
+    bs = Nfa(["s"], ("b",), [("s", "b", "s")], ["s"], ["s"])
+    c = Nfa.from_words([(), ("c",)])
+    joined = Nfa.joined((a, bs, c), (SEP1, SEP2))
+    assert joined.alphabet == ("a", SEP1, "b", SEP2, "c")
+    assert joined.initial == {(0, "q0")}
+    assert joined.accepting == {(3,), (4, "q0"), (4, "q1")}
+    assert joined.transitions[((0, "q1"), SEP1)] == {(1,)}
+    assert joined.transitions[((1,), SEP2)] == {(3,)}
+    assert joined.transitions[((3,), "c")] == {(4, "q1")}
+    order = sorted(joined.states, key=repr)
+    assert [q[0] for q in order] == sorted(q[0] for q in joined.states)
+    assert joined.accepts(("a", SEP1, SEP2))
+    assert joined.accepts(("a", SEP1, "b", "b", SEP2, "c"))
+    assert not joined.accepts(("a", SEP1, "b"))
 
 
 def test_shortest_word_on_random_nfas_matches_enumeration():

@@ -169,6 +169,24 @@ class _CountingTuple(tuple):
         return super().__getitem__(i)
 
 
+class _CountingPartners(dict):
+    """A lowering's `partners` map, B -> [(r, C)] and C -> [(r, B)] for
+    binary[r] = (A, B, C), that counts the pairs its lookups hand out."""
+
+    walked = 0
+
+    def __init__(self, binary):
+        super().__init__()
+        for r, (_a, b, c) in enumerate(binary):
+            self.setdefault(b, []).append((r, c))
+            self.setdefault(c, []).append((r, b))
+
+    def get(self, x, default=None):
+        got = super().get(x, default)
+        self.walked += len(got or ())
+        return got
+
+
 def _representative(name, s, m, rng):
     """A representative of the fixture s of length m (any length, on rees)."""
     if name == "rees":
@@ -234,7 +252,7 @@ def test_scheduled_chart_beats_row_tracked_chart():
     assert cfglib._cyk_masks(counted, w) == _pruned_chart(cnf, w, masks)
     visits = counted.binary.reads
     assert visits <= 0.06 * _row_tracked_visits(cnf, live, len(w)), visits
-    # alternated, as in the dense test below
+    # alternated, so that both see the same phases of a shared machine
     ours = tracked = math.inf
     for _ in range(5):
         ours = min(ours, _fastest(cfglib._cyk_masks, 1,
@@ -277,18 +295,24 @@ def test_dense_chart_is_no_slower_than_full_cyk():
     cnf = cfglib.cnf_of(g)
     rng = random.Random(256)
     w = tuple(rng.choice("ab") for _ in range(256))
-    masks, live = cfglib._cyk_masks(cnf, w)
+    n = len(w)
+    # counted rather than timed, as in the scheduled-chart test above: the
+    # wall-time ratio of the two charts read 0.67-1.18 on a shared machine
+    counted = copy.copy(cnf)
+    counted.chart, counted.binary = None, _CountingTuple(cnf.binary)
+    counted.partners = _CountingPartners(cnf.binary)
+    masks, live = cfglib._cyk_masks(counted, w)
     assert masks == _reference_cyk_masks(cnf, w)
-    assert live[cnf.start] == list(range(1, 257))
-    # alternated, so that both see the same phases of a shared machine;
-    # on a 2-vCPU machine each took 3.5-5 ms, and the minimum over 5 rounds
-    # once read over 1.25x in a full-suite run (ratios of 0.99-1.05 alone)
-    ours = full = math.inf
-    for _ in range(15):
-        ours = min(ours, _fastest(cfglib._cyk_masks, 1,
-                                  lambda: (_uncharted(cnf), w)))
-        full = min(full, _fastest(_reference_cyk_masks, 1, lambda: (cnf, w)))
-    assert ours <= 1.25 * full, (ours, full)
+    assert live[cnf.start] == list(range(1, n + 1))
+    # the full loop visits every rule at every length 2..n; the scheduled
+    # chart visits each due (rule, length) pair once, here all of them
+    full = len(cnf.binary) * (n - 1)
+    assert counted.binary.reads <= full, counted.binary.reads
+    # scheduling walks a node's partner pairs each time it goes live: a rule
+    # has one pair per child and a node goes live at most once per length,
+    # so at most 2 * len(binary) * n pairs (all 512 of them here)
+    walked = counted.partners.walked
+    assert walked <= 2 * (full + len(cnf.binary)), walked
 
 
 def _reference_product_grammar(cnf, leaves_of, tops, terminals):

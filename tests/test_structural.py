@@ -465,7 +465,7 @@ def _is_free_by_slot_shape(s):
     table = ns.table
     eliminated = {}
     for a in list(alphabet):
-        shape = slot_shape(reps, reps, Nfa.literal((a,), alphabet))
+        shape = slot_shape(reps, reps, Nfa.from_words([(a,)], alphabet))
         target = cfglib.intersect_regular(table, shape)
         decomp = _slot_deleter(alphabet, a).apply_to_cfg(target)
         d = cfglib.shortest_word(decomp, ns.ranks)

@@ -18,7 +18,7 @@ def test_identity_substitution_preserves_languages(free2):
 
 
 def test_letter_substitution_on_word_language():
-    target = Nfa.literal(("a", "b"), ("a", "b", "c"))
+    target = Nfa.from_words([("a", "b")], ("a", "b", "c"))
     out = target.substitute({"a": ("b", "c"), "b": ("b",), "c": ("c",)})
     assert sorted(out.enumerate_words(5)) == [("b", "c", "b")]
 
