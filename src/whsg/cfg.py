@@ -26,7 +26,9 @@ whose words extend them.  The same lowering serves the one goal-directed
 grammar x automaton closure, which builds only the items its start can use;
 regular intersection and transducer images write a grammar from them, and
 `least_word` reads the product's least word off them and writes none.
-`is_free` substitutes its representatives by `Nfa.substitute`.
+`is_free` substitutes its representatives by `Nfa.substitute`.  An
+automaton's shortest and enumerated words come from `_Pass` too, over its
+right-linear grammar `Cfg.from_nfa`.
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ import heapq
 import itertools
 import sys
 from collections import defaultdict, deque
+from typing import TYPE_CHECKING
 
-from .nfa import Nfa
 from .words import shortlex_key, spelled, symbol_ranks
+
+if TYPE_CHECKING:
+    from .nfa import Nfa
 
 
 class Cfg:
@@ -77,6 +82,21 @@ class Cfg:
     @classmethod
     def from_words(cls, terminals, words, start="S") -> "Cfg":
         return cls([start], terminals, start, [(start, tuple(w)) for w in words])
+
+    @classmethod
+    def from_nfa(cls, a: Nfa) -> "Cfg":
+        """The right-linear grammar of an automaton: state i of a.states is
+        the nonterminal i, with an epsilon body when it accepts and a body
+        (sym, j) for each arc to state j; the start n = |states| has a unit
+        body for each initial state.  Int nonterminals never clash with
+        string terminals, whatever the states are named."""
+        index = {q: i for i, q in enumerate(a.states)}
+        n = len(index)
+        prods = [(n, (index[q],)) for q in a.initial]
+        prods += [(index[q], ()) for q in a.accepting]
+        prods += [(index[p], (sym, index[q]))
+                  for (p, sym), qs in a.transitions.items() for q in qs]
+        return cls(range(n + 1), a.alphabet, n, prods)
 
     def _detect_flat(self):
         ts = set(self.terminals)
@@ -419,14 +439,14 @@ def _after(cnf: _Lowered):
 
 
 def _cyk_masks(cnf: _Lowered, w):
-    """CYK chart of w: (masks, live), where masks[A][l] has bit i set iff
+    """CYK chart of w: (masks, live, allow), where masks[A][l] has bit i set iff
     node A derives w[i:i+l] and may begin after w[i-1] (`_after`; at the
     word's start when i = 0), and live[A] lists, ascending, the lengths l
     whose row masks[A][l] is nonzero.  Every item on a derivation of a word
-    with prefix w stays.  Each row is masked with allow[A], the positions
-    whose preceding symbol admits A, built per symbol in O(n + sum of
-    |after[t]|).  The last chart and allow are kept on the lowering and
-    returned again for the same word; callers only read them.
+    with prefix w stays.  Each row is masked with allow[A], the bitmask of
+    the positions whose preceding symbol admits A, built per symbol in
+    O(n + sum of |after[t]|).  The last chart is kept on the lowering and
+    returned again for the same word; callers only read it.
 
     Rows are bit-parallel over the start position.  Length l combines only
     the rules A -> B C due at l: those with some split k + (l - k) where
@@ -440,7 +460,7 @@ def _cyk_masks(cnf: _Lowered, w):
     pairs whose rows are both nonzero rather than |binary| * n^2.
     """
     if cnf.chart is not None and cnf.chart[0] == w:
-        return cnf.chart[1:3]
+        return cnf.chart[1:]
     n = len(w)
     masks = [[0] * (n + 1) for _ in range(cnf.size)]
     live = [[] for _ in range(cnf.size)]
@@ -508,7 +528,7 @@ def _cyk_masks(cnf: _Lowered, w):
                     enliven(a, l)
                 row[l] |= acc
     cnf.chart = (w, masks, live, allow)
-    return masks, live
+    return masks, live, allow
 
 
 def membership(g: Cfg, w) -> bool:
@@ -525,7 +545,7 @@ def membership(g: Cfg, w) -> bool:
     if any(s not in ts for s in w):
         return False
     cnf = cnf_of(g)
-    masks, _live = _cyk_masks(cnf, w)
+    masks, _live, _allow = _cyk_masks(cnf, w)
     return bool(masks[cnf.start][len(w)] & 1)
 
 
@@ -869,8 +889,7 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
     if suffixes is None:
         suffixes = cnf.passes[key] = _Pass(cnf, ranks, k, forward=False)
     words, shared = suffixes.words, suffixes.heap
-    masks, live = _cyk_masks(cnf, x)
-    allow = cnf.chart[3]
+    masks, live, allow = _cyk_masks(cnf, x)
     start = cnf.start
     many = k > 1
     heap = []

@@ -1,7 +1,9 @@
 """Nondeterministic finite automata and the regular-language algebra.
 
-A finite word set is a trie automaton like any other: every query and
-construction runs the one generic automaton algorithm.
+A finite word set is a trie automaton like any other: every construction
+runs the one generic automaton algorithm.  Shortest words and bounded
+enumeration read the automaton as its right-linear grammar
+(`Cfg.from_nfa`) and run the one least-words pass of `cfg`.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 
-from .words import shortlex_key, symbol_ranks
+from . import cfg
+from .words import symbol_ranks
 
 _EMPTY = frozenset()
 
@@ -115,66 +118,13 @@ class Nfa:
         return bool(current & self.accepting)
 
     def shortest_word(self, ranks=None):
-        """Shortest accepted word, lexicographically least among the shortest.
-
-        Returns None when the language is empty.
-        """
-        if ranks is None:
-            ranks = symbol_ranks(self.alphabet)
-        # layers[j] = states from which an accepting state is reachable in
-        # exactly j steps; a shortest accepted word needs at most |Q| layers
-        layers = [frozenset(self.accepting)]
-        length = None
-        if self.initial & layers[0]:
-            length = 0
-        preimage: dict = {}
-        for (src, sym), dsts in self.transitions.items():
-            for dst in dsts:
-                preimage.setdefault(dst, set()).add((src, sym))
-        limit = len(self.states)
-        j = 0
-        while length is None and j < limit:
-            j += 1
-            prev = layers[-1]
-            cur = {src for dst in prev for (src, _s) in preimage.get(dst, ())}
-            layers.append(frozenset(cur))
-            if self.initial & layers[-1]:
-                length = j
-        if length is None:
-            return None
-        syms = sorted(self.alphabet, key=lambda s: ranks[s])
-        current = self.initial & layers[length]
-        out = []
-        for step in range(length):
-            remaining = length - step - 1
-            for sym in syms:
-                nxt = self.step(current, sym) & layers[remaining]
-                if nxt:
-                    out.append(sym)
-                    current = nxt
-                    break
-        return tuple(out)
+        """Shortest accepted word, lexicographically least among the shortest;
+        None when the language is empty."""
+        return cfg.shortest_word(cfg.Cfg.from_nfa(self), ranks)
 
     def enumerate_words(self, maxlen: int, ranks=None):
         """All accepted words of length <= maxlen, in shortlex order."""
-        if ranks is None:
-            ranks = symbol_ranks(self.alphabet)
-        found = []
-        frontier = [((), self.initial)]
-        for _ in range(maxlen + 1):
-            nxt = []
-            for w, states in frontier:
-                if states & self.accepting:
-                    found.append(w)
-                if len(w) < maxlen:
-                    for sym in self.alphabet:
-                        states2 = self.step(states, sym)
-                        if states2:
-                            nxt.append((w + (sym,), states2))
-            frontier = nxt
-            if not frontier:
-                break
-        return sorted(found, key=shortlex_key(ranks))
+        return cfg.enumerate_words(cfg.Cfg.from_nfa(self), maxlen, ranks)
 
     # -- algebra ---------------------------------------------------------------
 

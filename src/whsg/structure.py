@@ -271,6 +271,9 @@ def _nonterminal_names(table: Cfg):
 
 def _check_alphabet(alphabet):
     for a in alphabet:
+        if not a:
+            raise InvariantError(f"empty symbol {a!r} declared in alphabet: "
+                                 "a symbol is a nonempty string")
         if a in RESERVED:
             raise ReservedSymbolError(f"reserved symbol {a!r} declared in alphabet")
 

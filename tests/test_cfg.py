@@ -235,17 +235,17 @@ def _may_begin_after(cnf):
 
 
 def _pruned_chart(cnf, w, masks):
-    """(masks, live) of a full chart of w with the row of each node cut to
-    the start positions i where it may begin after w[i-1] (None at i = 0),
-    as `cfg._cyk_masks` charts."""
+    """(masks, live, allow) of a full chart of w with the row of each node
+    cut to allow, the start positions i where it may begin after w[i-1]
+    (None at i = 0), as `cfg._cyk_masks` charts."""
     before = _may_begin_after(cnf)
     n = len(w)
-    pruned = []
-    for a in range(cnf.size):
-        allow = sum(1 << i for i in range(n)
-                    if (w[i - 1] if i else None) in before.get(a, ()))
-        pruned.append([row & allow for row in masks[a]])
-    return pruned, [[l for l in range(1, n + 1) if row[l]] for row in pruned]
+    allows = [sum(1 << i for i in range(n + 1)
+                  if (w[i - 1] if i else None) in before.get(a, ()))
+              for a in range(cnf.size)]
+    pruned = [[row & allow for row in masks[a]] for a, allow in enumerate(allows)]
+    return (pruned, [[l for l in range(1, n + 1) if row[l]] for row in pruned],
+            allows)
 
 
 def _random_nfa(rng):

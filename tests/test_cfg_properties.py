@@ -181,7 +181,7 @@ def test_chart_and_membership_match_plain_cyk(g, w):
     before = _may_begin_after(cnf)
     chart = {(a, i, l) for a, i, l in _plain_cyk(cnf, w)
              if (w[i - 1] if i else None) in before.get(a, ())}
-    masks, live = cfglib._cyk_masks(cnf, w)
+    masks, live, _allow = cfglib._cyk_masks(cnf, w)
     for a in range(cnf.size):
         assert live[a] == sorted({l for b, _i, l in chart if b == a})
         for l in range(1, len(w) + 1):

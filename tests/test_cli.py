@@ -290,6 +290,52 @@ def test_grammar_alphabet_may_not_declare_a_separator(fixture_dir, capsys):
     assert "reserved symbol '#2'" in report["reason"]
 
 
+def _empty_symbol_structure(fixture_dir):
+    # z2 with a letter "" that is its own representative, which tokenizing
+    # "x" would match forever
+    data = _structure_data(fixture_dir)
+    data["alphabet"].append("")
+    data["reps"]["states"].append("q3")
+    data["reps"]["accepting"].append("q3")
+    data["reps"]["transitions"].append(["q0", "", "q3"])
+    return data
+
+
+def _empty_symbol_table(fixture_dir):
+    # z2's table with its identity named ""
+    def name(x):
+        return "" if x == "e" else x
+
+    data = _table_data(fixture_dir)
+    return {"elements": list(map(name, data["elements"])),
+            "table": [list(map(name, row)) for row in data["table"]],
+            "generators": list(map(name, data["generators"]))}
+
+
+def _empty_symbol_grammar(fixture_dir):
+    data = _grammar_data(fixture_dir)
+    data["alphabet"].append("")
+    return data
+
+
+@pytest.mark.parametrize("make, command", [
+    (_empty_symbol_structure, ["multiply", "x", "e"]),
+    (_empty_symbol_structure, ["is-monoid"]),
+    (_empty_symbol_table, ["from-table"]),
+    (_empty_symbol_grammar, ["defect-check"])],
+    ids=["structure-multiply", "structure-is-monoid", "table", "grammar"])
+def test_empty_symbol_is_an_input_error(fixture_dir, capsys, make, command):
+    # a symbol is a nonempty string
+    bad = fixture_dir / "empty_symbol.json"
+    bad.write_text(json.dumps(make(fixture_dir)))
+    out = fixture_dir / "empty_symbol.whs"
+    extra = ["-o", out] if command[0] == "from-table" else command[1:]
+    code, report = run(capsys, command[0], bad, *extra)
+    assert code == 1 and report["answer"] == "error"
+    assert "empty symbol ''" in report["reason"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [b"\xff\xfe{}",
                                      b'{"alphabet": ' + b"[" * 100000],
                          ids=["not-utf8", "nested-too-deep"])

@@ -153,10 +153,59 @@ def test_shortest_word_on_random_nfas_matches_enumeration():
         got = x.shortest_word(symbol_ranks(("a", "b")))
         accepted = [w for w in words if x.accepts(w)]
         if not accepted:
-            # languages of 3-state machines accepting nothing short are empty
-            assert got is None or len(got) > 6
+            # a 3-state machine with a nonempty language accepts a word of
+            # length at most 2
+            assert got is None
         else:
             assert got == min(accepted, key=lambda w: (len(w), w))
+
+
+def _reach(x, sources, forward=True):
+    """The states reachable from sources along x's arcs, or against them."""
+    arcs = [(p, q) if forward else (q, p)
+            for (p, _s), qs in x.transitions.items() for q in qs]
+    seen, todo = set(sources), list(sources)
+    while todo:
+        p = todo.pop()
+        for src, dst in arcs:
+            if src == p and dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return seen
+
+
+def test_grammar_view_matches_brute_force():
+    # shortest_word and enumerate_words read the automaton as a grammar with
+    # int nonterminals: checked against accepts on every short word, over
+    # automata with states named like the letters, several initial states,
+    # an accepted empty word, dead or unreachable states and no accepting one
+    rng = random.Random(2025)
+    seen = dict.fromkeys(("several initial", "empty word", "dead",
+                          "unreachable", "no accepting", "letter-named"), 0)
+    for _ in range(300):
+        states = ["a", "b", 0, ("c",), "s"][:rng.randint(1, 5)]
+        trans = [(p, sym, q) for p in states for sym in "ab" for q in states
+                 if rng.random() < 0.25]
+        x = Nfa(states, ("a", "b"), trans,
+                rng.sample(states, rng.randint(1, min(3, len(states)))),
+                rng.sample(states, rng.randint(0, len(states))))
+        reached = _reach(x, x.initial)
+        seen["several initial"] += len(x.initial) > 1
+        seen["empty word"] += bool(x.initial & x.accepting)
+        seen["dead"] += bool(reached - _reach(x, x.accepting, forward=False))
+        seen["unreachable"] += bool(set(states) - reached)
+        seen["no accepting"] += not x.accepting
+        seen["letter-named"] += "a" in states
+        order = rng.choice((("a", "b"), ("b", "a")))
+        ranks = symbol_ranks(order)
+        maxlen = len(states) + 1
+        key = lambda w: (len(w), [order.index(s) for s in w])
+        accepted = sorted((w for w in [()] + all_words(order, maxlen)
+                           if x.accepts(w)), key=key)
+        assert x.enumerate_words(maxlen, ranks) == accepted
+        # a shortest accepted word is shorter than the number of states
+        assert x.shortest_word(ranks) == (accepted[0] if accepted else None)
+    assert all(seen.values()), seen
 
 
 def test_enumerate_words(free2):

@@ -269,7 +269,7 @@ def test_left_context_prunes_the_chart_and_the_completions(monkeypatch):
     cnf = cfglib.cnf_of(s.table)
     b, a = ("b",), ("a",)
     w = b * 40 + a * 60 + (SEP1,) + b * 70 + a * 50 + (SEP2,)
-    _masks, live = cfglib._cyk_masks(_uncharted(cnf), w)
+    _masks, live, _allow = cfglib._cyk_masks(_uncharted(cnf), w)
     # 707 live entries without the left context; 379 were measured
     assert sum(map(len, live)) <= 400
     pushes = []
@@ -301,7 +301,7 @@ def test_dense_chart_is_no_slower_than_full_cyk():
     counted = copy.copy(cnf)
     counted.chart, counted.binary = None, _CountingTuple(cnf.binary)
     counted.partners = _CountingPartners(cnf.binary)
-    masks, live = cfglib._cyk_masks(counted, w)
+    masks, live, _allow = cfglib._cyk_masks(counted, w)
     assert masks == _reference_cyk_masks(cnf, w)
     assert live[cnf.start] == list(range(1, n + 1))
     # the full loop visits every rule at every length 2..n; the scheduled
