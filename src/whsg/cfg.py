@@ -664,9 +664,14 @@ def intersect_regular(g: Cfg, a: Nfa) -> Cfg:
     return _product_grammar(cnf, *_nfa_product(cnf, a), g.terminals)
 
 
-def least_word(g: Cfg, a: Nfa, ranks=None):
+def least_word(g: Cfg, a, ranks=None):
     """shortest_word(intersect_regular(g, a), ranks), with no grammar written:
     the shortlex-least nonempty word of language(g) & language(a), or None.
+
+    `a` is an `Nfa` or anything with its automaton interface: `initial` and
+    `accepting` states and `moves(p, sym)` for the product, and
+    `accepts(w)` for a flat table, such as the slot view
+    `structure._Slots`.
 
     Knuth's lightest-derivation pass (1977) in the weighted-deduction form of
     Nederhof (2003) over the items (p, A, q) of the pairs that the closure of
@@ -716,14 +721,17 @@ def least_word(g: Cfg, a: Nfa, ranks=None):
                     push(heap, (m2 + m, w2 + w, next(tick), p0, head, q))
 
 
-def _nfa_product(cnf: _Lowered, a: Nfa):
+def _nfa_product(cnf: _Lowered, a):
     """leaves_of, (nt, p) -> the (q, body) of nt's terminal rules along a's
-    transitions from p, and the (initial, accepting) pairs of a."""
-    trans, bodies = a.transitions, cnf.term_bodies
+    moves from p, and the (initial, accepting) pairs of a.
+
+    `a` is read through the automaton interface that `Nfa` and the slot
+    view `structure._Slots` share: `initial` and `accepting` states and
+    `moves(p, sym)`, the states one move on sym leads to from p."""
+    moves, bodies = a.moves, cnf.term_bodies
 
     def leaves_of(nt, p):
-        return [(q, (sym,)) for sym in bodies.get(nt, ())
-                for q in trans.get((p, sym), ())]
+        return [(q, (sym,)) for sym in bodies.get(nt, ()) for q in moves(p, sym)]
 
     return leaves_of, [(i, f) for i in a.initial for f in a.accepting]
 

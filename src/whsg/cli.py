@@ -26,6 +26,8 @@ from .words import SEP1, SEP2
 def tokenize(text: str, symbols) -> tuple:
     """Parse a word argument: comma-separated symbols, or greedy
     longest-match over the declared symbols for plain strings."""
+    if "" in symbols:  # the empty symbol would match forever
+        raise OperandError("cannot tokenize over an empty symbol")
     if "," in text:
         parts = tuple(p for p in text.split(",") if p)
         return parts

@@ -21,7 +21,9 @@ class Nfa:
     """Finite automaton without epsilon moves.
 
     States are arbitrary hashables.  The alphabet keeps declaration order,
-    which fixes every lexicographic tie-break downstream.
+    which fixes every lexicographic tie-break downstream.  Products read an
+    automaton through `initial`, `accepting` and `moves`, an interface that
+    the slot view of slot queries (`structure._Slots`) shares.
     """
 
     def __init__(self, states, alphabet, transitions, initial, accepting):
@@ -41,6 +43,7 @@ class Nfa:
         self.accepting = frozenset(accepting)
         if not self.initial <= sset or not self.accepting <= sset:
             raise ValueError("undeclared initial or accepting state")
+        self._reversed = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -102,6 +105,10 @@ class Nfa:
         return cls(states, alphabet, trans, [(0, q) for q in parts[0].initial], ends)
 
     # -- basic queries ---------------------------------------------------------
+
+    def moves(self, state, sym) -> frozenset:
+        """The states that one move on sym leads to from state."""
+        return self.transitions.get((state, sym), _EMPTY)
 
     def step(self, current, sym) -> frozenset:
         out = set()
@@ -183,8 +190,13 @@ class Nfa:
         return Nfa(states, alphabet, trans, initial, accepting)
 
     def reverse(self) -> "Nfa":
-        trans = [(dst, sym, src) for (src, sym), ds in self.transitions.items() for dst in ds]
-        return Nfa(self.states, self.alphabet, trans, self.accepting, self.initial)
+        """The automaton of the reversed words; built once per automaton."""
+        if self._reversed is None:
+            trans = [(dst, sym, src)
+                     for (src, sym), ds in self.transitions.items() for dst in ds]
+            self._reversed = Nfa(self.states, self.alphabet, trans, self.accepting,
+                                 self.initial)
+        return self._reversed
 
     def determinize(self, alphabet=None) -> "Nfa":
         """Complete deterministic automaton over the given alphabet."""

@@ -133,6 +133,8 @@ def _cells(ns, keys, place, mul, name, tag):
         picks[x] = cells[x].shortest_word(ns.ranks)
         if picks[x] is None:
             return Verdict.no(f"step 1: no representative in {name(x)} [{tag}]")
+    # right slots: a generic table's product reads each one's reverse, which
+    # Nfa.reverse builds once for all k queries of its cell; a flat one none
     escaped = {x: ns.reps.difference(cells[x]) for x in keys}
     for x in keys:
         for y in keys:

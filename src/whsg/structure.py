@@ -158,28 +158,89 @@ class WhStructure:
 
 
 def slot_shape(left: Nfa, middle: Nfa, right: Nfa) -> Nfa:
-    """Automaton for the table-word shape left #1 middle #2 right, in one pass."""
+    """Automaton for the table-word shape left #1 middle #2 right, built in
+    one pass for the callers that need it whole: the load-time shape check,
+    which complements it, and `fixtures.bicyclic`, which writes its product
+    grammar.  Slot queries read their slots in place (`_Slots`)."""
     return Nfa.joined((left, middle, right), (SEP1, SEP2))
 
 
-def _slots(s: WhStructure, left, middle, right) -> Nfa:
-    """Automaton for left #1 middle #2 right-reversed.
+_SEP_SLOT = {SEP1: 0, SEP2: 1}  # the slot each separator ends
 
-    Each slot is an automaton or a single word; the right slot is given
-    unreversed, as the product it names, and reversed here.
+
+class _Slots:
+    """The automaton of left #1 middle #2 right-reversed, read from the
+    three slots in place; each is an `Nfa` or a word over the alphabet, and
+    the right slot is given unreversed, as the product it names.
+
+    It has the automaton interface that `cfg.least_word` reads: `initial`
+    and `accepting` states, `moves(state, sym)` and `accepts(w)`.  State
+    (i, q) is state q of slot i: a word slot's states are its positions, an
+    automaton slot keeps its own.  A separator moves from the accepting
+    states of one slot to the initial states of the next.  A right
+    automaton is reversed only when its moves are asked for.
     """
-    def slot(x, rev=False):
-        if isinstance(x, Nfa):
-            return x.reverse() if rev else x
-        return Nfa.from_words([reverse(x) if rev else x], s.alphabet)
 
-    return slot_shape(slot(left), slot(middle), slot(right, rev=True))
+    __slots__ = ("_parts", "_starts", "_ends", "_words", "_automata")
+
+    def __init__(self, left, middle, right):
+        if not isinstance(right, Nfa):
+            right = reverse(right)  # as it stands in a table word
+        self._parts = parts = [x if isinstance(x, Nfa) else tuple(x)
+                               for x in (left, middle, right)]
+        self._words = [i for i, x in enumerate(parts) if type(x) is tuple]
+        self._automata = [i for i, x in enumerate(parts) if type(x) is not tuple]
+        # each slot's own initial and accepting states
+        self._starts = [(0,) if type(x) is tuple else x.initial for x in parts]
+        self._ends = [(len(x),) if type(x) is tuple else x.accepting for x in parts]
+        if type(right) is not tuple:  # read reversed, it starts where it accepts
+            self._starts[2], self._ends[2] = right.accepting, right.initial
+
+    @property
+    def initial(self):
+        return [(0, q) for q in self._starts[0]]
+
+    @property
+    def accepting(self):
+        return [(2, q) for q in self._ends[2]]
+
+    def moves(self, state, sym):
+        i, q = state
+        ended = _SEP_SLOT.get(sym)
+        if ended is not None:
+            if ended == i and q in self._ends[i]:
+                return [(i + 1, r) for r in self._starts[i + 1]]
+            return ()
+        x = self._parts[i]
+        if type(x) is tuple:
+            return ((i, q + 1),) if q < len(x) and x[q] == sym else ()
+        return [(i, r) for r in (x.reverse() if i == 2 else x).moves(q, sym)]
+
+    def accepts(self, w) -> bool:
+        """Cut w at its separators, compare the word slots, then run the
+        automaton slots, the right one on its segment reversed."""
+        w = tuple(w)
+        try:
+            i = w.index(SEP1)
+            j = w.index(SEP2, i + 1)
+        except ValueError:
+            return False
+        cut = (w[:i], w[i + 1:j], w[j + 1:])
+        parts = self._parts
+        for k in self._words:
+            if cut[k] != parts[k]:
+                return False
+        for k in self._automata:
+            if not parts[k].accepts(cut[k][::-1] if k == 2 else cut[k]):
+                return False
+        return True
 
 
 def slot_word(s: WhStructure, left, middle, right):
     """The least table word left #1 middle #2 right-reversed, or None, with
-    no grammar written."""
-    return cfglib.least_word(s.table, _slots(s, left, middle, right), s.ranks)
+    no grammar written and no automaton built: `cfg.least_word` reads the
+    slots in place through the automaton interface of `_Slots`."""
+    return cfglib.least_word(s.table, _Slots(left, middle, right), s.ranks)
 
 
 def slot_middle(s: WhStructure, left, middle, right):

@@ -54,6 +54,14 @@ def test_tokenize():
         tokenize("bz", {"a", "b"})
 
 
+def test_tokenize_rejects_an_empty_symbol():
+    # an empty symbol matches at every position, so the greedy scan never
+    # advanced; a structure built with check=False can still hold one
+    for text in ("x", "a", "a,b"):
+        with pytest.raises(OperandError, match="empty symbol"):
+            tokenize(text, {"", "a"})
+
+
 def test_is_monoid_report(fixture_dir, capsys):
     code, report = run(capsys, "is-monoid", fixture_dir / "rees.whs")
     assert code == 0

@@ -182,6 +182,26 @@ def test_is_clifford(sl2, null3, z2):
     assert is_clifford(z2)
 
 
+def test_species_checks_reverse_each_escaped_cell_once(monkeypatch):
+    # step 2 asks k^2 slot queries whose right slot is an escaped cell: a
+    # flat table reverses none, a generic one each cell at most once
+    built = []
+    reverse = Nfa.reverse
+
+    def counted(self):
+        if self._reversed is None:
+            built.append(self)
+        return reverse(self)
+
+    monkeypatch.setattr(Nfa, "reverse", counted)
+    for s in (fixtures.rb22(), _generic_twin(fixtures.rb22())):
+        built.clear()
+        assert is_completely_simple(s)
+        assert len({id(a) for a in built}) == len(built)
+        assert len(built) <= (0 if s.table.flat_words else 4)
+    assert built
+
+
 def test_clifford_labels_of_distinct_classes_are_distinct():
     # the free semilattice on generators named a, ab and b: labels joined
     # without a separator would name both {ab} and {a,b} ab, and the two

@@ -16,7 +16,7 @@ from whsg.arithmetic import word_eq
 from whsg.cfg import Cfg
 from whsg.errors import InvariantError, OperandError, ParseError, ReservedSymbolError
 from whsg.nfa import Nfa
-from whsg.structure import (WhStructure, _slots, dumps_structure,
+from whsg.structure import (WhStructure, _Slots, dumps_structure,
                             load_structure, normalize_generators, slot_middle,
                             slot_word, validate_necessary)
 from whsg.words import SEP1, SEP2
@@ -298,7 +298,7 @@ def test_slot_queries_match_the_written_product(name):
         queries += [((x,), (y,), (y, x)) for y in letters]
     found = 0
     for left, middle, right in queries:
-        written = cfglib.intersect_regular(s.table, _slots(s, left, middle, right))
+        written = cfglib.intersect_regular(s.table, _Slots(left, middle, right))
         want = cfglib.shortest_word(written, s.ranks)
         assert slot_word(s, left, middle, right) == want
         found += want is not None

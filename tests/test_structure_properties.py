@@ -1,15 +1,24 @@
 """Fuzzing of the structure file loader: whatever a mutated fixture file
-holds, loading either succeeds or raises one of the package's errors."""
+holds, loading either succeeds or raises one of the package's errors; and
+the slot view of slot queries against the eager slot automaton."""
 
 import copy
 import io
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from conftest import all_words
+from test_differential import _generic_twin
+from whsg import cfg as cfglib
+from whsg import fixtures
 from whsg.errors import WhsgError
-from whsg.structure import load_structure
+from whsg.nfa import Nfa
+from whsg.structure import _Slots, load_structure, slot_shape
+from whsg.words import SEP1, SEP2, reverse
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -66,3 +75,108 @@ def test_mutated_fixture_raises_only_package_errors(text):
         load_structure(io.StringIO(text))
     except WhsgError:
         pass
+
+
+# -- slot queries: the view against the eager slot automaton ---------------------
+
+STRUCTURES = {name: make() for name, make in fixtures.NAMED.items()}
+TWINS = {name: _generic_twin(s) for name, s in STRUCTURES.items()}
+
+
+def _automata(s):
+    """Slot automata over s's alphabet: the representatives, a finite part
+    of them, a finite part with two initial states, two words that are no
+    palindromes, all words with and without the empty one, no word, and
+    only the empty word."""
+    letters = s.alphabet
+    short = s.reps.intersect(Nfa.from_words(all_words(letters, 2), letters))
+    return [s.reps, short, short.union(Nfa.from_words([letters[-1:] * 3], letters)),
+            Nfa.from_words([letters[:2], letters[:1] + letters[:2]], letters),
+            Nfa.universal(letters), Nfa.universal_nonempty(letters),
+            Nfa.from_words([], letters), Nfa.from_words([()], letters)]
+
+
+AUTOMATA = {name: _automata(s) for name, s in STRUCTURES.items()}
+# words each slot automaton accepts, up to length 2
+ACCEPTED = {id(a): a.enumerate_words(2) for pool in AUTOMATA.values() for a in pool}
+
+
+def _eager(s, left, middle, right):
+    """The slot_shape automaton of left #1 middle #2 right-reversed."""
+    def slot(x, rev=False):
+        if isinstance(x, Nfa):
+            return x.reverse() if rev else x
+        return Nfa.from_words([reverse(x) if rev else x], s.alphabet)
+
+    return slot_shape(slot(left), slot(middle), slot(right, rev=True))
+
+
+def _slot_word(draw, letters):
+    return tuple(draw(st.lists(st.sampled_from(letters), max_size=3)))
+
+
+@st.composite
+def slot_cases(draw):
+    """A fixture, three slots, and words cut like table words around them,
+    some with a separator dropped, doubled or inserted anywhere."""
+    name = draw(st.sampled_from(sorted(STRUCTURES)))
+    letters = STRUCTURES[name].alphabet
+    slots = [draw(st.sampled_from(AUTOMATA[name]))
+             if draw(st.booleans()) else _slot_word(draw, letters) for _ in range(3)]
+
+    def segment(x):
+        # a word the slot holds, often, so that some words pass
+        if draw(st.booleans()):
+            return _slot_word(draw, letters)
+        if not isinstance(x, Nfa):
+            return x
+        return draw(st.sampled_from(ACCEPTED[id(x)] or [()]))
+
+    words = []
+    for _ in range(8):
+        u, v, y = map(segment, slots)
+        w = [*u, SEP1, *v, SEP2, *reverse(y)]
+        for _ in range(draw(st.integers(0, 2))):
+            edit = draw(st.sampled_from(["drop", "double", "insert"]))
+            seps = [i for i, x in enumerate(w) if x in (SEP1, SEP2)]
+            if edit == "insert":
+                w.insert(draw(st.integers(0, len(w))), draw(st.sampled_from([SEP1, SEP2])))
+            elif seps:
+                i = draw(st.sampled_from(seps))
+                if edit == "drop":
+                    del w[i]
+                else:
+                    w.insert(i, w[i])
+        words.append(tuple(w))
+    return name, slots, words
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(slot_cases())
+def test_slot_view_accepts_what_the_slot_shape_accepts(case):
+    name, slots, words = case
+    view, eager = _Slots(*slots), _eager(STRUCTURES[name], *slots)
+    for w in words:
+        assert view.accepts(w) == eager.accepts(w), w
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_slot_view_least_word_matches_the_slot_shape(name):
+    # every pattern of word and automaton slots, on the flat table and on
+    # its generic twin, whose product reads the view's moves
+    s, twin = STRUCTURES[name], TWINS[name]
+    rng = random.Random(name)
+    reps = s.reps.enumerate_words(2, s.ranks)
+    found = 0
+    for pattern in itertools.product((False, True), repeat=3):
+        for _ in range(8):
+            slots = [rng.choice(AUTOMATA[name]) if automaton
+                     else rng.choice(reps + [()]) for automaton in pattern]
+            eager = _eager(s, *slots)
+            want = cfglib.least_word(s.table, eager, s.ranks)
+            assert want == cfglib.least_word(twin.table, eager, s.ranks)
+            for t in (s, twin):
+                assert cfglib.least_word(t.table, _Slots(*slots), s.ranks) == want, slots
+            found += want is not None
+    assert found
