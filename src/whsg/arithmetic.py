@@ -38,9 +38,17 @@ def multiply(s: WhStructure, p, q) -> tuple:
     """Shortest-lex representative of elt(p)elt(q): the least completion of
     p#1q#2 in the table, read reversed."""
     p, q = tuple(p), tuple(q)
+    if (p, q) not in s._mul_cache:
+        _require_rep(s, p), _require_rep(s, q)
+    return _product(s, p, q)
+
+
+def _product(s: WhStructure, p: tuple, q: tuple) -> tuple:
+    """multiply on operands known to be representatives: letters of a
+    normalized structure and the products it returned, which the table's
+    shape invariant makes representatives too."""
     got = s._mul_cache.get((p, q))
     if got is None:
-        _require_rep(s, p), _require_rep(s, q)
         prefix = p + (SEP1,) + q + (SEP2,)
         least = cfglib.least_completions(s.table, prefix, s.ranks)
         if not least:
@@ -65,7 +73,7 @@ def represent(s: WhStructure, w) -> tuple:
             raise OperandError(f"letter {sym!r} is not in the alphabet")
     seq = [(sym,) for sym in w]
     while len(seq) > 1:
-        nxt = [multiply(ns, seq[i], seq[i + 1]) for i in range(0, len(seq) - 1, 2)]
+        nxt = [_product(ns, seq[i], seq[i + 1]) for i in range(0, len(seq) - 1, 2)]
         if len(seq) % 2:
             nxt.append(seq[-1])
         seq = nxt

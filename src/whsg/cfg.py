@@ -5,8 +5,10 @@ Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words``, from
 which `membership`, `least_completions` and `least_word` answer; without
 them the finite-table procedures spend most of their time on charts and
-products over hundreds of lowered nodes.  Everything else goes through one
-cached lowering to bodies of at most two symbols.  Least words come from
+products over hundreds of lowered nodes.  The last two read only the words
+that begin with the prefix they are given, one run of the sorted words
+(`flat_run`).  Everything else goes through one cached lowering to bodies
+of at most two symbols.  Least words come from
 one lazily stepped pass, `_Pass`: Knuth's generalization of Dijkstra's
 algorithm (1977) with up to k distinct words per node (Huang and Chiang
 2005), forward or reversed.  Over the lowering as given it yields the
@@ -15,9 +17,10 @@ shortest word (k = 1), the mirror test's two least words per nonterminal
 bound).  The lowering of the normalization carries a one-symbol left
 context (`_after`), the nodes that may begin after each terminal, and
 serves one CYK chart (bit-parallel rows, with work that follows the split
-pairs whose rows are both nonzero) that keeps only the items whose node
-may begin after the symbol before them.  It answers membership and gives
-least completions their closed items; the k least completions of a prefix
+pairs whose rows are both nonzero, a node's row made on its first bit)
+that keeps only the items whose node may begin after the symbol before
+them.  It answers membership and gives least completions their closed
+items; the k least completions of a prefix
 are a weighted item pass in the same Knuth order that opens only items
 the left context admits.  Its items past the end of the prefix do not
 depend on the prefix: one reversed pass per lowering, ranks and k settles
@@ -36,6 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import sys
+from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING
 
@@ -78,6 +82,7 @@ class Cfg:
         self.flat_words = self._detect_flat()
         self._normal = None
         self._lowered = None
+        self._sorted = None
 
     @classmethod
     def from_words(cls, terminals, words, start="S") -> "Cfg":
@@ -120,6 +125,18 @@ class Cfg:
         return (f"Cfg(nonterminals={len(self.nonterminals)}, "
                 f"productions={len(self.productions)}, "
                 f"flat={self.flat_words is not None})")
+
+
+def flat_run(g: Cfg, prefix: tuple) -> tuple:
+    """The words of a flat g that begin with prefix, in tuple order: one
+    bisection into the sorted tuple of g's words, which the first call on g
+    builds and keeps."""
+    words = g._sorted
+    if words is None:
+        words = g._sorted = tuple(sorted(g.flat_words))
+    n = len(prefix)
+    lo = bisect_left(words, prefix)
+    return words[lo:bisect_right(words, prefix, lo, key=lambda w: w[:n])]
 
 
 def derives_epsilon(g: Cfg) -> bool:
@@ -442,11 +459,13 @@ def _cyk_masks(cnf: _Lowered, w):
     """CYK chart of w: (masks, live, allow), where masks[A][l] has bit i set iff
     node A derives w[i:i+l] and may begin after w[i-1] (`_after`; at the
     word's start when i = 0), and live[A] lists, ascending, the lengths l
-    whose row masks[A][l] is nonzero.  Every item on a derivation of a word
-    with prefix w stays.  Each row is masked with allow[A], the bitmask of
-    the positions whose preceding symbol admits A, built per symbol in
-    O(n + sum of |after[t]|).  The last chart is kept on the lowering and
-    returned again for the same word; callers only read it.
+    whose row masks[A][l] is nonzero.  A node's masks and live list are made
+    when it gets its first bit; both are None for a node that derives no
+    span.  Every item on a derivation of a word with prefix w stays.  Each
+    row is masked with allow[A], the bitmask of the positions whose
+    preceding symbol admits A, built per symbol in O(n + sum of
+    |after[t]|).  The last chart is kept on the lowering and returned again
+    for the same word; callers only read it.
 
     Rows are bit-parallel over the start position.  Length l combines only
     the rules A -> B C due at l: those with some split k + (l - k) where
@@ -462,8 +481,8 @@ def _cyk_masks(cnf: _Lowered, w):
     if cnf.chart is not None and cnf.chart[0] == w:
         return cnf.chart[1:]
     n = len(w)
-    masks = [[0] * (n + 1) for _ in range(cnf.size)]
-    live = [[] for _ in range(cnf.size)]
+    masks = [None] * cnf.size
+    live = [None] * cnf.size
     binary, partners, after = cnf.binary, cnf.partners, cnf.after
     if partners is None:
         partners = cnf.partners = defaultdict(list)
@@ -484,7 +503,13 @@ def _cyk_masks(cnf: _Lowered, w):
     due = [[] for _ in range(n + 1)]
     cap = (2 << n) - 1
 
-    def enliven(x, l):
+    def enliven(x, l, bits):
+        # x's first bits at length l; its row and live list come with its
+        # first bits at any length
+        if live[x] is None:
+            masks[x] = [0] * (n + 1)
+            live[x] = []
+        masks[x][l] = bits
         live[x].append(l)
         lens[x] |= 1 << l
         for r, y in partners.get(x, ()):
@@ -496,12 +521,13 @@ def _cyk_masks(cnf: _Lowered, w):
                     due[low.bit_length() - 1].append(r)
                     new ^= low
 
+    ones = defaultdict(int)     # node -> its row at length 1
     for sym, bits in at.items():
         for a in cnf.by_sym.get(sym, ()):
-            masks[a][1] |= bits >> 1 & allow[a]
-    for a in {a for sym in at for a in cnf.by_sym.get(sym, ())}:
-        if masks[a][1]:
-            enliven(a, 1)
+            ones[a] |= bits >> 1 & allow[a]
+    for a, bits in ones.items():
+        if bits:
+            enliven(a, 1, bits)
     for l in range(2, n + 1):
         # a row that goes live at l schedules only lengths above l, and no
         # split reads a row at l (row 0 is empty)
@@ -524,9 +550,10 @@ def _cyk_masks(cnf: _Lowered, w):
             acc &= allow[a]
             if acc:
                 row = masks[a]
-                if not row[l]:
-                    enliven(a, l)
-                row[l] |= acc
+                if row is None or not row[l]:
+                    enliven(a, l, acc)
+                else:
+                    row[l] |= acc
     cnf.chart = (w, masks, live, allow)
     return masks, live, allow
 
@@ -545,8 +572,8 @@ def membership(g: Cfg, w) -> bool:
     if any(s not in ts for s in w):
         return False
     cnf = cnf_of(g)
-    masks, _live, _allow = _cyk_masks(cnf, w)
-    return bool(masks[cnf.start][len(w)] & 1)
+    row = _cyk_masks(cnf, w)[0][cnf.start]
+    return row is not None and bool(row[len(w)] & 1)
 
 
 class _Pass:
@@ -664,14 +691,15 @@ def intersect_regular(g: Cfg, a: Nfa) -> Cfg:
     return _product_grammar(cnf, *_nfa_product(cnf, a), g.terminals)
 
 
-def least_word(g: Cfg, a, ranks=None):
+def least_word(g: Cfg, a, ranks=None, prefix=()):
     """shortest_word(intersect_regular(g, a), ranks), with no grammar written:
     the shortlex-least nonempty word of language(g) & language(a), or None.
 
     `a` is an `Nfa` or anything with its automaton interface: `initial` and
     `accepting` states and `moves(p, sym)` for the product, and
     `accepts(w)` for a flat table, such as the slot view
-    `structure._Slots`.
+    `structure._Slots`.  Every word a accepts must begin with `prefix`; a
+    flat table reads only its words that do (`flat_run`).
 
     Knuth's lightest-derivation pass (1977) in the weighted-deduction form of
     Nederhof (2003) over the items (p, A, q) of the pairs that the closure of
@@ -685,7 +713,7 @@ def least_word(g: Cfg, a, ranks=None):
     # flat shortcut: without it decide-flat ran 65 % fewer ops/s, at 19 %
     # more peak RSS
     if g.flat_words is not None:
-        return min((w for w in g.flat_words if w and a.accepts(w)),
+        return min((w for w in flat_run(g, prefix) if w and a.accepts(w)),
                    key=shortlex_key(ranks), default=None)
     cnf = cnf_of(g)
     leaves_of, tops = _nfa_product(cnf, a)
@@ -886,9 +914,8 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
     # flat shortcut: with every flat path off, decide-flat ran 969 -> 143
     # ops/s, most of it in _cyk_masks
     if g.flat_words is not None:
-        tails = {tuple(reversed(w[n:])) for w in g.flat_words
-                 if len(w) > n and w[:n] == x
-                 and (maxlen is None or len(w) - n <= maxlen)}
+        tails = {tuple(reversed(w[n:])) for w in flat_run(g, x)
+                 if len(w) > n and (maxlen is None or len(w) - n <= maxlen)}
         return sorted(tails, key=shortlex_key(ranks))[:k]
     limit = sys.maxsize if maxlen is None else maxlen
     cnf = cnf_of(g)
@@ -916,6 +943,8 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
         subscribe(start, 0, start, 0, ())
     for b, cs in cnf.left_index.items():
         row = masks[b]
+        if row is None:
+            continue
         for l in live[b]:
             if row[l] >> (n - l) & 1:
                 for head, c in cs:
@@ -955,6 +984,8 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
             continue
         for head, b in cnf.right_index.get(a, ()):
             row = masks[b]
+            if row is None:
+                continue
             for l in live[b]:
                 if l > i:
                     break

@@ -178,10 +178,12 @@ class _Slots:
     (i, q) is state q of slot i: a word slot's states are its positions, an
     automaton slot keeps its own.  A separator moves from the accepting
     states of one slot to the initial states of the next.  A right
-    automaton is reversed only when its moves are asked for.
+    automaton is reversed only when its moves are asked for.  `prefix` is
+    what every accepted word begins with: the word slots before the first
+    automaton slot, each followed by its separator.
     """
 
-    __slots__ = ("_parts", "_starts", "_ends", "_words", "_automata")
+    __slots__ = ("_parts", "_starts", "_ends", "_words", "_automata", "prefix")
 
     def __init__(self, left, middle, right):
         if not isinstance(right, Nfa):
@@ -195,6 +197,12 @@ class _Slots:
         self._ends = [(len(x),) if type(x) is tuple else x.accepting for x in parts]
         if type(right) is not tuple:  # read reversed, it starts where it accepts
             self._starts[2], self._ends[2] = right.accepting, right.initial
+        prefix = ()
+        for x, sep in zip(parts, ((SEP1,), (SEP2,), ())):
+            if type(x) is not tuple:
+                break
+            prefix += x + sep
+        self.prefix = prefix
 
     @property
     def initial(self):
@@ -239,8 +247,10 @@ class _Slots:
 def slot_word(s: WhStructure, left, middle, right):
     """The least table word left #1 middle #2 right-reversed, or None, with
     no grammar written and no automaton built: `cfg.least_word` reads the
-    slots in place through the automaton interface of `_Slots`."""
-    return cfglib.least_word(s.table, _Slots(left, middle, right), s.ranks)
+    slots in place through the automaton interface of `_Slots`, and a flat
+    table only its words that begin with the view's prefix."""
+    view = _Slots(left, middle, right)
+    return cfglib.least_word(s.table, view, s.ranks, view.prefix)
 
 
 def slot_middle(s: WhStructure, left, middle, right):

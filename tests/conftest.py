@@ -20,6 +20,17 @@ def finite_language(nfa):
     return nfa.enumerate_words(len(nfa.states))
 
 
+def dense_chart(chart, w):
+    """A chart of `cfg._cyk_masks` over w with every node's row and live
+    list made: a node the chart left dead (None) gets a row of zeros and
+    [].  A row the chart made must have a bit, so its live list is never
+    empty."""
+    masks, live, allow = chart
+    assert all(got for got in live if got is not None)
+    return ([[0] * (len(w) + 1) if row is None else row for row in masks],
+            [[] if got is None else got for got in live], allow)
+
+
 @pytest.fixture(scope="session")
 def null3():
     return fixtures.null3()

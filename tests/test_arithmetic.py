@@ -24,6 +24,21 @@ def test_check_multiply_rejects_non_representatives(free2):
         check_multiply(free2, (), ("b",), ("b",))
 
 
+def test_public_products_reject_non_representatives(z2, rees):
+    # represent multiplies without checking its operands; the public
+    # functions still check every operand, whatever the caches hold
+    for s in (z2, rees):
+        good = finite_language(s.reps)[0]
+        bad = next(w for w in all_words(s.alphabet, 3) if not s.in_reps(w))
+        represent(s, good + bad)
+        for p, q in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(OperandError, match="not a representative"):
+                multiply(s, p, q)
+        for p, q, r in ((bad, good, good), (good, bad, good), (good, good, bad)):
+            with pytest.raises(OperandError, match="not a representative"):
+                check_multiply(s, p, q, r)
+
+
 def test_multiply_free2_concatenates(free2):
     assert multiply(free2, ("a", "b"), ("a",)) == ("a", "b", "a")
 

@@ -5,7 +5,7 @@ bodies, against brute force and the reference passes."""
 import pytest
 
 import knuth_reference
-from conftest import all_words
+from conftest import all_words, dense_chart
 from test_cfg import _may_begin_after, _random_cfg
 from test_differential import _unflatten_cfg
 from whsg import cfg as cfglib
@@ -181,7 +181,7 @@ def test_chart_and_membership_match_plain_cyk(g, w):
     before = _may_begin_after(cnf)
     chart = {(a, i, l) for a, i, l in _plain_cyk(cnf, w)
              if (w[i - 1] if i else None) in before.get(a, ())}
-    masks, live, _allow = cfglib._cyk_masks(cnf, w)
+    masks, live, _allow = dense_chart(cfglib._cyk_masks(cnf, w), w)
     for a in range(cnf.size):
         assert live[a] == sorted({l for b, _i, l in chart if b == a})
         for l in range(1, len(w) + 1):

@@ -11,6 +11,7 @@ from collections import defaultdict
 
 import pytest
 
+from conftest import dense_chart
 from test_differential import _generic_twin
 from whsg import cfg as cfglib
 from whsg import fixtures
@@ -36,7 +37,7 @@ def _reference_least_completions(g, prefix, ranks=None, k=1, maxlen=None,
         return sorted(tails, key=shortlex_key(ranks))[:k]
     limit = sys.maxsize if maxlen is None else maxlen
     cnf = cnf_of(g)
-    masks, live, _allow = _cyk_masks(cnf, x)
+    masks, live, _allow = dense_chart(_cyk_masks(cnf, x), x)
     heap = [(1, (r,), n, a) for a, syms in cnf.term_bodies.items()
             for r in sorted({ranks[s] for s in syms})[:k]]
     heapq.heapify(heap)

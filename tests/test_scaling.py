@@ -10,25 +10,29 @@ moves by more than the bound's margin.
 import copy
 import gc
 import heapq
+import itertools
 import math
 import random
 import time
 import types
 from collections import defaultdict, deque
 
-from conftest import finite_language
+from conftest import dense_chart, finite_language
 from test_cfg import _pruned_chart, _random_cfg
 from test_differential import _generic_twin
+from test_least_completions import _reference_least_completions
+from test_structural import _decide_flat_corpus
 from whsg import cfg as cfglib
 from whsg import fixtures
 from whsg.arithmetic import multiply, word_eq
 from whsg.cfg import Cfg, normalize
 from whsg.nfa import Nfa
 from whsg.oracle import (FiniteSemigroup, direct_product, rb22_table,
-                         structure_from_table, table_decide, z2_table)
+                         rees_monoid_table, structure_from_table, table_decide,
+                         z2_table)
 from whsg.structural import is_clifford, is_completely_simple, palindromic_defect
-from whsg.structure import WhStructure
-from whsg.words import SEP1, SEP2
+from whsg.structure import WhStructure, _Slots, slot_word, validate_necessary
+from whsg.words import SEP1, SEP2, shortlex_key
 
 
 def _fastest(f, runs=3, make=lambda: ()):
@@ -220,7 +224,7 @@ def test_scheduled_chart_matches_row_tracked_chart():
                 p, q = (_representative(name, s, m, rng) for _ in range(2))
                 assert s.in_reps(p) and s.in_reps(q)
                 w = p + (SEP1,) + q + (SEP2,)
-                assert cfglib._cyk_masks(cnf, w) == _pruned_chart(
+                assert dense_chart(cfglib._cyk_masks(cnf, w), w) == _pruned_chart(
                     cnf, w, _row_tracked_cyk_masks(cnf, w)[0])
     # S -> B C with B and C live at the same lengths, and B -> B B
     pair = Cfg(["S", "B", "C"], ("a", "b"), "S",
@@ -231,7 +235,7 @@ def test_scheduled_chart_matches_row_tracked_chart():
         cnf = cfglib.cnf_of(g)
         for n in (0, 1, 2, 7, 40):
             w = tuple(rng.choice("ab") for _ in range(n))
-            assert cfglib._cyk_masks(cnf, w) == _pruned_chart(
+            assert dense_chart(cfglib._cyk_masks(cnf, w), w) == _pruned_chart(
                 cnf, w, _row_tracked_cyk_masks(cnf, w)[0])
 
 
@@ -249,7 +253,8 @@ def test_scheduled_chart_beats_row_tracked_chart():
     # 8,370, scheduling by length sums left 870 and the left context 480
     counted = copy.copy(cnf)
     counted.chart, counted.binary = None, _CountingTuple(cnf.binary)
-    assert cfglib._cyk_masks(counted, w) == _pruned_chart(cnf, w, masks)
+    assert dense_chart(cfglib._cyk_masks(counted, w), w) == _pruned_chart(
+        cnf, w, masks)
     visits = counted.binary.reads
     assert visits <= 0.06 * _row_tracked_visits(cnf, live, len(w)), visits
     # alternated, so that both see the same phases of a shared machine
@@ -269,7 +274,7 @@ def test_left_context_prunes_the_chart_and_the_completions(monkeypatch):
     cnf = cfglib.cnf_of(s.table)
     b, a = ("b",), ("a",)
     w = b * 40 + a * 60 + (SEP1,) + b * 70 + a * 50 + (SEP2,)
-    _masks, live, _allow = cfglib._cyk_masks(_uncharted(cnf), w)
+    _masks, live, _allow = dense_chart(cfglib._cyk_masks(_uncharted(cnf), w), w)
     # 707 live entries without the left context; 379 were measured
     assert sum(map(len, live)) <= 400
     pushes = []
@@ -542,3 +547,63 @@ def test_two_letter_doubling_defect_is_read_off_the_certificate():
         assert time.perf_counter() - t0 < 1.0, k
         _assert_skewed_member(g, d)
         assert len(d.witness) == 2 ** (k + 1) + 1
+
+
+def _scanned_least_word(g, a, ranks):
+    """least_word on a flat table as a scan of every table word."""
+    return min((w for w in g.flat_words if w and a.accepts(w)),
+               key=shortlex_key(ranks), default=None)
+
+
+def test_flat_lookups_by_prefix_run_match_a_scan():
+    # the decide-flat corpus, the order <= 3 corpus and the named tables
+    rng = random.Random(27)
+    structures = [build() for build in fixtures.NAMED.values()]
+    structures = [s for s in structures + _decide_flat_corpus()
+                  if s.table.flat_words is not None]
+    assert len(structures) > 40
+    for s in structures:
+        g, ranks = s.table, s.ranks
+        words = sorted(g.flat_words)
+        # every prefix of a table word, and prefixes that begin none: a
+        # word followed by a separator, a lone separator, a foreign symbol
+        prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
+        prefixes |= {w + (SEP1,) for w in words[:3]} | {(SEP2,), ("&x",)}
+        for x in prefixes:
+            assert cfglib.flat_run(g, x) == tuple(
+                w for w in words if w[:len(x)] == x), x
+        reps = finite_language(s.reps)
+        for u, v in itertools.product(reps, repeat=2):
+            x = u + (SEP1,) + v + (SEP2,)
+            for k, maxlen in itertools.product((1, 2, 3), (None, 1, 2)):
+                # the reference scans every table word of a flat table
+                assert cfglib.least_completions(g, x, ranks, k, maxlen) == (
+                    _reference_least_completions(g, x, ranks, k, maxlen)), (x, k, maxlen)
+        # a word or an automaton in each slot; a word slot is a
+        # representative, or a letter doubled, which need not be one
+        others = reps + [(a, a) for a in s.alphabet]
+        for automata in itertools.product((False, True), repeat=3):
+            for _ in range(4):
+                slots = [s.reps if auto else rng.choice(others) for auto in automata]
+                assert slot_word(s, *slots) == _scanned_least_word(
+                    g, _Slots(*slots), ranks), slots
+
+
+class _CountedWords(frozenset):
+    """A flat table's word set that counts the times it is read through."""
+
+    walks = 0
+
+    def __iter__(self):
+        yield from super().__iter__()
+        self.walks += 1
+
+
+def test_validate_reads_the_flat_table_once():
+    # every least completion reads one sorted run of the table's words: the
+    # scan that this replaced walked the 256 words of z2 x rees 352 times
+    s = structure_from_table(direct_product(z2_table(), rees_monoid_table()))
+    s.table.flat_words = words = _CountedWords(s.table.flat_words)
+    assert len(words) == 256
+    assert validate_necessary(s)
+    assert words.walks == 1
