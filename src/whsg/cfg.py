@@ -27,8 +27,9 @@ depend on the prefix: one reversed pass per lowering, ranks and k settles
 them for every call, and each call subscribes its own items to the nodes
 whose words extend them.  The same lowering serves the one goal-directed
 grammar x automaton closure, which builds only the items its start can use;
-regular intersection and transducer images write a grammar from them, and
-`least_word` reads the product's least word off them and writes none.
+regular intersection and transducer images write the product's normal form
+from them, with no second pass through `normalize`, and `least_word` reads
+the product's least word off them and writes none.
 `is_free` substitutes its representatives by `Nfa.substitute`.  An
 automaton's shortest and enumerated words come from `_Pass` too, over its
 right-linear grammar `Cfg.from_nfa`.
@@ -216,24 +217,11 @@ def normalize(g: Cfg) -> Cfg:
             unit_edges[head].add(body[0])
         else:
             nonunit[head].add(body)
-    # bodies[a]: the non-unit bodies of every nonterminal a reaches by unit
-    # rules, built per strongly connected component of the unit graph from
-    # the components it points to, which come first; a nonterminal outside
-    # the unit graph keeps its own bodies
-    bodies = {}
-    for comp in _components(unit_edges, unit_edges):
-        got = set()
-        for a in comp:
-            got |= nonunit.get(a, set())
-            for b in unit_edges.get(a, ()):
-                if b in bodies:
-                    got |= bodies[b]
-        for a in comp:
-            bodies[a] = got
+    bodies = _unit_closed(unit_edges, nonunit)
     prods = {(a, body) for a in nts
              for body in bodies.get(a, nonunit.get(a, ()))}
     # freed first, so that the closure's occurrence index does not raise
-    # the peak memory of large product grammars
+    # the peak memory of large grammars
     del unit_edges, nonunit, bodies
 
     productive = _closure(prods, nts)
@@ -258,17 +246,32 @@ def normalize(g: Cfg) -> Cfg:
                 if x in nts and x not in reachable:
                     reachable.add(x)
                     agenda.append(x)
-    # each symbol's place in the _stable_key order, computed once
-    rank = {x: i for i, x in enumerate(sorted(
-        itertools.chain(reachable, g.terminals), key=_stable_key))}
-    prods = sorted(((h, b) for h, b in prods if h in reachable),
-                   key=lambda p: (rank[p[0]], len(p[1]),
-                                  tuple(map(rank.__getitem__, p[1]))))
+    _order, prods = _ranked(itertools.chain(reachable, g.terminals),
+                            [(h, b) for h, b in prods if h in reachable])
     keep = [a for a in g.nonterminals if a in reachable]
     out = Cfg(keep, g.terminals, g.start, prods)
     g._normal = out
     out._normal = out
     return out
+
+
+def _unit_closed(units, nonunit):
+    """a -> the non-unit bodies of every nonterminal a reaches by unit rules,
+    itself included, for each a of the unit graph `units`; a nonterminal
+    outside it keeps its own bodies, nonunit[a].  Built per strongly
+    connected component of the unit graph from the components it points to,
+    which come first."""
+    bodies = {}
+    for comp in _components(units, units):
+        got = set()
+        for a in comp:
+            got |= nonunit.get(a, set())
+            for b in units.get(a, ()):
+                if b in bodies:
+                    got |= bodies[b]
+        for a in comp:
+            bodies[a] = got
+    return bodies
 
 
 def _components(nodes, edges):
@@ -318,6 +321,15 @@ def _components(nodes, edges):
 
 def _stable_key(x):
     return (x,) if isinstance(x, str) else ("\x00", repr(x))
+
+
+def _ranked(symbols, prods):
+    """The symbols in _stable_key order, and prods sorted by head, body
+    length and body, each symbol at its place in that order."""
+    order = sorted(symbols, key=_stable_key)
+    rank = {x: i for i, x in enumerate(order)}
+    return order, sorted(prods, key=lambda p: (
+        rank[p[0]], len(p[1]), tuple(map(rank.__getitem__, p[1]))))
 
 
 class _Lowered:
@@ -841,16 +853,26 @@ def _asked(cnf: _Lowered, leaves_of, tops):
 
 
 def _product_grammar(cnf: _Lowered, leaves_of, tops, terminals) -> Cfg:
-    """Normalized product of a binarized grammar with a state space: the
-    closure of `_asked`, then productions written top-down from its top
-    items under a new start, for the items the start reaches only, with
-    the leaf bodies the closure read.
+    """Normalized product of a binarized grammar with a state space, written
+    from the items of the closure of `_asked` under a new start, equal to
+    normalize() of the raw product (the items the top items reach, their
+    binary rules and the leaf bodies the closure read) and marked as its
+    own normalization.
+
+    Every item the closure built derives some word.  A walk from the top
+    items records each reached item's pairs of children and leaf bodies;
+    two worklist closures over the parents give the nullable items (an
+    empty leaf body, or a pair of nullable children) and the nonempty ones
+    (a nonempty leaf body, or a nonempty child).  Only nonempty items get
+    bodies: a pair of nonempty children, a unit body for a nonempty child
+    beside a nullable one, and the nonempty leaf bodies; the start has a
+    unit body for each nonempty top item.  The unit bodies are closed as in
+    normalize, and what the start reaches is kept, in normalize's order.
     """
     starts, top, leaves = _asked(cnf, leaves_of, tops)
     start = ("&S",)
-    if not top:
-        return Cfg([start], terminals, start, [])
-    prods = [(start, (it,)) for it in top]
+    rules = []                     # (item, left, right) of each pair
+    parents = defaultdict(list)    # item -> the rules it is a child of
     reached = set(top)
     agenda = deque(top)
     while agenda:
@@ -860,17 +882,68 @@ def _product_grammar(cnf: _Lowered, leaves_of, tops, terminals) -> Cfg:
             for mid in starts.get((b, p), ()):
                 if q in starts.get((c, mid), ()):
                     left, right = (p, b, mid), (mid, c, q)
-                    prods.append((it, (left, right)))
+                    parents[left].append(len(rules))
+                    parents[right].append(len(rules))
+                    rules.append((it, left, right))
                     for x in (left, right):
                         if x not in reached:
                             reached.add(x)
                             agenda.append(x)
+    nullable = set()
+    bodies = {}                    # nonempty item -> its non-unit bodies
     for nt, p in {(nt, p) for p, nt, _q in reached}:
-        prods += [((p, nt, q), body) for q, body in leaves[(nt, p)]
-                  if (p, nt, q) in reached]
-    nonterminals = [start] + sorted(reached, key=repr)
-    raw = Cfg(nonterminals, terminals, start, prods)
-    return normalize(raw)
+        for q, body in leaves[(nt, p)]:
+            it = (p, nt, q)
+            if it in reached and body:
+                bodies.setdefault(it, set()).add(body)
+            elif it in reached:
+                nullable.add(it)
+    unmet = [2] * len(rules)
+    agenda = list(nullable)
+    while agenda:
+        for r in parents.get(agenda.pop(), ()):
+            unmet[r] -= 1
+            head = rules[r][0]
+            if not unmet[r] and head not in nullable:
+                nullable.add(head)
+                agenda.append(head)
+    agenda = list(bodies)
+    while agenda:
+        for r in parents.get(agenda.pop(), ()):
+            head = rules[r][0]
+            if head not in bodies:
+                bodies[head] = set()
+                agenda.append(head)
+    units = defaultdict(list)
+    for it, left, right in rules:
+        if it in bodies:
+            if left in bodies:
+                if right in bodies:
+                    bodies[it].add((left, right))
+                if right in nullable:
+                    units[it].append(left)
+            if right in bodies and left in nullable:
+                units[it].append(right)
+    units[start] = [it for it in top if it in bodies]
+    closed = _unit_closed(units, bodies)
+    keep = {start}
+    agenda = [start]
+    prods = []
+    while agenda:
+        a = agenda.pop()
+        for body in closed[a] if a in closed else bodies[a]:
+            prods.append((a, body))
+            for x in body:
+                if x in bodies and x not in keep:
+                    keep.add(x)
+                    agenda.append(x)
+    order, prods = _ranked(itertools.chain(keep, terminals), prods)
+    # the start, then the items in repr order (their _stable_key order), as
+    # normalize() of the raw product declares them
+    out = Cfg([start] + [x for x in order if x in bodies], terminals, start,
+              prods)
+    out._normal = out
+    return out
 
 
 # -- least completions of a prefix -------------------------------------------------

@@ -321,11 +321,18 @@ def test_dense_chart_is_no_slower_than_full_cyk():
 
 
 def _reference_product_grammar(cnf, leaves_of, tops, terminals):
-    """The product as it was built before the closure was goal-directed:
+    """The reference for the product and for the normal form the library
+    writes from its items: normalize() of the raw product."""
+    return normalize(_reference_raw_product(cnf, leaves_of, tops, terminals))
+
+
+def _reference_raw_product(cnf, leaves_of, tops, terminals):
+    """The raw product as it was built before the closure was goal-directed:
     items combined bottom-up from every leaf over the binary rules, with
-    `starts` and `ends` indexes, then the same top-down write phase.  The
-    leaves are read up front from every state that leaves lead to from the
-    first state of a top pair, as no other state is on a top item's run."""
+    `starts` and `ends` indexes, then productions written top-down from the
+    top items under a new start.  The leaves are read up front from every
+    state that leaves lead to from the first state of a top pair, as no
+    other state is on a top item's run."""
     leaves = []
     states = {p for p, _q in tops}
     todo = list(states)
@@ -383,8 +390,7 @@ def _reference_product_grammar(cnf, leaves_of, tops, terminals):
                             agenda.append(x)
     prods += [leaf for leaf in leaves if leaf[0] in reached]
     nonterminals = [start] + sorted(reached, key=repr)
-    raw = Cfg(nonterminals, terminals, start, prods)
-    return normalize(raw)
+    return Cfg(nonterminals, terminals, start, prods)
 
 
 def test_dense_product_is_no_slower_than_bottom_up_closure():
