@@ -26,10 +26,12 @@ the left context admits.  Its items past the end of the prefix do not
 depend on the prefix: one reversed pass per lowering, ranks and k settles
 them for every call, and each call subscribes its own items to the nodes
 whose words extend them.  The same lowering serves the one goal-directed
-grammar x automaton closure, which builds only the items its start can use;
-regular intersection and transducer images write the product's normal form
-from them, with no second pass through `normalize`, and `least_word` reads
-the product's least word off them and writes none.
+grammar x state-space closure, which builds only the items its start can
+use, and reads every state space, an automaton as the transducer that
+copies its input, by one protocol (`_asked`); regular intersection and
+transducer images write the product's normal form from the items, with no
+second pass through `normalize`, and `least_word` reads the product's least
+word off them and writes none.
 `is_free` substitutes its representatives by `Nfa.substitute`.  An
 automaton's shortest and enumerated words come from `_Pass` too, over its
 right-linear grammar `Cfg.from_nfa`.
@@ -667,11 +669,16 @@ def shortest_word(g: Cfg, ranks=None):
 
 def enumerate_words(g: Cfg, maxlen: int, ranks=None):
     """All words of the language with length <= maxlen, shortlex order."""
+    return list(_shortlex_words(g, maxlen, ranks))
+
+
+def _shortlex_words(g: Cfg, maxlen: int, ranks=None):
+    """The words of enumerate_words, each settled only when it is taken."""
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
-    return [spelled(w, ranks)
+    return (spelled(w, ranks)
             for x, w in _least_words(g, ranks, sys.maxsize, maxlen)
-            if x == g.start]
+            if x == g.start)
 
 
 def _least_words(g: Cfg, ranks, k, maxlen=sys.maxsize):
@@ -699,19 +706,17 @@ def intersect_regular(g: Cfg, a: Nfa) -> Cfg:
     Product construction over the binarized grammar; like every product
     built there, it drops the empty word.
     """
-    cnf = cnf_of(g)
-    return _product_grammar(cnf, *_nfa_product(cnf, a), g.terminals)
+    return _product_grammar(cnf_of(g), a, g.terminals)
 
 
 def least_word(g: Cfg, a, ranks=None, prefix=()):
     """shortest_word(intersect_regular(g, a), ranks), with no grammar written:
     the shortlex-least nonempty word of language(g) & language(a), or None.
 
-    `a` is an `Nfa` or anything with its automaton interface: `initial` and
-    `accepting` states and `moves(p, sym)` for the product, and
-    `accepts(w)` for a flat table, such as the slot view
-    `structure._Slots`.  Every word a accepts must begin with `prefix`; a
-    flat table reads only its words that do (`flat_run`).
+    `a` is an `Nfa` or a state space of `_asked` whose moves output the
+    symbol they read, with `accepts(w)` for a flat table, such as the slot
+    view `structure._Slots`.  Every word a accepts must begin with
+    `prefix`; a flat table reads only its words that do (`flat_run`).
 
     Knuth's lightest-derivation pass (1977) in the weighted-deduction form of
     Nederhof (2003) over the items (p, A, q) of the pairs that the closure of
@@ -728,8 +733,7 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
         return min((w for w in flat_run(g, prefix) if w and a.accepts(w)),
                    key=shortlex_key(ranks), default=None)
     cnf = cnf_of(g)
-    leaves_of, tops = _nfa_product(cnf, a)
-    starts, top, leaves = _asked(cnf, leaves_of, tops)
+    starts, top, leaves = _asked(cnf, a)
     if not top:
         return None
     top = set(top)
@@ -761,44 +765,33 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
                     push(heap, (m2 + m, w2 + w, next(tick), p0, head, q))
 
 
-def _nfa_product(cnf: _Lowered, a):
-    """leaves_of, (nt, p) -> the (q, body) of nt's terminal rules along a's
-    moves from p, and the (initial, accepting) pairs of a.
-
-    `a` is read through the automaton interface that `Nfa` and the slot
-    view `structure._Slots` share: `initial` and `accepting` states and
-    `moves(p, sym)`, the states one move on sym leads to from p."""
-    moves, bodies = a.moves, cnf.term_bodies
-
-    def leaves_of(nt, p):
-        return [(q, (sym,)) for sym in bodies.get(nt, ()) for q in moves(p, sym)]
-
-    return leaves_of, [(i, f) for i in a.initial for f in a.accepting]
-
-
-def _asked(cnf: _Lowered, leaves_of, tops):
+def _asked(cnf: _Lowered, space):
     """Goal-directed closure of a binarized grammar with a state space:
     `starts`, (nt, p) -> the set of q of each item (p, nt, q) for the pairs
-    asked, the top items (p, start, q) for (p, q) in `tops`, and `leaves`,
-    (nt, p) -> leaves_of(nt, p) for the pairs asked.
+    asked, the top items (p, start, q), and `leaves`, (nt, p) -> the
+    (q, output) of each move from p on a terminal body of nt.
 
-    An item (p, A, q) derives what A derives along some run from state p to
-    state q; leaves_of(A, p) lists the (q, body) of A's terminal rules from
-    p, read only once (p, A) is asked.  The closure is Earley's prediction
-    over the product ("parsing as intersection", Lang 1994).  The pairs
-    (p, start) of `tops` are asked first.  Asking (p, A) reads the leaves of
-    A from p and, for each rule A -> B C, asks (p, B); each item (p, B, mid)
-    then asks (mid, C), and each item (mid, C, q) completes (p, A, q).  The
-    grammar has no epsilon and no unit rules, so every item a top item can
-    use is built, and no item of a pair nothing asks for, such as a
-    nonterminal of one slot started in another.
+    Every state space has one protocol, `Transducer`'s: `initial` states,
+    `accepting` states and `moves(p, sym)`, the (target, output word)
+    pairs of one move.  An `Nfa` is the transducer that copies its input.
+    An item (p, A, q) derives what A derives along some run from p to q;
+    A's leaves from p are read only once (p, A) is asked.  The closure is
+    Earley's prediction over the product ("parsing as intersection", Lang
+    1994).  (start, p) is asked first for each initial p.  Asking (p, A)
+    reads the leaves of A from p and, for each rule A -> B C, asks (p, B);
+    each item (p, B, mid) then asks (mid, C), and each item (mid, C, q)
+    completes (p, A, q); the top items are those (p, start, q) with q
+    accepting.  The grammar has no epsilon and no unit rules, so every item
+    a top item can use is built, and no item of a pair nothing asks for,
+    such as a nonterminal of one slot started in another.
     """
-    by_head = cnf.binary_by_head
+    by_head, bodies, moves = cnf.binary_by_head, cnf.term_bodies, space.moves
     starts: dict = {}
     leaves: dict = {}
     firsts = defaultdict(set)      # (B, p) -> (A, C) of A -> B C asked at p
     seconds = defaultdict(set)     # (C, mid) -> (p, A) waiting for C from mid
-    asks = [(cnf.start, p) for p, _q in tops]
+    initial = space.initial
+    asks = [(cnf.start, p) for p in initial]
     agenda = deque()               # items not yet combined
 
     def wait(key, p, a):
@@ -825,7 +818,8 @@ def _asked(cnf: _Lowered, leaves_of, tops):
                 continue
             ends = starts[key] = set()
             nt, p = key
-            leaves[key] = got = leaves_of(nt, p)
+            leaves[key] = got = [leaf for sym in bodies.get(nt, ())
+                                 for leaf in moves(p, sym)]
             for q, _body in got:
                 if q not in ends:
                     ends.add(q)
@@ -848,16 +842,17 @@ def _asked(cnf: _Lowered, leaves_of, tops):
             if q not in ends:
                 ends.add(q)
                 agenda.append((p0, a, q))
-    return starts, [(p, cnf.start, q) for p, q in tops
-                    if q in starts.get((cnf.start, p), ())], leaves
+    accepting = space.accepting
+    return starts, [(p, cnf.start, q) for p in initial
+                    for q in starts[(cnf.start, p)] if q in accepting], leaves
 
 
-def _product_grammar(cnf: _Lowered, leaves_of, tops, terminals) -> Cfg:
-    """Normalized product of a binarized grammar with a state space, written
-    from the items of the closure of `_asked` under a new start, equal to
-    normalize() of the raw product (the items the top items reach, their
-    binary rules and the leaf bodies the closure read) and marked as its
-    own normalization.
+def _product_grammar(cnf: _Lowered, space, terminals) -> Cfg:
+    """Normalized product of a binarized grammar with a state space of
+    `_asked`, written from the items of its closure under a new start,
+    equal to normalize() of the raw product (the items the top items reach,
+    their binary rules and the leaf outputs the closure read) and marked as
+    its own normalization.
 
     Every item the closure built derives some word.  A walk from the top
     items records each reached item's pairs of children and leaf bodies;
@@ -869,7 +864,7 @@ def _product_grammar(cnf: _Lowered, leaves_of, tops, terminals) -> Cfg:
     unit body for each nonempty top item.  The unit bodies are closed as in
     normalize, and what the start reaches is kept, in normalize's order.
     """
-    starts, top, leaves = _asked(cnf, leaves_of, tops)
+    starts, top, leaves = _asked(cnf, space)
     start = ("&S",)
     rules = []                     # (item, left, right) of each pair
     parents = defaultdict(list)    # item -> the rules it is a child of

@@ -22,8 +22,8 @@ class Nfa:
 
     States are arbitrary hashables.  The alphabet keeps declaration order,
     which fixes every lexicographic tie-break downstream.  Products read an
-    automaton through `initial`, `accepting` and `moves`, an interface that
-    the slot view of slot queries (`structure._Slots`) shares.
+    automaton as the transducer that copies its input, by the protocol of
+    `cfg._asked` that `Transducer` and `structure._Slots` share.
     """
 
     def __init__(self, states, alphabet, transitions, initial, accepting):
@@ -106,9 +106,10 @@ class Nfa:
 
     # -- basic queries ---------------------------------------------------------
 
-    def moves(self, state, sym) -> frozenset:
-        """The states that one move on sym leads to from state."""
-        return self.transitions.get((state, sym), _EMPTY)
+    def moves(self, state, sym) -> list:
+        """The (target, (sym,)) pairs of one move on sym from state."""
+        out = (sym,)
+        return [(q, out) for q in self.transitions.get((state, sym), _EMPTY)]
 
     def step(self, current, sym) -> frozenset:
         out = set()

@@ -532,7 +532,7 @@ def _slot_deleter(alphabet, a) -> Transducer:
     trans.append(("u", SEP1, (), "v"))
     trans.append(("v", SEP2, (), "w"))
     trans.append(("w", a, (), "end"))
-    return Transducer(states, trans, "u", ["end"])
+    return Transducer(states, trans, ["u"], ["end"])
 
 
 def _three_slot_map(lmap, a, d) -> Transducer:
@@ -547,4 +547,4 @@ def _three_slot_map(lmap, a, d) -> Transducer:
     trans.append(("w", a, reverse(d), "w"))
     trans.append(("u", SEP1, (SEP1,), "v"))
     trans.append(("v", SEP2, (SEP2,), "w"))
-    return Transducer(states, trans, "u", ["w"])
+    return Transducer(states, trans, ["u"], ["w"])

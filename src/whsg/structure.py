@@ -6,6 +6,7 @@ decision procedures assume every generator is its own representative.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -173,14 +174,14 @@ class _Slots:
     three slots in place; each is an `Nfa` or a word over the alphabet, and
     the right slot is given unreversed, as the product it names.
 
-    It has the automaton interface that `cfg.least_word` reads: `initial`
-    and `accepting` states, `moves(state, sym)` and `accepts(w)`.  State
-    (i, q) is state q of slot i: a word slot's states are its positions, an
-    automaton slot keeps its own.  A separator moves from the accepting
-    states of one slot to the initial states of the next.  A right
-    automaton is reversed only when its moves are asked for.  `prefix` is
-    what every accepted word begins with: the word slots before the first
-    automaton slot, each followed by its separator.
+    `cfg.least_word` reads it as it reads an `Nfa`: by the state-space
+    protocol of `cfg._asked`, each move's output the symbol read, and by
+    `accepts(w)`.  State (i, q) is state q of slot i: a word slot's states
+    are its positions, an automaton slot keeps its own.  A separator moves
+    from the accepting states of one slot to the initial states of the
+    next.  A right automaton is reversed only when its moves are asked for.
+    `prefix` is what every accepted word begins with: the word slots before
+    the first automaton slot, each followed by its separator.
     """
 
     __slots__ = ("_parts", "_starts", "_ends", "_words", "_automata", "prefix")
@@ -217,12 +218,13 @@ class _Slots:
         ended = _SEP_SLOT.get(sym)
         if ended is not None:
             if ended == i and q in self._ends[i]:
-                return [(i + 1, r) for r in self._starts[i + 1]]
+                return [((i + 1, r), (sym,)) for r in self._starts[i + 1]]
             return ()
         x = self._parts[i]
         if type(x) is tuple:
-            return ((i, q + 1),) if q < len(x) and x[q] == sym else ()
-        return [(i, r) for r in (x.reverse() if i == 2 else x).moves(q, sym)]
+            return (((i, q + 1), (sym,)),) if q < len(x) and x[q] == sym else ()
+        return [((i, r), out)
+                for r, out in (x.reverse() if i == 2 else x).moves(q, sym)]
 
     def accepts(self, w) -> bool:
         """Cut w at its separators, compare the word slots, then run the
@@ -475,7 +477,7 @@ def _slot_rewriter(s: WhStructure) -> Transducer:
         if sep is not None:
             for end in ends:
                 transitions.append((end, sep, (sep,), ("in", slot + 1)))
-    return Transducer(states, transitions, ("in", 0), ends)
+    return Transducer(states, transitions, [("in", 0)], ends)
 
 
 # -- decidable validation ----------------------------------------------------------
@@ -501,8 +503,9 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
     if bad is not None:
         return Verdict.no(f"table word {' '.join(bad)!r} violates the slot shape")
     ns = normalize_generators(s)
-    words = ns.reps.enumerate_words(max(depth - 1, 1),
-                                    ns.ranks)[:VALIDATE_SAMPLE_CAP]
+    # the first words in shortlex order, with none past them enumerated
+    words = list(itertools.islice(cfglib._shortlex_words(
+        Cfg.from_nfa(ns.reps), max(depth - 1, 1), ns.ranks), VALIDATE_SAMPLE_CAP))
     if not words:
         return Verdict.no("representative language is empty")
 

@@ -238,7 +238,7 @@ def _random_letter_transducer(rng):
         out = tuple(rng.choice("ab") for _ in range(rng.randint(1, 2)))
         trans.append((rng.choice(states), rng.choice("ab"), out,
                       rng.choice(states)))
-    return Transducer(states, trans, states[0],
+    return Transducer(states, trans, [states[0]],
                       rng.sample(states, rng.randint(1, len(states))))
 
 

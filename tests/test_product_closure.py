@@ -71,7 +71,7 @@ def transducers(draw):
     trans = draw(st.lists(st.tuples(state, st.sampled_from("ab"), out, state),
                           max_size=12))
     accepting = draw(st.lists(state, min_size=1, max_size=3, unique=True))
-    return Transducer(states, trans, draw(state), accepting)
+    return Transducer(states, trans, [draw(state)], accepting)
 
 
 def _unit_cycle(raw):
@@ -169,8 +169,7 @@ def test_shape_checks_match_bottom_up_closure(name):
     assert got is None
     cnf = cfglib.cnf_of(g)
     for aut in (a, a.complement(a.alphabet)):
-        ref = _reference_product_grammar(cnf, *cfglib._nfa_product(cnf, aut),
-                                         g.terminals)
+        ref = _reference_product_grammar(cnf, aut, g.terminals)
         want = cfglib.shortest_word(ref, ranks)
         assert cfglib.least_word(g, aut, ranks) == want
         assert (want is None) == (aut is a)

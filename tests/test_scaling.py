@@ -320,30 +320,34 @@ def test_dense_chart_is_no_slower_than_full_cyk():
     assert walked <= 2 * (full + len(cnf.binary)), walked
 
 
-def _reference_product_grammar(cnf, leaves_of, tops, terminals):
+def _reference_product_grammar(cnf, space, terminals):
     """The reference for the product and for the normal form the library
     writes from its items: normalize() of the raw product."""
-    return normalize(_reference_raw_product(cnf, leaves_of, tops, terminals))
+    return normalize(_reference_raw_product(cnf, space, terminals))
 
 
-def _reference_raw_product(cnf, leaves_of, tops, terminals):
+def _reference_raw_product(cnf, space, terminals):
     """The raw product as it was built before the closure was goal-directed:
     items combined bottom-up from every leaf over the binary rules, with
     `starts` and `ends` indexes, then productions written top-down from the
-    top items under a new start.  The leaves are read up front from every
-    state that leaves lead to from the first state of a top pair, as no
-    other state is on a top item's run."""
+    top items under a new start.  The state space is read through the same
+    protocol as the library's (`initial`, `accepting`, and `moves`, whose
+    (target, output) pairs give a terminal rule's leaves).  The leaves are
+    read up front from every state that moves lead to from an initial
+    state, as no other state is on a top item's run."""
     leaves = []
-    states = {p for p, _q in tops}
+    initial = set(space.initial)
+    states = set(initial)
     todo = list(states)
     while todo:
         p = todo.pop()
-        for nt in list(cnf.term_bodies):
-            for q, body in leaves_of(nt, p):
-                leaves.append(((p, nt, q), body))
-                if q not in states:
-                    states.add(q)
-                    todo.append(q)
+        for nt, syms in cnf.term_bodies.items():
+            for sym in syms:
+                for q, body in space.moves(p, sym):
+                    leaves.append(((p, nt, q), body))
+                    if q not in states:
+                        states.add(q)
+                        todo.append(q)
     starts = defaultdict(set)   # (nt, p) -> set of q
     ends = defaultdict(set)     # (nt, q) -> set of p
     items = set()
@@ -369,7 +373,8 @@ def _reference_raw_product(cnf, leaves_of, tops, terminals):
                 add((begin, head, q))
 
     start = ("&S",)
-    top = [(p, cnf.start, q) for p, q in tops if (p, cnf.start, q) in items]
+    top = [it for it in items if it[1] == cnf.start and it[0] in initial
+           and it[2] in space.accepting]
     if not top:
         return Cfg([start], terminals, start, [])
     prods = [(start, (it,)) for it in top]
@@ -405,7 +410,7 @@ def test_dense_product_is_no_slower_than_bottom_up_closure():
               + [(i, "b", 2 * i % k) for i in range(k)],
               [0], range(k))
     cnf = cfglib.cnf_of(g)
-    args = (cnf, *cfglib._nfa_product(cnf, aut), g.terminals)
+    args = (cnf, aut, g.terminals)
     got = cfglib._product_grammar(*args)
     ref = _reference_product_grammar(*args)
     assert (got.nonterminals, got.productions) == (ref.nonterminals, ref.productions)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,10 +17,11 @@ from whsg.arithmetic import word_eq
 from whsg.cfg import Cfg
 from whsg.errors import InvariantError, OperandError, ParseError, ReservedSymbolError
 from whsg.nfa import Nfa
-from whsg.structure import (WhStructure, _Slots, dumps_structure,
-                            load_structure, normalize_generators, slot_middle,
-                            slot_word, validate_necessary)
-from whsg.words import SEP1, SEP2
+from whsg.structure import (VALIDATE_SAMPLE_CAP, WhStructure, _Slots,
+                            dumps_structure, load_structure,
+                            normalize_generators, slot_middle, slot_word,
+                            validate_necessary)
+from whsg.words import SEP1, SEP2, symbol_ranks
 
 
 def test_load_null3_file(tmp_path, null3):
@@ -344,6 +346,34 @@ def test_validate_detects_missing_product(free2):
     v = validate_necessary(s, depth=2)
     assert not v
     assert "missing product witness" in v.reason
+
+
+def test_lazy_enumeration_yields_the_first_words_in_order(free2):
+    ranks = symbol_ranks(free2.alphabet)
+    first = list(itertools.islice(cfglib._shortlex_words(
+        Cfg.from_nfa(free2.reps), 11, ranks), VALIDATE_SAMPLE_CAP))
+    assert first == free2.reps.enumerate_words(11, ranks)[:VALIDATE_SAMPLE_CAP]
+
+
+def test_validate_samples_representatives_lazily(free2, monkeypatch):
+    # free2's representatives are (a|b)+, 2^24 - 2 words up to length 23:
+    # the sample is their first 200 in shortlex order, and finding it
+    # settles a few hundred words of the automaton's grammar, not them all
+    empty = Cfg(free2.table.nonterminals, free2.table.terminals,
+                free2.table.start, [])
+    s = WhStructure(free2.alphabet, free2.reps, empty)
+    ours = cfglib._least_words
+    settled = []
+
+    def counted(*args, **kwargs):
+        for got in ours(*args, **kwargs):
+            settled.append(got)
+            assert len(settled) <= 1000, "every representative enumerated"
+            yield got
+
+    monkeypatch.setattr(cfglib, "_least_words", counted)
+    v = validate_necessary(s, depth=24)
+    assert v.reason == "missing product witness for 'a' * 'a'"
 
 
 def test_validate_lets_internal_errors_propagate(z2, monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import all_words
-from test_cfg import _random_nfa
+from test_cfg import _random_cfg, _random_nfa
 from whsg import cfg as cfglib
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
@@ -59,7 +59,7 @@ def test_every_move_reads_a_symbol():
     with pytest.raises(ValueError, match="input label"):
         Transducer(["s", "t"],
                    [("s", "a", ("a",), "s"), ("s", None, ("x",), "t")],
-                   "s", ["t"])
+                   ["s"], ["t"])
 
 
 def _random_letter_transducer(rng):
@@ -72,7 +72,7 @@ def _random_letter_transducer(rng):
         out = tuple(rng.choice("ab") for _ in range(rng.randint(1, 2)))
         trans.append((rng.choice(states), rng.choice("ab"), out,
                       rng.choice(states)))
-    return Transducer(states, trans, states[0],
+    return Transducer(states, trans, [states[0]],
                       rng.sample(states, rng.randint(1, n_states)))
 
 
@@ -115,3 +115,37 @@ def test_apply_to_cfg_matches_relation_semantics():
         assert set(cfglib.enumerate_words(got, 6)) == expected
         flat = t.apply_to_cfg(g)
         assert set(cfglib.enumerate_words(flat, 6)) == expected
+
+
+def test_several_initial_states_act_as_the_union_of_their_restrictions():
+    # outputs of length 0-2, so the image of a finite language is finite and
+    # enumerated whole; on an infinite language the images are compared to
+    # length 5, on the flat path, the generic path and with a random grammar
+    rng = random.Random(29)
+    inputs = [()] + all_words(("a", "b"), 4)
+    wider = 0
+    for _ in range(40):
+        states = [f"t{i}" for i in range(rng.randint(2, 4))]
+        trans = [(rng.choice(states), rng.choice("ab"),
+                  tuple(rng.choice("abc") for _ in range(rng.randint(0, 2))),
+                  rng.choice(states)) for _ in range(rng.randint(3, 8))]
+        initial = rng.sample(states, rng.randint(2, min(3, len(states))))
+        accepting = rng.sample(states, rng.randint(1, len(states)))
+        t = Transducer(states, trans, initial, accepting)
+        assert t.initial == frozenset(initial)
+        parts = [Transducer(states, trans, [p], accepting) for p in initial]
+        for u in inputs:
+            assert t.apply_word(u) == set().union(*(r.apply_word(u) for r in parts))
+        words = rng.sample(all_words(("a", "b"), 4), rng.randint(1, 6))
+        flat = Cfg.from_words(("a", "b"), words)
+        generic = Cfg(["S", "W"], ("a", "b"), "S",
+                      [("S", ("W",))] + [("W", w) for w in words])
+        assert generic.flat_words is None
+        for g, maxlen in ((flat, 8), (generic, 8), (_random_cfg(rng), 5)):
+            images = [set(cfglib.enumerate_words(r.apply_to_cfg(g), maxlen))
+                      for r in parts]
+            got = set(cfglib.enumerate_words(t.apply_to_cfg(g), maxlen))
+            assert got == set().union(*images)
+            wider += all(image < got for image in images)
+    # the union is larger than each restriction's image in some cases
+    assert wider >= 10, wider
