@@ -8,13 +8,17 @@ them the finite-table procedures spend most of their time on charts and
 products over hundreds of lowered nodes.  The last two read only the words
 that begin with the prefix they are given, one run of the sorted words
 (`flat_run`).  Everything else goes through one cached lowering to bodies
-of at most two symbols.  Least words come from
+of at most two symbols.  The queries read the lowering of the normal form
+with its bisimilar nodes merged (`cnf_of`, by the coarsest partition of
+`partition.bisimilar_blocks`), built once per grammar: a product table
+carries one nonterminal per state pair, and most of the copies derive the
+same words.  Least words come from
 one lazily stepped pass, `_Pass`: Knuth's generalization of Dijkstra's
 algorithm (1977) with up to k distinct words per node (Huang and Chiang
 2005), forward or reversed.  Over the lowering as given it yields the
 shortest word (k = 1), the mirror test's two least words per nonterminal
 (k = 2) and bounded enumeration (k unbounded, no candidate past the
-bound).  The lowering of the normalization carries a one-symbol left
+bound).  The merged lowering carries a one-symbol left
 context (`_after`), the nodes that may begin after each terminal, and
 serves one CYK chart (bit-parallel rows, with work that follows the split
 pairs whose rows are both nonzero, a node's row made on its first bit)
@@ -31,7 +35,9 @@ use, and reads every state space, an automaton as the transducer that
 copies its input, by one protocol (`_asked`); regular intersection and
 transducer images write the product's normal form from the items, with no
 second pass through `normalize`, and `least_word` reads the product's least
-word off them and writes none.
+word off them and writes none.  Regular intersection alone reads the
+lowering of the normal form as written, whose nodes name the items of the
+product it writes.
 `is_free` substitutes its representatives by `Nfa.substitute`.  An
 automaton's shortest and enumerated words come from `_Pass` too, over its
 right-linear grammar `Cfg.from_nfa`.
@@ -46,6 +52,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING
 
+from .partition import bisimilar_blocks
 from .words import shortlex_key, spelled, symbol_ranks
 
 if TYPE_CHECKING:
@@ -83,8 +90,10 @@ class Cfg:
                 prods.append((head, body))
         self.productions = tuple(prods)
         self.flat_words = self._detect_flat()
+        self._nullable = None
         self._normal = None
         self._lowered = None
+        self._cnf = None
         self._sorted = None
 
     @classmethod
@@ -180,9 +189,13 @@ def _closure(prods, nts):
 
 
 def _nullable_set(g: Cfg):
-    nts = set(g.nonterminals)
-    return _closure([(h, b) for h, b in g.productions
-                     if all(x in nts for x in b)], nts)
+    """The nullable nonterminals of g, computed once: a generic table's load
+    asks for them twice, by derives_epsilon and by normalize."""
+    if g._nullable is None:
+        nts = set(g.nonterminals)
+        g._nullable = _closure([(h, b) for h, b in g.productions
+                                if nts.issuperset(b)], nts)
+    return g._nullable
 
 
 def normalize(g: Cfg) -> Cfg:
@@ -203,8 +216,11 @@ def normalize(g: Cfg) -> Cfg:
 
     nts = set(g.nonterminals)
     nullable = _nullable_set(g)
-    prods = set()
+    # a body without nullable symbols expands to itself
+    prods = {p for p in g.productions if p[1] and nullable.isdisjoint(p[1])}
     for head, body in g.productions:
+        if nullable.isdisjoint(body):
+            continue
         options = [(x,) if x not in nullable else (x, None) for x in body]
         for combo in itertools.product(*options):
             b = tuple(x for x in combo if x is not None)
@@ -212,19 +228,20 @@ def normalize(g: Cfg) -> Cfg:
                 prods.add((head, b))
 
     # unit-production closure
-    unit_edges = defaultdict(set)
-    nonunit = defaultdict(set)
-    for head, body in prods:
-        if len(body) == 1 and body[0] in nts:
-            unit_edges[head].add(body[0])
-        else:
-            nonunit[head].add(body)
-    bodies = _unit_closed(unit_edges, nonunit)
-    prods = {(a, body) for a in nts
-             for body in bodies.get(a, nonunit.get(a, ()))}
-    # freed first, so that the closure's occurrence index does not raise
-    # the peak memory of large grammars
-    del unit_edges, nonunit, bodies
+    if any(len(b) == 1 and b[0] in nts for _h, b in prods):
+        unit_edges = defaultdict(set)
+        nonunit = defaultdict(set)
+        for head, body in prods:
+            if len(body) == 1 and body[0] in nts:
+                unit_edges[head].add(body[0])
+            else:
+                nonunit[head].add(body)
+        bodies = _unit_closed(unit_edges, nonunit)
+        prods = {(a, body) for a in nts
+                 for body in bodies.get(a, nonunit.get(a, ()))}
+        # freed first, so that the closure's occurrence index does not raise
+        # the peak memory of large grammars
+        del unit_edges, nonunit, bodies
 
     productive = _closure(prods, nts)
     if g.start not in productive:
@@ -232,8 +249,9 @@ def normalize(g: Cfg) -> Cfg:
         g._normal = out
         out._normal = out
         return out
-    prods = {(h, b) for h, b in prods
-             if h in productive and all(x not in nts or x in productive for x in b)}
+    if len(productive) < len(nts):
+        prods = {(h, b) for h, b in prods if h in productive
+                 and all(x not in nts or x in productive for x in b)}
 
     # reachable nonterminals
     reachable = {g.start}
@@ -337,11 +355,13 @@ def _ranked(symbols, prods):
 class _Lowered:
     """Binarized grammar: every body has at most two symbols.
 
-    Nodes are the ints 0..size-1: the start first, then, production by
-    production, the head, the body symbols (each terminal of a longer body
-    through one wrapper node) and the split nodes of bodies longer than two.
-    Epsilon and unit bodies are kept, so any grammar lowers in linear size;
-    the lowering of a normalized grammar has neither and is the CYK form.
+    Nodes are the ints 0..size-1, the start first.  The lowering of a
+    grammar as written (`lowered_of`) numbers, production by production, the
+    head, the body symbols (each terminal of a longer body through one
+    wrapper node) and the split nodes of bodies longer than two.  Epsilon
+    and unit bodies are kept, so any grammar lowers in linear size; the
+    lowering of a normalized grammar has neither and is the CYK form, which
+    `cnf_of` serves with its bisimilar nodes merged.
     """
 
     __slots__ = ("start", "ids", "size", "term_bodies", "by_sym", "eps",
@@ -349,18 +369,18 @@ class _Lowered:
                  "right_index", "unit_index", "partners", "after", "passes",
                  "chart")
 
-    def __init__(self, start, ids, term_bodies, by_sym, unit_index, eps, binary):
-        self.start = start
+    def __init__(self, size, ids, term_bodies, eps, units, binary):
+        self.start = 0
         self.ids = ids                  # symbol, wrapper or split key -> node
-        self.size = len(ids)
+        self.size = size
         self.term_bodies = term_bodies  # node -> list of terminals
-        self.by_sym = by_sym            # terminal -> list of nodes
+        self.by_sym = defaultdict(list)          # terminal -> [node]
         self.eps = eps                  # nodes with an epsilon body
         self.binary = binary            # tuple of (A, B, C) node triples
         self.binary_by_head = defaultdict(list)  # A -> [(B, C)]
         self.left_index = defaultdict(list)      # B -> [(A, C)]
         self.right_index = defaultdict(list)     # C -> [(A, B)]
-        self.unit_index = unit_index    # B -> [A] for A -> B
+        self.unit_index = defaultdict(list)      # B -> [A] for A -> B
         # B -> [(r, C)] and C -> [(r, B)] for binary[r] = (A, B, C), built
         # by the first CYK chart over this lowering
         self.partners = None
@@ -372,71 +392,95 @@ class _Lowered:
         # (w, masks, live, allow) of the last CYK chart over this lowering,
         # which multiply and validate_necessary both ask for on one prefix
         self.chart = None
+        by_sym, by_head = self.by_sym, self.binary_by_head
+        left, right = self.left_index, self.right_index
+        for a, syms in term_bodies.items():
+            for sym in syms:
+                by_sym[sym].append(a)
+        for a, b in units:
+            self.unit_index[b].append(a)
         for a, b, c in binary:
-            self.binary_by_head[a].append((b, c))
-            self.left_index[b].append((a, c))
-            self.right_index[c].append((a, b))
+            by_head[a].append((b, c))
+            left[b].append((a, c))
+            right[c].append((a, b))
 
 
-def _lower(g: Cfg) -> _Lowered:
+def _binarized(g: Cfg):
+    """The node triples of g's lowering as written, numbered as `_Lowered`
+    says: (ids, term_bodies, eps, units, binary), units the (A, B) of each
+    unit body A -> B."""
     nts = set(g.nonterminals)
-    ids: dict = {}
-
-    def node(x):
-        got = ids.get(x)
-        if got is None:
-            got = ids[x] = len(ids)
-        return got
-
+    ids: dict = {g.start: 0}
     term_bodies = defaultdict(list)
-    by_sym = defaultdict(list)
-    unit_index = defaultdict(list)
+    units = []
     eps = set()
     binary = []
-    wrappers: dict = {}
-
-    def wrap(sym):
-        if sym not in wrappers:
-            w = wrappers[sym] = node(("@t", sym))
-            by_sym[sym].append(w)
-            term_bodies[w].append(sym)
-        return wrappers[sym]
-
-    start = node(g.start)
     for idx, (head, body) in enumerate(g.productions):
-        h = node(head)
-        if not body:
-            eps.add(h)
-        elif len(body) == 1:
-            x = body[0]
+        h = ids.setdefault(head, len(ids))
+        if len(body) == 1 and body[0] not in nts:
+            term_bodies[h].append(body[0])
+            continue
+        parts = []
+        for x in body:
             if x in nts:
-                unit_index[node(x)].append(h)
+                parts.append(ids.setdefault(x, len(ids)))
             else:
-                by_sym[x].append(h)
-                term_bodies[h].append(x)
+                w = ids.get(("@t", x))
+                if w is None:
+                    w = ids[("@t", x)] = len(ids)
+                    term_bodies[w].append(x)
+                parts.append(w)
+        if not parts:
+            eps.add(h)
+        elif len(parts) == 1:
+            units.append((h, parts[0]))
         else:
-            parts = [node(x) if x in nts else wrap(x) for x in body]
             cur = h
             for i in range(len(parts) - 2):
-                nxt = node(("@s", idx, i))
+                nxt = ids[("@s", idx, i)] = len(ids)
                 binary.append((cur, parts[i], nxt))
                 cur = nxt
             binary.append((cur, parts[-2], parts[-1]))
-    return _Lowered(start, ids, term_bodies, by_sym, unit_index, frozenset(eps),
-                    tuple(binary))
+    return ids, term_bodies, frozenset(eps), units, binary
 
 
 def lowered_of(g: Cfg) -> _Lowered:
     """The cached lowering of g as it is, epsilon and unit bodies included."""
     if g._lowered is None:
-        g._lowered = _lower(g)
+        ids, term_bodies, eps, units, binary = _binarized(g)
+        g._lowered = _Lowered(len(ids), ids, term_bodies, eps, units,
+                              tuple(binary))
     return g._lowered
 
 
 def cnf_of(g: Cfg) -> _Lowered:
-    """The lowering of normalize(g): terminal rules A -> a and binary rules
-    A -> B C only, as CYK, completions and products need."""
-    return lowered_of(normalize(g))
+    """The lowering of normalize(g) with its bisimilar nodes merged, built
+    once per normal form: terminal rules A -> a and binary rules A -> B C
+    only, as CYK, completions, slot queries and transducer images need.
+
+    Two nodes are merged when they lie in one block of the coarsest
+    partition whose nodes have the same terminal bodies and the same binary
+    bodies read up to the partition (`partition.bisimilar_blocks`); each
+    derives what the other does, so every query reads the same language off
+    fewer nodes.  A block is numbered by the rank of its least node among
+    the blocks' least nodes, so the start's block is 0 and the lowering of
+    a grammar with nothing to merge is the lowering as written.  Product
+    grammars carry one node per state pair, and most of their copies merge:
+    bicyclic's lowering keeps 40 of 119 nodes.
+    """
+    n = normalize(g)
+    if n._cnf is None:
+        ids, term_bodies, _eps, _units, binary = _binarized(n)
+        block, reps, rules = bisimilar_blocks(len(ids), term_bodies, binary)
+        if len(reps) < len(ids):
+            ids = {x: block[v] for x, v in ids.items()}
+            term_bodies = {block[v]: term_bodies[v] for v in reps
+                           if v in term_bodies}
+            binary = dict.fromkeys((block[a], block[b], block[c])
+                                   for v in reps for a, b, c in rules[v])
+        n._cnf = _Lowered(len(reps), ids, term_bodies, frozenset(), (),
+                          tuple(binary))
+    return n._cnf
 
 
 def _after(cnf: _Lowered):
@@ -704,9 +748,12 @@ def intersect_regular(g: Cfg, a: Nfa) -> Cfg:
     """Grammar for language(g) & language(a).
 
     Product construction over the binarized grammar; like every product
-    built there, it drops the empty word.
+    built there, it drops the empty word.  It reads the lowering of the
+    normal form as written, not `cnf_of`'s merged one: the product's items
+    are named after the lowering's nodes, and `fixtures.bicyclic` writes
+    such a product to `fixtures/bicyclic.whs`, which must not change.
     """
-    return _product_grammar(cnf_of(g), a, g.terminals)
+    return _product_grammar(lowered_of(normalize(g)), a, g.terminals)
 
 
 def least_word(g: Cfg, a, ranks=None, prefix=()):
@@ -733,7 +780,7 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
         return min((w for w in flat_run(g, prefix) if w and a.accepts(w)),
                    key=shortlex_key(ranks), default=None)
     cnf = cnf_of(g)
-    starts, top, leaves = _asked(cnf, a)
+    starts, top, leaves, firsts = _asked(cnf, a)
     if not top:
         return None
     top = set(top)
@@ -754,11 +801,10 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
         done.add((p, nt, q))
         by_start[(nt, p)].append((q, m, w))
         by_end[(nt, q)].append((p, m, w))
-        for head, c in cnf.left_index.get(nt, ()):
-            if (head, p) in starts:
-                for q2, m2, w2 in by_start.get((c, q), ()):
-                    if (p, head, q2) not in done:
-                        push(heap, (m + m2, w + w2, next(tick), p, head, q2))
+        for head, c in firsts.get((nt, p), ()):
+            for q2, m2, w2 in by_start.get((c, q), ()):
+                if (p, head, q2) not in done:
+                    push(heap, (m + m2, w + w2, next(tick), p, head, q2))
         for head, b in cnf.right_index.get(nt, ()):
             for p0, m2, w2 in by_end.get((b, p), ()):
                 if (head, p0) in starts and (p0, head, q) not in done:
@@ -768,8 +814,9 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
 def _asked(cnf: _Lowered, space):
     """Goal-directed closure of a binarized grammar with a state space:
     `starts`, (nt, p) -> the set of q of each item (p, nt, q) for the pairs
-    asked, the top items (p, start, q), and `leaves`, (nt, p) -> the
-    (q, output) of each move from p on a terminal body of nt.
+    asked, the top items (p, start, q), `leaves`, (nt, p) -> the
+    (q, output) of each move from p on a terminal body of nt, and `firsts`,
+    (B, p) -> the (A, C) of each rule A -> B C whose (A, p) was asked.
 
     Every state space has one protocol, `Transducer`'s: `initial` states,
     `accepting` states and `moves(p, sym)`, the (target, output word)
@@ -843,8 +890,9 @@ def _asked(cnf: _Lowered, space):
                 ends.add(q)
                 agenda.append((p0, a, q))
     accepting = space.accepting
-    return starts, [(p, cnf.start, q) for p in initial
-                    for q in starts[(cnf.start, p)] if q in accepting], leaves
+    top = [(p, cnf.start, q) for p in initial
+           for q in starts[(cnf.start, p)] if q in accepting]
+    return starts, top, leaves, firsts
 
 
 def _product_grammar(cnf: _Lowered, space, terminals) -> Cfg:
@@ -864,7 +912,7 @@ def _product_grammar(cnf: _Lowered, space, terminals) -> Cfg:
     unit body for each nonempty top item.  The unit bodies are closed as in
     normalize, and what the start reaches is kept, in normalize's order.
     """
-    starts, top, leaves = _asked(cnf, space)
+    starts, top, leaves, _firsts = _asked(cnf, space)
     start = ("&S",)
     rules = []                     # (item, left, right) of each pair
     parents = defaultdict(list)    # item -> the rules it is a child of

@@ -222,10 +222,11 @@ class Nfa:
         alphabet = tuple(alphabet) if alphabet is not None else self.alphabet
         if not alphabet:
             raise ValueError("complement requires a declared alphabet")
+        # the determinized automaton is fresh and complete: only its
+        # accepting states change, so it is not built and checked twice
         det = self.determinize(alphabet)
-        accepting = [s for s in det.states if s not in det.accepting]
-        trans = [(src, sym, dst) for (src, sym), ds in det.transitions.items() for dst in ds]
-        return Nfa(det.states, alphabet, trans, det.initial, accepting)
+        det.accepting = frozenset(det.states) - det.accepting
+        return det
 
     def difference(self, other: "Nfa") -> "Nfa":
         alphabet = _merge_alphabets(self.alphabet, other.alphabet)

@@ -70,10 +70,12 @@ class Transducer:
     def apply_to_cfg(self, g: Cfg) -> Cfg:
         """Grammar for { v : u in language(g), (u, v) in relation }.
 
-        Product of the binarized grammar with the transducer's state pairs
+        Product of the binarized grammar, its bisimilar nodes merged
+        (`cfg.cnf_of`), with the transducer's state pairs
         (`cfg._product_grammar`): a terminal rule A -> a from state p leads,
         for each move on a from p, to its target with the move's output as
-        body.  The empty word is dropped from the image.
+        body.  The image's items are named after the merged nodes.  The
+        empty word is dropped from the image.
         """
         alphabet = self._result_alphabet(g.terminals)
         # flat shortcut: without it decide-flat ran 35 % fewer ops/s, at

@@ -3,9 +3,12 @@ import time
 
 import knuth_reference
 from conftest import all_words
+from test_differential import _generic_twin
 from whsg import cfg as cfglib
+from whsg import fixtures
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
+from whsg.structure import normalize_generators
 from whsg.transducer import Transducer
 from whsg.words import SEP1, SEP2, shortlex_key, symbol_ranks
 
@@ -375,3 +378,55 @@ def test_normalize_unit_chain_to_epsilon_has_no_productions():
     assert gn.nonterminals == ("C0",)
     assert cfglib.shortest_word(gn) is None
     assert passes >= k  # listed against the chain: one head per naive pass
+
+
+def test_bisimilar_nodes_merge_on_product_tables(free2):
+    # products carry one nonterminal per state pair, and most copies derive
+    # the same words; free2's table is no product and merges nothing
+    def sizes(g):
+        return (cfglib.lowered_of(cfglib.normalize(g)).size,
+                cfglib.cnf_of(g).size)
+
+    assert sizes(fixtures.bicyclic().table) == (119, 40)
+    rees = _generic_twin(fixtures.rees())
+    assert sizes(rees.table) == (294, 114)
+    assert sizes(normalize_generators(rees).table)[1] <= 128
+    assert sizes(free2.table) == (15, 15)
+
+
+def test_bisimilar_cycles_merge():
+    # T and Q derive the same words through cycles of their own, so only a
+    # greatest fixpoint merges them: merging nodes whose bodies agree once
+    # their children are merged never starts on a cycle
+    g = Cfg(["S", "T", "Q"], ("a", "#2"), "S",
+            [("S", ("T", "Q")), ("T", ("a", "T", "a")), ("T", ("#2",)),
+             ("Q", ("a", "Q", "a")), ("Q", ("#2",))])
+    cnf = cfglib.cnf_of(g)
+    assert cnf.ids["T"] == cnf.ids["Q"]
+    # S, the block of T and Q, the wrapper of a and the split node of a T a
+    assert cnf.size == 4
+    expected = {("a",) * n + ("#2",) + ("a",) * (n + m) + ("#2",) + ("a",) * m
+                for n in range(3) for m in range(3)}
+    for w in all_words(("a", "#2"), 7):
+        assert cfglib.membership(g, w) == (w in expected), w
+
+
+def test_merging_tells_apart_nodes_that_lose_a_pair():
+    # u and w share one pair of blocks until A1 leaves the block of the
+    # five bisimilar Bj: u keeps a rule into that block, w loses its only
+    # one, so the two part although both gain the same pair
+    bs = [f"B{j}" for j in range(1, 6)]
+    cs = [f"C{j}" for j in range(1, 6)]
+    prods = [("S", ("u", "b")), ("S", ("w", "c")),
+             ("u", ("A1", "a")), ("u", ("B1", "a")), ("w", ("A1", "a")),
+             ("A0", ("a", "A1")), ("A1", ("a", "A2")),
+             ("A2", ("b", "A0")), ("A2", ("c",))]
+    for b, c in zip(bs, cs):
+        prods += [("S", (b, "b")), (b, ("a", c)), (c, ("a", b)), (c, ("b",))]
+    g = Cfg(["S", "u", "w", "A0", "A1", "A2"] + bs + cs, ("a", "b", "c"),
+            "S", prods)
+    cnf = cfglib.cnf_of(g)
+    assert cnf.ids["u"] != cnf.ids["w"]
+    assert len({cnf.ids[b] for b in bs}) == 1
+    assert cfglib.membership(g, ("a", "b", "a", "b"))  # S -> u b, u -> B1 a
+    assert not cfglib.membership(g, ("a", "b", "a", "c"))

@@ -1,6 +1,15 @@
 """Property tests of enumeration, shortest words, least completions, regular
-intersection and the CYK chart on random grammars with empty and unit
-bodies, against brute force and the reference passes."""
+intersection, the CYK chart and the merging of bisimilar nodes on random
+grammars with empty and unit bodies, against brute force, the reference
+passes and the lowering as written."""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +18,10 @@ from conftest import all_words, dense_chart
 from test_cfg import _may_begin_after, _random_cfg
 from test_differential import _unflatten_cfg
 from whsg import cfg as cfglib
+from whsg import fixtures
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
+from whsg.partition import bisimilar_blocks
 from whsg.words import shortlex_key, symbol_ranks
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -245,3 +256,91 @@ def test_least_completions_match_brute_force(rng, prefix):
             assert got[:len(tails[:k])] == tails[:k]
             assert len(got) <= k
             assert all(len(w) > L for w in got[len(tails[:k]):])
+
+
+def _written(g):
+    """The lowering of g's normal form as written, no nodes merged."""
+    return cfglib.lowered_of(cfglib.normalize(g))
+
+
+def _accepts(low, w):
+    row = cfglib._cyk_masks(low, w)[0][low.start]
+    return row is not None and bool(row[len(w)] & 1)
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars())
+def test_merged_lowering_accepts_what_the_written_one_does(g):
+    merged, written = cfglib.cnf_of(g), _written(g)
+    assert merged.size <= written.size
+    for w in all_words(("a", "b"), 6):
+        assert _accepts(merged, w) == _accepts(written, w), w
+    # merging is idempotent: the merged lowering has no two bisimilar nodes
+    block, reps, _rules = bisimilar_blocks(merged.size, merged.term_bodies,
+                                           merged.binary)
+    assert list(block) == list(reps) == list(range(merged.size))
+
+
+@contextmanager
+def _written_lowering():
+    """Every query reads the lowering as written in place of cnf_of's."""
+    merged = cfglib.cnf_of
+    cfglib.cnf_of = _written
+    try:
+        yield
+    finally:
+        cfglib.cnf_of = merged
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars(), automata(),
+                  st.lists(st.sampled_from(("a", "b")), max_size=3))
+def test_merged_lowering_answers_as_the_written_one(g, a, prefix):
+    def answers():
+        out = []
+        for ranks in (None, symbol_ranks(("b", "a"))):
+            out += [cfglib.least_completions(g, prefix, ranks, k)
+                    for k in (1, 2, 3)]
+            out.append(cfglib.least_word(g, a, ranks))
+        return out
+
+    merged = answers()
+    with _written_lowering():
+        assert answers() == merged
+
+
+def test_merged_lowering_is_numbered_alike_under_every_hash_seed():
+    # string nonterminals hash differently under each seed; the blocks are
+    # numbered by their least node, which the normal form's order fixes
+    rng = random.Random(30)
+    grammars = [_random_cfg(rng) for _ in range(200)]
+    grammars += [_unflatten_cfg(fixtures.rees().table)]
+    data = json.dumps([[g.nonterminals, g.terminals, g.start, g.productions]
+                       for g in grammars])
+    script = ("import json, sys\n"
+              "from whsg import cfg, fixtures\n"
+              "out = []\n"
+              "for nts, ts, start, prods in json.loads(sys.stdin.read()):\n"
+              "    cnf = cfg.cnf_of(cfg.Cfg(nts, ts, start, prods))\n"
+              "    out.append([cnf.size, sorted(cnf.term_bodies.items()),\n"
+              "                cnf.binary])\n"
+              "cnf = cfg.cnf_of(fixtures.bicyclic().table)\n"
+              "out.append([cnf.size, sorted(cnf.term_bodies.items()),\n"
+              "            cnf.binary])\n"
+              "print(json.dumps(out))\n")
+    src = str(Path(cfglib.__file__).resolve().parent.parent)
+    seen = set()
+    for seed in (0, 1, 2):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], input=data,
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        seen.add(out.stdout)
+    assert len(seen) == 1
+    sizes = [size for size, _t, _b in json.loads(seen.pop())]
+    assert sizes[-2:] == [114, 40]  # the rees twin's table and bicyclic's
+    written = [_written(g).size for g in grammars[:-1]]
+    assert all(x <= y for x, y in zip(sizes, written))
+    assert sum(sizes[:-2]) < sum(written)

@@ -82,6 +82,30 @@ def test_unit_closure_is_near_linear_on_a_chain():
     assert slope <= 1.5, (slope, times)
 
 
+def _cycle(k):
+    """A0 -> a A1 -> ... -> a A(k-1), A(k-1) -> b A0 | c: only A(k-1) has
+    a terminal body, and a round of refinement that reads every node's
+    bodies tells one more Ai from the others, so k rounds are needed."""
+    nts = [f"A{i}" for i in range(k)]
+    prods = [(x, ("a", y)) for x, y in zip(nts, nts[1:])]
+    prods += [(nts[-1], ("b", nts[0])), (nts[-1], ("c",))]
+    return Cfg(nts, ("a", "b", "c"), "A0", prods)
+
+
+def test_merging_bisimilar_nodes_is_near_linear_on_a_cycle():
+    sizes = [1000, 2000, 4000, 8000]
+    times = []
+    for k in sizes:
+        times.append(_fastest(cfglib.cnf_of, runs=3,
+                              make=lambda: (normalize(_cycle(k)),)))
+        # the k nodes of the cycle and the wrappers of a and b stay apart
+        assert cfglib.cnf_of(_cycle(k)).size == k + 2
+    slope = _fitted_slope(sizes, times)
+    # refining only the parents of the smaller half of each split gives
+    # about 1; rounds that read every node's bodies give 2
+    assert slope <= 1.3, (slope, times)
+
+
 def _reference_cyk_masks(cnf, w):
     """The bit-parallel chart as it was before rows were tracked: every
     binary rule at every length and split."""
@@ -244,19 +268,29 @@ def test_scheduled_chart_beats_row_tracked_chart():
     # rows are both nonzero; on a 2-vCPU machine ours took about half the
     # row-tracked chart's time
     s = fixtures.bicyclic()
-    cnf = cfglib.cnf_of(s.table)
     b, a = ("b",), ("a",)
     w = b * 40 + a * 60 + (SEP1,) + b * 70 + a * 50 + (SEP2,)
-    masks, live = _row_tracked_cyk_masks(cnf, w)
-    # (rule, length) visits are deterministic, unlike the timing below:
-    # each visit reads its rule off binary once; of the row-tracked chart's
-    # 8,370, scheduling by length sums left 870 and the left context 480
-    counted = copy.copy(cnf)
-    counted.chart, counted.binary = None, _CountingTuple(cnf.binary)
-    assert dense_chart(cfglib._cyk_masks(counted, w), w) == _pruned_chart(
-        cnf, w, masks)
-    visits = counted.binary.reads
-    assert visits <= 0.06 * _row_tracked_visits(cnf, live, len(w)), visits
+
+    def visits(cnf):
+        # (rule, length) visits are deterministic, unlike the timing below:
+        # each visit reads its rule off binary once
+        masks, live = _row_tracked_cyk_masks(cnf, w)
+        counted = copy.copy(cnf)
+        counted.chart, counted.binary = None, _CountingTuple(cnf.binary)
+        assert dense_chart(cfglib._cyk_masks(counted, w), w) == _pruned_chart(
+            cnf, w, masks)
+        return counted.binary.reads, _row_tracked_visits(cnf, live, len(w))
+
+    # the bound was calibrated on the lowering of the normal form as
+    # written: of the row-tracked chart's 8,370 visits, scheduling by length
+    # sums left 870 and the left context 480
+    cnf = cfglib.lowered_of(cfglib.normalize(s.table))
+    ours, tracked = visits(cnf)
+    assert ours <= 0.06 * tracked, (ours, tracked)
+    # merging its bisimilar nodes leaves fewer rules to visit (306 of 3,082
+    # were measured)
+    merged, _tracked = visits(cfglib.cnf_of(s.table))
+    assert merged < ours, (merged, ours)
     # alternated, so that both see the same phases of a shared machine
     ours = tracked = math.inf
     for _ in range(5):
