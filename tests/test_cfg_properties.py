@@ -21,7 +21,7 @@ from whsg import cfg as cfglib
 from whsg import fixtures
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
-from whsg.partition import bisimilar_blocks
+from whsg.partition import _refine, bisimilar_blocks
 from whsg.words import shortlex_key, symbol_ranks
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -280,6 +280,41 @@ def test_merged_lowering_accepts_what_the_written_one_does(g):
     block, reps, _rules = bisimilar_blocks(merged.size, merged.term_bodies,
                                            merged.binary)
     assert list(block) == list(reps) == list(range(merged.size))
+
+
+def _refined_alone(low):
+    """bisimilar_blocks' partition of low's nodes as `_refine`
+    finds it from every node's terminal bodies, no node settled first;
+    blocks numbered by their least node."""
+    rules = [[] for _ in range(low.size)]
+    for r in low.binary:
+        rules[r[0]].append(r)
+    label = [-1] * low.size
+    _refine(range(low.size), label, 0, low.term_bodies, rules)
+    index: dict = {}
+    return [index.setdefault(x, len(index)) for x in label]
+
+
+# X and Y share their one binary body, and X has a terminal body too
+_SHARED_BODY = Cfg(["S", "X", "Y", "A"], ("a", "b", "c"), "S",
+                   [("S", ("X", "b")), ("S", ("Y", "c")), ("X", ("a",)),
+                    ("X", ("A", "A")), ("Y", ("A", "A")), ("A", ("a",))])
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars())
+@hypothesis.example(_SHARED_BODY)
+@hypothesis.example(fixtures.bicyclic().table)
+@hypothesis.example(fixtures.free2().table)
+@hypothesis.example(_unflatten_cfg(fixtures.rees().table))
+def test_settling_acyclic_nodes_first_keeps_the_refined_partition(g):
+    # the nodes that reach no cycle are settled by the keys of their bodies
+    # before the refinement runs; the refinement alone must agree
+    low = _written(g)
+    block, _reps, _rules = bisimilar_blocks(low.size, low.term_bodies,
+                                            low.binary)
+    assert list(block) == _refined_alone(low)
 
 
 @contextmanager
