@@ -12,7 +12,7 @@ from . import cfg as cfglib
 from . import oracle
 from .cfg import Cfg
 from .nfa import Nfa
-from .structure import WhStructure, dumps_structure, slot_shape
+from .structure import WhStructure, dumps_structure
 from .words import SEP1, SEP2, reverse
 
 
@@ -135,7 +135,8 @@ def bicyclic() -> WhStructure:
          ("U0", ("b", "U0", "b")), ("U0", ("a", "U0", "a")),
          ("U0", (SEP1, "a", "b", SEP2))])
     raw = cfglib.union_cfgs([case1, case2, ident], seps)
-    table = cfglib.intersect_regular(raw, slot_shape(reps, reps, reps.reverse()))
+    shape = Nfa.joined((reps, reps, reps.reverse()), (SEP1, SEP2))
+    table = cfglib.intersect_regular(raw, shape)
     return WhStructure(alphabet, reps, table)
 
 

@@ -3,7 +3,8 @@
 A finite word set is a trie automaton like any other: every construction
 runs the one generic automaton algorithm.  Shortest words and bounded
 enumeration read the automaton as its right-linear grammar
-(`Cfg.from_nfa`) and run the one least-words pass of `cfg`.
+(`Cfg.from_nfa`) and run the one least-words pass of `cfg`.  A complement
+is a view whose subsets are built only as a product reads them.
 """
 
 from __future__ import annotations
@@ -53,20 +54,12 @@ class Nfa:
         words = frozenset(tuple(w) for w in words)
         if alphabet is None:
             alphabet = sorted({s for w in words for s in w})
-        prefixes = {()}
-        for w in words:
-            for i in range(1, len(w) + 1):
-                prefixes.add(w[:i])
+        prefixes = {()} | {w[:i] for w in words for i in range(1, len(w) + 1)}
         order = sorted(prefixes, key=lambda p: (len(p), p))
         name = {p: f"q{i}" for i, p in enumerate(order)}
         transitions = [(name[p[:-1]], p[-1], name[p]) for p in order if p]
-        return cls(
-            states=[name[p] for p in order],
-            alphabet=alphabet,
-            transitions=transitions,
-            initial=[name[()]],
-            accepting=[name[w] for w in words],
-        )
+        return cls([name[p] for p in order], alphabet, transitions, [name[()]],
+                   [name[w] for w in words])
 
     @classmethod
     def universal(cls, alphabet) -> "Nfa":
@@ -86,7 +79,8 @@ class Nfa:
 
         State q of part i is (2i, q); separator i - 1 leads into (2i - 1,),
         which moves as part i's initial states do and ends part i only if
-        part i accepts the empty word.  States sort by repr in part order."""
+        part i accepts the empty word.  States sort by repr in part order.
+        Only `fixtures.bicyclic` and the mirror test build a shape whole."""
         alphabet, states, trans, ends = [], [], [], []
         for i, part in enumerate(parts):
             tag = 2 * i
@@ -111,19 +105,16 @@ class Nfa:
         out = (sym,)
         return [(q, out) for q in self.transitions.get((state, sym), _EMPTY)]
 
-    def step(self, current, sym) -> frozenset:
-        out = set()
-        for q in current:
-            out |= self.transitions.get((q, sym), _EMPTY)
-        return frozenset(out)
-
     def accepts(self, w: Sequence) -> bool:
-        current = self.initial
+        current, trans = self.initial, self.transitions
         for sym in w:
-            current = self.step(current, sym)
-            if not current:
+            reached = set()
+            for q in current:
+                reached |= trans.get((q, sym), _EMPTY)
+            if not reached:
                 return False
-        return bool(current & self.accepting)
+            current = reached
+        return not self.accepting.isdisjoint(current)
 
     def shortest_word(self, ranks=None):
         """Shortest accepted word, lexicographically least among the shortest;
@@ -199,49 +190,21 @@ class Nfa:
                                  self.initial)
         return self._reversed
 
-    def determinize(self, alphabet=None) -> "Nfa":
-        """Complete deterministic automaton over the given alphabet."""
-        alphabet = tuple(alphabet) if alphabet is not None else self.alphabet
-        start = self.initial
-        seen = {start}
-        agenda = deque([start])
-        trans = []
-        while agenda:
-            cur = agenda.popleft()
-            for sym in alphabet:
-                nxt = self.step(cur, sym)
-                trans.append((cur, sym, nxt))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    agenda.append(nxt)
-        accepting = [s for s in seen if s & self.accepting]
-        return Nfa(seen, alphabet, trans, [start], accepting)
-
-    def complement(self, alphabet=None) -> "Nfa":
-        """Complement relative to (alphabet)*; requires a total alphabet."""
-        alphabet = tuple(alphabet) if alphabet is not None else self.alphabet
-        if not alphabet:
-            raise ValueError("complement requires a declared alphabet")
-        # the determinized automaton is fresh and complete: only its
-        # accepting states change, so it is not built and checked twice
-        det = self.determinize(alphabet)
-        det.accepting = frozenset(det.states) - det.accepting
-        return det
-
-    def difference(self, other: "Nfa") -> "Nfa":
-        alphabet = _merge_alphabets(self.alphabet, other.alphabet)
-        return self.intersect(other.complement(alphabet))
+    def complement(self, alphabet=None) -> "_Complement":
+        """Complement relative to (alphabet)*, by default this automaton's."""
+        return _Complement(self, self.alphabet if alphabet is None else tuple(alphabet))
 
     def equivalent(self, other: "Nfa"):
-        """(equal?, counterexample) for language equality."""
+        """(equal?, counterexample): the least word of self - other, else of
+        other - self.  Products drop the empty word, so it is tested first."""
         alphabet = _merge_alphabets(self.alphabet, other.alphabet)
-        ranks = symbol_ranks(alphabet)
-        w = self.difference(other).shortest_word(ranks)
-        if w is not None:
-            return False, w
-        w = other.difference(self).shortest_word(ranks)
-        if w is not None:
-            return False, w
+        for a, b in ((self, other), (other, self)):
+            if a.accepts(()) and not b.accepts(()):
+                return False, ()
+            w = cfg.least_word(cfg.Cfg.from_nfa(a), b.complement(alphabet),
+                               symbol_ranks(alphabet))
+            if w is not None:
+                return False, w
         return True, None
 
     def __eq__(self, other):
@@ -261,3 +224,41 @@ class Nfa:
 
 def _merge_alphabets(a, b):
     return tuple(dict.fromkeys(tuple(a) + tuple(b)))
+
+
+class _Complement:
+    """The words over `alphabet` that a state space of `cfg._asked` with
+    `accepts(w)` (an `Nfa`, `structure._Slots`) does not accept.  A state is
+    the frozenset of space states that a prefix reaches, accepting when it
+    holds no accepting one, so the view is its own `accepting`.  A move is
+    worked out when a product first asks for it and kept in `next`: only the
+    subsets a product reaches are built, never the whole exponential set."""
+
+    __slots__ = ("_space", "_alphabet", "_ends", "initial", "next")
+
+    def __init__(self, space, alphabet):
+        if not alphabet:
+            raise ValueError("complement requires a declared alphabet")
+        self._space, self._alphabet = space, frozenset(alphabet)
+        self._ends = frozenset(space.accepting)
+        self.initial = (frozenset(space.initial),)
+        self.next = {}  # (state, sym) -> its one (target, (sym,)) move
+
+    @property
+    def accepting(self):
+        return self
+
+    def __contains__(self, state) -> bool:
+        return self._ends.isdisjoint(state)
+
+    def moves(self, state, sym):
+        if sym not in self._alphabet:
+            return ()
+        got = self.next.get((state, sym))
+        if got is None:
+            got = self.next[(state, sym)] = ((frozenset(
+                r for q in state for r, _out in self._space.moves(q, sym)), (sym,)),)
+        return got
+
+    def accepts(self, w) -> bool:
+        return self._alphabet.issuperset(w) and not self._space.accepts(w)

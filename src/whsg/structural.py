@@ -105,18 +105,19 @@ def _blocks(letters, assign):
 # -- cells of a finite band -------------------------------------------------------
 
 
-def _band_automaton(alphabet, keys, place, mul, target):
-    """Words whose letters' cells multiply out to `target` in the band.
+def _band_automaton(alphabet, keys, place, mul, targets):
+    """Words whose letters' cells multiply out to one of `targets` in the band.
 
     The state after a nonempty prefix is its cell x, as (x,); the start,
-    (), is therefore no cell.  In a band a cell x leads on to `target`
-    exactly when x target = target, so only those cells are states."""
-    live = [x for x in keys if mul(x, target) == target]
+    (), is therefore no cell.  In a band a cell x leads on to a target t
+    exactly when x t = t, so only those cells are states."""
+    live = [x for x in keys if any(mul(x, t) == t for t in targets)]
     places = {a: place(a) for a in alphabet}
     moves = [((), a, p) for a, p in places.items()]
     moves += [((x,), a, mul(x, p)) for x in live for a, p in places.items()]
     return Nfa([()] + [(x,) for x in live], alphabet,
-               [(q, a, (y,)) for q, a, y in moves if y in live], [()], [(target,)])
+               [(q, a, (y,)) for q, a, y in moves if y in live], [()],
+               [(t,) for t in targets])
 
 
 def _cells(ns, keys, place, mul, name, tag):
@@ -129,13 +130,15 @@ def _cells(ns, keys, place, mul, name, tag):
     (cells, units), or the no-verdict of the first failing step."""
     cells, picks = {}, {}
     for x in keys:
-        cells[x] = ns.reps.intersect(_band_automaton(ns.alphabet, keys, place, mul, x))
+        cells[x] = ns.reps.intersect(_band_automaton(ns.alphabet, keys, place, mul, (x,)))
         picks[x] = cells[x].shortest_word(ns.ranks)
         if picks[x] is None:
             return Verdict.no(f"step 1: no representative in {name(x)} [{tag}]")
-    # right slots: a generic table's product reads each one's reverse, which
+    # right slots, the representatives in every other cell (no slot is
+    # empty): a generic table's product reads each one's reverse, which
     # Nfa.reverse builds once for all k queries of its cell; a flat one none
-    escaped = {x: ns.reps.difference(cells[x]) for x in keys}
+    escaped = {x: ns.reps.intersect(_band_automaton(
+        ns.alphabet, keys, place, mul, [y for y in keys if y != x])) for x in keys}
     for x in keys:
         for y in keys:
             low = mul(x, y)

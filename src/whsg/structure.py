@@ -14,7 +14,7 @@ from . import cfg as cfglib
 from .cfg import Cfg
 from .errors import (EmptyProductError, InvariantError, OperandError, ParseError,
                      ReservedSymbolError)
-from .nfa import Nfa
+from .nfa import Nfa, _Complement
 from .transducer import Transducer
 from .words import RESERVED, SEP1, SEP2, reverse, shortlex_key, symbol_ranks
 
@@ -106,7 +106,8 @@ class WhStructure:
         # the table's symbols outside the alphabet and separators sort after
         # them, in the table's order, on both paths
         ranks = symbol_ranks((*self.alphabet, SEP1, SEP2, *self.table.terminals))
-        # flat shortcut: without it decide-flat's setup_s rose from 7 to 22 ms
+        # flat shortcut: without it decide-flat's setup_s rose from 3.2 to
+        # 5.1 ms (3 alternated 5 s pairs, seed 1)
         if self.table.flat_words is not None:
             violators = [w for w in self.table.flat_words
                          if not self._in_shape(w)]
@@ -117,7 +118,7 @@ class WhStructure:
         reps = self.reps
         if reps.accepts(()):  # a representative is a nonempty word
             reps = reps.intersect(Nfa.universal_nonempty(self.alphabet))
-        outside = slot_shape(reps, reps, reps.reverse()).complement(tuple(ranks))
+        outside = _Complement(_Slots(reps, reps, reps), tuple(ranks))
         return cfglib.least_word(self.table, outside, ranks)
 
     def _in_shape(self, w) -> bool:
@@ -158,14 +159,6 @@ class WhStructure:
                 f"reps={self.reps!r}, table={self.table!r})")
 
 
-def slot_shape(left: Nfa, middle: Nfa, right: Nfa) -> Nfa:
-    """Automaton for the table-word shape left #1 middle #2 right, built in
-    one pass for the callers that need it whole: the load-time shape check,
-    which complements it, and `fixtures.bicyclic`, which writes its product
-    grammar.  Slot queries read their slots in place (`_Slots`)."""
-    return Nfa.joined((left, middle, right), (SEP1, SEP2))
-
-
 _SEP_SLOT = {SEP1: 0, SEP2: 1}  # the slot each separator ends
 
 
@@ -176,7 +169,9 @@ class _Slots:
 
     `cfg.least_word` reads it as it reads an `Nfa`: by the state-space
     protocol of `cfg._asked`, each move's output the symbol read, and by
-    `accepts(w)`.  State (i, q) is state q of slot i: a word slot's states
+    `accepts(w)`.  Slot queries read it as it is, and the load-time shape
+    check reads its complement (`nfa._Complement`) with every slot the
+    representatives.  State (i, q) is state q of slot i: a word slot's states
     are its positions, an automaton slot keeps its own.  A separator moves
     from the accepting states of one slot to the initial states of the
     next.  A right automaton is reversed only when its moves are asked for.

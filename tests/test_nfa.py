@@ -1,6 +1,7 @@
 import random
 
 from conftest import all_words
+from whsg import cfg as cfglib
 from whsg.nfa import Nfa
 from whsg.words import SEP1, SEP2, symbol_ranks
 
@@ -91,13 +92,22 @@ def test_algebra_agrees_with_enumeration():
         union = x.union(y)
         comp = x.complement(("a", "b"))
         rev = x.reverse()
-        diff = x.difference(y)
         for w in words:
             assert inter.accepts(w) == (x.accepts(w) and y.accepts(w))
             assert union.accepts(w) == (x.accepts(w) or y.accepts(w))
             assert comp.accepts(w) == (not x.accepts(w))
-            assert diff.accepts(w) == (x.accepts(w) and not y.accepts(w))
             assert rev.accepts(w) == x.accepts(tuple(reversed(w)))
+        # differences, read through the lazy complement; words are listed
+        # in shortlex order, and every difference of these seeded pairs that
+        # is nonempty holds a word of length at most 3, so the lists find
+        # the least one
+        x_y = [w for w in words if x.accepts(w) and not y.accepts(w)]
+        y_x = [w for w in words if y.accepts(w) and not x.accepts(w)]
+        counter = (x_y or y_x or [None])[0]
+        assert x.equivalent(y) == (counter is None, counter)
+        nonempty = [w for w in x_y if w]
+        got = cfglib.least_word(cfglib.Cfg.from_nfa(x), y.complement(("a", "b")))
+        assert got == (nonempty[0] if nonempty else None)
         # joined: two and three parts, a word checked by splitting it at
         # its separators
         for parts, seps, maxlen in (((x, y), (SEP1,), 6),

@@ -163,12 +163,13 @@ def test_shape_checks_match_bottom_up_closure(name):
     finally:
         cfglib.least_word = ours
     assert len(asked) == 1
-    # the check's automaton has no table word; its complement, the slot
-    # shape, has every one, so the least words are compared there as well
+    # the check's complement view has no table word; the slot view that it
+    # complements, the slot shape, has every one, so the least words are
+    # compared there as well
     g, a, ranks, got = asked[0]
     assert got is None
     cnf = cfglib.cnf_of(g)
-    for aut in (a, a.complement(a.alphabet)):
+    for aut in (a, a._space):
         ref = _reference_product_grammar(cnf, aut, g.terminals)
         want = cfglib.shortest_word(ref, ranks)
         assert cfglib.least_word(g, aut, ranks) == want

@@ -11,6 +11,7 @@ import copy
 import gc
 import heapq
 import itertools
+import json
 import math
 import random
 import time
@@ -23,7 +24,7 @@ from test_differential import _generic_twin
 from test_least_completions import _reference_least_completions
 from test_structural import _decide_flat_corpus
 from whsg import cfg as cfglib
-from whsg import fixtures
+from whsg import fixtures, nfa
 from whsg.arithmetic import multiply, word_eq
 from whsg.cfg import Cfg, normalize
 from whsg.nfa import Nfa
@@ -31,7 +32,8 @@ from whsg.oracle import (FiniteSemigroup, direct_product, rb22_table,
                          rees_monoid_table, structure_from_table, table_decide,
                          z2_table)
 from whsg.structural import is_clifford, is_completely_simple, palindromic_defect
-from whsg.structure import WhStructure, _Slots, slot_word, validate_necessary
+from whsg.structure import (WhStructure, _Slots, load_structure, slot_word,
+                             validate_necessary)
 from whsg.words import SEP1, SEP2, shortlex_key
 
 
@@ -652,3 +654,61 @@ def test_validate_reads_the_flat_table_once():
     assert len(words) == 256
     assert validate_necessary(s)
     assert words.walks == 1
+
+
+def _k_th_from_end_family(k):
+    """Structure text: representatives a, b and every word whose k-th
+    letter from the end is a (states s, e, i and the chain q0 ... q(k-1)),
+    table S -> T, T -> a #1 a #2 a.  Determinizing the representatives
+    builds 2^k subsets."""
+    chain = [f"q{j}" for j in range(k)]
+    trans = [[p, x, q] for p, q in (("s", "e"), ("s", "i"), ("i", "i")) for x in "ab"]
+    trans += [[p, "a", "q0"] for p in ("s", "i")]
+    trans += [[p, x, q] for p, q in zip(chain, chain[1:]) for x in "ab"]
+    return json.dumps({
+        "alphabet": ["a", "b"],
+        "reps": {"states": ["s", "e", "i", *chain], "initial": ["s"],
+                 "accepting": ["e", chain[-1]], "transitions": trans},
+        "table": {"nonterminals": ["S", "T"], "start": "S",
+                  "productions": [["S", ["T"]], ["T", ["a", SEP1, "a", SEP2, "a"]]]}})
+
+
+def test_generic_load_builds_only_the_subsets_it_reads(monkeypatch):
+    # the shape check complemented the slot shape by the whole subset
+    # construction: 0.09 / 0.49 / 2.8 s to load at k = 12 / 14 / 16
+    views = []
+    made = nfa._Complement.__init__
+
+    def recorded(self, *args):
+        made(self, *args)
+        views.append(self)
+
+    monkeypatch.setattr(nfa._Complement, "__init__", recorded)
+    table_word = ("a", SEP1, "a", SEP2, "a")
+    for k in (8, 12, 16, 20):
+        text = _k_th_from_end_family(k)
+        elapsed = _fastest(load_structure, make=lambda: (text,))
+        assert elapsed < 0.1, (k, elapsed)
+        views.clear()
+        s = load_structure(text)
+        assert s.table.flat_words is None and s.table_shape_violation() is None
+        assert s.in_reps(("a",) + ("b",) * (k - 1))
+        assert not s.in_reps(("b",) * k)
+        # one view, whose moves were worked out along the one table word
+        assert len(views) == 1
+        assert len(views[0].next) <= 2 * len(table_word), (k, views[0].next)
+
+
+def test_bicyclic_word_problem_on_skewed_words_is_near_linear():
+    # b^n a^n and a^n b^n, which differ, on a fresh load each time: ten
+    # calibration runs read slopes of 1.42 to 1.43 (0.004 s at 256, 0.23 s
+    # at 4096); the top doubling costs 3.3x, the whole-tuple words of the
+    # least-words passes
+    sizes = [256, 512, 1024, 2048, 4096]
+    times = []
+    for n in sizes:
+        u, v = ("b",) * n + ("a",) * n, ("a",) * n + ("b",) * n
+        times.append(_fastest(word_eq, make=lambda: (fixtures.bicyclic(), u, v)))
+        assert word_eq(fixtures.bicyclic(), u, v) is False
+    slope = _fitted_slope(sizes, times)
+    assert slope <= 1.8, (slope, times)

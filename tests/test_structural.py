@@ -24,8 +24,7 @@ from whsg.structural import (CsSpecies, Defect, _band_automaton, _slot_deleter,
                              _three_slot_map, clifford_species_check,
                              cs_species_check, is_clifford,
                              is_completely_simple, is_free, palindromic_defect)
-from whsg.structure import (Verdict, WhStructure, normalize_generators,
-                            slot_shape)
+from whsg.structure import Verdict, WhStructure, normalize_generators
 from whsg.transducer import Transducer
 from whsg.words import SEP1, SEP2
 
@@ -136,9 +135,15 @@ def test_band_automaton_accepts_the_words_of_its_cell():
         words = all_words(letters, 4)
         product = {w: functools.reduce(mul, map(place, w)) for w in words}
         for x in keys:
-            nfa = _band_automaton(letters, keys, place, mul, x)
+            nfa = _band_automaton(letters, keys, place, mul, (x,))
             assert ({w for w in words if nfa.accepts(w)}
                     == {w for w in words if product[w] == x}), (keys, x)
+        # several targets, as the escape slots of _cells take every cell
+        # but one: the nonempty words of any of them, and no others
+        for targets in ([y for y in keys if y != keys[0]], keys, []):
+            nfa = _band_automaton(letters, keys, place, mul, targets)
+            assert ({w for w in words if nfa.accepts(w)}
+                    == {w for w in words if w and product[w] in targets}), (keys, targets)
 
 
 def test_cs_species_check_rb22(rb22):
@@ -485,7 +490,8 @@ def _is_free_by_slot_shape(s):
     table = ns.table
     eliminated = {}
     for a in list(alphabet):
-        shape = slot_shape(reps, reps, Nfa.from_words([(a,)], alphabet))
+        shape = Nfa.joined((reps, reps, Nfa.from_words([(a,)], alphabet)),
+                           (SEP1, SEP2))
         target = cfglib.intersect_regular(table, shape)
         decomp = _slot_deleter(alphabet, a).apply_to_cfg(target)
         d = cfglib.shortest_word(decomp, ns.ranks)

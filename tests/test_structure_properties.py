@@ -17,7 +17,7 @@ from whsg import cfg as cfglib
 from whsg import fixtures
 from whsg.errors import WhsgError
 from whsg.nfa import Nfa
-from whsg.structure import _Slots, load_structure, slot_shape
+from whsg.structure import _Slots, load_structure
 from whsg.words import SEP1, SEP2, reverse
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -102,13 +102,14 @@ ACCEPTED = {id(a): a.enumerate_words(2) for pool in AUTOMATA.values() for a in p
 
 
 def _eager(s, left, middle, right):
-    """The slot_shape automaton of left #1 middle #2 right-reversed."""
+    """The automaton of left #1 middle #2 right-reversed, built whole."""
     def slot(x, rev=False):
         if isinstance(x, Nfa):
             return x.reverse() if rev else x
         return Nfa.from_words([reverse(x) if rev else x], s.alphabet)
 
-    return slot_shape(slot(left), slot(middle), slot(right, rev=True))
+    return Nfa.joined((slot(left), slot(middle), slot(right, rev=True)),
+                      (SEP1, SEP2))
 
 
 def _slot_word(draw, letters):
