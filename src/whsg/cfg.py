@@ -24,20 +24,22 @@ serves one CYK chart (bit-parallel rows, with work that follows the split
 pairs whose rows are both nonzero, a node's row made on its first bit)
 that keeps only the items whose node may begin after the symbol before
 them.  It answers membership and gives least completions their closed
-items; the k least completions of a prefix
-are a weighted item pass in the same Knuth order that opens only items
-the left context admits.  Its items past the end of the prefix do not
-depend on the prefix: one reversed pass per lowering, ranks and k settles
-them for every call, and each call subscribes its own items to the nodes
-whose words extend them.  The same lowering serves the one goal-directed
-grammar x state-space closure, which builds only the items its start can
-use, and reads every state space, an automaton as the transducer that
-copies its input, by one protocol (`_asked`); regular intersection and
-transducer images write the product's normal form from the items, with no
-second pass through `normalize`, and `least_word` reads the product's least
-word off them and writes none.  Regular intersection alone reads the
-lowering of the normal form as written, whose nodes name the items of the
-product it writes.
+items; one chart over several words joined by a break serves the
+completions of all of them (`least_completions_batch`), each read between
+its own positions, and pays the chart's fixed cost once.  The k least
+completions of a prefix are a weighted item pass in the same Knuth order
+that opens only items the left context admits.  Its items past the end of
+the prefix do not depend on the prefix: one reversed pass per lowering,
+ranks and k settles them for every call, and each call subscribes its own
+items to the nodes whose words extend them.  The same lowering serves the
+one goal-directed grammar x state-space closure, which builds only the
+items its start can use, and reads every state space, an automaton as the
+transducer that copies its input, by one protocol (`_asked`); regular
+intersection and transducer images write the product's normal form from
+the items, with no second pass through `normalize`, and `least_word` reads
+the product's least word off them and writes none.  Regular intersection
+alone reads the lowering of the normal form as written, whose nodes name
+the items of the product it writes.
 `is_free` substitutes its representatives by `Nfa.substitute`.  An
 automaton's shortest and enumerated words come from `_Pass` too, over its
 right-linear grammar `Cfg.from_nfa`.
@@ -392,7 +394,8 @@ class _Lowered:
         # call with that key shares; its direction is always reversed there
         self.passes = {}
         # (w, masks, live, allow) of the last CYK chart over this lowering,
-        # which multiply and validate_necessary both ask for on one prefix
+        # which multiply and validate_necessary both ask for on one prefix;
+        # w joins several prefixes when least_completions_batch made it
         self.chart = None
         by_sym, by_head = self.by_sym, self.binary_by_head
         left, right = self.left_index, self.right_index
@@ -515,6 +518,11 @@ def _after(cnf: _Lowered):
     return after
 
 
+# the break between the words of a joined chart: no terminal (terminals
+# are strings), so no node derives it
+_BREAK = None
+
+
 def _cyk_masks(cnf: _Lowered, w):
     """CYK chart of w: (masks, live, allow), where masks[A][l] has bit i set iff
     node A derives w[i:i+l] and may begin after w[i-1] (`_after`; at the
@@ -527,20 +535,26 @@ def _cyk_masks(cnf: _Lowered, w):
     |after[t]|).  The last chart is kept on the lowering and returned again
     for the same word; callers only read it.
 
+    w may join several words with _BREAK between them; the chart is then
+    each word's chart at the word's own offset.  _BREAK is no terminal, so
+    no span crosses it, and a word starts after it as after None; rows and
+    the length loop stop at the longest word, so the chart's fixed cost
+    (the allow masks over every node, a partner walk per live row) is paid
+    once for all the words.
+
     Rows are bit-parallel over the start position.  Length l combines only
     the rules A -> B C due at l: those with some split k + (l - k) where
     B's row at k and C's row at l - k are both nonzero.  lens[X] is the
     bitmask of X's live lengths; when X's row at l goes live, every rule
     with X as one child and Y as the other falls due at l + m for each live
-    length m of Y, as far as |w| and not twice (reach[r]).  Whichever child
-    of a pair goes live second schedules it, A -> B B and children that go
-    live at the same length included.  A due rule walks the splits of the
-    shorter of its children's live lists, so the work follows the split
-    pairs whose rows are both nonzero rather than |binary| * n^2.
+    length m of Y, as far as the longest word and not twice (reach[r]).
+    Whichever child of a pair goes live second schedules it, A -> B B and
+    children that go live at the same length included.  A due rule walks the
+    splits of the shorter of its children's live lists, so the work follows
+    the split pairs whose rows are both nonzero rather than |binary| * n^2.
     """
     if cnf.chart is not None and cnf.chart[0] == w:
         return cnf.chart[1:]
-    n = len(w)
     masks = [None] * cnf.size
     live = [None] * cnf.size
     binary, partners, after = cnf.binary, cnf.partners, cnf.after
@@ -551,9 +565,21 @@ def _cyk_masks(cnf: _Lowered, w):
             partners[c].append((r, b))
     if after is None:
         after = cnf.after = _after(cnf)
-    at = {None: 1}              # symbol -> bitmask of the positions after it
+    # symbol -> bitmask of the positions after it; a word starts after
+    # None, so the break between joined words (_BREAK is None) marks the
+    # next word's start
+    at = {None: 1}
     for i, sym in enumerate(w):
         at[sym] = at.get(sym, 0) | 2 << i
+    n = len(w)
+    if at[None] > 1:
+        # no span crosses a break: rows stop at the longest word
+        n, begin, starts = 0, 0, at[None] ^ 1
+        while starts:
+            nxt = (starts & -starts).bit_length() - 1   # the next word's start
+            n = max(n, nxt - 1 - begin)
+            begin, starts = nxt, starts & (starts - 1)
+        n = max(n, len(w) - begin)
     allow = [0] * cnf.size
     for sym, bits in at.items():
         for a in after.get(sym, ()):
@@ -1017,7 +1043,9 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
     chart's allow): an item that may not feeds none that may, and every
     item on a derivation of the start may.  The call advances the shared
     pass only while its least candidate lies below the call's own, so the
-    two heaps pop in one Knuth order.
+    two heaps pop in one Knuth order.  Everything after the chart is
+    `_completions`, which `least_completions_batch` runs on each word of a
+    joined chart.
 
     Every step is monotone and never below an input, so words leave the
     heaps in ascending order.  Each item settles up to k distinct words
@@ -1036,14 +1064,51 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
         tails = {tuple(reversed(w[n:])) for w in flat_run(g, x)
                  if len(w) > n and (maxlen is None or len(w) - n <= maxlen)}
         return sorted(tails, key=shortlex_key(ranks))[:k]
-    limit = sys.maxsize if maxlen is None else maxlen
     cnf = cnf_of(g)
+    suffixes = _suffix_pass(cnf, ranks, k)
+    return _completions(cnf, suffixes, _cyk_masks(cnf, x), 0, n, ranks, k,
+                        sys.maxsize if maxlen is None else maxlen)
+
+
+def least_completions_batch(g: Cfg, prefixes, ranks=None) -> list:
+    """[least_completions(g, x, ranks) for x in prefixes], read off one
+    chart of the prefixes joined by _BREAK, so that the chart's fixed cost
+    is paid once; each prefix's items are those of its own chart.  It has
+    no flat shortcut: a flat table's products are cheaper one by one."""
+    if ranks is None:
+        ranks = symbol_ranks(g.terminals)
+    cnf = cnf_of(g)
+    suffixes = _suffix_pass(cnf, ranks, 1)
+    joined, bounds = [], []
+    for x in prefixes:
+        if bounds:
+            joined.append(_BREAK)
+        begin = len(joined)
+        joined.extend(x)
+        bounds.append((begin, len(joined)))
+    chart = _cyk_masks(cnf, tuple(joined))
+    return [_completions(cnf, suffixes, chart, s, e, ranks, 1, sys.maxsize)
+            for s, e in bounds]
+
+
+def _suffix_pass(cnf: _Lowered, ranks, k: int) -> _Pass:
+    """The reversed _Pass that every completion call on cnf with these
+    ranks and k shares."""
     key = (k, False, tuple(ranks.items()))
     suffixes = cnf.passes.get(key)
     if suffixes is None:
         suffixes = cnf.passes[key] = _Pass(cnf, ranks, k, forward=False)
+    return suffixes
+
+
+def _completions(cnf: _Lowered, suffixes: _Pass, chart, s: int, e: int,
+                 ranks, k: int, limit: int) -> list:
+    """least_completions of the word between positions s and e of a chart,
+    items numbered by the chart's own positions: a chart over joined
+    words keeps no span across a break, so every bit the loops below read
+    for this word is a span inside it."""
     words, shared = suffixes.words, suffixes.heap
-    masks, live, allow = _cyk_masks(cnf, x)
+    masks, live, allow = chart
     start = cnf.start
     many = k > 1
     heap = []
@@ -1058,17 +1123,19 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
         for m2, w2 in words.get(c, ()):
             heapq.heappush(heap, (m2 + m, w2 + w, j, a))
 
-    if n == 0:
-        subscribe(start, 0, start, 0, ())
+    if s == e:
+        subscribe(start, s, start, 0, ())
     for b, cs in cnf.left_index.items():
         row = masks[b]
         if row is None:
             continue
         for l in live[b]:
-            if row[l] >> (n - l) & 1:
+            if l > e:   # a longer word's span, further on in the chart
+                break
+            if row[l] >> (e - l) & 1:
                 for head, c in cs:
-                    if allow[head] >> (n - l) & 1:
-                        subscribe(c, n - l, head, 0, ())
+                    if allow[head] >> (e - l) & 1:
+                        subscribe(c, e - l, head, 0, ())
     while True:
         while shared and shared[0][0] <= limit and (
                 not heap or shared[0][:2] < heap[0][:2]):
@@ -1095,11 +1162,11 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
                 full.add(it)
         else:
             best[it] = (m, w)
-        if i == 0 and a == start:
+        if i == s and a == start:
             out.append(w)
             if len(out) == k:
                 break
-        if i == n:  # the start's own words when the prefix is empty
+        if i == e:  # the start's own words when the prefix is empty
             continue
         for head, b in cnf.right_index.get(a, ()):
             row = masks[b]

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -133,3 +134,56 @@ def test_represent_output_is_equal_to_input(rees, free2):
             u = represent(ns, w)
             assert ns.in_reps(u)
             assert word_eq(ns, w, u)
+
+
+def _free_cut_at_four():
+    """The free semigroup on {a, b} with its table cut at total length 4:
+    every word of length 1 to 4 a representative, and a generic table
+    (S -> T, T -> u #1 v #2 (uv)^rev for every pair with |uv| <= 4), so
+    products of longer operands are empty."""
+    from whsg.cfg import Cfg
+    from whsg.nfa import Nfa
+    from whsg.structure import WhStructure
+    from whsg.words import SEP1, SEP2
+
+    reps = all_words(("a", "b"), 4)
+    bodies = [u + (SEP1,) + v + (SEP2,) + (u + v)[::-1]
+              for u in reps for v in reps if len(u) + len(v) <= 4]
+    table = Cfg(("S", "T"), ("a", "b", SEP1, SEP2), "S",
+                [("S", ("T",))] + [("T", body) for body in bodies])
+    return WhStructure(("a", "b"), Nfa.from_words(reps, ("a", "b")), table)
+
+
+def _named_pair(err):
+    """The operands an EmptyProductError names."""
+    p, q = re.fullmatch(r"product of '(.*)' and '(.*)' has no representative",
+                        str(err)).groups()
+    return tuple(p.split()), tuple(q.split())
+
+
+def test_batched_halving_keeps_the_error_contract():
+    # the first two halving levels of an 8-letter word have several
+    # uncached products each, which share one chart; the third multiplies
+    # two 4-letter words, whose product the table lacks
+    from whsg.cfg import least_completions
+    from whsg.words import SEP1, SEP2
+
+    w = tuple("abbaabab")
+    s = _free_cut_at_four()
+    assert s.table.flat_words is None
+    with pytest.raises(EmptyProductError) as err:
+        represent(s, w)
+    assert str(err.value) == "product of 'a b b a' and 'a b a b' has no representative"
+    # the cache holds the products of the first two levels and nothing else
+    assert set(s._mul_cache) == {
+        (w[i:i + 1], w[i + 1:i + 2]) for i in range(0, 8, 2)} | {
+        (w[:2], w[2:4]), (w[4:6], w[6:])}
+
+    s = _free_cut_at_four()
+    with pytest.raises(EmptyProductError) as err:
+        word_eq(s, w, tuple("babbbaab"))
+    p, q = _named_pair(err.value)
+    assert least_completions(s.table, p + (SEP1,) + q + (SEP2,), s.ranks) == []
+    for p, q in s._mul_cache:
+        assert len(p) + len(q) <= 4
+    assert word_eq(s, w[:4], tuple("abba"))

@@ -12,6 +12,7 @@ from collections import defaultdict
 import pytest
 
 from conftest import dense_chart
+from test_cfg import _random_cfg
 from test_differential import _generic_twin
 from whsg import cfg as cfglib
 from whsg import fixtures
@@ -98,9 +99,11 @@ def calls(monkeypatch):
     """Serve every least_completions call the library makes and record it
     with the reference's answer on the same arguments, and whether each
     suffix word the call settled in the shared pass is one the reference
-    settled too."""
+    settled too; a least_completions_batch call is recorded once per
+    prefix, with its answer and the reference's on that prefix."""
     seen = []
     ours = cfglib.least_completions
+    ours_batch = cfglib.least_completions_batch
     step = cfglib._Pass.step
     stepped = []
 
@@ -122,8 +125,16 @@ def calls(monkeypatch):
         seen.append((k, got, want, suffix_words.issuperset(suffix)))
         return got
 
+    def batch(g, prefixes, ranks=None):
+        got = ours_batch(g, prefixes, ranks)
+        for prefix, one in zip(prefixes, got, strict=True):
+            seen.append((1, one, _reference_least_completions(g, prefix, ranks),
+                         True))
+        return got
+
     monkeypatch.setattr(cfglib._Pass, "step", recorded_step)
     monkeypatch.setattr(cfglib, "least_completions", both)
+    monkeypatch.setattr(cfglib, "least_completions_batch", batch)
     return seen
 
 
@@ -197,3 +208,40 @@ def test_interleaved_calls_on_one_grammar_match_fresh_reference():
         sizes.append(len(want))
     assert len(cnf_of(table).passes) == 4
     assert {0, 1, 2, 3} <= set(sizes)
+
+
+def test_joined_chart_is_each_words_chart_side_by_side():
+    """A chart of words joined by _BREAK holds at each word's offset that
+    word's own chart (rows and allow masks, no span across a break), and
+    the batch entry answers each prefix as least_completions does."""
+    rng = random.Random(32)
+    cases = 0
+    for _ in range(150):
+        g = _random_cfg(rng)
+        cnf = cnf_of(g)
+        for _ in range(8):
+            pieces = [_words(rng, ("a", "b"), 0, 5)
+                      for _ in range(rng.randint(2, 5))]
+            joined, bounds = [], []
+            for x in pieces:
+                if bounds:
+                    joined.append(cfglib._BREAK)
+                bounds.append((len(joined), len(joined) + len(x)))
+                joined.extend(x)
+            own = [dense_chart(_cyk_masks(cnf, x), x) for x in pieces]
+            masks, live, allow = dense_chart(_cyk_masks(cnf, tuple(joined)),
+                                             joined)
+            longest = max(map(len, pieces))
+            for a in range(cnf.size):
+                assert len(masks[a]) == longest + 1 or live[a] == []
+                for l in range(1, longest + 1):
+                    assert masks[a][l] == sum(
+                        chart[0][a][l] << s for chart, (s, e) in zip(own, bounds)
+                        if l <= e - s)
+                assert live[a] == sorted({l for chart in own for l in chart[1][a]})
+                for chart, (s, e) in zip(own, bounds):
+                    assert allow[a] >> s & ((2 << (e - s)) - 1) == chart[2][a]
+            assert cfglib.least_completions_batch(g, pieces) == [
+                least_completions(g, x) for x in pieces]
+            cases += 1
+    assert cases == 1200

@@ -712,3 +712,43 @@ def test_bicyclic_word_problem_on_skewed_words_is_near_linear():
         assert word_eq(fixtures.bicyclic(), u, v) is False
     slope = _fitted_slope(sizes, times)
     assert slope <= 1.8, (slope, times)
+
+
+def test_bicyclic_products_of_skewed_words_stay_below_quadratic():
+    # multiply(b^n, a^n) on a fresh load each time: ten calibration runs
+    # read slopes of 1.82 to 1.85 (0.0036 s at 256, 0.16-0.17 s at 2048),
+    # the whole-tuple words and the live-length scan of the completion
+    # loop; multiply(a^n, b^n), the identity's representative ab, read 1.05
+    # to 1.07 (1.4 ms at 256, 13 ms at 2048)
+    sizes = [256, 512, 1024, 2048]
+    for u, v, bound in ((("b",), ("a",), 2.1), (("a",), ("b",), 1.4)):
+        times = []
+        for n in sizes:
+            times.append(_fastest(multiply,
+                                  make=lambda: (fixtures.bicyclic(), u * n, v * n)))
+        assert multiply(fixtures.bicyclic(), u * 8, v * 8) == (
+            u * 8 + v * 8 if u == ("b",) else ("a", "b"))
+        slope = _fitted_slope(sizes, times)
+        assert slope <= bound, (u, v, slope, times)
+
+
+def test_free2c_word_problem_is_near_linear():
+    # word_eq on the free structure with the redundant letter c = ab:
+    # seeded words over {a, b, c} against the same words with every c
+    # spelled ab, on a fresh load each time, so every call runs the
+    # transducer image of normalize_generators and the batched halving;
+    # ten calibration runs read slopes of 1.33 to 1.35 (11 ms at 256,
+    # 0.18 s at 2048)
+    sizes = [256, 512, 1024, 2048]
+    times = []
+    for n in sizes:
+        rng = random.Random(n)
+        u = tuple(rng.choice("abc") for _ in range(n))
+        v = tuple(x for y in u for x in (("a", "b") if y == "c" else (y,)))
+        times.append(_fastest(word_eq, make=lambda: (
+            fixtures.free2_with_redundant_letter(), u, v)))
+        s = fixtures.free2_with_redundant_letter()
+        assert word_eq(s, u, v) is True
+        assert word_eq(s, u, v[:-1]) is False
+    slope = _fitted_slope(sizes, times)
+    assert slope <= 1.7, (slope, times)
