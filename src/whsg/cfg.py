@@ -1065,8 +1065,7 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
                  if len(w) > n and (maxlen is None or len(w) - n <= maxlen)}
         return sorted(tails, key=shortlex_key(ranks))[:k]
     cnf = cnf_of(g)
-    suffixes = _suffix_pass(cnf, ranks, k)
-    return _completions(cnf, suffixes, _cyk_masks(cnf, x), 0, n, ranks, k,
+    return _completions(cnf, _cyk_masks(cnf, x), 0, n, ranks, k,
                         sys.maxsize if maxlen is None else maxlen)
 
 
@@ -1078,7 +1077,6 @@ def least_completions_batch(g: Cfg, prefixes, ranks=None) -> list:
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
     cnf = cnf_of(g)
-    suffixes = _suffix_pass(cnf, ranks, 1)
     joined, bounds = [], []
     for x in prefixes:
         if bounds:
@@ -1087,26 +1085,20 @@ def least_completions_batch(g: Cfg, prefixes, ranks=None) -> list:
         joined.extend(x)
         bounds.append((begin, len(joined)))
     chart = _cyk_masks(cnf, tuple(joined))
-    return [_completions(cnf, suffixes, chart, s, e, ranks, 1, sys.maxsize)
+    return [_completions(cnf, chart, s, e, ranks, 1, sys.maxsize)
             for s, e in bounds]
 
 
-def _suffix_pass(cnf: _Lowered, ranks, k: int) -> _Pass:
-    """The reversed _Pass that every completion call on cnf with these
-    ranks and k shares."""
-    key = (k, False, tuple(ranks.items()))
-    suffixes = cnf.passes.get(key)
-    if suffixes is None:
-        suffixes = cnf.passes[key] = _Pass(cnf, ranks, k, forward=False)
-    return suffixes
-
-
-def _completions(cnf: _Lowered, suffixes: _Pass, chart, s: int, e: int,
-                 ranks, k: int, limit: int) -> list:
+def _completions(cnf: _Lowered, chart, s: int, e: int, ranks, k: int,
+                 limit: int) -> list:
     """least_completions of the word between positions s and e of a chart,
     items numbered by the chart's own positions: a chart over joined
     words keeps no span across a break, so every bit the loops below read
     for this word is a span inside it."""
+    key = (k, False, tuple(ranks.items()))
+    suffixes = cnf.passes.get(key)
+    if suffixes is None:
+        suffixes = cnf.passes[key] = _Pass(cnf, ranks, k, forward=False)
     words, shared = suffixes.words, suffixes.heap
     masks, live, allow = chart
     start = cnf.start
