@@ -80,39 +80,42 @@ def _prefetch(s: WhStructure, pairs) -> None:
 
 
 def _halved(ns: WhStructure, words) -> list:
-    """Representatives of nonempty alphabet words of a generic table,
-    computed bottom-up by halving their letter sequences, all words one
-    level at a time: the products of a level that the cache lacks are
-    prefetched together, then every product of the level is taken through
-    _product in order.  No level has more products than the one below it,
-    so when the first has fewer than two each word goes alone."""
-    if sum(len(w) // 2 for w in words) < 2:
-        return [_halved_alone(ns, w) for w in words]
-    seqs = [[(sym,) for sym in w] for w in words]
+    """Representatives of nonempty alphabet words, computed bottom-up by
+    halving their letter sequences and kept in the representative cache;
+    the letters of every word the cache lacks are checked before any is
+    halved.  On a generic table the uncached words go one level at a time:
+    the products of a level that the multiply cache lacks are prefetched
+    together, then every product of the level is taken through _product in
+    order.  No level has more products than the one below it, so when the
+    first has fewer than two each word goes alone, as it does on a flat
+    table, whose products are cheaper one by one (through the joint loop,
+    decide-flat's op_p50_ms read 0.0442 against 0.0410 ms in 10 alternated
+    pairs)."""
+    cache = ns._rep_cache
+    todo = [w for w in words if w not in cache]
+    for w in todo:
+        for sym in w:
+            if sym not in ns.alphabet:
+                raise OperandError(f"letter {sym!r} is not in the alphabet")
+    if ns.table.flat_words is not None or sum(len(w) // 2 for w in todo) < 2:
+        for w in todo:
+            seq = [(sym,) for sym in w]
+            while len(seq) > 1:
+                nxt = [_product(ns, seq[i], seq[i + 1])
+                       for i in range(0, len(seq) - 1, 2)]
+                if len(seq) % 2:
+                    nxt.append(seq[-1])
+                seq = nxt
+            cache[w] = seq[0]
+        return [cache[w] for w in words]
+    seqs = [[(sym,) for sym in w] for w in todo]
     while any(len(seq) > 1 for seq in seqs):
         levels = [list(zip(seq[::2], seq[1::2])) for seq in seqs]
         _prefetch(ns, [pq for level in levels for pq in level])
         seqs = [[_product(ns, p, q) for p, q in level] + seq[2 * len(level):]
                 for level, seq in zip(levels, seqs)]
-    return [seq[0] for seq in seqs]
-
-
-def _halved_alone(ns: WhStructure, w: tuple) -> tuple:
-    """One word's representative by halving, each product taken alone."""
-    seq = [(sym,) for sym in w]
-    while len(seq) > 1:
-        nxt = [_product(ns, seq[i], seq[i + 1])
-               for i in range(0, len(seq) - 1, 2)]
-        if len(seq) % 2:
-            nxt.append(seq[-1])
-        seq = nxt
-    return seq[0]
-
-
-def _check_letters(ns: WhStructure, w: tuple) -> None:
-    for sym in w:
-        if sym not in ns.alphabet:
-            raise OperandError(f"letter {sym!r} is not in the alphabet")
+    cache.update(zip(todo, (seq[0] for seq in seqs)))
+    return [cache[w] for w in words]
 
 
 def represent(s: WhStructure, w) -> tuple:
@@ -122,20 +125,7 @@ def represent(s: WhStructure, w) -> tuple:
     w = tuple(w)
     if not w:
         raise OperandError("cannot represent the empty word")
-    ns = normalize_generators(s)
-    got = ns._rep_cache.get(w)
-    if got is not None:
-        return got
-    _check_letters(ns, w)
-    # a flat table answers each product alone: with flat tables through
-    # _halved, decide-flat's op_p50_ms read 0.0442 against 0.0410 ms (10
-    # alternated pairs)
-    if ns.table.flat_words is None:
-        got = _halved(ns, (w,))[0]
-    else:
-        got = _halved_alone(ns, w)
-    ns._rep_cache[w] = got
-    return got
+    return _halved(normalize_generators(s), (w,))[0]
 
 
 def word_eq(s: WhStructure, w, w2) -> bool:
@@ -153,19 +143,9 @@ def word_eq(s: WhStructure, w, w2) -> bool:
         raise OperandError("word_eq needs nonempty words")
     ns = normalize_generators(s)
     if len(w) == 1 and len(w2) == 1:
-        _check_letters(ns, w + w2)
+        _halved(ns, (w, w2))    # checks the letters
         return w == w2
     if len(w) < len(w2):
         w, w2 = w2, w
     mid = len(w) // 2
-    w1, w3 = w[:mid], w[mid:]
-    if ns.table.flat_words is not None:
-        return check_multiply(ns, represent(ns, w1), represent(ns, w3),
-                              represent(ns, w2))
-    cache = ns._rep_cache
-    todo = [x for x in (w1, w3, w2) if x not in cache]
-    if todo:
-        for x in todo:
-            _check_letters(ns, x)
-        cache.update(zip(todo, _halved(ns, todo)))
-    return check_multiply(ns, cache[w1], cache[w3], cache[w2])
+    return check_multiply(ns, *_halved(ns, (w[:mid], w[mid:], w2)))

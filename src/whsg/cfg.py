@@ -488,10 +488,16 @@ def cnf_of(g: Cfg) -> _Lowered:
     return n._cnf
 
 
+# the symbol a word starts after in the left context, and so the break
+# between the words of a joined chart: no terminal (terminals are
+# strings), so no node derives it
+_BREAK = None
+
+
 def _after(cnf: _Lowered):
     """One-symbol left context (Graham, Harrison and Ruzzo 1980, cut to one
     symbol): terminal t -> the nodes that may begin right after t in a word
-    of the start, None -> those that may begin one.  Two worklist closures
+    of the start, _BREAK -> those that may begin one.  Two worklist closures
     over the rules A -> B C: the terminals words end with (A's as C's), then
     those that may precede a node (B's as A's; C's include B's last ones)."""
 
@@ -506,7 +512,7 @@ def _after(cnf: _Lowered):
 
     last = defaultdict(set, {a: set(ts) for a, ts in cnf.term_bodies.items()})
     close(last, cnf.right_index)
-    before = defaultdict(set, {cnf.start: {None}})
+    before = defaultdict(set, {cnf.start: {_BREAK}})
     # every node of a normalized lowering is on a derivation of the start
     for _a, b, c in cnf.binary:
         before[c] |= last[b]
@@ -516,11 +522,6 @@ def _after(cnf: _Lowered):
         for t in ts:
             after[t].append(x)
     return after
-
-
-# the break between the words of a joined chart: no terminal (terminals
-# are strings), so no node derives it
-_BREAK = None
 
 
 def _cyk_masks(cnf: _Lowered, w):
@@ -537,7 +538,7 @@ def _cyk_masks(cnf: _Lowered, w):
 
     w may join several words with _BREAK between them; the chart is then
     each word's chart at the word's own offset.  _BREAK is no terminal, so
-    no span crosses it, and a word starts after it as after None; rows and
+    no span crosses it, and a word starts after it as at w's start; rows and
     the length loop stop at the longest word, so the chart's fixed cost
     (the allow masks over every node, a partner walk per live row) is paid
     once for all the words.
@@ -566,15 +567,16 @@ def _cyk_masks(cnf: _Lowered, w):
     if after is None:
         after = cnf.after = _after(cnf)
     # symbol -> bitmask of the positions after it; a word starts after
-    # None, so the break between joined words (_BREAK is None) marks the
-    # next word's start
-    at = {None: 1}
+    # _BREAK, so a break between joined words marks the next word's start
+    at = {_BREAK: 1}
     for i, sym in enumerate(w):
         at[sym] = at.get(sym, 0) | 2 << i
     n = len(w)
-    if at[None] > 1:
-        # no span crosses a break: rows stop at the longest word
-        n, begin, starts = 0, 0, at[None] ^ 1
+    if at[_BREAK] > 1:
+        # no span crosses a break: rows stop at the longest word, found
+        # here because the chart takes only w, which benchmark/spans.py
+        # reads to trace every chart
+        n, begin, starts = 0, 0, at[_BREAK] ^ 1
         while starts:
             nxt = (starts & -starts).bit_length() - 1   # the next word's start
             n = max(n, nxt - 1 - begin)
