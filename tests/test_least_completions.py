@@ -100,7 +100,9 @@ def calls(monkeypatch):
     with the reference's answer on the same arguments, and whether each
     suffix word the call settled in the shared pass is one the reference
     settled too; a least_completions_batch call is recorded once per
-    prefix, with its answer and the reference's on that prefix."""
+    prefix, with its answer and the reference's on that prefix, and
+    whether each suffix word the batch settled is one the reference
+    settled on some prefix of the batch."""
     seen = []
     ours = cfglib.least_completions
     ours_batch = cfglib.least_completions_batch
@@ -113,12 +115,15 @@ def calls(monkeypatch):
             stepped.append((self, got))
         return got
 
+    def settled(g):
+        # only the steps of the reversed passes that least_completions shares
+        shared = list(cnf_of(g).passes.values()) if stepped else []
+        return [word for p, word in stepped if any(p is q for q in shared)]
+
     def both(g, prefix, ranks=None, k=1, maxlen=None):
         stepped.clear()
         got = ours(g, prefix, ranks, k, maxlen)
-        # only the steps of the reversed passes that least_completions shares
-        shared = list(cnf_of(g).passes.values()) if stepped else []
-        suffix = [word for p, word in stepped if any(p is q for q in shared)]
+        suffix = settled(g)
         suffix_words = set()
         want = _reference_least_completions(g, prefix, ranks, k, maxlen,
                                             suffix_words)
@@ -126,10 +131,16 @@ def calls(monkeypatch):
         return got
 
     def batch(g, prefixes, ranks=None):
+        stepped.clear()
         got = ours_batch(g, prefixes, ranks)
-        for prefix, one in zip(prefixes, got, strict=True):
-            seen.append((1, one, _reference_least_completions(g, prefix, ranks),
-                         True))
+        suffix = settled(g)
+        suffix_words = set()
+        wants = [_reference_least_completions(g, prefix, ranks, 1, None,
+                                              suffix_words)
+                 for prefix in prefixes]
+        lazy = suffix_words.issuperset(suffix)
+        for one, want in zip(got, wants, strict=True):
+            seen.append((1, one, want, lazy))
         return got
 
     monkeypatch.setattr(cfglib._Pass, "step", recorded_step)

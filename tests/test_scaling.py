@@ -714,12 +714,14 @@ def test_bicyclic_word_problem_on_skewed_words_is_near_linear():
     assert slope <= 1.8, (slope, times)
 
 
-def test_bicyclic_products_of_skewed_words_stay_below_quadratic():
+def test_bicyclic_products_of_skewed_words_grow_at_most_quadratically():
     # multiply(b^n, a^n) on a fresh load each time: ten calibration runs
     # read slopes of 1.82 to 1.85 (0.0036 s at 256, 0.16-0.17 s at 2048),
-    # the whole-tuple words and the live-length scan of the completion
-    # loop; multiply(a^n, b^n), the identity's representative ab, read 1.05
-    # to 1.07 (1.4 ms at 256, 13 ms at 2048)
+    # the quadratic cost of the whole-tuple words and the live-length scan
+    # of the completion loop, so its bound of 2.1 only guards against
+    # worse than quadratic growth until ROADMAP item 1 removes that cost
+    # and tightens it; multiply(a^n, b^n), the identity's representative
+    # ab, read 1.05 to 1.07 (1.4 ms at 256, 13 ms at 2048)
     sizes = [256, 512, 1024, 2048]
     for u, v, bound in ((("b",), ("a",), 2.1), (("a",), ("b",), 1.4)):
         times = []
