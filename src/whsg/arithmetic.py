@@ -5,10 +5,11 @@ Products are read off the table language: the representatives of
 elt(p)elt(q) are exactly the words w with p#1q#2w-reversed in the table.
 Witness selection is always shortest-then-lexicographic under the declared
 symbol order, so every operation is deterministic.  Representing words
-halves them level by level; on a generic table the products of one level
-that no earlier call cached are read off one chart of their prefixes
-joined (`cfg.least_completions_batch`) and stored in the multiply cache,
-where the level's products are then taken in order.
+halves them level by level; the products of one level that no earlier
+call cached are read off one chart of their prefixes joined
+(`cfg.least_completions_batch`, which serves a flat table one prefix at a
+time) and stored in the multiply cache, where the level's products are
+then taken in order.
 """
 
 from __future__ import annotations
@@ -83,21 +84,20 @@ def _halved(ns: WhStructure, words) -> list:
     """Representatives of nonempty alphabet words, computed bottom-up by
     halving their letter sequences and kept in the representative cache;
     the letters of every word the cache lacks are checked before any is
-    halved.  On a generic table the uncached words go one level at a time:
-    the products of a level that the multiply cache lacks are prefetched
-    together, then every product of the level is taken through _product in
-    order.  No level has more products than the one below it, so when the
-    first has fewer than two each word goes alone, as it does on a flat
-    table, whose products are cheaper one by one (through the joint loop,
-    decide-flat's op_p50_ms read 0.0442 against 0.0410 ms in 10 alternated
-    pairs)."""
+    halved.  The uncached words go one level at a time: the products of a
+    level that the multiply cache lacks are prefetched together, then every
+    product of the level is taken through _product in order.  No level has
+    more products than the one below it, so the size of the first alone
+    picks the loop: with fewer than two products each word goes alone,
+    without the joint loop's bookkeeping, as every call of decide-flat does
+    (593 a pass at seed 1)."""
     cache = ns._rep_cache
     todo = [w for w in words if w not in cache]
     for w in todo:
         for sym in w:
             if sym not in ns.alphabet:
                 raise OperandError(f"letter {sym!r} is not in the alphabet")
-    if ns.table.flat_words is not None or sum(len(w) // 2 for w in todo) < 2:
+    if sum(len(w) // 2 for w in todo) < 2:
         for w in todo:
             seq = [(sym,) for sym in w]
             while len(seq) > 1:
@@ -120,8 +120,8 @@ def _halved(ns: WhStructure, words) -> list:
 
 def represent(s: WhStructure, w) -> tuple:
     """A representative of the element named by an alphabet word, computed
-    bottom-up by halving the letter sequence; on a generic table the
-    uncached products of each halving level share one chart."""
+    bottom-up by halving the letter sequence; the uncached products of each
+    halving level share one chart."""
     w = tuple(w)
     if not w:
         raise OperandError("cannot represent the empty word")
@@ -135,8 +135,8 @@ def word_eq(s: WhStructure, w, w2) -> bool:
     alphabet; loading checks what of that is decidable, that no two letters
     are assigned the same representative); otherwise the longer word splits
     at half length and the three representatives feed one product check.
-    On a generic table the three words are halved together, so the
-    uncached products of each level of all three share one chart.
+    The three words are halved together, so the uncached products of each
+    level of all three share one chart.
     """
     w, w2 = tuple(w), tuple(w2)
     if not w or not w2:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .arithmetic import check_multiply, word_eq
+from .arithmetic import _require_rep, check_multiply, word_eq
 from .errors import OperandError
 from .structure import Verdict, WhStructure, normalize_generators, slot_middle, slot_word
 
@@ -31,10 +31,7 @@ def green_related(s: WhStructure, w, w2, rel: str = "R") -> bool:
     if rel not in ("R", "L", "H"):
         raise OperandError(f"unknown Green relation {rel!r}")
     ns = normalize_generators(s)
-    w, w2 = tuple(w), tuple(w2)
-    for x in (w, w2):
-        if not ns.in_reps(x):
-            raise OperandError(f"word {' '.join(x)!r} is not a representative")
+    w, w2 = _require_rep(ns, w), _require_rep(ns, w2)
     if rel == "H":
         return green_related(ns, w, w2, "R") and green_related(ns, w, w2, "L")
     if word_eq(ns, w, w2):

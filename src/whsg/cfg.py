@@ -3,17 +3,21 @@ completions of a prefix, regular intersection and bounded enumeration.
 
 Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words``, from
-which `membership`, `least_completions` and `least_word` answer; without
-them the finite-table procedures spend most of their time on charts and
-products over hundreds of lowered nodes.  The last two read only the words
-that begin with the prefix they are given, one run of the sorted words
-(`flat_run`).  Everything else goes through one cached lowering to bodies
-of at most two symbols.  The queries read the lowering of the normal form
-with its bisimilar nodes merged (`cnf_of`, by the coarsest partition of
-`partition.bisimilar_blocks`), built once per grammar: a product table
-carries one nonterminal per state pair, and most of the copies derive the
-same words.  Least words come from
-one lazily stepped pass, `_Pass`: Knuth's generalization of Dijkstra's
+which `membership`, `derives_epsilon`, `least_completions` (and
+`least_completions_batch`, one prefix at a time) and `least_word` answer;
+this module is the only one that tells such tables apart, beside the
+transducer image's shortcut.  Without them the finite-table procedures
+spend most of their time on charts and products over hundreds of lowered
+nodes.  The completions and `least_word` read only the words that begin
+with the prefix they are given, one run of the sorted words (`flat_run`);
+`least_word` reads all of them unsorted when the prefix is empty, as the
+load-time shape check asks.  Everything else goes through one cached
+lowering to bodies of at most two symbols.  The queries read the lowering
+of the normal form with its bisimilar nodes merged (`cnf_of`, by the
+coarsest partition of `partition.bisimilar_blocks`), built once per
+grammar: a product table carries one nonterminal per state pair, and most
+of the copies derive the same words.  Least words come from one lazily
+stepped pass, `_Pass`: Knuth's generalization of Dijkstra's
 algorithm (1977) with up to k distinct words per node (Huang and Chiang
 2005), forward or reversed.  Over the lowering as given it yields the
 shortest word (k = 1), the mirror test's two least words per nonterminal
@@ -154,6 +158,8 @@ def flat_run(g: Cfg, prefix: tuple) -> tuple:
 
 
 def derives_epsilon(g: Cfg) -> bool:
+    if g.flat_words is not None:  # no nullable pass over a table's words
+        return () in g.flat_words
     return g.start in _nullable_set(g)
 
 
@@ -792,8 +798,10 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
 
     `a` is an `Nfa` or a state space of `_asked` whose moves output the
     symbol they read, with `accepts(w)` for a flat table, such as the slot
-    view `structure._Slots`.  Every word a accepts must begin with
-    `prefix`; a flat table reads only its words that do (`flat_run`).
+    view `structure._Slots` or its complement (`nfa._Complement`), which
+    the load-time shape check asks about.  Every word a accepts must begin
+    with `prefix`; a flat table reads only its words that do (`flat_run`),
+    or all of them unsorted when the prefix is empty, as in the shape check.
 
     Knuth's lightest-derivation pass (1977) in the weighted-deduction form of
     Nederhof (2003) over the items (p, A, q) of the pairs that the closure of
@@ -805,9 +813,11 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
     # flat shortcut: without it decide-flat ran 7,280-8,042 -> 1,781-1,786
-    # ops/s (3 alternated 5 s pairs, seed 1), at 2.5 MB more peak RSS
+    # ops/s (3 alternated 5 s pairs, seed 1), at 2.5 MB more peak RSS;
+    # sorting the words for an empty prefix cost 8 % of its setup_s
     if g.flat_words is not None:
-        return min((w for w in flat_run(g, prefix) if w and a.accepts(w)),
+        words = flat_run(g, prefix) if prefix else g.flat_words
+        return min((w for w in words if w and a.accepts(w)),
                    key=shortlex_key(ranks), default=None)
     cnf = cnf_of(g)
     starts, top, leaves, firsts = _asked(cnf, a)
@@ -1074,10 +1084,12 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
 def least_completions_batch(g: Cfg, prefixes, ranks=None) -> list:
     """[least_completions(g, x, ranks) for x in prefixes], read off one
     chart of the prefixes joined by _BREAK, so that the chart's fixed cost
-    is paid once; each prefix's items are those of its own chart.  It has
-    no flat shortcut: a flat table's products are cheaper one by one."""
+    is paid once; each prefix's items are those of its own chart.  A flat
+    table is served one prefix at a time, by its prefix runs."""
     if ranks is None:
         ranks = symbol_ranks(g.terminals)
+    if g.flat_words is not None:
+        return [least_completions(g, x, ranks) for x in prefixes]
     cnf = cnf_of(g)
     joined, bounds = [], []
     for x in prefixes:

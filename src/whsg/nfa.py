@@ -45,6 +45,7 @@ class Nfa:
         if not self.initial <= sset or not self.accepting <= sset:
             raise ValueError("undeclared initial or accepting state")
         self._reversed = None
+        self._accepted: dict = {}  # word -> accepts(word)
 
     # -- construction helpers -------------------------------------------------
 
@@ -106,15 +107,21 @@ class Nfa:
         return [(q, out) for q in self.transitions.get((state, sym), _EMPTY)]
 
     def accepts(self, w: Sequence) -> bool:
-        current, trans = self.initial, self.transitions
-        for sym in w:
-            reached = set()
-            for q in current:
-                reached |= trans.get((q, sym), _EMPTY)
-            if not reached:
-                return False
-            current = reached
-        return not self.accepting.isdisjoint(current)
+        """Whether w is accepted; each answer is kept per word, which is
+        safe because an automaton never changes."""
+        w = tuple(w)
+        got = self._accepted.get(w)
+        if got is None:
+            current, trans = self.initial, self.transitions
+            for sym in w:
+                reached = set()
+                for q in current:
+                    reached |= trans.get((q, sym), _EMPTY)
+                current = reached
+                if not reached:
+                    break
+            got = self._accepted[w] = not self.accepting.isdisjoint(current)
+        return got
 
     def shortest_word(self, ranks=None):
         """Shortest accepted word, lexicographically least among the shortest;
@@ -261,4 +268,5 @@ class _Complement:
         return got
 
     def accepts(self, w) -> bool:
-        return self._alphabet.issuperset(w) and not self._space.accepts(w)
+        # most words a check asks about are in the space: test that first
+        return not self._space.accepts(w) and self._alphabet.issuperset(w)

@@ -16,7 +16,7 @@ from .errors import (EmptyProductError, InvariantError, OperandError, ParseError
                      ReservedSymbolError)
 from .nfa import Nfa, _Complement
 from .transducer import Transducer
-from .words import RESERVED, SEP1, SEP2, reverse, shortlex_key, symbol_ranks
+from .words import RESERVED, SEP1, SEP2, reverse, symbol_ranks
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,10 @@ class Verdict:
 class WhStructure:
     """Representative language, table language and generator assignment.
 
-    Instances are immutable; derived data (the normalized variant, product
-    and membership caches) is attached lazily and never observable.
+    Instances are immutable; derived data (the normalized variant and the
+    product caches) is attached lazily and never observable.  Membership in
+    the representatives is kept by the automaton itself (`Nfa.accepts`), so
+    `in_reps`, slot views and the shape check's complement share it.
     """
 
     def __init__(self, alphabet, reps: Nfa, table: Cfg, assignment=None,
@@ -68,7 +70,6 @@ class WhStructure:
                 raise InvariantError(f"assignment for undeclared symbol {key!r}")
         self.assignment = {a: tuple(assignment.get(a, (a,))) for a in self.alphabet}
         self.ranks = symbol_ranks(self.alphabet)
-        self._in_reps_cache: dict = {}
         self._mul_cache: dict = {}
         self._chk_cache: dict = {}
         self._rep_cache: dict = {}
@@ -104,15 +105,8 @@ class WhStructure:
 
     def _find_shape_violation(self):
         # the table's symbols outside the alphabet and separators sort after
-        # them, in the table's order, on both paths
+        # them, in the table's order
         ranks = symbol_ranks((*self.alphabet, SEP1, SEP2, *self.table.terminals))
-        # flat shortcut: without it decide-flat's setup_s rose from 3.2 to
-        # 5.1 ms (3 alternated 5 s pairs, seed 1)
-        if self.table.flat_words is not None:
-            violators = [w for w in self.table.flat_words
-                         if not self._in_shape(w)]
-            # the shortlex-least, as least_word finds below
-            return min(violators, default=None, key=shortlex_key(ranks))
         if cfglib.derives_epsilon(self.table):  # products drop the empty word
             return ()
         reps = self.reps
@@ -121,23 +115,10 @@ class WhStructure:
         outside = _Complement(_Slots(reps, reps, reps), tuple(ranks))
         return cfglib.least_word(self.table, outside, ranks)
 
-    def _in_shape(self, w) -> bool:
-        parts = _split_table_word(w)
-        if parts is None:
-            return False
-        u, v, yrev = parts
-        return (self.in_reps(u) and self.in_reps(v)
-                and self.in_reps(reverse(yrev)))
-
     # -- basic queries ---------------------------------------------------------
 
     def in_reps(self, w) -> bool:
-        w = tuple(w)
-        got = self._in_reps_cache.get(w)
-        if got is None:
-            got = self.reps.accepts(w)
-            self._in_reps_cache[w] = got
-        return got
+        return self.reps.accepts(w)
 
     def table_accepts(self, w) -> bool:
         return cfglib.membership(self.table, w)
@@ -254,18 +235,6 @@ def slot_middle(s: WhStructure, left, middle, right):
     """Middle slot of slot_word, or None."""
     w = slot_word(s, left, middle, right)
     return None if w is None else w[w.index(SEP1) + 1:w.index(SEP2)]
-
-
-def _split_table_word(w):
-    w = tuple(w)
-    if w.count(SEP1) != 1 or w.count(SEP2) != 1:
-        return None
-    i = w.index(SEP1)
-    j = w.index(SEP2)
-    if not 0 < i < j - 1 or j == len(w) - 1:
-        # empty slots are never representatives
-        return None
-    return w[:i], w[i + 1:j], w[j + 1:]
 
 
 # -- file format ----------------------------------------------------------------

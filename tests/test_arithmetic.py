@@ -136,11 +136,12 @@ def test_represent_output_is_equal_to_input(rees, free2):
             assert word_eq(ns, w, u)
 
 
-def _free_cut_at_four():
+def _free_cut_at_four(flat=False):
     """The free semigroup on {a, b} with its table cut at total length 4:
     every word of length 1 to 4 a representative, and a generic table
-    (S -> T, T -> u #1 v #2 (uv)^rev for every pair with |uv| <= 4), so
-    products of longer operands are empty."""
+    (S -> T, T -> u #1 v #2 (uv)^rev for every pair with |uv| <= 4), or with
+    flat=True the flat one (S -> u #1 v #2 (uv)^rev), so products of longer
+    operands are empty."""
     from whsg.cfg import Cfg
     from whsg.nfa import Nfa
     from whsg.structure import WhStructure
@@ -149,8 +150,12 @@ def _free_cut_at_four():
     reps = all_words(("a", "b"), 4)
     bodies = [u + (SEP1,) + v + (SEP2,) + (u + v)[::-1]
               for u in reps for v in reps if len(u) + len(v) <= 4]
-    table = Cfg(("S", "T"), ("a", "b", SEP1, SEP2), "S",
-                [("S", ("T",))] + [("T", body) for body in bodies])
+    terminals = ("a", "b", SEP1, SEP2)
+    if flat:
+        table = Cfg.from_words(terminals, bodies)
+    else:
+        table = Cfg(("S", "T"), terminals, "S",
+                    [("S", ("T",))] + [("T", body) for body in bodies])
     return WhStructure(("a", "b"), Nfa.from_words(reps, ("a", "b")), table)
 
 
@@ -161,16 +166,17 @@ def _named_pair(err):
     return tuple(p.split()), tuple(q.split())
 
 
-def test_batched_halving_keeps_the_error_contract():
+def _check_the_error_contract(flat):
     # the first two halving levels of an 8-letter word have several
-    # uncached products each, which share one chart; the third multiplies
-    # two 4-letter words, whose product the table lacks
+    # uncached products each, which share one chart (a flat table's are
+    # taken one prefix at a time); the third multiplies two 4-letter words,
+    # whose product the table lacks
     from whsg.cfg import least_completions
     from whsg.words import SEP1, SEP2
 
     w = tuple("abbaabab")
-    s = _free_cut_at_four()
-    assert s.table.flat_words is None
+    s = _free_cut_at_four(flat)
+    assert (s.table.flat_words is not None) == flat
     with pytest.raises(EmptyProductError) as err:
         represent(s, w)
     assert str(err.value) == "product of 'a b b a' and 'a b a b' has no representative"
@@ -179,11 +185,22 @@ def test_batched_halving_keeps_the_error_contract():
         (w[i:i + 1], w[i + 1:i + 2]) for i in range(0, 8, 2)} | {
         (w[:2], w[2:4]), (w[4:6], w[6:])}
 
-    s = _free_cut_at_four()
+    s = _free_cut_at_four(flat)
     with pytest.raises(EmptyProductError) as err:
         word_eq(s, w, tuple("babbbaab"))
     p, q = _named_pair(err.value)
+    assert (p, q) == (tuple("babb"), tuple("baab"))
     assert least_completions(s.table, p + (SEP1,) + q + (SEP2,), s.ranks) == []
     for p, q in s._mul_cache:
         assert len(p) + len(q) <= 4
     assert word_eq(s, w[:4], tuple("abba"))
+
+
+def test_batched_halving_keeps_the_error_contract():
+    _check_the_error_contract(flat=False)
+
+
+def test_batched_halving_keeps_the_error_contract_on_a_flat_table():
+    # a flat table takes the level-by-level loop too, once its first level
+    # has two or more products
+    _check_the_error_contract(flat=True)

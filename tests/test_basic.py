@@ -53,6 +53,15 @@ def test_green_requires_representatives(rees):
         green_related(rees, ("a",), ("b",), "Q")
 
 
+def test_green_names_an_empty_operand_as_multiply_does(z2):
+    from whsg.arithmetic import multiply
+
+    for call in (green_related, multiply):
+        with pytest.raises(OperandError,
+                           match="^word '<empty>' is not a representative$"):
+            call(z2, (), ("g",))
+
+
 def test_h_is_conjunction_of_r_and_l(rees, sl2):
     for s in (rees, sl2):
         words = sorted(finite_language(s.reps))

@@ -97,6 +97,14 @@ def test_green_flag(fixture_dir, capsys):
     assert code == 0 and report["answer"] == "false"
 
 
+def test_green_names_an_empty_operand(fixture_dir, capsys):
+    # "," tokenizes to the empty word; green reports it as multiply does
+    for cmd in ("green", "multiply"):
+        code, report = run(capsys, cmd, fixture_dir / "z2.whs", ",", "g")
+        assert code == 1 and report["answer"] == "error"
+        assert report["reason"] == "word '<empty>' is not a representative"
+
+
 def test_validate_and_normalize(fixture_dir, capsys):
     code, report = run(capsys, "validate", fixture_dir / "rees.whs",
                        "--depth", "4")

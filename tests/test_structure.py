@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from whsg.structure import (VALIDATE_SAMPLE_CAP, WhStructure, _Slots,
                             dumps_structure, load_structure,
                             normalize_generators, slot_middle, slot_word,
                             validate_necessary)
-from whsg.words import SEP1, SEP2, symbol_ranks
+from whsg.words import SEP1, SEP2, shortlex_key, symbol_ranks
 
 
 def test_load_null3_file(tmp_path, null3):
@@ -139,6 +140,80 @@ def test_shape_violation_is_the_shortlex_least_under_any_hash_seed():
                               _structure_json(words, wrapped=False)],
                              env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == str(twin.value), seed
+
+
+def _in_shape_reference(reps, w):
+    """w is u #1 v #2 y with one separator of each kind, in that order, and
+    u, v and reverse(y) nonempty words of the set reps."""
+    if w.count(SEP1) != 1 or w.count(SEP2) != 1:
+        return False
+    i, j = w.index(SEP1), w.index(SEP2)
+    if not 0 < i < j - 1 or j == len(w) - 1:
+        return False
+    return all(x in reps for x in (w[:i], w[i + 1:j], w[j + 1:][::-1]))
+
+
+def _random_shape_table(rng):
+    """A finite set of representatives over {a, b}, the empty word among
+    them in some draws, and a table of words in the shape mixed with
+    violators of every kind."""
+    pool = all_words(("a", "b"), 3, minlen=0)
+    reps = set(rng.sample(pool, rng.randint(1, 6)))
+    nonempty = sorted(w for w in reps if w) or [("a",)]
+    outside = [w for w in pool if w and w not in reps] or [("z",)]
+
+    def slot(kind):
+        if kind == "empty":
+            return ()
+        if kind == "outside":
+            return rng.choice(outside)
+        if kind == "foreign":
+            return rng.choice(nonempty) + ("z",)
+        return rng.choice(nonempty)
+
+    table = set()
+    for _ in range(rng.randint(1, 8)):
+        kinds = ["in", "in", "in"]
+        kind = rng.choice(["in", "in", "empty word", "missing", "doubled",
+                           "order", "empty", "outside", "foreign"])
+        if kind in ("empty", "outside", "foreign"):
+            kinds[rng.randrange(3)] = kind
+        u, v, y = (slot(k) for k in kinds)
+        w = u + (SEP1,) + v + (SEP2,) + y[::-1]
+        if kind == "empty word":
+            w = ()
+        elif kind == "missing":
+            sep = rng.randrange(2)
+            w = tuple(x for x in w if x != (SEP1, SEP2)[sep])
+        elif kind == "doubled":
+            at = rng.randrange(len(w) + 1)
+            w = w[:at] + (rng.choice((SEP1, SEP2)),) + w[at:]
+        elif kind == "order":
+            w = u + (SEP2,) + v + (SEP1,) + y[::-1]
+        table.add(w)
+    return reps, sorted(table)
+
+
+def test_shape_violation_matches_the_slotwise_reference():
+    # the flat table and its wrapped twin run one check; both must name the
+    # shortlex-least word that a slot-by-slot split rejects
+    rng = random.Random(33)
+    alphabet = ("a", "b")
+    terminals = ("a", "b", "z", SEP1, SEP2)
+    ranks = symbol_ranks((*alphabet, SEP1, SEP2, *terminals))
+    seen = set()  # (reps hold the empty word, the table has no violator)
+    for _ in range(120):
+        reps, words = _random_shape_table(rng)
+        want = min((w for w in words if not _in_shape_reference(reps, w)),
+                   key=shortlex_key(ranks), default=None)
+        seen.add((() in reps, want is None))
+        for table in (Cfg.from_words(terminals, words),
+                      Cfg(["O", "X"], terminals, "O",
+                          [("O", ("X",))] + [("X", w) for w in words])):
+            s = WhStructure(alphabet, Nfa.from_words(reps, alphabet), table,
+                            check=False)
+            assert s.table_shape_violation() == want, (words, table)
+    assert {eps for eps, _ in seen} == {True, False} == {ok for _, ok in seen}
 
 
 def test_load_checks_table_membership(free2, tmp_path):
