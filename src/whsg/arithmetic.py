@@ -7,8 +7,8 @@ Witness selection is always shortest-then-lexicographic under the declared
 symbol order, so every operation is deterministic.  Representing words
 halves them level by level; the products of one level that no earlier
 call cached are read off one chart of their prefixes joined
-(`cfg.least_completions_batch`, which serves a flat table one prefix at a
-time) and stored in the multiply cache, where the level's products are
+(`cfg.least_completions`, which serves a flat table one prefix at a time)
+and stored in the multiply cache, where the level's products are
 then taken in order.
 """
 
@@ -55,7 +55,7 @@ def _product(s: WhStructure, p: tuple, q: tuple) -> tuple:
     got = s._mul_cache.get((p, q))
     if got is None:
         prefix = p + (SEP1,) + q + (SEP2,)
-        least = cfglib.least_completions(s.table, prefix, s.ranks)
+        least = cfglib.least_completions(s.table, [prefix])[0]
         if not least:
             raise EmptyProductError(
                 f"product of {' '.join(p)!r} and {' '.join(q)!r} has no representative")
@@ -65,7 +65,7 @@ def _product(s: WhStructure, p: tuple, q: tuple) -> tuple:
 
 def _prefetch(s: WhStructure, pairs) -> None:
     """Put the products of the pairs missing from the multiply cache there,
-    off one joined chart (`cfg.least_completions_batch`), when at least two
+    off one joined chart (`cfg.least_completions`), when at least two
     are missing; a single one is left to _product.  Storing stops at the
     first empty product, so the cache holds what taking the products one by
     one would have stored before _product raises on that pair."""
@@ -73,8 +73,7 @@ def _prefetch(s: WhStructure, pairs) -> None:
     if len(todo) < 2:
         return
     prefixes = [p + (SEP1,) + q + (SEP2,) for p, q in todo]
-    for pq, least in zip(todo, cfglib.least_completions_batch(
-            s.table, prefixes, s.ranks)):
+    for pq, least in zip(todo, cfglib.least_completions(s.table, prefixes)):
         if not least:
             break
         s._mul_cache[pq] = least[0]

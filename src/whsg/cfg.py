@@ -1,17 +1,22 @@
 """Context-free grammars: normalization, membership, shortest words, least
 completions of a prefix, regular intersection and bounded enumeration.
 
+Every query takes a grammar and a question, nothing more: words are
+ordered shortlex in the order the grammar declares its terminals
+(`Cfg.rank`), settled as tuples of those ranks and spelled back from the
+terminals.
+
 Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words``, from
-which `membership`, `derives_epsilon`, `least_completions` (and
-`least_completions_batch`, one prefix at a time) and `least_word` answer;
-this module is the only one that tells such tables apart, beside the
-transducer image's shortcut.  Without them the finite-table procedures
-spend most of their time on charts and products over hundreds of lowered
-nodes.  The completions and `least_word` read only the words that begin
-with the prefix they are given, one run of the sorted words (`flat_run`);
-`least_word` reads all of them unsorted when the prefix is empty, as the
-load-time shape check asks.  Everything else goes through one cached
+which `membership`, `derives_epsilon`, `least_completions` (one prefix at
+a time) and `least_word` answer; this module is the only one that tells
+such tables apart, beside the transducer image's shortcut.  Without them
+the finite-table procedures spend most of their time on charts and
+products over hundreds of lowered nodes.  The completions read only the
+words that begin with their prefix, one run of the sorted words
+(`flat_run`), and `least_word` those that begin with its space's
+`prefix`, or all unsorted when the space forces none, as the shape
+check's complement does.  Everything else goes through one cached
 lowering to bodies of at most two symbols.  The queries read the lowering
 of the normal form with its bisimilar nodes merged (`cnf_of`, by the
 coarsest partition of `partition.bisimilar_blocks`), built once per
@@ -28,13 +33,13 @@ serves one CYK chart (bit-parallel rows, with work that follows the split
 pairs whose rows are both nonzero, a node's row made on its first bit)
 that keeps only the items whose node may begin after the symbol before
 them.  It answers membership and gives least completions their closed
-items; one chart over several words joined by a break serves the
-completions of all of them (`least_completions_batch`), each read between
-its own positions, and pays the chart's fixed cost once.  The k least
+items; `least_completions` reads the completions of several prefixes off
+one chart of them joined by a break, each between its own positions, and
+pays the chart's fixed cost once.  The k least
 completions of a prefix are a weighted item pass in the same Knuth order
 that opens only items the left context admits.  Its items past the end of
-the prefix do not depend on the prefix: one reversed pass per lowering,
-ranks and k settles them for every call, and each call subscribes its own
+the prefix do not depend on the prefix: one reversed pass per lowering
+and k settles them for every call, and each call subscribes its own
 items to the nodes whose words extend them.  The same lowering serves the
 one goal-directed grammar x state-space closure, which builds only the
 items its start can use, and reads every state space, an automaton as the
@@ -59,7 +64,7 @@ from collections import defaultdict, deque
 from typing import TYPE_CHECKING
 
 from .partition import bisimilar_blocks
-from .words import shortlex_key, spelled, symbol_ranks
+from .words import shortlex_key, spelled
 
 if TYPE_CHECKING:
     from .nfa import Nfa
@@ -75,6 +80,8 @@ class Cfg:
     def __init__(self, nonterminals, terminals, start, productions):
         self.nonterminals = tuple(dict.fromkeys(nonterminals))
         self.terminals = tuple(dict.fromkeys(terminals))
+        # the word order: the terminals' declaration order
+        self.rank = {t: i for i, t in enumerate(self.terminals)}
         self.start = start
         nts = set(self.nonterminals)
         ts = set(self.terminals)
@@ -103,8 +110,8 @@ class Cfg:
         self._sorted = None
 
     @classmethod
-    def from_words(cls, terminals, words, start="S") -> "Cfg":
-        return cls([start], terminals, start, [(start, tuple(w)) for w in words])
+    def from_words(cls, terminals, words) -> "Cfg":
+        return cls(["S"], terminals, "S", [("S", tuple(w)) for w in words])
 
     @classmethod
     def from_nfa(cls, a: Nfa) -> "Cfg":
@@ -365,22 +372,24 @@ def _ranked(symbols, prods):
 class _Lowered:
     """Binarized grammar: every body has at most two symbols.
 
-    Nodes are the ints 0..size-1, the start first.  The lowering of a
-    grammar as written (`lowered_of`) numbers, production by production, the
-    head, the body symbols (each terminal of a longer body through one
-    wrapper node) and the split nodes of bodies longer than two.  Epsilon
-    and unit bodies are kept, so any grammar lowers in linear size; the
-    lowering of a normalized grammar has neither and is the CYK form, which
-    `cnf_of` serves with its bisimilar nodes merged.
+    Nodes are the ints 0..size-1, the start first; words are tuples of the
+    grammar's terminal ranks (`rank`), spelled from `symbols`.  The lowering
+    of a grammar as written (`lowered_of`) numbers, production by
+    production, the head, the body symbols (each terminal of a longer body
+    through one wrapper node) and the split nodes of bodies longer than two.
+    Epsilon and unit bodies are kept, so any grammar lowers in linear size;
+    the lowering of a normalized grammar has neither and is the CYK form,
+    which `cnf_of` serves with its bisimilar nodes merged.
     """
 
-    __slots__ = ("start", "ids", "size", "term_bodies", "by_sym", "eps",
-                 "binary", "binary_by_head", "left_index",
+    __slots__ = ("start", "symbols", "rank", "ids", "size", "term_bodies",
+                 "by_sym", "eps", "binary", "binary_by_head", "left_index",
                  "right_index", "unit_index", "partners", "after", "passes",
                  "chart")
 
-    def __init__(self, size, ids, term_bodies, eps, units, binary):
+    def __init__(self, g: Cfg, size, ids, term_bodies, eps, units, binary):
         self.start = 0
+        self.symbols, self.rank = g.terminals, g.rank
         self.ids = ids                  # symbol, wrapper or split key -> node
         self.size = size
         self.term_bodies = term_bodies  # node -> list of terminals
@@ -396,12 +405,12 @@ class _Lowered:
         self.partners = None
         # the one-symbol left context of _after, built by the first chart
         self.after = None
-        # (k, forward, rank items) -> the _Pass that every least_completions
-        # call with that key shares; its direction is always reversed there
+        # k -> the reversed _Pass that every least_completions call for its
+        # k least words shares
         self.passes = {}
         # (w, masks, live, allow) of the last CYK chart over this lowering,
         # which multiply and validate_necessary both ask for on one prefix;
-        # w joins several prefixes when least_completions_batch made it
+        # w joins several prefixes when least_completions was given several
         self.chart = None
         by_sym, by_head = self.by_sym, self.binary_by_head
         left, right = self.left_index, self.right_index
@@ -459,7 +468,7 @@ def lowered_of(g: Cfg) -> _Lowered:
     """The cached lowering of g as it is, epsilon and unit bodies included."""
     if g._lowered is None:
         ids, term_bodies, eps, units, binary = _binarized(g)
-        g._lowered = _Lowered(len(ids), ids, term_bodies, eps, units,
+        g._lowered = _Lowered(g, len(ids), ids, term_bodies, eps, units,
                               tuple(binary))
     return g._lowered
 
@@ -489,7 +498,7 @@ def cnf_of(g: Cfg) -> _Lowered:
                            if v in term_bodies}
             binary = dict.fromkeys((block[a], block[b], block[c])
                                    for v in reps for a, b, c in rules[v])
-        n._cnf = _Lowered(len(reps), ids, term_bodies, frozenset(), (),
+        n._cnf = _Lowered(n, len(reps), ids, term_bodies, frozenset(), (),
                           tuple(binary))
     return n._cnf
 
@@ -674,7 +683,7 @@ class _Pass:
     """Up to k distinct least words per node of a lowering, settled one step
     at a time in Knuth's order (1977, Dijkstra's algorithm for grammars).
 
-    Words are tuples of symbol ranks and weigh (length, word), shortlex.
+    Words are tuples of the lowering's ranks and weigh (length, word), shortlex.
     The seeds are the epsilon bodies at (0, ()) and the terminal bodies; a
     unit rule A -> B passes B's words to A, and a binary rule A -> B C makes
     w(B) + w(C) when forward, w(C) + w(B) when reversed.  Concatenation is
@@ -695,7 +704,7 @@ class _Pass:
 
     __slots__ = ("k", "maxlen", "left", "right", "unit", "heap", "words")
 
-    def __init__(self, low: _Lowered, ranks, k: int, forward: bool,
+    def __init__(self, low: _Lowered, k: int, forward: bool,
                  maxlen: int = sys.maxsize):
         self.k = k
         self.maxlen = maxlen
@@ -705,7 +714,7 @@ class _Pass:
         self.unit = low.unit_index
         self.heap = [(0, (), a) for a in low.eps]
         self.heap += [(1, (r,), a) for a, syms in low.term_bodies.items()
-                      for r in sorted({ranks[s] for s in syms})[:k]]
+                      for r in sorted({low.rank[s] for s in syms})[:k]]
         heapq.heapify(self.heap)
         self.words: dict = {}
 
@@ -738,38 +747,33 @@ class _Pass:
         return a, m, w
 
 
-def shortest_word(g: Cfg, ranks=None):
-    """Shortest word of the language, lexicographically least among those;
-    None when the language is empty."""
-    if ranks is None:
-        ranks = symbol_ranks(g.terminals)
-    w = next((w for x, w in _least_words(g, ranks, 1) if x == g.start), None)
-    return None if w is None else spelled(w, ranks)
+def shortest_word(g: Cfg):
+    """Shortest word of the language, least among those in the order g
+    declares its terminals; None when the language is empty."""
+    w = next((w for x, w in _least_words(g, 1) if x == g.start), None)
+    return None if w is None else spelled(w, g.terminals)
 
 
-def enumerate_words(g: Cfg, maxlen: int, ranks=None):
+def enumerate_words(g: Cfg, maxlen: int):
     """All words of the language with length <= maxlen, shortlex order."""
-    return list(_shortlex_words(g, maxlen, ranks))
+    return list(_shortlex_words(g, maxlen))
 
 
-def _shortlex_words(g: Cfg, maxlen: int, ranks=None):
+def _shortlex_words(g: Cfg, maxlen: int):
     """The words of enumerate_words, each settled only when it is taken."""
-    if ranks is None:
-        ranks = symbol_ranks(g.terminals)
-    return (spelled(w, ranks)
-            for x, w in _least_words(g, ranks, sys.maxsize, maxlen)
-            if x == g.start)
+    return (spelled(w, g.terminals)
+            for x, w in _least_words(g, sys.maxsize, maxlen) if x == g.start)
 
 
-def _least_words(g: Cfg, ranks, k, maxlen=sys.maxsize):
+def _least_words(g: Cfg, k, maxlen=sys.maxsize):
     """(nonterminal, word) each time a nonterminal of g settles one of its k
     least words of length <= maxlen, in ascending shortlex order, from a
     forward _Pass over the lowering of g as given.  Words are tuples of
-    symbol ranks, as in _Pass: spelling every nonterminal's word would cost
-    more than the pass on a deep chain."""
+    g's terminal ranks, as in _Pass: spelling every nonterminal's word
+    would cost more than the pass on a deep chain."""
     low = lowered_of(g)
     names = {low.ids[x]: x for x in g.nonterminals if x in low.ids}
-    least = _Pass(low, ranks, k, forward=True, maxlen=maxlen)
+    least = _Pass(low, k, forward=True, maxlen=maxlen)
     heap = least.heap
     while heap and heap[0][0] <= maxlen:
         got = least.step()
@@ -792,16 +796,16 @@ def intersect_regular(g: Cfg, a: Nfa) -> Cfg:
     return _product_grammar(lowered_of(normalize(g)), a, g.terminals)
 
 
-def least_word(g: Cfg, a, ranks=None, prefix=()):
-    """shortest_word(intersect_regular(g, a), ranks), with no grammar written:
-    the shortlex-least nonempty word of language(g) & language(a), or None.
+def least_word(g: Cfg, a):
+    """shortest_word(intersect_regular(g, a)), with no grammar written: the
+    shortlex-least nonempty word of language(g) & language(a), or None.
 
     `a` is an `Nfa` or a state space of `_asked` whose moves output the
     symbol they read, with `accepts(w)` for a flat table, such as the slot
     view `structure._Slots` or its complement (`nfa._Complement`), which
-    the load-time shape check asks about.  Every word a accepts must begin
-    with `prefix`; a flat table reads only its words that do (`flat_run`),
-    or all of them unsorted when the prefix is empty, as in the shape check.
+    the load-time shape check asks about.  A flat table reads only its words
+    beginning with the space's `prefix`, as a slot view has (`flat_run`), or
+    all of them unsorted for a space without one, such as the complement.
 
     Knuth's lightest-derivation pass (1977) in the weighted-deduction form of
     Nederhof (2003) over the items (p, A, q) of the pairs that the closure of
@@ -810,15 +814,14 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
     (mid, C, q) when (A, p) was asked.  Items weigh (length, word), and
     concatenation is monotone, so they settle in ascending order.
     """
-    if ranks is None:
-        ranks = symbol_ranks(g.terminals)
     # flat shortcut: without it decide-flat ran 7,280-8,042 -> 1,781-1,786
     # ops/s (3 alternated 5 s pairs, seed 1), at 2.5 MB more peak RSS;
     # sorting the words for an empty prefix cost 8 % of its setup_s
     if g.flat_words is not None:
+        prefix = getattr(a, "prefix", ())
         words = flat_run(g, prefix) if prefix else g.flat_words
         return min((w for w in words if w and a.accepts(w)),
-                   key=shortlex_key(ranks), default=None)
+                   key=shortlex_key(g.rank), default=None)
     cnf = cnf_of(g)
     starts, top, leaves, firsts = _asked(cnf, a)
     if not top:
@@ -826,7 +829,7 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
     top = set(top)
     # the counter breaks ties before the states, which need not compare
     tick = itertools.count()
-    heap = [(1, (ranks[body[0]],), next(tick), p, nt, q)
+    heap = [(1, (g.rank[body[0]],), next(tick), p, nt, q)
             for (nt, p), got in leaves.items() for q, body in got]
     heapq.heapify(heap)
     push, done = heapq.heappush, set()
@@ -837,7 +840,7 @@ def least_word(g: Cfg, a, ranks=None, prefix=()):
         if (p, nt, q) in done:
             continue
         if (p, nt, q) in top:
-            return spelled(w, ranks)
+            return spelled(w, g.terminals)
         done.add((p, nt, q))
         by_start[(nt, p)].append((q, m, w))
         by_end[(nt, q)].append((p, m, w))
@@ -1033,19 +1036,21 @@ def _product_grammar(cnf: _Lowered, space, terminals) -> Cfg:
 # -- least completions of a prefix -------------------------------------------------
 
 
-def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> list:
-    """The k shortlex-least distinct reverse(y) of length <= maxlen (no bound
-    when None), ascending, over the nonempty y with prefix . y in
-    language(g).
+def least_completions(g: Cfg, prefixes, k: int = 1, maxlen=None) -> list:
+    """For each prefix x, the k shortlex-least distinct reverse(y) of length
+    <= maxlen (no bound when None), ascending, over the nonempty y with
+    x . y in language(g), read off one chart of the prefixes joined by
+    _BREAK, which pays the chart's fixed cost once; a flat table is served
+    one prefix at a time, by its prefix runs.
 
     A weighted item pass (Nederhof 2003) settled in Knuth's order, as in
-    _Pass, with no quotient grammar.  With x the prefix and n its length,
+    _Pass, with no quotient grammar.  With x a prefix and n its length,
     the closed items "B derives x[j:i]" are the CYK chart of x; an open item
     (i, A) says A derives x[i:n] . y for a nonempty y and weighs
     (|y|, reverse(y)).  The open items at i = n do not depend on x: they are
     the least words of the lowering's nodes, settled by one reversed _Pass
-    per (ranks, k) that every call shares.  A call keeps its own heap for
-    the items with i < n and subscriptions "each word v of C opens (j, A) at
+    per k that every call shares.  A call keeps its own heap for the items
+    with i < n and subscriptions "each word v of C opens (j, A) at
     v . w": a closed (j, B) ending at n subscribes (j, A) to C with w empty,
     and a settled (i, B) subscribes (i, A) to C with w(B), for each rule
     A -> B C; subscribing pushes the words C already has, and each word the
@@ -1056,8 +1061,7 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
     item on a derivation of the start may.  The call advances the shared
     pass only while its least candidate lies below the call's own, so the
     two heaps pop in one Knuth order.  Everything after the chart is
-    `_completions`, which `least_completions_batch` runs on each word of a
-    joined chart.
+    `_completions`, run on each prefix's positions of the chart.
 
     Every step is monotone and never below an input, so words leave the
     heaps in ascending order.  Each item settles up to k distinct words
@@ -1066,53 +1070,36 @@ def least_completions(g: Cfg, prefix, ranks=None, k: int = 1, maxlen=None) -> li
     above it, and a word that repeats one settled for its item equals the
     item's last settled word.
     """
-    if ranks is None:
-        ranks = symbol_ranks(g.terminals)
-    x = tuple(prefix)
-    n = len(x)
+    limit = sys.maxsize if maxlen is None else maxlen
     # flat shortcut: without it decide-flat ran 7,280-8,042 -> 2,490-2,593
     # ops/s (3 alternated 5 s pairs, seed 1), at 2.8 MB more peak RSS
     if g.flat_words is not None:
-        tails = {tuple(reversed(w[n:])) for w in flat_run(g, x)
-                 if len(w) > n and (maxlen is None or len(w) - n <= maxlen)}
-        return sorted(tails, key=shortlex_key(ranks))[:k]
-    cnf = cnf_of(g)
-    return _completions(cnf, _cyk_masks(cnf, x), 0, n, ranks, k,
-                        sys.maxsize if maxlen is None else maxlen)
-
-
-def least_completions_batch(g: Cfg, prefixes, ranks=None) -> list:
-    """[least_completions(g, x, ranks) for x in prefixes], read off one
-    chart of the prefixes joined by _BREAK, so that the chart's fixed cost
-    is paid once; each prefix's items are those of its own chart.  A flat
-    table is served one prefix at a time, by its prefix runs."""
-    if ranks is None:
-        ranks = symbol_ranks(g.terminals)
-    if g.flat_words is not None:
-        return [least_completions(g, x, ranks) for x in prefixes]
+        key, out = shortlex_key(g.rank), []
+        for x in prefixes:
+            n = len(x)
+            out.append(sorted({tuple(reversed(w[n:])) for w in flat_run(g, tuple(x))
+                               if 0 < len(w) - n <= limit}, key=key)[:k])
+        return out
     cnf = cnf_of(g)
     joined, bounds = [], []
     for x in prefixes:
         if bounds:
             joined.append(_BREAK)
-        begin = len(joined)
+        bounds.append((len(joined), len(joined) + len(x)))
         joined.extend(x)
-        bounds.append((begin, len(joined)))
     chart = _cyk_masks(cnf, tuple(joined))
-    return [_completions(cnf, chart, s, e, ranks, 1, sys.maxsize)
-            for s, e in bounds]
+    return [_completions(cnf, chart, s, e, k, limit) for s, e in bounds]
 
 
-def _completions(cnf: _Lowered, chart, s: int, e: int, ranks, k: int,
+def _completions(cnf: _Lowered, chart, s: int, e: int, k: int,
                  limit: int) -> list:
     """least_completions of the word between positions s and e of a chart,
     items numbered by the chart's own positions: a chart over joined
     words keeps no span across a break, so every bit the loops below read
     for this word is a span inside it."""
-    key = (k, False, tuple(ranks.items()))
-    suffixes = cnf.passes.get(key)
+    suffixes = cnf.passes.get(k)
     if suffixes is None:
-        suffixes = cnf.passes[key] = _Pass(cnf, ranks, k, forward=False)
+        suffixes = cnf.passes[k] = _Pass(cnf, k, forward=False)
     words, shared = suffixes.words, suffixes.heap
     masks, live, allow = chart
     start = cnf.start
@@ -1187,7 +1174,7 @@ def _completions(cnf: _Lowered, chart, s: int, e: int, ranks, k: int,
         for head, c in cnf.left_index.get(a, ()):
             if allow[head] >> i & 1 and (i, head) not in full:
                 subscribe(c, i, head, m, w)
-    return [spelled(w, ranks) for w in out]
+    return [spelled(w, cnf.symbols) for w in out]
 
 
 def union_cfgs(grammars, terminals=None) -> Cfg:

@@ -13,7 +13,6 @@ from collections import deque
 from collections.abc import Sequence
 
 from . import cfg
-from .words import symbol_ranks
 
 _EMPTY = frozenset()
 
@@ -123,14 +122,14 @@ class Nfa:
             got = self._accepted[w] = not self.accepting.isdisjoint(current)
         return got
 
-    def shortest_word(self, ranks=None):
-        """Shortest accepted word, lexicographically least among the shortest;
-        None when the language is empty."""
-        return cfg.shortest_word(cfg.Cfg.from_nfa(self), ranks)
+    def shortest_word(self):
+        """Shortest accepted word, least among the shortest in the
+        alphabet's order; None when the language is empty."""
+        return cfg.shortest_word(cfg.Cfg.from_nfa(self))
 
-    def enumerate_words(self, maxlen: int, ranks=None):
+    def enumerate_words(self, maxlen: int):
         """All accepted words of length <= maxlen, in shortlex order."""
-        return cfg.enumerate_words(cfg.Cfg.from_nfa(self), maxlen, ranks)
+        return cfg.enumerate_words(cfg.Cfg.from_nfa(self), maxlen)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -203,13 +202,15 @@ class Nfa:
 
     def equivalent(self, other: "Nfa"):
         """(equal?, counterexample): the least word of self - other, else of
-        other - self.  Products drop the empty word, so it is tested first."""
+        other - self, in the order of self's alphabet and then other's.
+        Products drop the empty word, so it is tested first."""
         alphabet = _merge_alphabets(self.alphabet, other.alphabet)
         for a, b in ((self, other), (other, self)):
             if a.accepts(()) and not b.accepts(()):
                 return False, ()
-            w = cfg.least_word(cfg.Cfg.from_nfa(a), b.complement(alphabet),
-                               symbol_ranks(alphabet))
+            g = cfg.Cfg.from_nfa(a)  # its words ordered by the joint alphabet
+            w = cfg.least_word(cfg.Cfg(g.nonterminals, alphabet, g.start, g.productions),
+                               b.complement(alphabet))
             if w is not None:
                 return False, w
         return True, None

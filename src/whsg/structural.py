@@ -30,7 +30,7 @@ from .nfa import Nfa
 from .structure import (Verdict, WhStructure, normalize_generators, slot_middle,
                         slot_word)
 from .transducer import Transducer
-from .words import SEP1, SEP2, reverse, spelled, symbol_ranks
+from .words import SEP1, SEP2, reverse, spelled
 
 
 # -- species types ----------------------------------------------------------------
@@ -131,7 +131,7 @@ def _cells(ns, keys, place, mul, name, tag):
     cells, picks = {}, {}
     for x in keys:
         cells[x] = ns.reps.intersect(_band_automaton(ns.alphabet, keys, place, mul, (x,)))
-        picks[x] = cells[x].shortest_word(ns.ranks)
+        picks[x] = cells[x].shortest_word()
         if picks[x] is None:
             return Verdict.no(f"step 1: no representative in {name(x)} [{tag}]")
     # right slots, the representatives in every other cell (no slot is
@@ -404,15 +404,15 @@ def palindromic_defect(g) -> Optional[Defect]:
     gn = cfglib.normalize(g)
     if not gn.productions:
         return None
-    ranks = symbol_ranks(gn.terminals)
+    symbols, sep2 = gn.terminals, gn.rank[SEP2]
     words: dict = {}
     pumped = None
-    for x, w in cfglib._least_words(gn, ranks, 2):
+    for x, w in cfglib._least_words(gn, 2):
         got = words.setdefault(x, [])
         got.append(w)
-        if pumped is None and len(got) == 2 and ranks[SEP2] not in got[0]:
+        if pumped is None and len(got) == 2 and sep2 not in got[0]:
             pumped = x
-    least = {x: spelled(got[0], ranks) for x, got in words.items()}
+    least = {x: spelled(got[0], symbols) for x, got in words.items()}
     # the symbols whose words hold the separator, #2 itself included: each
     # body of a marked head has exactly one
     marked = {x for x, w in least.items() if SEP2 in w}
@@ -469,7 +469,7 @@ def palindromic_defect(g) -> Optional[Defect]:
                                        u + p + least[x] + t + v))
     if pumped is not None:
         u, v = context(pumped)
-        w1, w2 = (spelled(w, ranks) for w in words[pumped])
+        w1, w2 = (spelled(w, symbols) for w in words[pumped])
         return Defect(f"nonterminal {pumped!r} derives two different words on "
                       f"one side of the separator", skewed(u + w1 + v, u + w2 + v))
     return None
@@ -495,7 +495,7 @@ def is_free(s: WhStructure) -> Verdict:
         # substitutes the same word in the representatives and in every
         # slot (reversed in the third)
         decomp = _slot_deleter(alphabet, a).apply_to_cfg(table)
-        d = cfglib.shortest_word(decomp, ns.ranks)
+        d = cfglib.shortest_word(decomp)
         if d is None:
             continue
         if a in d:

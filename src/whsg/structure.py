@@ -54,6 +54,9 @@ class WhStructure:
     product caches) is attached lazily and never observable.  Membership in
     the representatives is kept by the automaton itself (`Nfa.accepts`), so
     `in_reps`, slot views and the shape check's complement share it.
+    Witnesses are least in the alphabet's order, which the kernel reads off
+    the declarations: the table and the representatives are declared again
+    in it (#1 and #2 after the letters, other symbols last) unless they are.
     """
 
     def __init__(self, alphabet, reps: Nfa, table: Cfg, assignment=None,
@@ -61,6 +64,13 @@ class WhStructure:
         self.alphabet = tuple(dict.fromkeys(alphabet))
         if not self.alphabet:
             raise InvariantError("empty alphabet: a semigroup needs a generator")
+        letters = _led_by(self.alphabet, reps.alphabet)
+        if reps.alphabet != letters:
+            moves = [(p, x, q) for (p, x), qs in reps.transitions.items() for q in qs]
+            reps = Nfa(reps.states, letters, moves, reps.initial, reps.accepting)
+        terminals = _led_by((*self.alphabet, SEP1, SEP2), table.terminals)
+        if table.terminals != terminals:
+            table = Cfg(table.nonterminals, terminals, table.start, table.productions)
         self.reps = reps
         self.table = table
         if assignment is None:
@@ -69,7 +79,6 @@ class WhStructure:
             if key not in self.alphabet:
                 raise InvariantError(f"assignment for undeclared symbol {key!r}")
         self.assignment = {a: tuple(assignment.get(a, (a,))) for a in self.alphabet}
-        self.ranks = symbol_ranks(self.alphabet)
         self._mul_cache: dict = {}
         self._chk_cache: dict = {}
         self._rep_cache: dict = {}
@@ -104,16 +113,13 @@ class WhStructure:
         return self._shape_violation[0]
 
     def _find_shape_violation(self):
-        # the table's symbols outside the alphabet and separators sort after
-        # them, in the table's order
-        ranks = symbol_ranks((*self.alphabet, SEP1, SEP2, *self.table.terminals))
         if cfglib.derives_epsilon(self.table):  # products drop the empty word
             return ()
         reps = self.reps
         if reps.accepts(()):  # a representative is a nonempty word
             reps = reps.intersect(Nfa.universal_nonempty(self.alphabet))
-        outside = _Complement(_Slots(reps, reps, reps), tuple(ranks))
-        return cfglib.least_word(self.table, outside, ranks)
+        outside = _Complement(_Slots(reps, reps, reps), self.table.terminals)
+        return cfglib.least_word(self.table, outside)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -140,6 +146,11 @@ class WhStructure:
                 f"reps={self.reps!r}, table={self.table!r})")
 
 
+def _led_by(first, symbols) -> tuple:
+    """first, then the symbols outside it in their own order."""
+    return (*first, *(x for x in symbols if x not in first))
+
+
 _SEP_SLOT = {SEP1: 0, SEP2: 1}  # the slot each separator ends
 
 
@@ -157,7 +168,8 @@ class _Slots:
     from the accepting states of one slot to the initial states of the
     next.  A right automaton is reversed only when its moves are asked for.
     `prefix` is what every accepted word begins with: the word slots before
-    the first automaton slot, each followed by its separator.
+    the first automaton slot, each followed by its separator; a flat
+    table's `cfg.least_word` reads only its words that begin with it.
     """
 
     __slots__ = ("_parts", "_starts", "_ends", "_words", "_automata", "prefix")
@@ -227,8 +239,7 @@ def slot_word(s: WhStructure, left, middle, right):
     no grammar written and no automaton built: `cfg.least_word` reads the
     slots in place through the automaton interface of `_Slots`, and a flat
     table only its words that begin with the view's prefix."""
-    view = _Slots(left, middle, right)
-    return cfglib.least_word(s.table, view, s.ranks, view.prefix)
+    return cfglib.least_word(s.table, _Slots(left, middle, right))
 
 
 def slot_middle(s: WhStructure, left, middle, right):
@@ -268,7 +279,7 @@ def save_structure(s: WhStructure, target) -> None:
 
 def dumps_structure(s: WhStructure) -> str:
     state_rank = {q: i for i, q in enumerate(s.reps.states)}
-    sym_rank = s.ranks
+    sym_rank = symbol_ranks(s.alphabet)
     trans = sorted(
         ((src, sym, dst)
          for (src, sym), dsts in s.reps.transitions.items() for dst in dsts),
@@ -469,7 +480,7 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
     ns = normalize_generators(s)
     # the first words in shortlex order, with none past them enumerated
     words = list(itertools.islice(cfglib._shortlex_words(
-        Cfg.from_nfa(ns.reps), max(depth - 1, 1), ns.ranks), VALIDATE_SAMPLE_CAP))
+        Cfg.from_nfa(ns.reps), max(depth - 1, 1)), VALIDATE_SAMPLE_CAP))
     if not words:
         return Verdict.no("representative language is empty")
 
@@ -493,8 +504,8 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
         except EmptyProductError:
             return Verdict.no(
                 f"missing product witness for {' '.join(u)!r} * {' '.join(v)!r}")
-        for w in cfglib.least_completions(ns.table, u + (SEP1,) + v + (SEP2,),
-                                          ns.ranks, 3, len(r) + 1):
+        for w in cfglib.least_completions(
+                ns.table, [u + (SEP1,) + v + (SEP2,)], 3, len(r) + 1)[0]:
             union(r, w)
     seen: dict = {}
     for w in list(classes) + list(words):

@@ -29,10 +29,9 @@ def symbol_ranks(symbols: Iterable[str]) -> dict:
     return ranks
 
 
-def spelled(w: Sequence[int], ranks: Mapping) -> tuple:
-    """The symbols of a word given as a tuple of symbol ranks."""
-    symbol = {r: s for s, r in ranks.items()}
-    return tuple(map(symbol.__getitem__, w))
+def spelled(w: Sequence[int], symbols: Sequence[str]) -> tuple:
+    """The symbols of a word of ranks, symbols[r] the symbol of rank r."""
+    return tuple(map(symbols.__getitem__, w))
 
 
 def shortlex_key(ranks: Mapping):

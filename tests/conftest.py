@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from whsg import fixtures
+from whsg.cfg import Cfg
 
 
 def all_words(alphabet, maxlen, minlen=1):
@@ -11,6 +12,11 @@ def all_words(alphabet, maxlen, minlen=1):
     for n in range(minlen, maxlen + 1):
         out.extend(itertools.product(alphabet, repeat=n))
     return out
+
+
+def declared(g, terminals):
+    """g with its terminals declared in the given order, its word order."""
+    return Cfg(g.nonterminals, terminals, g.start, g.productions)
 
 
 def finite_language(nfa):

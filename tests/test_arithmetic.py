@@ -190,7 +190,7 @@ def _check_the_error_contract(flat):
         word_eq(s, w, tuple("babbbaab"))
     p, q = _named_pair(err.value)
     assert (p, q) == (tuple("babb"), tuple("baab"))
-    assert least_completions(s.table, p + (SEP1,) + q + (SEP2,), s.ranks) == []
+    assert least_completions(s.table, [p + (SEP1,) + q + (SEP2,)])[0] == []
     for p, q in s._mul_cache:
         assert len(p) + len(q) <= 4
     assert word_eq(s, w[:4], tuple("abba"))

@@ -2,7 +2,7 @@ import random
 import time
 
 import knuth_reference
-from conftest import all_words
+from conftest import all_words, declared
 from test_differential import _generic_twin
 from whsg import cfg as cfglib
 from whsg import fixtures
@@ -115,15 +115,48 @@ def test_shortest_word_identity_language_from_z2(z2):
     g = Nfa.from_words([("g",)], ("e", "g"))
     shape = Nfa.joined((g, z2.reps, g), (SEP1, SEP2))
     candidates = cfglib.intersect_regular(z2.table, shape)
-    w = cfglib.shortest_word(candidates, z2.ranks)
+    w = cfglib.shortest_word(candidates)
     middle = w[w.index(SEP1) + 1:w.index(SEP2)]
     assert middle == (identity,)
 
 
 def test_shortest_word_respects_symbol_order():
     g = Cfg(["O"], ("a", "b"), "O", [("O", ("a",)), ("O", ("b",))])
-    assert cfglib.shortest_word(g, symbol_ranks(("b", "a"))) == ("b",)
-    assert cfglib.shortest_word(g, symbol_ranks(("a", "b"))) == ("a",)
+    assert cfglib.shortest_word(declared(g, ("b", "a"))) == ("b",)
+    assert cfglib.shortest_word(declared(g, ("a", "b"))) == ("a",)
+
+
+def test_every_query_orders_words_as_the_terminals_are_declared():
+    # the same productions declared over (a, b) and over (b, a): each query
+    # answers with the least words in its grammar's declared order, and an
+    # automaton with those in its alphabet's order
+    rng = random.Random(34)
+    aut = Nfa.from_words(all_words(("a", "b"), 3, minlen=2), ("a", "b"))
+    differ = 0
+    for _ in range(60):
+        g = _random_cfg(rng)
+        x = rng.choice(((), ("a",), ("b",), ("b", "a")))
+        answers = []
+        for order in (("a", "b"), ("b", "a")):
+            h, key = declared(g, order), shortlex_key(symbol_ranks(order))
+            members = sorted((w for w in all_words(order, 6, minlen=0)
+                              if cfglib.membership(g, w)), key=key)
+            tails = sorted({w[len(x):][::-1] for w in members
+                            if w[:len(x)] == x and 0 < len(w) - len(x) <= 3},
+                           key=key)
+            got = (cfglib.shortest_word(h), cfglib.enumerate_words(h, 6),
+                   cfglib.least_word(h, aut),
+                   cfglib.least_completions(h, [x], 3, 3)[0])
+            assert got[0] == members[0] if members else (
+                got[0] is None or len(got[0]) > 6)
+            assert got[1:] == (members, next(
+                (w for w in members if aut.accepts(w)), None), tails[:3])
+            few = Nfa.from_words(members[:4], order)
+            assert few.shortest_word() == (members[0] if members else None)
+            assert few.enumerate_words(6) == members[:4]
+            answers.append(got)
+        differ += answers[0] != answers[1]
+    assert differ > 10
 
 
 def test_shortest_word_is_member_and_minimal():
@@ -179,8 +212,8 @@ def test_unit_and_epsilon_sibling_cycles():
                          key=shortlex_key(ranks))
         assert members[:3] == sorted([("b", "a"), ("b", "b", "a"),
                                       ("b", "a", "b")], key=shortlex_key(ranks))
-        assert cfglib.enumerate_words(g, 6, ranks) == members
-        assert cfglib.shortest_word(g, ranks) == members[0]
+        assert cfglib.enumerate_words(declared(g, order), 6) == members
+        assert cfglib.shortest_word(declared(g, order)) == members[0]
 
 
 def test_least_completions_match_definition():
@@ -190,7 +223,7 @@ def test_least_completions_match_definition():
     for _ in range(25):
         g = _random_cfg(rng)
         for prefix in (("a",), ("a", "b"), ("b",)):
-            got = cfglib.least_completions(g, prefix, ranks, 64, 4)
+            got = cfglib.least_completions(g, [prefix], 64, 4)[0]
             expected = sorted({w[len(prefix):][::-1]
                                for w in cfglib.enumerate_words(g, 4 + len(prefix))
                                if len(w) > len(prefix) and w[:len(prefix)] == prefix},

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import knuth_reference
-from conftest import all_words, dense_chart
+from conftest import all_words, declared, dense_chart
 from test_cfg import _may_begin_after, _random_cfg
 from test_differential import _unflatten_cfg
 from whsg import cfg as cfglib
@@ -94,9 +94,9 @@ def cyclic_grammars(draw):
 def test_least_words_match_knuth_reference(g):
     for order in (("a", "b"), ("b", "a")):
         ranks = symbol_ranks(order)
-        assert cfglib.shortest_word(g, ranks) == \
+        assert cfglib.shortest_word(declared(g, order)) == \
             knuth_reference.shortest_word(g, ranks)
-        assert cfglib.enumerate_words(g, 6, ranks) == \
+        assert cfglib.enumerate_words(declared(g, order), 6) == \
             knuth_reference.enumerate_words(g, 6, ranks)
 
 
@@ -116,9 +116,9 @@ def test_intersect_regular_matches_brute_force(g, a):
                      deadline=None)
 @hypothesis.given(grammars(), automata())
 def test_least_word_matches_shortest_word_of_product(g, a):
-    product = cfglib.intersect_regular(g, a)
-    for ranks in (None, symbol_ranks(("b", "a"))):
-        assert cfglib.least_word(g, a, ranks) == cfglib.shortest_word(product, ranks)
+    for h in (g, declared(g, ("b", "a"))):
+        product = cfglib.intersect_regular(h, a)
+        assert cfglib.least_word(h, a) == cfglib.shortest_word(product)
 
 
 def test_least_word_ties_between_mixed_states():
@@ -249,10 +249,11 @@ def test_least_completions_match_brute_force(rng, prefix):
         for k in (1, 2, 3):
             for maxlen in (1, 2, 3, L):
                 expected = [w for w in tails if len(w) <= maxlen][:k]
-                assert cfglib.least_completions(g, x, ranks, k, maxlen) == expected
+                assert cfglib.least_completions(
+                    declared(g, order), [x], k, maxlen)[0] == expected
             # unbounded: the words up to length L come first, any others are
             # longer
-            got = cfglib.least_completions(g, x, ranks, k)
+            got = cfglib.least_completions(declared(g, order), [x], k)[0]
             assert got[:len(tails[:k])] == tails[:k]
             assert len(got) <= k
             assert all(len(w) > L for w in got[len(tails[:k]):])
@@ -335,10 +336,10 @@ def _written_lowering():
 def test_merged_lowering_answers_as_the_written_one(g, a, prefix):
     def answers():
         out = []
-        for ranks in (None, symbol_ranks(("b", "a"))):
-            out += [cfglib.least_completions(g, prefix, ranks, k)
+        for h in (g, declared(g, ("b", "a"))):
+            out += [cfglib.least_completions(h, [prefix], k)[0]
                     for k in (1, 2, 3)]
-            out.append(cfglib.least_word(g, a, ranks))
+            out.append(cfglib.least_word(h, a))
         return out
 
     merged = answers()

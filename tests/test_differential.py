@@ -77,8 +77,8 @@ def test_least_completions_flat_and_generic_agree(rees):
     generic = _unflatten_cfg(flat)
     for prefix in [("a", "#1"), ("b", "#1", "e"), ("d", "e", "b"), ("z",)]:
         for k in (1, 3, 100):
-            got_flat = least_completions(flat, prefix, rees.ranks, k, 8)
-            assert got_flat == least_completions(generic, prefix, rees.ranks, k, 8)
+            got_flat = least_completions(flat, [prefix], k, 8)[0]
+            assert got_flat == least_completions(generic, [prefix], k, 8)[0]
 
 
 def test_fixture_files_match_generators(tmp_path):

@@ -11,7 +11,7 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import dense_chart
+from conftest import declared, dense_chart
 from test_cfg import _random_cfg
 from test_differential import _generic_twin
 from whsg import cfg as cfglib
@@ -19,7 +19,7 @@ from whsg import fixtures
 from whsg.arithmetic import multiply, represent, word_eq
 from whsg.cfg import Cfg, _cyk_masks, cnf_of, least_completions
 from whsg.structure import validate_necessary
-from whsg.words import shortlex_key, symbol_ranks
+from whsg.words import SEP2, shortlex_key, symbol_ranks
 
 
 def _reference_least_completions(g, prefix, ranks=None, k=1, maxlen=None,
@@ -97,15 +97,11 @@ def _reference_least_completions(g, prefix, ranks=None, k=1, maxlen=None,
 @pytest.fixture
 def calls(monkeypatch):
     """Serve every least_completions call the library makes and record it
-    with the reference's answer on the same arguments, and whether each
-    suffix word the call settled in the shared pass is one the reference
-    settled too; a least_completions_batch call is recorded once per
-    prefix, with its answer and the reference's on that prefix, and
-    whether each suffix word the batch settled is one the reference
-    settled on some prefix of the batch."""
+    once per prefix, with its answer and the reference's on that prefix,
+    and whether each suffix word the call settled in the shared pass is one
+    the reference settled on some prefix of the call."""
     seen = []
     ours = cfglib.least_completions
-    ours_batch = cfglib.least_completions_batch
     step = cfglib._Pass.step
     stepped = []
 
@@ -120,32 +116,22 @@ def calls(monkeypatch):
         shared = list(cnf_of(g).passes.values()) if stepped else []
         return [word for p, word in stepped if any(p is q for q in shared)]
 
-    def both(g, prefix, ranks=None, k=1, maxlen=None):
+    def both(g, prefixes, k=1, maxlen=None):
+        prefixes = list(prefixes)
         stepped.clear()
-        got = ours(g, prefix, ranks, k, maxlen)
+        got = ours(g, prefixes, k, maxlen)
         suffix = settled(g)
         suffix_words = set()
-        want = _reference_least_completions(g, prefix, ranks, k, maxlen,
-                                            suffix_words)
-        seen.append((k, got, want, suffix_words.issuperset(suffix)))
-        return got
-
-    def batch(g, prefixes, ranks=None):
-        stepped.clear()
-        got = ours_batch(g, prefixes, ranks)
-        suffix = settled(g)
-        suffix_words = set()
-        wants = [_reference_least_completions(g, prefix, ranks, 1, None,
+        wants = [_reference_least_completions(g, prefix, None, k, maxlen,
                                               suffix_words)
                  for prefix in prefixes]
         lazy = suffix_words.issuperset(suffix)
         for one, want in zip(got, wants, strict=True):
-            seen.append((1, one, want, lazy))
+            seen.append((k, one, want, lazy))
         return got
 
     monkeypatch.setattr(cfglib._Pass, "step", recorded_step)
     monkeypatch.setattr(cfglib, "least_completions", both)
-    monkeypatch.setattr(cfglib, "least_completions_batch", batch)
     return seen
 
 
@@ -194,9 +180,9 @@ def test_validate_necessary_matches_reference(name, calls):
 
 
 def test_interleaved_calls_on_one_grammar_match_fresh_reference():
-    """One grammar serves every (k, ranks) pass in turn; each answer must
-    equal the reference's on a fresh copy of the grammar, whatever ran on
-    the shared one before."""
+    """The table, declared in two orders, serves every k pass of each in
+    turn; each answer must equal the reference's on a fresh copy of the
+    grammar, whatever ran on the shared one before."""
     table = fixtures.bicyclic().table
     rng = random.Random(3)
     entries = cfglib.enumerate_words(table, 8)
@@ -205,26 +191,25 @@ def test_interleaved_calls_on_one_grammar_match_fresh_reference():
         for w in rng.sample([w for w in entries if len(w) >= n], 3):
             prefixes.add(w[:n])
         prefixes.add(_words(rng, table.terminals, n, n))
-    orders = [symbol_ranks(table.terminals),
-              symbol_ranks(tuple(reversed(table.terminals)))]
+    orders = [table, declared(table, tuple(reversed(table.terminals)))]
     runs = list(itertools.product(sorted(prefixes), (1, 3), orders, (None, 2, 4)))
     rng.shuffle(runs)
     assert len(runs) > 200
     sizes = []
-    for prefix, k, ranks, maxlen in runs:
-        fresh = Cfg(table.nonterminals, table.terminals, table.start,
-                    table.productions)
-        want = _reference_least_completions(fresh, prefix, ranks, k, maxlen)
-        assert least_completions(table, prefix, ranks, k, maxlen) == want
+    for prefix, k, g, maxlen in runs:
+        fresh = Cfg(g.nonterminals, g.terminals, g.start, g.productions)
+        want = _reference_least_completions(fresh, prefix, None, k, maxlen)
+        assert least_completions(g, [prefix], k, maxlen)[0] == want
         sizes.append(len(want))
-    assert len(cnf_of(table).passes) == 4
+    assert [len(cnf_of(g).passes) for g in orders] == [2, 2]
     assert {0, 1, 2, 3} <= set(sizes)
 
 
 def test_joined_chart_is_each_words_chart_side_by_side():
     """A chart of words joined by _BREAK holds at each word's offset that
     word's own chart (rows and allow masks, no span across a break), and
-    the batch entry answers each prefix as least_completions does."""
+    least_completions answers each prefix of the joined chart as it
+    answers that prefix alone."""
     rng = random.Random(32)
     cases = 0
     for _ in range(150):
@@ -252,7 +237,31 @@ def test_joined_chart_is_each_words_chart_side_by_side():
                 assert live[a] == sorted({l for chart in own for l in chart[1][a]})
                 for chart, (s, e) in zip(own, bounds):
                     assert allow[a] >> s & ((2 << (e - s)) - 1) == chart[2][a]
-            assert cfglib.least_completions_batch(g, pieces) == [
-                least_completions(g, x) for x in pieces]
+            assert least_completions(g, pieces) == [
+                least_completions(g, [x])[0] for x in pieces]
             cases += 1
     assert cases == 1200
+
+
+@pytest.mark.parametrize("name", ["bicyclic", "free2", "free2c"])
+def test_joined_chart_serves_k_least_completions_under_a_bound(name):
+    """k = 3 and a length bound on a joined chart: each prefix of a batch,
+    the empty prefix and prefixes cut inside a table word among them, is
+    answered as the reference answers it alone."""
+    table = fixtures.NAMED[name]().table
+    rng = random.Random(name)
+    entries = cfglib.enumerate_words(table, 9)
+    pool = [()]
+    for w in rng.sample(entries, min(40, len(entries))):
+        pool += [w[:rng.randint(1, len(w))], w[:w.index(SEP2) + 1]]
+    cases = 0
+    for _ in range(40):
+        batch = rng.sample(pool, rng.randint(2, 5))
+        if rng.random() < 0.3:
+            batch.insert(rng.randint(0, len(batch)), ())
+        for k, maxlen in itertools.product((1, 3), (None, 1, 3)):
+            want = [_reference_least_completions(table, x, None, k, maxlen)
+                    for x in batch]
+            assert least_completions(table, batch, k, maxlen) == want, batch
+            cases += any(len(got) > 1 for got in want)
+    assert cases

@@ -3,7 +3,7 @@ import random
 from conftest import all_words
 from whsg import cfg as cfglib
 from whsg.nfa import Nfa
-from whsg.words import SEP1, SEP2, symbol_ranks
+from whsg.words import SEP1, SEP2
 
 
 def test_membership_full_language():
@@ -44,6 +44,15 @@ def test_equivalence_detects_difference():
     assert counter == ()
 
 
+def test_equivalence_counterexample_follows_the_first_alphabet():
+    # other - self is {a, b}, and other declares b first: the counterexample
+    # is least in the joint order, self's alphabet and then other's
+    none = Nfa.from_words([], ("a", "b"))
+    both = Nfa.from_words([("a",), ("b",)], ("b", "a"))
+    assert none.equivalent(both) == (False, ("a",))
+    assert both.equivalent(none) == (False, ("b",))
+
+
 def test_emptiness_witness_of_intersection():
     # words over {a,b} ending in b, intersected with words starting with a
     ends_b = Nfa(["p", "q"], ("a", "b"),
@@ -60,8 +69,8 @@ def test_emptiness_witness_of_intersection():
 def test_shortest_word_is_minimal_and_lex_least():
     words = [("b", "a"), ("a", "b"), ("a", "a", "a")]
     n = Nfa.from_words(words)
-    ranks = symbol_ranks(("a", "b"))
-    assert n.shortest_word(ranks) == ("a", "b")
+    assert n.alphabet == ("a", "b")
+    assert n.shortest_word() == ("a", "b")
     empty = Nfa.from_words([])
     assert empty.shortest_word() is None
 
@@ -69,7 +78,7 @@ def test_shortest_word_is_minimal_and_lex_least():
 def test_shortest_word_respects_declared_order():
     words = [("b",), ("a",)]
     n = Nfa.from_words(words, alphabet=("b", "a"))
-    assert n.shortest_word(symbol_ranks(("b", "a"))) == ("b",)
+    assert n.shortest_word() == ("b",)
 
 
 def _random_nfa(rng, n_states=3):
@@ -160,7 +169,7 @@ def test_shortest_word_on_random_nfas_matches_enumeration():
     words = [()] + all_words(("a", "b"), 6)
     for _ in range(40):
         x = _random_nfa(rng)
-        got = x.shortest_word(symbol_ranks(("a", "b")))
+        got = x.shortest_word()
         accepted = [w for w in words if x.accepts(w)]
         if not accepted:
             # a 3-state machine with a nonempty language accepts a word of
@@ -207,14 +216,14 @@ def test_grammar_view_matches_brute_force():
         seen["no accepting"] += not x.accepting
         seen["letter-named"] += "a" in states
         order = rng.choice((("a", "b"), ("b", "a")))
-        ranks = symbol_ranks(order)
+        x = Nfa(states, order, trans, x.initial, x.accepting)
         maxlen = len(states) + 1
         key = lambda w: (len(w), [order.index(s) for s in w])
         accepted = sorted((w for w in [()] + all_words(order, maxlen)
                            if x.accepts(w)), key=key)
-        assert x.enumerate_words(maxlen, ranks) == accepted
+        assert x.enumerate_words(maxlen) == accepted
         # a shortest accepted word is shorter than the number of states
-        assert x.shortest_word(ranks) == (accepted[0] if accepted else None)
+        assert x.shortest_word() == (accepted[0] if accepted else None)
     assert all(seen.values()), seen
 
 

@@ -34,7 +34,7 @@ from whsg.oracle import (FiniteSemigroup, direct_product, rb22_table,
 from whsg.structural import is_clifford, is_completely_simple, palindromic_defect
 from whsg.structure import (WhStructure, _Slots, load_structure, slot_word,
                              validate_necessary)
-from whsg.words import SEP1, SEP2, shortlex_key
+from whsg.words import SEP1, SEP2, shortlex_key, symbol_ranks
 
 
 def _fastest(f, runs=3, make=lambda: ()):
@@ -322,7 +322,7 @@ def test_left_context_prunes_the_chart_and_the_completions(monkeypatch):
     monkeypatch.setattr(cfglib, "heapq", types.SimpleNamespace(
         heapify=heapq.heapify, heappop=heapq.heappop, heappush=push))
     cnf.passes.clear()
-    assert cfglib.least_completions(s.table, w) == [b * 50 + a * 50]
+    assert cfglib.least_completions(s.table, [w])[0] == [b * 50 + a * 50]
     # the call and its fresh shared pass pushed 2,175 without the left
     # context; 1,172 were measured
     assert len(pushes) <= 1300, len(pushes)
@@ -518,8 +518,8 @@ def test_completions_settle_only_the_suffix_words_they_reach():
     for call, want in (
             (lambda: multiply(s, ("a",), ("a",)), ("a", "a")),
             (lambda: word_eq(s, ("a",) * 4, ("a",) * 4), True),
-            (lambda: cfglib.least_completions(s.table, ("a", SEP1, "a", SEP2),
-                                              k=3, maxlen=4), [("a", "a")])):
+            (lambda: cfglib.least_completions(s.table, [("a", SEP1, "a", SEP2)],
+                                              k=3, maxlen=4)[0], [("a", "a")])):
         t0 = time.perf_counter()
         assert call() == want
         assert time.perf_counter() - t0 < 1.0
@@ -596,10 +596,10 @@ def test_two_letter_doubling_defect_is_read_off_the_certificate():
         assert len(d.witness) == 2 ** (k + 1) + 1
 
 
-def _scanned_least_word(g, a, ranks):
+def _scanned_least_word(g, a):
     """least_word on a flat table as a scan of every table word."""
     return min((w for w in g.flat_words if w and a.accepts(w)),
-               key=shortlex_key(ranks), default=None)
+               key=shortlex_key(symbol_ranks(g.terminals)), default=None)
 
 
 def test_flat_lookups_by_prefix_run_match_a_scan():
@@ -610,7 +610,7 @@ def test_flat_lookups_by_prefix_run_match_a_scan():
                   if s.table.flat_words is not None]
     assert len(structures) > 40
     for s in structures:
-        g, ranks = s.table, s.ranks
+        g = s.table
         words = sorted(g.flat_words)
         # every prefix of a table word, and prefixes that begin none: a
         # word followed by a separator, a lone separator, a foreign symbol
@@ -624,8 +624,8 @@ def test_flat_lookups_by_prefix_run_match_a_scan():
             x = u + (SEP1,) + v + (SEP2,)
             for k, maxlen in itertools.product((1, 2, 3), (None, 1, 2)):
                 # the reference scans every table word of a flat table
-                assert cfglib.least_completions(g, x, ranks, k, maxlen) == (
-                    _reference_least_completions(g, x, ranks, k, maxlen)), (x, k, maxlen)
+                assert cfglib.least_completions(g, [x], k, maxlen)[0] == (
+                    _reference_least_completions(g, x, k=k, maxlen=maxlen)), (x, k, maxlen)
         # a word or an automaton in each slot; a word slot is a
         # representative, or a letter doubled, which need not be one
         others = reps + [(a, a) for a in s.alphabet]
@@ -633,7 +633,7 @@ def test_flat_lookups_by_prefix_run_match_a_scan():
             for _ in range(4):
                 slots = [s.reps if auto else rng.choice(others) for auto in automata]
                 assert slot_word(s, *slots) == _scanned_least_word(
-                    g, _Slots(*slots), ranks), slots
+                    g, _Slots(*slots)), slots
 
 
 class _CountedWords(frozenset):

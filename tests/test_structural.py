@@ -14,7 +14,7 @@ from test_differential import _generic_twin
 from whsg import cfg as cfglib
 from whsg import fixtures
 from whsg.arithmetic import check_multiply, multiply, word_eq
-from whsg.basic import green_related
+from whsg.basic import green_related, is_commutative, is_group, is_monoid
 from whsg.cfg import Cfg
 from whsg.errors import OperandError
 from whsg.oracle import (NAMED_TABLES, FiniteSemigroup, direct_product,
@@ -24,7 +24,8 @@ from whsg.structural import (CsSpecies, Defect, _band_automaton, _slot_deleter,
                              _three_slot_map, clifford_species_check,
                              cs_species_check, is_clifford,
                              is_completely_simple, is_free, palindromic_defect)
-from whsg.structure import Verdict, WhStructure, normalize_generators
+from whsg.structure import (Verdict, WhStructure, dumps_structure,
+                            load_structure, normalize_generators)
 from whsg.transducer import Transducer
 from whsg.words import SEP1, SEP2
 
@@ -494,7 +495,7 @@ def _is_free_by_slot_shape(s):
                            (SEP1, SEP2))
         target = cfglib.intersect_regular(table, shape)
         decomp = _slot_deleter(alphabet, a).apply_to_cfg(target)
-        d = cfglib.shortest_word(decomp, ns.ranks)
+        d = cfglib.shortest_word(decomp)
         if d is None:
             continue
         if a in d:
@@ -569,3 +570,38 @@ def test_is_free_invariant_under_renaming(free2, free2c, null3):
             {mapping[a]: tuple(mapping[x] for x in w)
              for a, w in s.assignment.items()})
         assert is_free(renamed).answer == is_free(s).answer
+
+
+def test_structures_declared_out_of_alphabet_order_answer_as_their_files(
+        free2, free2c, null3):
+    # free2c's table leaves out the letter c, and each renamed structure of
+    # the renaming test above declares its table and representatives in the
+    # old letters' order; the structure declares them again in its
+    # alphabet's order, which its written file declares them in
+    built = [free2c]
+    for s, mapping in ((free2, {"a": "b", "b": "a"}),
+                       (free2c, {"a": "c", "b": "b", "c": "a"}),
+                       (null3, {"a": "b", "b": "c", "c": "a"})):
+        images = {a: (b,) for a, b in mapping.items()}
+        letters = Transducer.letter_map({**images, SEP1: (SEP1,), SEP2: (SEP2,)})
+        table = letters.apply_to_cfg(s.table)
+        reps = s.reps.substitute(images)
+        alphabet = [mapping[a] for a in s.alphabet]
+        assert table.terminals[:len(alphabet)] != tuple(alphabet)
+        built.append(WhStructure(alphabet, reps, table,
+                                 {mapping[a]: tuple(mapping[x] for x in w)
+                                  for a, w in s.assignment.items()}))
+    for s in built:
+        loaded = load_structure(dumps_structure(s))
+        assert loaded.table.terminals == s.table.terminals
+        assert loaded.reps.alphabet == s.reps.alphabet
+        for decide in (is_monoid, is_group, is_commutative,
+                       is_completely_simple, is_clifford, is_free):
+            v, want = decide(s), decide(loaded)
+            assert (v.answer, v.witnesses, v.reason) == (
+                want.answer, want.witnesses, want.reason), decide
+        words = all_words(s.alphabet, 2)
+        for p, q in itertools.product(words, repeat=2):
+            if s.in_reps(p) and s.in_reps(q):
+                assert multiply(s, p, q) == multiply(loaded, p, q)
+            assert word_eq(s, p, q) == word_eq(loaded, p, q)

@@ -376,7 +376,7 @@ def test_slot_queries_match_the_written_product(name):
     found = 0
     for left, middle, right in queries:
         written = cfglib.intersect_regular(s.table, _Slots(left, middle, right))
-        want = cfglib.shortest_word(written, s.ranks)
+        want = cfglib.shortest_word(written)
         assert slot_word(s, left, middle, right) == want
         found += want is not None
         middle_word = slot_middle(s, left, middle, right)
@@ -424,10 +424,9 @@ def test_validate_detects_missing_product(free2):
 
 
 def test_lazy_enumeration_yields_the_first_words_in_order(free2):
-    ranks = symbol_ranks(free2.alphabet)
     first = list(itertools.islice(cfglib._shortlex_words(
-        Cfg.from_nfa(free2.reps), 11, ranks), VALIDATE_SAMPLE_CAP))
-    assert first == free2.reps.enumerate_words(11, ranks)[:VALIDATE_SAMPLE_CAP]
+        Cfg.from_nfa(free2.reps), 11), VALIDATE_SAMPLE_CAP))
+    assert first == free2.reps.enumerate_words(11)[:VALIDATE_SAMPLE_CAP]
 
 
 def test_validate_samples_representatives_lazily(free2, monkeypatch):

@@ -168,16 +168,16 @@ def test_slot_view_least_word_matches_the_slot_shape(name):
     # its generic twin, whose product reads the view's moves
     s, twin = STRUCTURES[name], TWINS[name]
     rng = random.Random(name)
-    reps = s.reps.enumerate_words(2, s.ranks)
+    reps = s.reps.enumerate_words(2)
     found = 0
     for pattern in itertools.product((False, True), repeat=3):
         for _ in range(8):
             slots = [rng.choice(AUTOMATA[name]) if automaton
                      else rng.choice(reps + [()]) for automaton in pattern]
             eager = _eager(s, *slots)
-            want = cfglib.least_word(s.table, eager, s.ranks)
-            assert want == cfglib.least_word(twin.table, eager, s.ranks)
+            want = cfglib.least_word(s.table, eager)
+            assert want == cfglib.least_word(twin.table, eager)
             for t in (s, twin):
-                assert cfglib.least_word(t.table, _Slots(*slots), s.ranks) == want, slots
+                assert cfglib.least_word(t.table, _Slots(*slots)) == want, slots
             found += want is not None
     assert found
