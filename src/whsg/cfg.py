@@ -1177,11 +1177,9 @@ def _completions(cnf: _Lowered, chart, s: int, e: int, k: int,
     return [spelled(w, cnf.symbols) for w in out]
 
 
-def union_cfgs(grammars, terminals=None) -> Cfg:
-    """Grammar for the union of the given languages."""
-    grammars = list(grammars)
-    if terminals is None:
-        terminals = tuple(dict.fromkeys(t for g in grammars for t in g.terminals))
+def union_cfgs(grammars, terminals) -> Cfg:
+    """Grammar for the union of the given languages over the terminals, in
+    their order (`words.merged` of the grammars' terminals keeps theirs)."""
     start = ("&U",)
     nonterminals = [start]
     prods = []

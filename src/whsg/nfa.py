@@ -4,7 +4,9 @@ A finite word set is a trie automaton like any other: every construction
 runs the one generic automaton algorithm.  Shortest words and bounded
 enumeration read the automaton as its right-linear grammar
 (`Cfg.from_nfa`) and run the one least-words pass of `cfg`.  A complement
-is a view whose subsets are built only as a product reads them.
+is a view whose subsets are built only as a product reads them.  Every
+constructor takes its alphabet, the order of its words; products, unions
+and images derive theirs by the rules of `words`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from collections import deque
 from collections.abc import Sequence
 
 from . import cfg
+from .words import image_alphabet, merged
 
 _EMPTY = frozenset()
 
@@ -49,11 +52,9 @@ class Nfa:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_words(cls, words, alphabet=None) -> "Nfa":
-        """Trie automaton for a finite set of words."""
+    def from_words(cls, words, alphabet) -> "Nfa":
+        """Trie automaton for a finite set of words over the alphabet."""
         words = frozenset(tuple(w) for w in words)
-        if alphabet is None:
-            alphabet = sorted({s for w in words for s in w})
         prefixes = {()} | {w[:i] for w in words for i in range(1, len(w) + 1)}
         order = sorted(prefixes, key=lambda p: (len(p), p))
         name = {p: f"q{i}" for i, p in enumerate(order)}
@@ -137,11 +138,10 @@ class Nfa:
         """Image under the homomorphism x -> images[x], every image nonempty.
 
         Each arc on x becomes a chain of fresh states spelling images[x]; the
-        arcs on a symbol without an image are dropped.  The image symbols keep
-        this automaton's alphabet order, new ones follow in order of use.
+        arcs on a symbol without an image are dropped.  Its alphabet is
+        `words.image_alphabet` of this automaton's and the images.
         """
-        outs = dict.fromkeys(s for out in images.values() for s in out)
-        alphabet = [s for s in self.alphabet if s in outs] + list(outs)
+        alphabet = image_alphabet(self.alphabet, images.values())
         index = {q: i for i, q in enumerate(self.states)}
         fresh = len(index)
         trans = []
@@ -159,7 +159,7 @@ class Nfa:
                    [index[q] for q in self.accepting])
 
     def intersect(self, other: "Nfa") -> "Nfa":
-        alphabet = _merge_alphabets(self.alphabet, other.alphabet)
+        alphabet = merged(self.alphabet, other.alphabet)
         start = {(p, q) for p in self.initial for q in other.initial}
         seen = set(start)
         agenda = deque(start)
@@ -179,7 +179,7 @@ class Nfa:
         return Nfa(seen | start, alphabet, trans, start, accepting)
 
     def union(self, other: "Nfa") -> "Nfa":
-        alphabet = _merge_alphabets(self.alphabet, other.alphabet)
+        alphabet = merged(self.alphabet, other.alphabet)
         states = [(0, s) for s in self.states] + [(1, s) for s in other.states]
         trans = [((0, src), sym, (0, dst)) for (src, sym), ds in self.transitions.items() for dst in ds]
         trans += [((1, src), sym, (1, dst)) for (src, sym), ds in other.transitions.items() for dst in ds]
@@ -196,15 +196,15 @@ class Nfa:
                                  self.initial)
         return self._reversed
 
-    def complement(self, alphabet=None) -> "_Complement":
-        """Complement relative to (alphabet)*, by default this automaton's."""
-        return _Complement(self, self.alphabet if alphabet is None else tuple(alphabet))
+    def complement(self, alphabet) -> "_Complement":
+        """Complement relative to (alphabet)*."""
+        return _Complement(self, alphabet)
 
     def equivalent(self, other: "Nfa"):
         """(equal?, counterexample): the least word of self - other, else of
         other - self, in the order of self's alphabet and then other's.
         Products drop the empty word, so it is tested first."""
-        alphabet = _merge_alphabets(self.alphabet, other.alphabet)
+        alphabet = merged(self.alphabet, other.alphabet)
         for a, b in ((self, other), (other, self)):
             if a.accepts(()) and not b.accepts(()):
                 return False, ()
@@ -228,10 +228,6 @@ class Nfa:
 
     def __repr__(self):
         return f"Nfa(states={len(self.states)}, alphabet={list(self.alphabet)!r})"
-
-
-def _merge_alphabets(a, b):
-    return tuple(dict.fromkeys(tuple(a) + tuple(b)))
 
 
 class _Complement:

@@ -16,7 +16,7 @@ from .errors import (EmptyProductError, InvariantError, OperandError, ParseError
                      ReservedSymbolError)
 from .nfa import Nfa, _Complement
 from .transducer import Transducer
-from .words import RESERVED, SEP1, SEP2, reverse, symbol_ranks
+from .words import RESERVED, SEP1, SEP2, merged, reverse
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ class WhStructure:
         self.alphabet = tuple(dict.fromkeys(alphabet))
         if not self.alphabet:
             raise InvariantError("empty alphabet: a semigroup needs a generator")
-        letters = _led_by(self.alphabet, reps.alphabet)
+        letters = merged(self.alphabet, reps.alphabet)
         if reps.alphabet != letters:
             moves = [(p, x, q) for (p, x), qs in reps.transitions.items() for q in qs]
             reps = Nfa(reps.states, letters, moves, reps.initial, reps.accepting)
-        terminals = _led_by((*self.alphabet, SEP1, SEP2), table.terminals)
+        terminals = merged(self.alphabet, (SEP1, SEP2), table.terminals)
         if table.terminals != terminals:
             table = Cfg(table.nonterminals, terminals, table.start, table.productions)
         self.reps = reps
@@ -144,11 +144,6 @@ class WhStructure:
     def __repr__(self):
         return (f"WhStructure(alphabet={list(self.alphabet)!r}, "
                 f"reps={self.reps!r}, table={self.table!r})")
-
-
-def _led_by(first, symbols) -> tuple:
-    """first, then the symbols outside it in their own order."""
-    return (*first, *(x for x in symbols if x not in first))
 
 
 _SEP_SLOT = {SEP1: 0, SEP2: 1}  # the slot each separator ends
@@ -278,19 +273,28 @@ def save_structure(s: WhStructure, target) -> None:
 
 
 def dumps_structure(s: WhStructure) -> str:
+    """The file text, sorted in the declared orders; a symbol outside the
+    alphabet (and #1, #2 in the table) is an `InvariantError`."""
     state_rank = {q: i for i, q in enumerate(s.reps.states)}
-    sym_rank = symbol_ranks(s.alphabet)
+    letter_rank = {x: i for i, x in enumerate(s.reps.alphabet)}
     trans = sorted(
         ((src, sym, dst)
          for (src, sym), dsts in s.reps.transitions.items() for dst in dsts),
-        key=lambda t: (state_rank[t[0]], sym_rank[t[1]], state_rank[t[2]]))
+        key=lambda t: (state_rank[t[0]], letter_rank[t[1]], state_rank[t[2]]))
     nt_names = _nonterminal_names(s.table)
     nt_rank = {a: i for i, a in enumerate(s.table.nonterminals)}
     prods = sorted(
         s.table.productions,
         key=lambda p: (nt_rank[p[0]], len(p[1]),
-                       tuple((0, nt_rank[x]) if x in nt_rank else (1, sym_rank[x])
+                       tuple((0, nt_rank[x]) if x in nt_rank else (1, s.table.rank[x])
                              for x in p[1])))
+    letters = set(s.alphabet)
+    stray = [x for _src, x, _dst in trans if x not in letters] + [
+        x for _h, b in prods for x in b
+        if x not in letters and x not in RESERVED and x not in nt_rank]
+    if stray:
+        raise InvariantError(f"cannot write symbol {stray[0]!r}: a structure file "
+                             f"declares the alphabet, and {SEP1}, {SEP2} in the table")
     data = {
         "alphabet": list(s.alphabet),
         "reps": {

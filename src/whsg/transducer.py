@@ -16,6 +16,7 @@ from collections import defaultdict
 # normalize is no longer called here but stays importable from this module:
 # benchmark/selfcheck.py checks that tracing wraps such copied bindings
 from .cfg import Cfg, _product_grammar, cnf_of, normalize
+from .words import image_alphabet
 
 
 class Transducer:
@@ -47,11 +48,6 @@ class Transducer:
         trans = [("s", sym, tuple(out), "s") for sym, out in mapping.items()]
         return cls(["s"], trans, ["s"], ["s"])
 
-    def _result_alphabet(self, base):
-        outs = dict.fromkeys(s for _src, _insym, out, _dst in self.transitions
-                             for s in out)
-        return tuple(dict.fromkeys([s for s in base if s in outs] + list(outs)))
-
     def moves(self, state, sym):
         """The (target, output word) pairs of one move on sym from state."""
         return self._moves.get((state, sym), ())
@@ -77,7 +73,7 @@ class Transducer:
         body.  The image's items are named after the merged nodes.  The
         empty word is dropped from the image.
         """
-        alphabet = self._result_alphabet(g.terminals)
+        alphabet = image_alphabet(g.terminals, (t[2] for t in self.transitions))
         # flat shortcut: without it decide-flat ran 35 % fewer ops/s, at
         # 11 % more peak RSS
         if g.flat_words is not None:

@@ -2,7 +2,9 @@
 
 A symbol is a nonempty string; a word is a tuple of symbols.  Two reserved
 separator symbols mark the three slots of a multiplication-table entry and
-may never occur in a structure's own alphabet.
+may never occur in a structure's own alphabet.  Every symbol order is
+declared; a language built from others takes its order by `merged` or,
+as an image under a map, by `image_alphabet`.
 """
 
 from __future__ import annotations
@@ -17,16 +19,16 @@ def reverse(w: Sequence[str]) -> tuple:
     return tuple(reversed(w))
 
 
-def symbol_ranks(symbols: Iterable[str]) -> dict:
-    """Total symbol order: declared symbols in order, separators last."""
-    ranks: dict = {}
-    for s in symbols:
-        if s not in ranks:
-            ranks[s] = len(ranks)
-    for s in (SEP1, SEP2):
-        if s not in ranks:
-            ranks[s] = len(ranks)
-    return ranks
+def merged(*orders: Iterable[str]) -> tuple:
+    """One order from several: each symbol at its first place."""
+    return tuple(dict.fromkeys(x for order in orders for x in order))
+
+
+def image_alphabet(base: Iterable[str], outputs: Iterable[Sequence[str]]) -> tuple:
+    """An image's alphabet: the symbols of base its output words use, in
+    base's order, then the new ones in order of first use."""
+    used = dict.fromkeys(x for out in outputs for x in out)
+    return merged((x for x in base if x in used), used)
 
 
 def spelled(w: Sequence[int], symbols: Sequence[str]) -> tuple:

@@ -4,6 +4,7 @@ import pytest
 
 from whsg import fixtures
 from whsg.cfg import Cfg
+from whsg.words import SEP1, SEP2, merged
 
 
 def all_words(alphabet, maxlen, minlen=1):
@@ -17,6 +18,11 @@ def all_words(alphabet, maxlen, minlen=1):
 def declared(g, terminals):
     """g with its terminals declared in the given order, its word order."""
     return Cfg(g.nonterminals, terminals, g.start, g.productions)
+
+
+def symbol_ranks(symbols):
+    """Rank of each symbol: the given ones in order, then #1 and #2."""
+    return {x: i for i, x in enumerate(merged(symbols, (SEP1, SEP2)))}
 
 
 def finite_language(nfa):

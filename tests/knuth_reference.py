@@ -7,7 +7,8 @@ them."""
 import heapq
 
 from whsg.cfg import cnf_of, derives_epsilon, lowered_of
-from whsg.words import shortlex_key, symbol_ranks
+from conftest import symbol_ranks
+from whsg.words import shortlex_key
 
 
 def lightest(low, ranks=None):

@@ -2,7 +2,7 @@ import random
 import time
 
 import knuth_reference
-from conftest import all_words, declared
+from conftest import all_words, declared, symbol_ranks
 from test_differential import _generic_twin
 from whsg import cfg as cfglib
 from whsg import fixtures
@@ -10,7 +10,7 @@ from whsg.cfg import Cfg
 from whsg.nfa import Nfa
 from whsg.structure import normalize_generators
 from whsg.transducer import Transducer
-from whsg.words import SEP1, SEP2, shortlex_key, symbol_ranks
+from whsg.words import SEP1, SEP2, shortlex_key
 
 
 def test_normalize_drops_unreachable():
@@ -234,7 +234,7 @@ def test_least_completions_match_definition():
 def test_union_cfgs():
     g1 = Cfg(["O"], ("a", "b"), "O", [("O", ("a",))])
     g2 = Cfg(["O"], ("a", "b"), "O", [("O", ("b", "b"))])
-    u = cfglib.union_cfgs([g1, g2])
+    u = cfglib.union_cfgs([g1, g2], ("a", "b"))
     assert set(cfglib.enumerate_words(u, 3)) == {("a",), ("b", "b")}
 
 

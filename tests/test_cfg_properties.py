@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import knuth_reference
-from conftest import all_words, declared, dense_chart
+from conftest import all_words, declared, dense_chart, symbol_ranks
 from test_cfg import _may_begin_after, _random_cfg
 from test_differential import _unflatten_cfg
 from whsg import cfg as cfglib
@@ -22,7 +22,7 @@ from whsg import fixtures
 from whsg.cfg import Cfg
 from whsg.nfa import Nfa
 from whsg.partition import _refine, bisimilar_blocks
-from whsg.words import shortlex_key, symbol_ranks
+from whsg.words import shortlex_key
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -177,7 +177,7 @@ def test_flat_grammars_need_no_shortcut(words, more, a):
         product = cfglib.intersect_regular(g, a)
         assert set(cfglib.enumerate_words(product, 8)) == {
             w for w in words if w and a.accepts(w)}
-        union = cfglib.union_cfgs([g, g2])
+        union = cfglib.union_cfgs([g, g2], ("a", "b"))
         assert set(cfglib.enumerate_words(union, 8)) == words | more
 
 

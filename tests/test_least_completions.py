@@ -11,7 +11,7 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import declared, dense_chart
+from conftest import declared, dense_chart, symbol_ranks
 from test_cfg import _random_cfg
 from test_differential import _generic_twin
 from whsg import cfg as cfglib
@@ -19,7 +19,7 @@ from whsg import fixtures
 from whsg.arithmetic import multiply, represent, word_eq
 from whsg.cfg import Cfg, _cyk_masks, cnf_of, least_completions
 from whsg.structure import validate_necessary
-from whsg.words import SEP2, shortlex_key, symbol_ranks
+from whsg.words import SEP2, shortlex_key
 
 
 def _reference_least_completions(g, prefix, ranks=None, k=1, maxlen=None,

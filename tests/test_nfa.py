@@ -68,10 +68,10 @@ def test_emptiness_witness_of_intersection():
 
 def test_shortest_word_is_minimal_and_lex_least():
     words = [("b", "a"), ("a", "b"), ("a", "a", "a")]
-    n = Nfa.from_words(words)
+    n = Nfa.from_words(words, ("a", "b"))
     assert n.alphabet == ("a", "b")
     assert n.shortest_word() == ("a", "b")
-    empty = Nfa.from_words([])
+    empty = Nfa.from_words([], ("a", "b"))
     assert empty.shortest_word() is None
 
 
@@ -147,9 +147,9 @@ def test_joined_names_states_by_part():
     # a #1 b* #2 (empty or c): state q of part i is (2i, q) and separator
     # i - 1 leads into (2i - 1,), which accepts as part i accepts the empty
     # word; repr puts the parts in order
-    a = Nfa.from_words([("a",)])
+    a = Nfa.from_words([("a",)], ("a",))
     bs = Nfa(["s"], ("b",), [("s", "b", "s")], ["s"], ["s"])
-    c = Nfa.from_words([(), ("c",)])
+    c = Nfa.from_words([(), ("c",)], ("c",))
     joined = Nfa.joined((a, bs, c), (SEP1, SEP2))
     assert joined.alphabet == ("a", SEP1, "b", SEP2, "c")
     assert joined.initial == {(0, "q0")}

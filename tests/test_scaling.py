@@ -18,7 +18,7 @@ import time
 import types
 from collections import defaultdict, deque
 
-from conftest import dense_chart, finite_language
+from conftest import dense_chart, finite_language, symbol_ranks
 from test_cfg import _pruned_chart, _random_cfg
 from test_differential import _generic_twin
 from test_least_completions import _reference_least_completions
@@ -34,7 +34,7 @@ from whsg.oracle import (FiniteSemigroup, direct_product, rb22_table,
 from whsg.structural import is_clifford, is_completely_simple, palindromic_defect
 from whsg.structure import (WhStructure, _Slots, load_structure, slot_word,
                              validate_necessary)
-from whsg.words import SEP1, SEP2, shortlex_key, symbol_ranks
+from whsg.words import SEP1, SEP2, shortlex_key
 
 
 def _fastest(f, runs=3, make=lambda: ()):

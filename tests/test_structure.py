@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_words
+from conftest import all_words, symbol_ranks
 from test_differential import _generic_twin as generic_twin, _unflatten_cfg
 import whsg
 from whsg import cfg as cfglib
@@ -22,7 +22,7 @@ from whsg.structure import (VALIDATE_SAMPLE_CAP, WhStructure, _Slots,
                             dumps_structure, load_structure,
                             normalize_generators, slot_middle, slot_word,
                             validate_necessary)
-from whsg.words import SEP1, SEP2, shortlex_key, symbol_ranks
+from whsg.words import SEP1, SEP2, shortlex_key
 
 
 def test_load_null3_file(tmp_path, null3):
@@ -242,6 +242,19 @@ def test_save_is_deterministic(free2):
     assert dumps_structure(free2) == dumps_structure(free2)
     data = json.loads(dumps_structure(free2))
     assert list(data) == ["alphabet", "reps", "table", "assignment"]
+
+
+def test_writing_refuses_a_symbol_the_file_cannot_declare():
+    # both structures load, but a file declares only the alphabet, and #1
+    # and #2 in the table: written, z would make a file its loader rejects
+    table = Cfg(["S"], ("a", SEP1, SEP2), "S", [("S", ("a", SEP1, "a", SEP2, "a"))])
+    unreachable = WhStructure(("a",), Nfa.from_words([("a",)], ("a",)),
+                              Cfg(["S", "X"], ("a", SEP1, SEP2, "z"), "S",
+                                  [("S", ("a", SEP1, "a", SEP2, "a")), ("X", ("z",))]))
+    stray_rep = WhStructure(("a",), Nfa.from_words([("a",), ("z",)], ("a", "z")), table)
+    for s in (unreachable, stray_rep):
+        with pytest.raises(InvariantError, match=f"'z'.*{SEP1}, {SEP2}"):
+            dumps_structure(s)
 
 
 # -- exports ------------------------------------------------------------------

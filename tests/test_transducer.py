@@ -29,6 +29,15 @@ def test_substitution_alphabet_keeps_the_automaton_order():
     assert out.alphabet == ("b", "c")
 
 
+def test_substitution_and_letter_map_image_declare_one_alphabet():
+    # no image uses b and x is new: both images declare the used letters
+    # in the automaton's order, then x
+    a = Nfa.universal(("a", "b", "c"))
+    images = {"a": ("c", "x"), "b": ("a",), "c": ("c",)}
+    image = Transducer.letter_map(images).apply_to_cfg(Cfg.from_nfa(a))
+    assert a.substitute(images).alphabet == image.terminals == ("a", "c", "x")
+
+
 def test_substitution_drops_arcs_of_symbols_without_image():
     # a* b a*: without an image for b, only the empty-prefix path survives
     target = Nfa(["p", "q"], ("a", "b"),
