@@ -33,9 +33,9 @@ serves one CYK chart (bit-parallel rows, with work that follows the split
 pairs whose rows are both nonzero, a node's row made on its first bit)
 that keeps only the items whose node may begin after the symbol before
 them.  It answers membership and gives least completions their closed
-items; `least_completions` reads the completions of several prefixes off
-one chart of them joined by a break, each between its own positions, and
-pays the chart's fixed cost once.  The k least
+items; `least_completions` and `memberships` read several words off one
+chart of them joined by a break, each between its own positions, and pay
+the chart's fixed cost once per `_JOIN_CAP` symbols.  The k least
 completions of a prefix are a weighted item pass in the same Knuth order
 that opens only items the left context admits.  Its items past the end of
 the prefix do not depend on the prefix: one reversed pass per lowering
@@ -408,9 +408,9 @@ class _Lowered:
         # k -> the reversed _Pass that every least_completions call for its
         # k least words shares
         self.passes = {}
-        # (w, masks, live, allow) of the last CYK chart over this lowering,
-        # which multiply and validate_necessary both ask for on one prefix;
-        # w joins several prefixes when least_completions was given several
+        # (w, masks, live, allow) of the last CYK chart over this lowering:
+        # validate_necessary asks for it twice when all its pairs' products
+        # have one length, first for the products, then their completions
         self.chart = None
         by_sym, by_head = self.by_sym, self.binary_by_head
         left, right = self.left_index, self.right_index
@@ -507,6 +507,26 @@ def cnf_of(g: Cfg) -> _Lowered:
 # between the words of a joined chart: no terminal (terminals are
 # strings), so no node derives it
 _BREAK = None
+# symbols per joined chart: a word's bit is read by shifting a whole row,
+# in time that grows with the chart's width
+_JOIN_CAP = 2048
+
+
+def _joined_charts(cnf: _Lowered, words):
+    """Charts of the words joined by _BREAK, in order, each yielded with
+    the (start, end) of each of its words; a chart stops at _JOIN_CAP
+    symbols unless one word alone is wider."""
+    joined, bounds = [], []
+    for x in words:
+        if bounds and len(joined) + 1 + len(x) > _JOIN_CAP:
+            yield _cyk_masks(cnf, tuple(joined)), bounds
+            joined, bounds = [], []
+        if bounds:
+            joined.append(_BREAK)
+        bounds.append((len(joined), len(joined) + len(x)))
+        joined.extend(x)
+    if bounds:
+        yield _cyk_masks(cnf, tuple(joined)), bounds
 
 
 def _after(cnf: _Lowered):
@@ -662,21 +682,30 @@ def _cyk_masks(cnf: _Lowered, w):
 
 
 def membership(g: Cfg, w) -> bool:
-    """Word membership by CYK on the cached binarized form; the chart's work
-    follows the split pairs whose rows are both nonzero."""
-    w = tuple(w)
+    """Word membership: `memberships` of the one word."""
     # flat shortcut: without it decide-flat ran 7,280-8,042 -> 2,592-2,609
-    # ops/s (3 alternated 5 s pairs, seed 1), at 3.2 MB more peak RSS
+    # ops/s (3 alternated 5 s pairs, seed 1), at 3.2 MB more peak RSS; left
+    # to memberships' own, its op_p50_ms read 2.2 % higher (0 of 5 pairs)
     if g.flat_words is not None:
-        return w in g.flat_words
-    if not w:
-        return derives_epsilon(g)
-    ts = set(g.terminals)
-    if any(s not in ts for s in w):
-        return False
+        return tuple(w) in g.flat_words
+    return memberships(g, [w])[0]
+
+
+def memberships(g: Cfg, words) -> list:
+    """Membership of each word, read off CYK charts of the words joined
+    (`_joined_charts`) over the cached binarized form."""
+    words = [tuple(w) for w in words]
+    if g.flat_words is not None:
+        return [w in g.flat_words for w in words]
     cnf = cnf_of(g)
-    row = _cyk_masks(cnf, w)[0][cnf.start]
-    return row is not None and bool(row[len(w)] & 1)
+    out = []
+    # no node derives a symbol outside the terminals, so no span holds one
+    for (masks, _live, _allow), bounds in _joined_charts(cnf, words):
+        row = masks[cnf.start]
+        for s, e in bounds:
+            out.append(derives_epsilon(g) if s == e else
+                       row is not None and bool(row[e - s] >> s & 1))
+    return out
 
 
 class _Pass:
@@ -1039,9 +1068,10 @@ def _product_grammar(cnf: _Lowered, space, terminals) -> Cfg:
 def least_completions(g: Cfg, prefixes, k: int = 1, maxlen=None) -> list:
     """For each prefix x, the k shortlex-least distinct reverse(y) of length
     <= maxlen (no bound when None), ascending, over the nonempty y with
-    x . y in language(g), read off one chart of the prefixes joined by
-    _BREAK, which pays the chart's fixed cost once; a flat table is served
-    one prefix at a time, by its prefix runs.
+    x . y in language(g), read off charts of the prefixes joined by _BREAK
+    (`_joined_charts`), which pay a chart's fixed cost once per _JOIN_CAP
+    symbols; a flat table is served one prefix at a time, by its prefix
+    runs.
 
     A weighted item pass (Nederhof 2003) settled in Knuth's order, as in
     _Pass, with no quotient grammar.  With x a prefix and n its length,
@@ -1081,14 +1111,8 @@ def least_completions(g: Cfg, prefixes, k: int = 1, maxlen=None) -> list:
                                if 0 < len(w) - n <= limit}, key=key)[:k])
         return out
     cnf = cnf_of(g)
-    joined, bounds = [], []
-    for x in prefixes:
-        if bounds:
-            joined.append(_BREAK)
-        bounds.append((len(joined), len(joined) + len(x)))
-        joined.extend(x)
-    chart = _cyk_masks(cnf, tuple(joined))
-    return [_completions(cnf, chart, s, e, k, limit) for s, e in bounds]
+    return [_completions(cnf, chart, s, e, k, limit)
+            for chart, bounds in _joined_charts(cnf, prefixes) for s, e in bounds]
 
 
 def _completions(cnf: _Lowered, chart, s: int, e: int, k: int,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import cfg as cfglib
@@ -473,6 +474,16 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
     containment invariant, that every sampled product has a representative,
     that words sharing a product entry test equal, and that sampled triple
     products associate.
+
+    Each phase asks its kernel questions off joined charts, a few for the
+    whole phase rather than one per question: the sampled pairs' products
+    (`arithmetic._prefetch`), then their three least completions, one
+    `cfg.least_completions` call per length bound; the triples' new
+    products u.(v.x), then their product checks (`arithmetic._precheck`).
+    The loops then run as they would alone, in the same order, on the
+    cached answers, so they report the same first failure: a missing
+    product, or a triple's `EmptyProductError`, only where the loop meets
+    it.  A failing first pair still costs every pair's product.
     """
     from . import arithmetic
 
@@ -502,14 +513,23 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
 
     pairs = [(u, v) for u in words for v in words
              if len(u) + len(v) <= depth]
+    arithmetic._prefetch(ns, pairs)
+    products = []
     for u, v in pairs:
         try:
-            r = arithmetic.multiply(ns, u, v)
+            products.append(arithmetic.multiply(ns, u, v))
         except EmptyProductError:
             return Verdict.no(
                 f"missing product witness for {' '.join(u)!r} * {' '.join(v)!r}")
-        for w in cfglib.least_completions(
-                ns.table, [u + (SEP1,) + v + (SEP2,)], 3, len(r) + 1)[0]:
+    by_bound: dict = {}
+    for pq, r in zip(pairs, products):
+        by_bound.setdefault(len(r) + 1, []).append(pq)
+    least: dict = {}
+    for bound, group in by_bound.items():
+        least.update(zip(group, cfglib.least_completions(
+            ns.table, [u + (SEP1,) + v + (SEP2,) for u, v in group], 3, bound)))
+    for pq, r in zip(pairs, products):
+        for w in least[pq]:
             union(r, w)
     seen: dict = {}
     for w in list(classes) + list(words):
@@ -519,16 +539,28 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
             return Verdict.no(
                 f"words {' '.join(w)!r} and {' '.join(other)!r} share a table entry "
                 f"but test unequal")
-    for u in words:
-        for v in words:
-            for x in words:
-                if len(u) + len(v) + len(x) > depth:
-                    continue
-                uv = arithmetic.multiply(ns, u, v)
-                vx = arithmetic.multiply(ns, v, x)
-                r2 = arithmetic.multiply(ns, u, vx)
-                if not arithmetic.check_multiply(ns, uv, x, r2):
-                    return Verdict.no(
-                        f"associativity fails on {' '.join(u)!r}, {' '.join(v)!r}, "
-                        f"{' '.join(x)!r}")
+
+    def groups():
+        # each (u, v) with the x that complete a triple, a slice of the
+        # words, which ascend in length; walked three times, never kept: as
+        # lists, free2's 249,840 triples at depth 12 peaked at 84 MB, not 40
+        for u in words:
+            for v in words[:bisect_right(words, depth - len(u) - 1, key=len)]:
+                yield u, v, words[:bisect_right(words, depth - len(u) - len(v), key=len)]
+
+    # every pair of a triple is a sampled pair, whose product is cached
+    mul = ns._mul_cache
+    arithmetic._prefetch(ns, ((u, mul[v, x]) for u, v, xs in groups() for x in xs))
+    arithmetic._precheck(ns, ((mul[u, v], x, mul[u, mul[v, x]])
+                              for u, v, xs in groups() for x in xs
+                              if (u, mul[v, x]) in mul))
+    for u, v, xs in groups():
+        uv = arithmetic.multiply(ns, u, v)
+        for x in xs:
+            vx = arithmetic.multiply(ns, v, x)
+            r2 = arithmetic.multiply(ns, u, vx)
+            if not arithmetic.check_multiply(ns, uv, x, r2):
+                return Verdict.no(
+                    f"associativity fails on {' '.join(u)!r}, {' '.join(v)!r}, "
+                    f"{' '.join(x)!r}")
     return Verdict.yes()

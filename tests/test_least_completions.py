@@ -19,7 +19,7 @@ from whsg import fixtures
 from whsg.arithmetic import multiply, represent, word_eq
 from whsg.cfg import Cfg, _cyk_masks, cnf_of, least_completions
 from whsg.structure import validate_necessary
-from whsg.words import SEP2, shortlex_key
+from whsg.words import SEP1, SEP2, shortlex_key
 
 
 def _reference_least_completions(g, prefix, ranks=None, k=1, maxlen=None,
@@ -265,3 +265,37 @@ def test_joined_chart_serves_k_least_completions_under_a_bound(name):
             assert least_completions(table, batch, k, maxlen) == want, batch
             cases += any(len(got) > 1 for got in want)
     assert cases
+
+
+@pytest.mark.parametrize("cap", [cfglib._JOIN_CAP, 16])
+def test_lists_wider_than_the_cap_answer_word_by_word(monkeypatch, cap):
+    """least_completions and memberships given more symbols than one chart
+    takes answer each word as a call of its own does; no chart joins words
+    past the cap, and a word longer than the cap is charted alone."""
+    monkeypatch.setattr(cfglib, "_JOIN_CAP", cap)
+    s = fixtures.bicyclic()
+    table = s.table
+    rng = random.Random(cap)
+    p, q = ("b",) * 8, ("a",) * 9
+    long = p + (SEP1,) + q + (SEP2,) + multiply(s, p, q)[::-1]
+    assert len(long) > 16
+    words = rng.choices(cfglib.enumerate_words(table, 9), k=700)
+    words = [w[:-1] + (rng.choice(s.alphabet),) for w in words[:100]] + words
+    words.insert(len(words) // 2, long)
+    words += [(), ("z",), long + ("z",)]  # none a table word
+    prefixes = [w[:rng.randint(0, len(w))] for w in words]
+    assert sum(map(len, prefixes)) > cap < sum(map(len, words))
+    chart = cfglib._cyk_masks
+    charted = []
+    monkeypatch.setattr(cfglib, "_cyk_masks",
+                        lambda cnf, w: charted.append(w) or chart(cnf, w))
+    got = cfglib.memberships(table, words)
+    completions = [least_completions(table, prefixes, k, maxlen)
+                   for k, maxlen in ((1, None), (3, 4))]
+    assert all(len(w) <= cap or cfglib._BREAK not in w for w in charted)
+    assert len(charted) > 2 and (long in charted) == (len(long) > cap)
+    assert all(got[100:-3]) and not any(got[-3:]) and not all(got[:100])
+    assert got == [cfglib.memberships(table, [w])[0] for w in words]
+    for (k, maxlen), batch in zip(((1, None), (3, 4)), completions):
+        assert batch == [least_completions(table, [x], k, maxlen)[0]
+                         for x in prefixes]

@@ -399,8 +399,9 @@ def test_slot_queries_match_the_written_product(name):
 
 
 def test_validate_charts_each_prefix_once(monkeypatch):
-    # multiply charts u #1 v #2, then validate_necessary asks for three
-    # completions of the same prefix: the lowering keeps that chart
+    # validate_necessary charts the pairs' prefixes u #1 v #2 joined for
+    # their products, then asks for three completions of each; where that
+    # asks for the same joined word again, the lowering keeps its chart
     s = generic_twin(fixtures.rees())
     charted = []
     chart = cfglib._cyk_masks
