@@ -10,8 +10,7 @@ call cached are read off one chart of their prefixes joined
 (`cfg.least_completions`, which serves a flat table one prefix at a time)
 and stored in the multiply cache, where the level's products are
 then taken in order.  `structure.validate_necessary` fills the multiply
-and check caches the same way, a phase at a time (`_prefetch`,
-`_precheck`).
+cache the same way, a phase at a time (`_prefetch`).
 """
 
 from __future__ import annotations
@@ -79,15 +78,6 @@ def _prefetch(s: WhStructure, pairs) -> None:
         if not least:
             break
         s._mul_cache[pq] = least[0]
-
-
-def _precheck(s: WhStructure, triples) -> None:
-    """Put check_multiply's answers on the (p, q, r) missing from the check
-    cache there, off joined charts (`cfg.memberships`); p, q and r must be
-    representatives, as check_multiply would otherwise have checked."""
-    todo = [t for t in dict.fromkeys(triples) if t not in s._chk_cache]
-    words = [p + (SEP1,) + q + (SEP2,) + reverse(r) for p, q, r in todo]
-    s._chk_cache.update(zip(todo, cfglib.memberships(s.table, words)))
 
 
 def _halved(ns: WhStructure, words) -> list:

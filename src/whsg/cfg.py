@@ -384,8 +384,7 @@ class _Lowered:
 
     __slots__ = ("start", "symbols", "rank", "ids", "size", "term_bodies",
                  "by_sym", "eps", "binary", "binary_by_head", "left_index",
-                 "right_index", "unit_index", "partners", "after", "passes",
-                 "chart")
+                 "right_index", "unit_index", "partners", "after", "passes")
 
     def __init__(self, g: Cfg, size, ids, term_bodies, eps, units, binary):
         self.start = 0
@@ -408,10 +407,6 @@ class _Lowered:
         # k -> the reversed _Pass that every least_completions call for its
         # k least words shares
         self.passes = {}
-        # (w, masks, live, allow) of the last CYK chart over this lowering:
-        # validate_necessary asks for it twice when all its pairs' products
-        # have one length, first for the products, then their completions
-        self.chart = None
         by_sym, by_head = self.by_sym, self.binary_by_head
         left, right = self.left_index, self.right_index
         for a, syms in term_bodies.items():
@@ -568,8 +563,7 @@ def _cyk_masks(cnf: _Lowered, w):
     span.  Every item on a derivation of a word with prefix w stays.  Each
     row is masked with allow[A], the bitmask of the positions whose
     preceding symbol admits A, built per symbol in O(n + sum of
-    |after[t]|).  The last chart is kept on the lowering and returned again
-    for the same word; callers only read it.
+    |after[t]|).
 
     w may join several words with _BREAK between them; the chart is then
     each word's chart at the word's own offset.  _BREAK is no terminal, so
@@ -589,8 +583,6 @@ def _cyk_masks(cnf: _Lowered, w):
     splits of the shorter of its children's live lists, so the work follows
     the split pairs whose rows are both nonzero rather than |binary| * n^2.
     """
-    if cnf.chart is not None and cnf.chart[0] == w:
-        return cnf.chart[1:]
     masks = [None] * cnf.size
     live = [None] * cnf.size
     binary, partners, after = cnf.binary, cnf.partners, cnf.after
@@ -677,7 +669,6 @@ def _cyk_masks(cnf: _Lowered, w):
                     enliven(a, l, acc)
                 else:
                     row[l] |= acc
-    cnf.chart = (w, masks, live, allow)
     return masks, live, allow
 
 

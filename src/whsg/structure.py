@@ -479,11 +479,13 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
     whole phase rather than one per question: the sampled pairs' products
     (`arithmetic._prefetch`), then their three least completions, one
     `cfg.least_completions` call per length bound; the triples' new
-    products u.(v.x), then their product checks (`arithmetic._precheck`).
-    The loops then run as they would alone, in the same order, on the
-    cached answers, so they report the same first failure: a missing
-    product, or a triple's `EmptyProductError`, only where the loop meets
-    it.  A failing first pair still costs every pair's product.
+    products u.(v.x) (`arithmetic._prefetch` again), then their distinct
+    product checks, one `cfg.memberships` call.  The pairs are then read
+    in loop order; the checks are gathered in loop order up to the first
+    triple whose product raises `EmptyProductError`, and scanned in that
+    order, so the first failure reported is the one the loops would meet:
+    a failing check before that triple, else its exception.  A failing
+    first pair still costs every pair's product.
     """
     from . import arithmetic
 
@@ -542,7 +544,7 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
 
     def groups():
         # each (u, v) with the x that complete a triple, a slice of the
-        # words, which ascend in length; walked three times, never kept: as
+        # words, which ascend in length; walked twice, never kept: as
         # lists, free2's 249,840 triples at depth 12 peaked at 84 MB, not 40
         for u in words:
             for v in words[:bisect_right(words, depth - len(u) - 1, key=len)]:
@@ -551,16 +553,27 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
     # every pair of a triple is a sampled pair, whose product is cached
     mul = ns._mul_cache
     arithmetic._prefetch(ns, ((u, mul[v, x]) for u, v, xs in groups() for x in xs))
-    arithmetic._precheck(ns, ((mul[u, v], x, mul[u, mul[v, x]])
-                              for u, v, xs in groups() for x in xs
-                              if (u, mul[v, x]) in mul))
-    for u, v, xs in groups():
-        uv = arithmetic.multiply(ns, u, v)
-        for x in xs:
-            vx = arithmetic.multiply(ns, v, x)
-            r2 = arithmetic.multiply(ns, u, vx)
-            if not arithmetic.check_multiply(ns, uv, x, r2):
-                return Verdict.no(
-                    f"associativity fails on {' '.join(u)!r}, {' '.join(v)!r}, "
-                    f"{' '.join(x)!r}")
+    # each distinct check (u.v, x, u.(v.x)) -> the (u, v) of the first
+    # triple that asks it, one tuple per pair.  A check's answer is the
+    # same at every triple that asks it, so the first false one in this
+    # order is the one met at the first failing triple: no earlier triple
+    # asks it, and every check an earlier triple asks comes before it
+    checks: dict = {}
+    raised = None
+    try:
+        for u, v, xs in groups():
+            uv, asker = mul[u, v], (u, v)
+            for x in xs:
+                checks.setdefault((uv, x, arithmetic._product(ns, u, mul[v, x])), asker)
+    except EmptyProductError as exc:
+        raised = exc
+    held = cfglib.memberships(ns.table, (p + (SEP1,) + q + (SEP2,) + reverse(r)
+                                         for p, q, r in checks))
+    for ((_uv, x, _r), (u, v)), ok in zip(checks.items(), held):
+        if not ok:
+            return Verdict.no(
+                f"associativity fails on {' '.join(u)!r}, {' '.join(v)!r}, "
+                f"{' '.join(x)!r}")
+    if raised is not None:
+        raise raised
     return Verdict.yes()

@@ -49,12 +49,6 @@ def _fastest(f, runs=3, make=lambda: ()):
     return best
 
 
-def _uncharted(cnf):
-    """cnf with its last chart forgotten, so that the next chart is built."""
-    cnf.chart = None
-    return cnf
-
-
 def _fitted_slope(sizes, times):
     xs = [math.log2(k) for k in sizes]
     ys = [math.log2(t) for t in times]
@@ -278,7 +272,7 @@ def test_scheduled_chart_beats_row_tracked_chart():
         # each visit reads its rule off binary once
         masks, live = _row_tracked_cyk_masks(cnf, w)
         counted = copy.copy(cnf)
-        counted.chart, counted.binary = None, _CountingTuple(cnf.binary)
+        counted.binary = _CountingTuple(cnf.binary)
         assert dense_chart(cfglib._cyk_masks(counted, w), w) == _pruned_chart(
             cnf, w, masks)
         return counted.binary.reads, _row_tracked_visits(cnf, live, len(w))
@@ -297,7 +291,7 @@ def test_scheduled_chart_beats_row_tracked_chart():
     ours = tracked = math.inf
     for _ in range(5):
         ours = min(ours, _fastest(cfglib._cyk_masks, 1,
-                                  lambda: (_uncharted(cnf), w)))
+                                  lambda: (cnf, w)))
         tracked = min(tracked, _fastest(_row_tracked_cyk_masks, 1,
                                         lambda: (cnf, w)))
     assert ours <= 0.7 * tracked, (ours, tracked)
@@ -310,7 +304,7 @@ def test_left_context_prunes_the_chart_and_the_completions(monkeypatch):
     cnf = cfglib.cnf_of(s.table)
     b, a = ("b",), ("a",)
     w = b * 40 + a * 60 + (SEP1,) + b * 70 + a * 50 + (SEP2,)
-    _masks, live, _allow = dense_chart(cfglib._cyk_masks(_uncharted(cnf), w), w)
+    _masks, live, _allow = dense_chart(cfglib._cyk_masks(cnf, w), w)
     # 707 live entries without the left context; 379 were measured
     assert sum(map(len, live)) <= 400
     pushes = []
@@ -340,7 +334,7 @@ def test_dense_chart_is_no_slower_than_full_cyk():
     # counted rather than timed, as in the scheduled-chart test above: the
     # wall-time ratio of the two charts read 0.67-1.18 on a shared machine
     counted = copy.copy(cnf)
-    counted.chart, counted.binary = None, _CountingTuple(cnf.binary)
+    counted.binary = _CountingTuple(cnf.binary)
     counted.partners = _CountingPartners(cnf.binary)
     masks, live, _allow = cfglib._cyk_masks(counted, w)
     assert masks == _reference_cyk_masks(cnf, w)

@@ -398,27 +398,6 @@ def test_slot_queries_match_the_written_product(name):
     assert found
 
 
-def test_validate_charts_each_prefix_once(monkeypatch):
-    # validate_necessary charts the pairs' prefixes u #1 v #2 joined for
-    # their products, then asks for three completions of each; where that
-    # asks for the same joined word again, the lowering keeps its chart
-    s = generic_twin(fixtures.rees())
-    charted = []
-    chart = cfglib._cyk_masks
-
-    def recorded(cnf, w):
-        before = cnf.chart
-        got = chart(cnf, w)
-        if cnf.chart is not before:
-            charted.append((cnf, tuple(w)))
-        return got
-
-    monkeypatch.setattr(cfglib, "_cyk_masks", recorded)
-    assert validate_necessary(s, depth=3)
-    keys = [(id(cnf), w) for cnf, w in charted]
-    assert keys and len(set(keys)) == len(keys)
-
-
 def test_validate_rees_fixture(rees):
     assert validate_necessary(rees, depth=4)
 
@@ -473,6 +452,11 @@ def test_validate_lets_internal_errors_propagate(z2, monkeypatch):
     monkeypatch.setattr(arithmetic, "multiply", broken)
     with pytest.raises(RuntimeError):
         validate_necessary(z2, depth=2)
+    monkeypatch.undo()
+    # the triples' product checks, asked together at depth 3 and up
+    monkeypatch.setattr(cfglib, "memberships", broken)
+    with pytest.raises(RuntimeError):
+        validate_necessary(z2, depth=3)
 
 
 def test_validate_rejects_silly_depth(z2):

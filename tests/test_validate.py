@@ -21,6 +21,9 @@ from whsg.structure import WhStructure, validate_necessary
 from whsg.words import SEP1, SEP2
 
 DEPTHS = (2, 3, 4, 5)
+# depth 1 samples no pairs and so no triples; not in DEPTHS, since there
+# the aliased-letter case is no refutation
+SHALLOW = (1, *DEPTHS)
 TWINS = ("rb22", "sl2", "rees", "free2c")
 # decide-flat's direct products, each in both factor orders
 PRODUCT_PAIRS = (("z2", "z2"), ("z2", "sl2"), ("z2", "rb22"), ("z2", "null3"),
@@ -59,12 +62,12 @@ def _operation(products, reps=None):
 
 @pytest.mark.parametrize("name", sorted(fixtures.NAMED))
 def test_fixtures_fail_first_where_the_loops_do(name):
-    _assert_same(fixtures.NAMED[name])
+    _assert_same(fixtures.NAMED[name], SHALLOW)
 
 
 @pytest.mark.parametrize("name", TWINS)
 def test_twins_fail_first_where_the_loops_do(name):
-    _assert_same(lambda: _generic_twin(fixtures.NAMED[name]()))
+    _assert_same(lambda: _generic_twin(fixtures.NAMED[name]()), SHALLOW)
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
@@ -153,13 +156,13 @@ def test_associativity_failure_before_a_missing_triple_product():
 
 def test_validate_on_free2c_builds_few_charts(monkeypatch):
     # one chart per pair's product and completions, and per triple's
-    # product and check, was 329 charts here
+    # product and check, was 329 charts here; 9 were measured
     chart = cfglib._cyk_masks
     calls = []
     monkeypatch.setattr(cfglib, "_cyk_masks",
                         lambda cnf, w: calls.append(w) or chart(cnf, w))
     assert validate_necessary(fixtures.free2_with_redundant_letter(), depth=4)
-    assert 0 < len(calls) <= 12
+    assert 0 < len(calls) <= 9
 
 
 def test_a_failing_first_pair_stays_cheap():
