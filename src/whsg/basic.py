@@ -4,16 +4,17 @@ from __future__ import annotations
 
 from .arithmetic import _require_rep, check_multiply, word_eq
 from .errors import OperandError
-from .structure import Verdict, WhStructure, normalize_generators, slot_middle, slot_word
+from .structure import Verdict, WhStructure, normalize_generators, slot_exists, slot_middle
 
 
 def is_monoid(s: WhStructure) -> Verdict:
-    """Identity search: per letter, the words that stabilize it on the right;
+    """Identity search: per letter a, the least v with a #1 v #2 a in the
+    table, any word there being a representative by the shape invariant;
     any empty set refutes, otherwise each candidate is tested on every letter."""
     ns = normalize_generators(s)
     candidates = []
     for a in ns.alphabet:
-        i_a = slot_middle(ns, (a,), ns.reps, (a,))
+        i_a = slot_middle(ns, (a,), None, (a,))
         if i_a is None:
             return Verdict.no(f"no word stabilizes generator {a!r} on the right")
         candidates.append(i_a)
@@ -26,7 +27,8 @@ def is_monoid(s: WhStructure) -> Verdict:
 
 
 def green_related(s: WhStructure, w, w2, rel: str = "R") -> bool:
-    """Green's R, L or H on the elements represented by two words."""
+    """Green's R, L or H on the elements represented by two words; the free
+    slot takes any word, which the shape invariant makes a representative."""
     rel = rel.upper()
     if rel not in ("R", "L", "H"):
         raise OperandError(f"unknown Green relation {rel!r}")
@@ -39,8 +41,8 @@ def green_related(s: WhStructure, w, w2, rel: str = "R") -> bool:
 
     def reachable(x, y):
         # some v with elt(x) v = elt(y), or v elt(x) = elt(y)
-        slots = (x, ns.reps, y) if rel == "R" else (ns.reps, x, y)
-        return slot_word(ns, *slots) is not None
+        slots = (x, None, y) if rel == "R" else (None, x, y)
+        return slot_exists(ns, *slots)
 
     return reachable(w, w2) and reachable(w2, w)
 

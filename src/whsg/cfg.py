@@ -9,14 +9,14 @@ terminals.
 Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words``, from
 which `membership`, `derives_epsilon`, `least_completions` (one prefix at
-a time) and `least_word` answer; this module is the only one that tells
-such tables apart, beside the transducer image's shortcut.  Without them
-the finite-table procedures spend most of their time on charts and
-products over hundreds of lowered nodes.  The completions read only the
-words that begin with their prefix, one run of the sorted words
-(`flat_run`), and `least_word` those that begin with its space's
-`prefix`, or all unsorted when the space forces none, as the shape
-check's complement does.  Everything else goes through one cached
+a time), `least_word` and `intersects` answer; this module is the only one
+that tells such tables apart, beside the transducer image's shortcut.
+Without them the finite-table procedures spend most of their time on
+charts and products over hundreds of lowered nodes.  The completions read
+only the words that begin with their prefix, one run of the sorted words
+(`flat_run`), and `least_word` and `intersects` those that begin with
+their space's `prefix`, or all unsorted when the space forces none, as the
+shape check's complement does.  Everything else goes through one cached
 lowering to bodies of at most two symbols.  The queries read the lowering
 of the normal form with its bisimilar nodes merged (`cnf_of`, by the
 coarsest partition of `partition.bisimilar_blocks`), built once per
@@ -45,10 +45,10 @@ one goal-directed grammar x state-space closure, which builds only the
 items its start can use, and reads every state space, an automaton as the
 transducer that copies its input, by one protocol (`_asked`); regular
 intersection and transducer images write the product's normal form from
-the items, with no second pass through `normalize`, and `least_word` reads
-the product's least word off them and writes none.  Regular intersection
-alone reads the lowering of the normal form as written, whose nodes name
-the items of the product it writes.
+the items, with no second pass through `normalize`; `least_word` reads
+the product's least word off them and `intersects` whether it has one,
+and neither writes it.  Regular intersection alone reads the lowering of
+the normal form as written, whose nodes name the items it writes.
 `is_free` substitutes its representatives by `Nfa.substitute`.  An
 automaton's shortest and enumerated words come from `_Pass` too, over its
 right-linear grammar `Cfg.from_nfa`.
@@ -834,13 +834,8 @@ def least_word(g: Cfg, a):
     (mid, C, q) when (A, p) was asked.  Items weigh (length, word), and
     concatenation is monotone, so they settle in ascending order.
     """
-    # flat shortcut: without it decide-flat ran 7,280-8,042 -> 1,781-1,786
-    # ops/s (3 alternated 5 s pairs, seed 1), at 2.5 MB more peak RSS;
-    # sorting the words for an empty prefix cost 8 % of its setup_s
     if g.flat_words is not None:
-        prefix = getattr(a, "prefix", ())
-        words = flat_run(g, prefix) if prefix else g.flat_words
-        return min((w for w in words if w and a.accepts(w)),
+        return min((w for w in _flat_candidates(g, a) if w and a.accepts(w)),
                    key=shortlex_key(g.rank), default=None)
     cnf = cnf_of(g)
     starts, top, leaves, firsts = _asked(cnf, a)
@@ -872,6 +867,23 @@ def least_word(g: Cfg, a):
             for p0, m2, w2 in by_end.get((b, p), ()):
                 if (head, p0) in starts and (p0, head, q) not in done:
                     push(heap, (m2 + m, w2 + w, next(tick), p0, head, q))
+
+
+def intersects(g: Cfg, a) -> bool:
+    """least_word(g, a) is not None, with no word settled: every item the
+    closure of `_asked` builds derives some word, so a top item is one."""
+    if g.flat_words is not None:
+        return any(w and a.accepts(w) for w in _flat_candidates(g, a))
+    return bool(_asked(cnf_of(g), a)[1])
+
+
+def _flat_candidates(g: Cfg, a):
+    """The words of a flat table that `a` may accept, by its `prefix`."""
+    # flat shortcut: without it decide-flat ran 7,280-8,042 -> 1,781-1,786
+    # ops/s (3 alternated 5 s pairs, seed 1), at 2.5 MB more peak RSS;
+    # sorting the words for an empty prefix cost 8 % of its setup_s
+    prefix = getattr(a, "prefix", ())
+    return flat_run(g, prefix) if prefix else g.flat_words
 
 
 def _asked(cnf: _Lowered, space):

@@ -152,35 +152,40 @@ _SEP_SLOT = {SEP1: 0, SEP2: 1}  # the slot each separator ends
 
 class _Slots:
     """The automaton of left #1 middle #2 right-reversed, read from the
-    three slots in place; each is an `Nfa` or a word over the alphabet, and
-    the right slot is given unreversed, as the product it names.
+    three slots in place; each is an `Nfa`, a word over the alphabet or None
+    for any word, and the right slot is given unreversed, as the product it
+    names.
 
-    `cfg.least_word` reads it as it reads an `Nfa`: by the state-space
+    `cfg.least_word` and `cfg.intersects` read it by the state-space
     protocol of `cfg._asked`, each move's output the symbol read, and by
     `accepts(w)`.  Slot queries read it as it is, and the load-time shape
     check reads its complement (`nfa._Complement`) with every slot the
     representatives.  State (i, q) is state q of slot i: a word slot's states
-    are its positions, an automaton slot keeps its own.  A separator moves
-    from the accepting states of one slot to the initial states of the
-    next.  A right automaton is reversed only when its moves are asked for.
-    `prefix` is what every accepted word begins with: the word slots before
-    the first automaton slot, each followed by its separator; a flat
-    table's `cfg.least_word` reads only its words that begin with it.
+    are its positions, an automaton slot keeps its own, and an any-word slot
+    has one, 0, looping on all but the separators, which `accepts` does not
+    check: by the shape invariant it reads as the representatives.  A
+    separator moves from the accepting states of one slot to the initial
+    states of the next.  A right automaton is reversed only when its moves
+    are asked for.  `prefix` is what every accepted word begins with: the
+    word slots before the first other slot, each followed by its separator;
+    a flat table's `cfg.least_word` reads only its words that begin with it.
     """
 
     __slots__ = ("_parts", "_starts", "_ends", "_words", "_automata", "prefix")
 
     def __init__(self, left, middle, right):
-        if not isinstance(right, Nfa):
+        if right is not None and not isinstance(right, Nfa):
             right = reverse(right)  # as it stands in a table word
-        self._parts = parts = [x if isinstance(x, Nfa) else tuple(x)
+        self._parts = parts = [x if x is None or isinstance(x, Nfa) else tuple(x)
                                for x in (left, middle, right)]
         self._words = [i for i, x in enumerate(parts) if type(x) is tuple]
-        self._automata = [i for i, x in enumerate(parts) if type(x) is not tuple]
-        # each slot's own initial and accepting states
-        self._starts = [(0,) if type(x) is tuple else x.initial for x in parts]
-        self._ends = [(len(x),) if type(x) is tuple else x.accepting for x in parts]
-        if type(right) is not tuple:  # read reversed, it starts where it accepts
+        self._automata = [i for i, x in enumerate(parts) if isinstance(x, Nfa)]
+        # each slot's own initial and accepting states; an any-word slot's one
+        # state (i, 0) does both
+        self._starts = [x.initial if isinstance(x, Nfa) else (0,) for x in parts]
+        self._ends = [x.accepting if isinstance(x, Nfa)
+                      else (0,) if x is None else (len(x),) for x in parts]
+        if isinstance(right, Nfa):  # read reversed, it starts where it accepts
             self._starts[2], self._ends[2] = right.accepting, right.initial
         prefix = ()
         for x, sep in zip(parts, ((SEP1,), (SEP2,), ())):
@@ -207,6 +212,8 @@ class _Slots:
         x = self._parts[i]
         if type(x) is tuple:
             return (((i, q + 1), (sym,)),) if q < len(x) and x[q] == sym else ()
+        if x is None:
+            return (((i, 0), (sym,)),)
         return [((i, r), out)
                 for r, out in (x.reverse() if i == 2 else x).moves(q, sym)]
 
@@ -236,6 +243,11 @@ def slot_word(s: WhStructure, left, middle, right):
     slots in place through the automaton interface of `_Slots`, and a flat
     table only its words that begin with the view's prefix."""
     return cfglib.least_word(s.table, _Slots(left, middle, right))
+
+
+def slot_exists(s: WhStructure, left, middle, right) -> bool:
+    """Whether slot_word is not None, with no word settled (cfg.intersects)."""
+    return cfglib.intersects(s.table, _Slots(left, middle, right))
 
 
 def slot_middle(s: WhStructure, left, middle, right):
