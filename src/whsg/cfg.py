@@ -47,8 +47,13 @@ transducer that copies its input, by one protocol (`_asked`); regular
 intersection and transducer images write the product's normal form from
 the items, with no second pass through `normalize`; `least_word` reads
 the product's least word off them and `intersects` whether it has one,
-and neither writes it.  Regular intersection alone reads the lowering of
-the normal form as written, whose nodes name the items it writes.
+and neither writes it.  The two writers of a normal form, `normalize`
+from a grammar's subset expansion and `_product_grammar` from the items,
+share their passes: one counter fixpoint, `_settled`, for the nullable,
+productive and nonempty sets, then the unit closure `_unit_closed`, what
+the start reaches (`_reach`) and the stable order of `_ranked`.  Regular
+intersection alone reads the lowering of the normal form as written,
+whose nodes name the items it writes.
 `is_free` substitutes its representatives by `Nfa.substitute`.  An
 automaton's shortest and enumerated words come from `_Pass` too, over its
 right-linear grammar `Cfg.from_nfa`.
@@ -172,13 +177,7 @@ def derives_epsilon(g: Cfg) -> bool:
 
 def _closure(prods, nts):
     """Least set of heads closed under: a head holds once every nonterminal
-    of one of its bodies holds (terminals always hold).
-
-    Linear in the total body length (Dowling and Gallier 1984): one counter
-    per production of its nonterminal occurrences still unmet, an index from
-    each nonterminal to the productions it occurs in, and a worklist; each
-    occurrence is decremented once.
-    """
+    of one of its bodies holds (terminals always hold)."""
     heads = []
     unmet = []
     occurs = defaultdict(list)
@@ -193,6 +192,18 @@ def _closure(prods, nts):
         unmet.append(n)
         if not n:
             holds.add(head)
+    return _settled(heads, unmet, occurs, holds)
+
+
+def _settled(heads, unmet, occurs, holds):
+    """Grow holds to the least set closed under: heads[i] holds once
+    unmet[i] of its rule's occurrences hold, where occurs maps a symbol to
+    the rules it occurs in, once per occurrence.
+
+    Linear in the total number of occurrences (Dowling and Gallier 1984):
+    one counter per rule, the index occurs and a worklist; each occurrence
+    is decremented once.
+    """
     agenda = list(holds)
     while agenda:
         for i in occurs.get(agenda.pop(), ()):
@@ -219,12 +230,13 @@ def normalize(g: Cfg) -> Cfg:
     empty language yields a grammar with no productions.
 
     Time is linear in the grammar size plus the output size (the nullable
-    and productive sets are one counter-based pass each), up to the sort of
+    and productive sets are one `_settled` pass each), up to the sort of
     the output and two steps: each body is expanded over every subset of
     its nullable symbols (2^k bodies for k of them), and the unit-rule
     closure, which copies into every nonterminal the non-unit bodies of all
     those it reaches by unit rules (one pass over the strongly connected
-    components of the unit graph).
+    components of the unit graph).  The passes after the expansion run in
+    the product writer's order: productive, filter, unit closure, reach.
     """
     if g._normal is not None:
         return g._normal
@@ -244,49 +256,31 @@ def normalize(g: Cfg) -> Cfg:
             if b:
                 prods.add((head, b))
 
-    # unit-production closure
-    if any(len(b) == 1 and b[0] in nts for _h, b in prods):
-        unit_edges = defaultdict(set)
-        nonunit = defaultdict(set)
-        for head, body in prods:
-            if len(body) == 1 and body[0] in nts:
-                unit_edges[head].add(body[0])
-            else:
-                nonunit[head].add(body)
-        bodies = _unit_closed(unit_edges, nonunit)
-        prods = {(a, body) for a in nts
-                 for body in bodies.get(a, nonunit.get(a, ()))}
-        # freed first, so that the closure's occurrence index does not raise
-        # the peak memory of large grammars
-        del unit_edges, nonunit, bodies
-
     productive = _closure(prods, nts)
     if g.start not in productive:
         out = Cfg([g.start], g.terminals, g.start, [])
         g._normal = out
         out._normal = out
         return out
-    if len(productive) < len(nts):
-        prods = {(h, b) for h, b in prods if h in productive
-                 and all(x not in nts or x in productive for x in b)}
-
-    # reachable nonterminals
-    reachable = {g.start}
-    agenda = deque([g.start])
-    by_head = defaultdict(list)
-    for h, b in prods:
-        by_head[h].append(b)
-    while agenda:
-        a = agenda.popleft()
-        for body in by_head[a]:
-            for x in body:
-                if x in nts and x not in reachable:
-                    reachable.add(x)
-                    agenda.append(x)
-    _order, prods = _ranked(itertools.chain(reachable, g.terminals),
-                            [(h, b) for h, b in prods if h in reachable])
-    keep = [a for a in g.nonterminals if a in reachable]
-    out = Cfg(keep, g.terminals, g.start, prods)
+    # unit bodies neither make nor break productivity, so they are closed
+    # after the filter
+    units = defaultdict(set)
+    nonunit = defaultdict(set)
+    whole = len(productive) == len(nts)
+    for head, body in prods:
+        if whole or head in productive and all(
+                x not in nts or x in productive for x in body):
+            if len(body) == 1 and body[0] in nts:
+                units[head].add(body[0])
+            else:
+                nonunit[head].add(body)
+    # freed before the unit closure and the reach copy the bodies, so that
+    # they do not raise the peak memory of large grammars
+    del prods
+    keep, prods = _reach(g.start, _unit_closed(units, nonunit), nonunit, nts)
+    _order, prods = _ranked(itertools.chain(keep, g.terminals), prods)
+    out = Cfg([a for a in g.nonterminals if a in keep], g.terminals, g.start,
+              prods)
     g._normal = out
     out._normal = out
     return out
@@ -309,6 +303,23 @@ def _unit_closed(units, nonunit):
         for a in comp:
             bodies[a] = got
     return bodies
+
+
+def _reach(start, closed, bodies, nts):
+    """The nonterminals of nts that start reaches, and their productions:
+    closed[a] where the unit graph has a (`_unit_closed`), else bodies[a]."""
+    keep = {start}
+    agenda = [start]
+    prods = []
+    while agenda:
+        a = agenda.pop()
+        for body in closed[a] if a in closed else bodies[a]:
+            prods.append((a, body))
+            for x in body:
+                if x in nts and x not in keep:
+                    keep.add(x)
+                    agenda.append(x)
+    return keep, prods
 
 
 def _components(nodes, edges):
@@ -980,13 +991,13 @@ def _product_grammar(cnf: _Lowered, space, terminals) -> Cfg:
 
     Every item the closure built derives some word.  A walk from the top
     items records each reached item's pairs of children and leaf bodies;
-    two worklist closures over the parents give the nullable items (an
-    empty leaf body, or a pair of nullable children) and the nonempty ones
-    (a nonempty leaf body, or a nonempty child).  Only nonempty items get
-    bodies: a pair of nonempty children, a unit body for a nonempty child
-    beside a nullable one, and the nonempty leaf bodies; the start has a
-    unit body for each nonempty top item.  The unit bodies are closed as in
-    normalize, and what the start reaches is kept, in normalize's order.
+    two runs of normalize's fixpoint `_settled` over the parents give the
+    nullable items (an empty leaf body, or a pair of nullable children) and
+    the nonempty ones (a nonempty leaf body, or a nonempty child).  Only
+    nonempty items get bodies: a pair of nonempty children, a unit body for
+    a nonempty child beside a nullable one, and the nonempty leaf bodies;
+    the start has a unit body for each nonempty top item.  The rest is
+    normalize's: `_unit_closed`, `_reach` and `_ranked`.
     """
     starts, top, leaves, _firsts = _asked(cnf, space)
     start = ("&S",)
@@ -1017,22 +1028,10 @@ def _product_grammar(cnf: _Lowered, space, terminals) -> Cfg:
                 bodies.setdefault(it, set()).add(body)
             elif it in reached:
                 nullable.add(it)
-    unmet = [2] * len(rules)
-    agenda = list(nullable)
-    while agenda:
-        for r in parents.get(agenda.pop(), ()):
-            unmet[r] -= 1
-            head = rules[r][0]
-            if not unmet[r] and head not in nullable:
-                nullable.add(head)
-                agenda.append(head)
-    agenda = list(bodies)
-    while agenda:
-        for r in parents.get(agenda.pop(), ()):
-            head = rules[r][0]
-            if head not in bodies:
-                bodies[head] = set()
-                agenda.append(head)
+    heads = [it for it, _left, _right in rules]
+    _settled(heads, [2] * len(rules), parents, nullable)
+    for it in _settled(heads, [1] * len(rules), parents, set(bodies)):
+        bodies.setdefault(it, set())
     units = defaultdict(list)
     for it, left, right in rules:
         if it in bodies:
@@ -1044,18 +1043,7 @@ def _product_grammar(cnf: _Lowered, space, terminals) -> Cfg:
             if right in bodies and left in nullable:
                 units[it].append(right)
     units[start] = [it for it in top if it in bodies]
-    closed = _unit_closed(units, bodies)
-    keep = {start}
-    agenda = [start]
-    prods = []
-    while agenda:
-        a = agenda.pop()
-        for body in closed[a] if a in closed else bodies[a]:
-            prods.append((a, body))
-            for x in body:
-                if x in bodies and x not in keep:
-                    keep.add(x)
-                    agenda.append(x)
+    keep, prods = _reach(start, _unit_closed(units, bodies), bodies, bodies)
     order, prods = _ranked(itertools.chain(keep, terminals), prods)
     # the start, then the items in repr order (their _stable_key order), as
     # normalize() of the raw product declares them

@@ -57,7 +57,8 @@ class WhStructure:
     `in_reps`, slot views and the shape check's complement share it.
     Witnesses are least in the alphabet's order, which the kernel reads off
     the declarations: the table and the representatives are declared again
-    in it (#1 and #2 after the letters, other symbols last) unless they are.
+    in it (#1 and #2 after the letters) unless they are.  They may declare
+    no other symbol, even unchecked: a file could not write it.
     """
 
     def __init__(self, alphabet, reps: Nfa, table: Cfg, assignment=None,
@@ -65,11 +66,16 @@ class WhStructure:
         self.alphabet = tuple(dict.fromkeys(alphabet))
         if not self.alphabet:
             raise InvariantError("empty alphabet: a semigroup needs a generator")
-        letters = merged(self.alphabet, reps.alphabet)
-        if reps.alphabet != letters:
+        letters = set(self.alphabet)
+        stray = [x for x in reps.alphabet if x not in letters] + [
+            x for x in table.terminals if x not in letters and x not in RESERVED]
+        if stray:
+            raise InvariantError(f"symbol {stray[0]!r} is outside the alphabet (and "
+                                 f"{SEP1}, {SEP2} in the table): no file declares it")
+        if reps.alphabet != self.alphabet:
             moves = [(p, x, q) for (p, x), qs in reps.transitions.items() for q in qs]
-            reps = Nfa(reps.states, letters, moves, reps.initial, reps.accepting)
-        terminals = merged(self.alphabet, (SEP1, SEP2), table.terminals)
+            reps = Nfa(reps.states, self.alphabet, moves, reps.initial, reps.accepting)
+        terminals = merged(self.alphabet, (SEP1, SEP2))
         if table.terminals != terminals:
             table = Cfg(table.nonterminals, terminals, table.start, table.productions)
         self.reps = reps
@@ -82,7 +88,6 @@ class WhStructure:
         self.assignment = {a: tuple(assignment.get(a, (a,))) for a in self.alphabet}
         self._mul_cache: dict = {}
         self._chk_cache: dict = {}
-        self._rep_cache: dict = {}
         self._normalized = None
         self._shape_violation = None  # (the violation or None,) once checked
         if check:
@@ -286,8 +291,7 @@ def save_structure(s: WhStructure, target) -> None:
 
 
 def dumps_structure(s: WhStructure) -> str:
-    """The file text, sorted in the declared orders; a symbol outside the
-    alphabet (and #1, #2 in the table) is an `InvariantError`."""
+    """The file text, sorted in the declared orders."""
     state_rank = {q: i for i, q in enumerate(s.reps.states)}
     letter_rank = {x: i for i, x in enumerate(s.reps.alphabet)}
     trans = sorted(
@@ -301,13 +305,6 @@ def dumps_structure(s: WhStructure) -> str:
         key=lambda p: (nt_rank[p[0]], len(p[1]),
                        tuple((0, nt_rank[x]) if x in nt_rank else (1, s.table.rank[x])
                              for x in p[1])))
-    letters = set(s.alphabet)
-    stray = [x for _src, x, _dst in trans if x not in letters] + [
-        x for _h, b in prods for x in b
-        if x not in letters and x not in RESERVED and x not in nt_rank]
-    if stray:
-        raise InvariantError(f"cannot write symbol {stray[0]!r}: a structure file "
-                             f"declares the alphabet, and {SEP1}, {SEP2} in the table")
     data = {
         "alphabet": list(s.alphabet),
         "reps": {

@@ -52,11 +52,12 @@ def test_multiply_z2(z2):
     assert multiply(z2, ("g",), ("g",)) == ("e",)
 
 
-def test_multiply_empty_product_language_is_an_error(free2):
+def test_multiply_empty_product_language_is_an_error():
     from whsg.cfg import Cfg
+    from whsg.nfa import Nfa
     from whsg.structure import WhStructure
 
-    s = WhStructure(("a",), free2.reps.intersect(free2.reps),
+    s = WhStructure(("a",), Nfa.from_words([("a",)], ("a",)),
                     Cfg.from_words(("a", "#1", "#2"), []))
     with pytest.raises(EmptyProductError):
         multiply(s, ("a",), ("a",))

@@ -1,7 +1,7 @@
-"""Property tests of enumeration, shortest words, least completions, regular
-intersection, the CYK chart and the merging of bisimilar nodes on random
-grammars with empty and unit bodies, against brute force, the reference
-passes and the lowering as written."""
+"""Property tests of normalization, enumeration, shortest words, least
+completions, regular intersection, the CYK chart and the merging of
+bisimilar nodes on random grammars with empty and unit bodies, against
+brute force, the reference passes and the lowering as written."""
 
 import json
 import os
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import knuth_reference
+import normalize_reference
 from conftest import all_words, declared, dense_chart, symbol_ranks
 from test_cfg import _may_begin_after, _random_cfg
 from test_differential import _unflatten_cfg
@@ -86,6 +87,23 @@ def cyclic_grammars(draw):
     prods = list(g.productions) + [(draw(st.sampled_from(nts)), ())]
     prods += [(x, (y,)) for x, y in zip(cycle, cycle[1:] + cycle[:1])]
     return Cfg(nts, g.terminals, g.start, prods)
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+@hypothesis.given(grammars(), grammars())
+def test_normalize_matches_reference(g, g2):
+    # each writer gets its own copy, since both keep their result on it;
+    # the union names its nonterminals by tuples, and the reversed copy
+    # declares them out of their sorted order
+    backward = Cfg(g.nonterminals[::-1], g.terminals, g.start, g.productions)
+    for h in (g, backward, cfglib.union_cfgs([g, g2], ("a", "b"))):
+        got, want = (write(Cfg(h.nonterminals, h.terminals, h.start,
+                               h.productions))
+                     for write in (cfglib.normalize,
+                                   normalize_reference.normalize))
+        assert (got.nonterminals, got.start, got.productions) == \
+            (want.nonterminals, want.start, want.productions)
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, database=None,

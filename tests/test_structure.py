@@ -83,15 +83,15 @@ def test_table_outside_shape_rejected():
         with pytest.raises(InvariantError, match="'#1 a #2 a'"):
             WhStructure(alphabet, star, bad)
     WhStructure(alphabet, star, Cfg.from_words(alphabet + (SEP1, SEP2), words[1:]))
-    # a flat table word with a symbol outside the alphabet is named, too
+    # a flat table with a symbol outside the alphabet names it, too
     foreign = Cfg.from_words(alphabet + ("z", SEP1, SEP2),
                              good + [("z", SEP1, "a", SEP2, "a")])
-    with pytest.raises(InvariantError, match="'z #1 a #2 a'"):
+    with pytest.raises(InvariantError, match="'z'"):
         WhStructure(alphabet, reps, foreign)
 
 
 def test_table_symbol_outside_the_alphabet_is_named_behind_a_unit_rule():
-    # the generic check's complement spans the table's own terminals too
+    # refused at construction, before the shape check, flat or generic
     alphabet = ("a",)
     reps = Nfa.from_words([("a",)], alphabet)
     words = [("a", SEP1, "a", SEP2, "a"), ("z", SEP1, "a", SEP2, "a")]
@@ -99,7 +99,7 @@ def test_table_symbol_outside_the_alphabet_is_named_behind_a_unit_rule():
     for table in (Cfg.from_words(terminals, words),
                   Cfg(["O", "X"], terminals, "O",
                       [("O", ("X",))] + [("X", w) for w in words])):
-        with pytest.raises(InvariantError, match="'z #1 a #2 a'"):
+        with pytest.raises(InvariantError, match="'z'"):
             WhStructure(alphabet, reps, table)
 
 
@@ -196,24 +196,35 @@ def _random_shape_table(rng):
 
 def test_shape_violation_matches_the_slotwise_reference():
     # the flat table and its wrapped twin run one check; both must name the
-    # shortlex-least word that a slot-by-slot split rejects
+    # shortlex-least word that a slot-by-slot split rejects, and a table
+    # that declares a symbol outside the alphabet is refused unchecked
     rng = random.Random(33)
     alphabet = ("a", "b")
-    terminals = ("a", "b", "z", SEP1, SEP2)
-    ranks = symbol_ranks((*alphabet, SEP1, SEP2, *terminals))
+    ranks = symbol_ranks((*alphabet, SEP1, SEP2))
     seen = set()  # (reps hold the empty word, the table has no violator)
+    foreign = 0
     for _ in range(120):
         reps, words = _random_shape_table(rng)
-        want = min((w for w in words if not _in_shape_reference(reps, w)),
-                   key=shortlex_key(ranks), default=None)
-        seen.add((() in reps, want is None))
+        stray = any("z" in w for w in words)
+        foreign += stray
+        terminals = (*alphabet, SEP1, SEP2) + (("z",) if stray else ())
+        want = None if stray else min(
+            (w for w in words if not _in_shape_reference(reps, w)),
+            key=shortlex_key(ranks), default=None)
         for table in (Cfg.from_words(terminals, words),
                       Cfg(["O", "X"], terminals, "O",
                           [("O", ("X",))] + [("X", w) for w in words])):
+            if stray:
+                with pytest.raises(InvariantError, match="'z'"):
+                    WhStructure(alphabet, Nfa.from_words(reps, alphabet), table,
+                                check=False)
+                continue
+            seen.add((() in reps, want is None))
             s = WhStructure(alphabet, Nfa.from_words(reps, alphabet), table,
                             check=False)
             assert s.table_shape_violation() == want, (words, table)
     assert {eps for eps, _ in seen} == {True, False} == {ok for _, ok in seen}
+    assert 0 < foreign < 120
 
 
 def test_load_checks_table_membership(free2, tmp_path):
@@ -244,17 +255,18 @@ def test_save_is_deterministic(free2):
     assert list(data) == ["alphabet", "reps", "table", "assignment"]
 
 
-def test_writing_refuses_a_symbol_the_file_cannot_declare():
-    # both structures load, but a file declares only the alphabet, and #1
-    # and #2 in the table: written, z would make a file its loader rejects
+def test_construction_refuses_a_symbol_a_file_cannot_declare():
+    # a file declares only the alphabet, and #1 and #2 in the table: a
+    # structure that declares z could not be written, checked or not
     table = Cfg(["S"], ("a", SEP1, SEP2), "S", [("S", ("a", SEP1, "a", SEP2, "a"))])
-    unreachable = WhStructure(("a",), Nfa.from_words([("a",)], ("a",)),
-                              Cfg(["S", "X"], ("a", SEP1, SEP2, "z"), "S",
-                                  [("S", ("a", SEP1, "a", SEP2, "a")), ("X", ("z",))]))
-    stray_rep = WhStructure(("a",), Nfa.from_words([("a",), ("z",)], ("a", "z")), table)
-    for s in (unreachable, stray_rep):
-        with pytest.raises(InvariantError, match=f"'z'.*{SEP1}, {SEP2}"):
-            dumps_structure(s)
+    unreachable = (("a",), Nfa.from_words([("a",)], ("a",)),
+                   Cfg(["S", "X"], ("a", SEP1, SEP2, "z"), "S",
+                       [("S", ("a", SEP1, "a", SEP2, "a")), ("X", ("z",))]))
+    stray_rep = (("a",), Nfa.from_words([("a",), ("z",)], ("a", "z")), table)
+    for args in (unreachable, stray_rep):
+        for check in (True, False):
+            with pytest.raises(InvariantError, match=f"'z'.*{SEP1}, {SEP2}"):
+                WhStructure(*args, check=check)
 
 
 # -- exports ------------------------------------------------------------------
