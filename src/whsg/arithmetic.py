@@ -66,10 +66,13 @@ def _product(s: WhStructure, p: tuple, q: tuple) -> tuple:
 
 def _prefetch(s: WhStructure, pairs) -> None:
     """Put the products of the pairs missing from the multiply cache there,
-    off one joined chart (`cfg.least_completions`).  Storing stops at the
-    first empty product, so the cache holds what taking the products one by
-    one would have stored before _product raises on that pair."""
+    off one joined chart (`cfg.least_completions`), if any is missing.
+    Storing stops at the first empty product, so the cache holds what taking
+    the products one by one would have stored before _product raises on
+    that pair."""
     todo = [pq for pq in dict.fromkeys(pairs) if pq not in s._mul_cache]
+    if not todo:
+        return
     prefixes = [p + (SEP1,) + q + (SEP2,) for p, q in todo]
     for pq, least in zip(todo, cfglib.least_completions(s.table, prefixes)):
         if not least:
@@ -80,13 +83,14 @@ def _prefetch(s: WhStructure, pairs) -> None:
 def _halved(ns: WhStructure, words) -> list:
     """Representatives of nonempty alphabet words, computed bottom-up by
     halving their letter sequences; the letters of every word are checked
-    before any is halved.  The words go one level at a time: the products
-    of a level that the multiply cache lacks are prefetched together, then
-    every product of the level is taken through _product in order.  No
-    level has more products than the one below it, so the size of the
-    first alone picks the loop: with fewer than two products each word goes
-    alone, without the joint loop's bookkeeping, as every call of
-    decide-flat does (593 a pass at seed 1)."""
+    before any is halved.  No level has more products than the one below
+    it, so the size of the first alone picks the loop: with fewer than two
+    products each word goes alone, without the joint loop's bookkeeping, as
+    every call of decide-flat does (593 a pass at seed 1).  The joint loop
+    looks each word up in the representative cache, then takes the words it
+    lacks one level at a time: the products of a level that the multiply
+    cache lacks are prefetched together, then every product of the level is
+    taken through _product in order."""
     for w in words:
         for sym in w:
             if sym not in ns.alphabet:
@@ -103,13 +107,16 @@ def _halved(ns: WhStructure, words) -> list:
                 seq = nxt
             reps.append(seq[0])
         return reps
-    seqs = [[(sym,) for sym in w] for w in words]
+    cache = ns._rep_cache
+    todo = [w for w in words if w not in cache]
+    seqs = [[(sym,) for sym in w] for w in todo]
     while any(len(seq) > 1 for seq in seqs):
         levels = [list(zip(seq[::2], seq[1::2])) for seq in seqs]
         _prefetch(ns, [pq for level in levels for pq in level])
         seqs = [[_product(ns, p, q) for p, q in level] + seq[2 * len(level):]
                 for level, seq in zip(levels, seqs)]
-    return [seq[0] for seq in seqs]
+    cache.update(zip(todo, (seq[0] for seq in seqs)))
+    return [cache[w] for w in words]
 
 
 def represent(s: WhStructure, w) -> tuple:

@@ -170,8 +170,6 @@ def flat_run(g: Cfg, prefix: tuple) -> tuple:
 
 
 def derives_epsilon(g: Cfg) -> bool:
-    if g.flat_words is not None:  # no nullable pass over a table's words
-        return () in g.flat_words
     return g.start in _nullable_set(g)
 
 

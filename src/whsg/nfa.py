@@ -4,14 +4,14 @@ A finite word set is a trie automaton like any other: every construction
 runs the one generic automaton algorithm.  Shortest words and bounded
 enumeration read the automaton as its right-linear grammar
 (`Cfg.from_nfa`) and run the one least-words pass of `cfg`.  A complement
-is a view whose subsets are built only as a product reads them.  Every
-constructor takes its alphabet, the order of its words; products, unions
-and images derive theirs by the rules of `words`.
+is a view whose subsets are built only as a product reads them; products
+are `cfg`'s, one automaton read as its grammar.  Every constructor takes
+its alphabet, the order of its words; unions and images derive theirs by
+the rules of `words`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 
 from . import cfg
@@ -157,26 +157,6 @@ class Nfa:
                 trans.append((cur, out[-1], index[dst]))
         return Nfa(range(fresh), alphabet, trans, [index[q] for q in self.initial],
                    [index[q] for q in self.accepting])
-
-    def intersect(self, other: "Nfa") -> "Nfa":
-        alphabet = merged(self.alphabet, other.alphabet)
-        start = {(p, q) for p in self.initial for q in other.initial}
-        seen = set(start)
-        agenda = deque(start)
-        trans = []
-        while agenda:
-            p, q = agenda.popleft()
-            for sym in alphabet:
-                ps = self.transitions.get((p, sym), _EMPTY)
-                qs = other.transitions.get((q, sym), _EMPTY)
-                for p2 in ps:
-                    for q2 in qs:
-                        trans.append(((p, q), sym, (p2, q2)))
-                        if (p2, q2) not in seen:
-                            seen.add((p2, q2))
-                            agenda.append((p2, q2))
-        accepting = [s for s in seen if s[0] in self.accepting and s[1] in other.accepting]
-        return Nfa(seen | start, alphabet, trans, start, accepting)
 
     def union(self, other: "Nfa") -> "Nfa":
         alphabet = merged(self.alphabet, other.alphabet)

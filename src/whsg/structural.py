@@ -123,22 +123,25 @@ def _band_automaton(alphabet, keys, place, mul, targets):
 def _cells(ns, keys, place, mul, name, tag):
     """Steps 1-3 of both species checks over a finite band of cells: letter a
     lies in cell place(a), cells x and y multiply to mul(x, y), and name(x)
-    prints x.  Step 1 gives each cell the representatives whose letters
-    multiply out to it and picks the least, step 2 checks that products of
-    two cells' representatives stay in the product cell, and step 3 finds a
-    member of each cell that stabilizes its pick on the right.  Returns
-    (cells, units), or the no-verdict of the first failing step."""
+    prints x.  A cell is its band automaton alone: in a slot, the shape
+    invariant keeps every table word among the representatives.  Step 1
+    picks each cell's least representative, one `cfg.least_word` of their
+    grammar with the band, step 2 checks that products of two cells' members
+    stay in the product cell, and step 3 finds a member of each cell that
+    stabilizes its pick on the right.  Returns (cells, units), or the
+    no-verdict of the first failing step."""
+    reps = cfglib.Cfg.from_nfa(ns.reps)
     cells, picks = {}, {}
     for x in keys:
-        cells[x] = ns.reps.intersect(_band_automaton(ns.alphabet, keys, place, mul, (x,)))
-        picks[x] = cells[x].shortest_word()
+        cells[x] = _band_automaton(ns.alphabet, keys, place, mul, (x,))
+        picks[x] = cfglib.least_word(reps, cells[x])
         if picks[x] is None:
             return Verdict.no(f"step 1: no representative in {name(x)} [{tag}]")
-    # right slots, the representatives in every other cell (no slot is
-    # empty): a generic table's product reads each one's reverse, which
-    # Nfa.reverse builds once for all k queries of its cell; a flat one none
-    escaped = {x: ns.reps.intersect(_band_automaton(
-        ns.alphabet, keys, place, mul, [y for y in keys if y != x])) for x in keys}
+    # right slots, the words in every other cell (no slot is empty): a
+    # generic table's product reads each one's reverse, which Nfa.reverse
+    # builds once for all k queries of its cell; a flat one none
+    escaped = {x: _band_automaton(ns.alphabet, keys, place, mul,
+                                  [y for y in keys if y != x]) for x in keys}
     for x in keys:
         for y in keys:
             low = mul(x, y)

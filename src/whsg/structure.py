@@ -88,6 +88,9 @@ class WhStructure:
         self.assignment = {a: tuple(assignment.get(a, (a,))) for a in self.alphabet}
         self._mul_cache: dict = {}
         self._chk_cache: dict = {}
+        # word -> representative, read and filled only by arithmetic._halved's
+        # joint loop, so that a caller repeating words halves each one once
+        self._rep_cache: dict = {}
         self._normalized = None
         self._shape_violation = None  # (the violation or None,) once checked
         if check:
@@ -122,8 +125,12 @@ class WhStructure:
         if cfglib.derives_epsilon(self.table):  # products drop the empty word
             return ()
         reps = self.reps
-        if reps.accepts(()):  # a representative is a nonempty word
-            reps = reps.intersect(Nfa.universal_nonempty(self.alphabet))
+        if reps.accepts(()):  # a representative is a nonempty word: enter
+            # through a fresh state that accepts none, moving as the initial ones
+            entry = object()
+            moves = [(p, x, q) for (p, x), qs in reps.transitions.items() for q in qs]
+            moves += [(entry, x, q) for p, x, q in moves if p in reps.initial]
+            reps = Nfa((entry, *reps.states), self.alphabet, moves, [entry], reps.accepting)
         outside = _Complement(_Slots(reps, reps, reps), self.table.terminals)
         return cfglib.least_word(self.table, outside)
 

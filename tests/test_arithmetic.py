@@ -205,3 +205,37 @@ def test_batched_halving_keeps_the_error_contract_on_a_flat_table():
     # a flat table takes the level-by-level loop too, once its first level
     # has two or more products
     _check_the_error_contract(flat=True)
+
+
+def test_a_second_word_eq_pass_halves_no_word_again(monkeypatch):
+    # the joint loop keeps each word's representative: a second pass over
+    # the same words asks the table nothing and runs no halving level, each
+    # of which prefetches once; the one-word loop reads the multiply cache
+    from whsg import arithmetic
+    from whsg import cfg as cfglib
+    from whsg.oracle import rees_monoid_table
+
+    t = rees_monoid_table()
+    s = structure_from_table(t)
+    words = all_words(s.alphabet, 3)[:60]
+    first = [word_eq(s, w, w2) for w in words for w2 in words]
+    ns = normalize_generators(s)
+    assert ns._rep_cache
+    products = dict(ns._mul_cache)
+    calls = {"least_completions": 0, "_prefetch": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cfglib, "least_completions")
+    counting(arithmetic, "_prefetch")
+    second = [word_eq(s, w, w2) for w in words for w2 in words]
+    assert second == first
+    assert first == [t.eval_word(w) == t.eval_word(w2) for w in words for w2 in words]
+    assert calls == {"least_completions": 0, "_prefetch": 0}
+    assert ns._mul_cache == products

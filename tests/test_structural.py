@@ -6,13 +6,15 @@ import re
 import pytest
 
 import palindrome_reference
+import species_reference
 from conftest import all_words
 from species_enumeration import (TooManySpecies, _free_semilattice,
                                  enumerate_clifford_species,
                                  enumerate_cs_species, first_accepted)
 from test_differential import _generic_twin
+from test_multirep import TABLES as REDUNDANT_TABLES, redundant_structure
 from whsg import cfg as cfglib
-from whsg import fixtures
+from whsg import fixtures, structural
 from whsg.arithmetic import check_multiply, multiply, word_eq
 from whsg.basic import green_related, is_commutative, is_group, is_monoid
 from whsg.cfg import Cfg
@@ -269,6 +271,67 @@ def test_derived_species_match_first_enumerated(prop, decide):
         assert (got.answer, got.witnesses) == (want.answer, want.witnesses), label
         if got:
             assert got.reason == want.reason, label
+
+
+def _both_cell_phases(monkeypatch, run, make):
+    """run(make()) with `structural._cells`, then run(make()) again with the
+    product-automaton phase of `species_reference` in its place; each run
+    gets a structure of its own, so no cache is shared."""
+    got = run(make())
+    with monkeypatch.context() as m:
+        m.setattr(structural, "_cells", species_reference.cells)
+        want = run(make())
+    return got, want
+
+
+def _verdicts(verdicts):
+    return [(v.answer, v.reason, v.witnesses) for v in verdicts]
+
+
+@pytest.mark.parametrize("enumerate_species,check", [
+    (enumerate_cs_species, cs_species_check),
+    (enumerate_clifford_species, clifford_species_check)])
+def test_species_checks_match_the_product_cell_reference(monkeypatch,
+                                                         enumerate_species, check):
+    # every species the enumeration gives for the order <= 3 corpus and the
+    # named tables, 41,209 of them for rees's six generators; rees has too
+    # many semilattice species to enumerate
+    tables = list(small_semigroups(3)) + [make() for make in NAMED_TABLES.values()]
+    for t in tables:
+        try:
+            species = enumerate_species(structure_from_table(t).alphabet)
+        except TooManySpecies:
+            continue
+
+        def run(s):
+            return _verdicts(check(s, sp) for sp in species)
+        got, want = _both_cell_phases(monkeypatch, run,
+                                      functools.partial(structure_from_table, t))
+        assert got == want, t.elements
+
+
+def _species_structures():
+    """The fixtures, the generic twins of rb22, sl2, rees and free2c, and
+    the structures with redundant representatives."""
+    makes = dict(fixtures.NAMED)
+    for name in ("rb22", "sl2", "rees", "free2c"):
+        makes[f"{name}-twin"] = functools.partial(
+            lambda make: _generic_twin(make()), fixtures.NAMED[name])
+    for name, table in REDUNDANT_TABLES.items():
+        makes[f"{name}-redundant"] = functools.partial(
+            lambda table: redundant_structure(table()), table)
+    return makes
+
+
+SPECIES_STRUCTURES = _species_structures()
+
+
+@pytest.mark.parametrize("name", SPECIES_STRUCTURES)
+def test_species_procedures_match_the_product_cell_reference(monkeypatch, name):
+    def run(s):
+        return _verdicts((is_completely_simple(s), is_clifford(s)))
+    got, want = _both_cell_phases(monkeypatch, run, SPECIES_STRUCTURES[name])
+    assert got == want
 
 
 _TWO_CLASSES = re.compile(r"classes \{([^}]*)\} and \{([^}]*)\} join to \{")

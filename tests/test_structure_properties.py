@@ -89,7 +89,7 @@ def _automata(s):
     palindromes, all words with and without the empty one, no word, and
     only the empty word."""
     letters = s.alphabet
-    short = s.reps.intersect(Nfa.from_words(all_words(letters, 2), letters))
+    short = Nfa.from_words(s.reps.enumerate_words(2), letters)
     return [s.reps, short, short.union(Nfa.from_words([letters[-1:] * 3], letters)),
             Nfa.from_words([letters[:2], letters[:1] + letters[:2]], letters),
             Nfa.universal(letters), Nfa.universal_nonempty(letters),
