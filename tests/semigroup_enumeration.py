@@ -3,7 +3,7 @@ one cell at a time in row-major order, and a value stays only if every
 triple whose four products are known, one of them the newest cell,
 associates.  `oracle.small_semigroups` tries all n^(n^2) tables instead,
 which stops it at order 3; this search lists the 3,492 labelled tables of
-order 4 in about half a second."""
+order 4 in about half a second on a 2-vCPU machine."""
 
 import itertools
 

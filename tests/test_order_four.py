@@ -44,8 +44,6 @@ def _check_witnesses(t, prop, verdict):
             assert value(w) == t.identity()
         elif key == "left":
             assert value(w) != value(verdict.witnesses["right"])
-        elif key == "right":
-            pass
         elif key.startswith("idempotent_"):
             idempotents.append(value(w))
         elif key.startswith("decomposition_"):
@@ -53,7 +51,8 @@ def _check_witnesses(t, prop, verdict):
         else:
             # is_free's refutations name a word of a language (the
             # representatives or the projected table), not an element
-            assert prop == "free" and key in ("counterexample", "defect"), key
+            assert key == "right" or (prop == "free" and key in (
+                "counterexample", "defect")), key
     if idempotents:
         # one idempotent per cell, or per class of the semilattice: every
         # idempotent of the table, once

@@ -310,20 +310,14 @@ def test_species_checks_match_the_product_cell_reference(monkeypatch,
         assert got == want, t.elements
 
 
-def _species_structures():
-    """The fixtures, the generic twins of rb22, sl2, rees and free2c, and
-    the structures with redundant representatives."""
-    makes = dict(fixtures.NAMED)
-    for name in ("rb22", "sl2", "rees", "free2c"):
-        makes[f"{name}-twin"] = functools.partial(
-            lambda make: _generic_twin(make()), fixtures.NAMED[name])
-    for name, table in REDUNDANT_TABLES.items():
-        makes[f"{name}-redundant"] = functools.partial(
-            lambda table: redundant_structure(table()), table)
-    return makes
-
-
-SPECIES_STRUCTURES = _species_structures()
+# the fixtures, the generic twins of rb22, sl2, rees and free2c, and the
+# structures with redundant representatives, each by its constructor
+SPECIES_STRUCTURES = {
+    **fixtures.NAMED,
+    **{f"{name}-twin": lambda name=name: _generic_twin(fixtures.NAMED[name]())
+       for name in ("rb22", "sl2", "rees", "free2c")},
+    **{f"{name}-redundant": lambda table=table: redundant_structure(table())
+       for name, table in REDUNDANT_TABLES.items()}}
 
 
 @pytest.mark.parametrize("name", SPECIES_STRUCTURES)
