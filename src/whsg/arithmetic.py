@@ -80,22 +80,26 @@ def _prefetch(s: WhStructure, pairs) -> None:
         s._mul_cache[pq] = least[0]
 
 
-def _halved(ns: WhStructure, words) -> list:
-    """Representatives of nonempty alphabet words, computed bottom-up by
-    halving their letter sequences; the letters of every word are checked
-    before any is halved.  No level has more products than the one below
-    it, so the size of the first alone picks the loop: with fewer than two
-    products each word goes alone, without the joint loop's bookkeeping, as
-    every call of decide-flat does (593 a pass at seed 1).  The joint loop
-    looks each word up in the representative cache, then takes the words it
-    lacks one level at a time: the products of a level that the multiply
-    cache lacks are prefetched together, then every product of the level is
-    taken through _product in order."""
+def _check_letters(ns: WhStructure, words) -> None:
     for w in words:
         for sym in w:
             if sym not in ns.alphabet:
                 raise OperandError(f"letter {sym!r} is not in the alphabet")
+
+
+def _halved(ns: WhStructure, words) -> list:
+    """Representatives of nonempty alphabet words, computed bottom-up by
+    halving their letter sequences; a word's letters are checked before any
+    word is halved.  No level has more products than the one below it, so
+    the size of the first alone picks the loop: with fewer than two products
+    each word goes alone, without the joint loop's bookkeeping, as every
+    call of decide-flat does (593 a pass at seed 1).  The joint loop checks
+    and takes only the words the representative cache lacks (it holds no
+    foreign letter), one level at a time: the products of a level that the
+    multiply cache lacks are prefetched together, then every product of the
+    level is taken through _product in order."""
     if sum(len(w) // 2 for w in words) < 2:
+        _check_letters(ns, words)
         reps = []
         for w in words:
             seq = [(sym,) for sym in w]
@@ -109,6 +113,9 @@ def _halved(ns: WhStructure, words) -> list:
         return reps
     cache = ns._rep_cache
     todo = [w for w in words if w not in cache]
+    if not todo:
+        return [cache[w] for w in words]
+    _check_letters(ns, todo)
     seqs = [[(sym,) for sym in w] for w in todo]
     while any(len(seq) > 1 for seq in seqs):
         levels = [list(zip(seq[::2], seq[1::2])) for seq in seqs]

@@ -56,7 +56,7 @@ intersection alone reads the lowering of the normal form as written,
 whose nodes name the items it writes.
 `is_free` substitutes its representatives by `Nfa.substitute`.  An
 automaton's shortest and enumerated words come from `_Pass` too, over its
-right-linear grammar `Cfg.from_nfa`.
+right-linear grammar `Cfg.from_nfa`, one per automaton.
 """
 
 from __future__ import annotations
@@ -120,18 +120,20 @@ class Cfg:
 
     @classmethod
     def from_nfa(cls, a: Nfa) -> "Cfg":
-        """The right-linear grammar of an automaton: state i of a.states is
-        the nonterminal i, with an epsilon body when it accepts and a body
-        (sym, j) for each arc to state j; the start n = |states| has a unit
-        body for each initial state.  Int nonterminals never clash with
-        string terminals, whatever the states are named."""
-        index = {q: i for i, q in enumerate(a.states)}
-        n = len(index)
-        prods = [(n, (index[q],)) for q in a.initial]
-        prods += [(index[q], ()) for q in a.accepting]
-        prods += [(index[p], (sym, index[q]))
-                  for (p, sym), qs in a.transitions.items() for q in qs]
-        return cls(range(n + 1), a.alphabet, n, prods)
+        """The right-linear grammar of an automaton, kept on it: state i of
+        a.states is the nonterminal i, with an epsilon body when it accepts
+        and a body (sym, j) for each arc to state j; the start n = |states|
+        has a unit body for each initial state.  Int nonterminals never
+        clash with string terminals, whatever the states are named."""
+        if a._grammar is None:
+            index = {q: i for i, q in enumerate(a.states)}
+            n = len(index)
+            prods = [(n, (index[q],)) for q in a.initial]
+            prods += [(index[q], ()) for q in a.accepting]
+            prods += [(index[p], (sym, index[q]))
+                      for (p, sym), qs in a.transitions.items() for q in qs]
+            a._grammar = cls(range(n + 1), a.alphabet, n, prods)
+        return a._grammar
 
     def _detect_flat(self):
         ts = set(self.terminals)

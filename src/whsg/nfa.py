@@ -1,13 +1,13 @@
 """Nondeterministic finite automata and the regular-language algebra.
 
 A finite word set is a trie automaton like any other: every construction
-runs the one generic automaton algorithm.  Shortest words and bounded
-enumeration read the automaton as its right-linear grammar
-(`Cfg.from_nfa`) and run the one least-words pass of `cfg`.  A complement
-is a view whose subsets are built only as a product reads them; products
-are `cfg`'s, one automaton read as its grammar.  Every constructor takes
-its alphabet, the order of its words; unions and images derive theirs by
-the rules of `words`.
+runs the one generic automaton algorithm.  An automaton keeps one
+right-linear grammar (`Cfg.from_nfa`), whose normal form, merged lowering
+and passes serve its shortest words, its bounded enumeration and every
+product that reads it as a grammar.  A complement is a view whose subsets
+are built only as a product reads them; products are `cfg`'s.  Every
+constructor takes its alphabet, the order of its words; unions and images
+derive theirs by the rules of `words`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ class Nfa:
         if not self.initial <= sset or not self.accepting <= sset:
             raise ValueError("undeclared initial or accepting state")
         self._reversed = None
+        self._grammar = None       # Cfg.from_nfa(self)
         self._accepted: dict = {}  # word -> accepts(word)
 
     # -- construction helpers -------------------------------------------------
@@ -179,21 +180,6 @@ class Nfa:
     def complement(self, alphabet) -> "_Complement":
         """Complement relative to (alphabet)*."""
         return _Complement(self, alphabet)
-
-    def equivalent(self, other: "Nfa"):
-        """(equal?, counterexample): the least word of self - other, else of
-        other - self, in the order of self's alphabet and then other's.
-        Products drop the empty word, so it is tested first."""
-        alphabet = merged(self.alphabet, other.alphabet)
-        for a, b in ((self, other), (other, self)):
-            if a.accepts(()) and not b.accepts(()):
-                return False, ()
-            g = cfg.Cfg.from_nfa(a)  # its words ordered by the joint alphabet
-            w = cfg.least_word(cfg.Cfg(g.nonterminals, alphabet, g.start, g.productions),
-                               b.complement(alphabet))
-            if w is not None:
-                return False, w
-        return True, None
 
     def __eq__(self, other):
         if not isinstance(other, Nfa):

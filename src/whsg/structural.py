@@ -125,11 +125,11 @@ def _cells(ns, keys, place, mul, name, tag):
     lies in cell place(a), cells x and y multiply to mul(x, y), and name(x)
     prints x.  A cell is its band automaton alone: in a slot, the shape
     invariant keeps every table word among the representatives.  Step 1
-    picks each cell's least representative, one `cfg.least_word` of their
-    grammar with the band, step 2 checks that products of two cells' members
-    stay in the product cell, and step 3 finds a member of each cell that
-    stabilizes its pick on the right.  Returns (cells, units), or the
-    no-verdict of the first failing step."""
+    picks each cell's least representative, one `cfg.least_word` of the
+    band with the representatives' kept grammar, step 2 checks that products
+    of two cells' members stay in the product cell, and step 3 finds a
+    member of each cell that stabilizes its pick on the right.  Returns
+    (cells, units), or the no-verdict of the first failing step."""
     reps = cfglib.Cfg.from_nfa(ns.reps)
     cells, picks = {}, {}
     for x in keys:
@@ -485,7 +485,8 @@ def _mirrors(w) -> bool:
 
 def is_free(s: WhStructure) -> Verdict:
     """Eliminate decomposable generators, then demand that the representatives
-    are all nonempty words and the projected table is purely palindromic."""
+    are all nonempty words (they miss the empty word, and one product finds
+    no word of A+ outside them) and the projected table is purely palindromic."""
     ns = normalize_generators(s)
     alphabet = list(ns.alphabet)
     reps = ns.reps
@@ -512,12 +513,14 @@ def is_free(s: WhStructure) -> Verdict:
         alphabet.remove(a)
     if not alphabet:
         return Verdict.no("every generator was eliminated")
-    ok, counter = reps.equivalent(Nfa.universal_nonempty(alphabet))
-    if not ok:
-        extra = {} if counter is None else {"counterexample": counter}
+    # reps declares exactly the remaining letters, in this order, so
+    # reps - A+ holds at most the empty word
+    counter = () if reps.accepts(()) else cfglib.least_word(cfglib.Cfg.from_nfa(
+        Nfa.universal_nonempty(alphabet)), reps.complement(alphabet))
+    if counter is not None:
         return Verdict.no(
             "representatives differ from the nonempty words over "
-            + ",".join(alphabet), extra)
+            + ",".join(alphabet), {"counterexample": counter})
     proj = Transducer.letter_map(
         {**{b: (b,) for b in alphabet}, SEP1: (), SEP2: (SEP2,)})
     defect = palindromic_defect(proj.apply_to_cfg(table))

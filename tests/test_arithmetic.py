@@ -239,3 +239,15 @@ def test_a_second_word_eq_pass_halves_no_word_again(monkeypatch):
     assert first == [t.eval_word(w) == t.eval_word(w2) for w in words for w2 in words]
     assert calls == {"least_completions": 0, "_prefetch": 0}
     assert ns._mul_cache == products
+
+
+def test_the_joint_loop_checks_the_letters_of_uncached_words(free2):
+    # the joint loop looks its words up before it checks any letter: a
+    # cached a b lets the lookup pass, and the one uncached word, which holds
+    # the foreign x, still raises before anything is halved or cached
+    ns = normalize_generators(free2)
+    assert word_eq(free2, ("a", "b", "a", "b"), ("a", "b", "a", "b"))
+    assert ("a", "b") in ns._rep_cache
+    with pytest.raises(OperandError, match="'x'"):
+        word_eq(free2, ("a", "b", "a", "b"), ("a", "b", "a", "x"))
+    assert not any("x" in w for w in ns._rep_cache)

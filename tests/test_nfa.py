@@ -1,6 +1,7 @@
 import random
 
 from conftest import all_words
+from equivalence_reference import equivalent
 from whsg import cfg as cfglib
 from whsg.nfa import Nfa
 from whsg.words import SEP1, SEP2
@@ -32,14 +33,14 @@ def test_reversal_single_word():
 
 
 def test_equivalence_free2_reps(free2):
-    ok, counter = free2.reps.equivalent(Nfa.universal_nonempty(("a", "b")))
+    ok, counter = equivalent(free2.reps, Nfa.universal_nonempty(("a", "b")))
     assert ok and counter is None
 
 
 def test_equivalence_detects_difference():
     a = Nfa.universal_nonempty(("a", "b"))
     b = Nfa.universal(("a", "b"))
-    ok, counter = a.equivalent(b)
+    ok, counter = equivalent(a, b)
     assert not ok
     assert counter == ()
 
@@ -49,8 +50,13 @@ def test_equivalence_counterexample_follows_the_first_alphabet():
     # is least in the joint order, self's alphabet and then other's
     none = Nfa.from_words([], ("a", "b"))
     both = Nfa.from_words([("a",), ("b",)], ("b", "a"))
-    assert none.equivalent(both) == (False, ("a",))
-    assert both.equivalent(none) == (False, ("b",))
+    assert equivalent(none, both) == (False, ("a",))
+    assert equivalent(both, none) == (False, ("b",))
+
+
+def test_an_automaton_keeps_one_grammar():
+    a = Nfa.universal_nonempty(("a", "b"))
+    assert cfglib.Cfg.from_nfa(a) is cfglib.Cfg.from_nfa(a)
 
 
 def test_emptiness_witness_of_intersection():
@@ -117,7 +123,7 @@ def test_algebra_agrees_with_enumeration():
         x_y = [w for w in words if x.accepts(w) and not y.accepts(w)]
         y_x = [w for w in words if y.accepts(w) and not x.accepts(w)]
         counter = (x_y or y_x or [None])[0]
-        assert x.equivalent(y) == (counter is None, counter)
+        assert equivalent(x, y) == (counter is None, counter)
         nonempty = [w for w in x_y if w]
         got = cfglib.least_word(cfglib.Cfg.from_nfa(x), y.complement(("a", "b")))
         assert got == (nonempty[0] if nonempty else None)

@@ -102,6 +102,32 @@ def test_merging_bisimilar_nodes_is_near_linear_on_a_cycle():
     assert slope <= 1.3, (slope, times)
 
 
+def _hub(k):
+    """_cycle(k) under two hubs, S -> Ai b and T -> Ai b for every node Ai,
+    and the start Z -> S a | T a.  S and T share one block, which every
+    split of the cycle's nodes touches."""
+    c = _cycle(k)
+    prods = [(h, (x, "b")) for h in "ST" for x in c.nonterminals]
+    prods += [("Z", ("S", "a")), ("Z", ("T", "a"))]
+    return Cfg(["Z", "S", "T", *c.nonterminals], c.terminals, "Z",
+               prods + list(c.productions))
+
+
+def test_merging_bisimilar_nodes_is_near_linear_under_a_hub():
+    sizes = [1000, 2000, 4000, 8000]
+    times = []
+    for k in sizes:
+        times.append(_fastest(cfglib.cnf_of, runs=3,
+                              make=lambda: (normalize(_hub(k)),)))
+        # the cycle's k nodes, one block for S and T, Z and the wrappers
+        assert cfglib.cnf_of(_hub(k)).size == k + 4
+    slope = _fitted_slope(sizes, times)
+    # moving only the counts of the rules whose child changed block gives
+    # about 1; reading a touched parent's whole key, all k rules of the
+    # hub, gives 2
+    assert slope <= 1.5, (slope, times)
+
+
 def _reference_cyk_masks(cnf, w):
     """The bit-parallel chart as it was before rows were tracked: every
     binary rule at every length and split."""

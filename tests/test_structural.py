@@ -8,6 +8,7 @@ import pytest
 import palindrome_reference
 import species_reference
 from conftest import all_words
+from equivalence_reference import equivalent
 from species_enumeration import (TooManySpecies, _free_semilattice,
                                  enumerate_clifford_species,
                                  enumerate_cs_species, first_accepted)
@@ -328,6 +329,26 @@ def test_species_procedures_match_the_product_cell_reference(monkeypatch, name):
     assert got == want
 
 
+def test_species_checks_normalize_the_representatives_grammar_once(monkeypatch):
+    # the automaton keeps its grammar, so the Clifford check's cell picks
+    # read the normal form that the completely simple check's wrote
+    s = _generic_twin(fixtures.NAMED["z2"]())
+    reps = Cfg.from_nfa(normalize_generators(s).reps)
+    asked, written = [], []
+    original = cfglib.normalize
+
+    def counting(g):
+        if g == reps:
+            asked.append(g)
+            if g._normal is None:
+                written.append(g)
+        return original(g)
+    monkeypatch.setattr(cfglib, "normalize", counting)
+    assert is_completely_simple(s).answer == "yes"
+    assert is_clifford(s).answer == "yes"
+    assert len(asked) >= 2 and len(written) == 1
+
+
 _TWO_CLASSES = re.compile(r"classes \{([^}]*)\} and \{([^}]*)\} join to \{")
 _THREE_CLASSES = re.compile(r"classes \{([^}]*)\}, \{([^}]*)\} and \{([^}]*)\} "
                             r"join to \{[^}]*\} through \{([^}]*)\} and to "
@@ -564,7 +585,7 @@ def _is_free_by_slot_shape(s):
         alphabet.remove(a)
     if not alphabet:
         return Verdict.no("")
-    ok, counter = reps.equivalent(Nfa.universal_nonempty(alphabet))
+    ok, counter = equivalent(reps, Nfa.universal_nonempty(alphabet))
     if not ok:
         return Verdict.no("", {} if counter is None else {"counterexample": counter})
     proj = Transducer.letter_map(
