@@ -488,20 +488,21 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
 
     Interpretability itself is not decidable and is trusted; this verifies the
     containment invariant, that every sampled product has a representative,
-    that words sharing a product entry test equal, and that sampled triple
-    products associate.
+    that each of the up to three least completions w of a sampled pair's
+    entry with |w| <= |r| + 1 tests equal to the pair's product r, naming w,
+    r and the pair if not, and that sampled triple products associate.
 
     Each phase asks its kernel questions off joined charts, a few for the
     whole phase rather than one per question: the sampled pairs' products
     (`arithmetic._prefetch`), then their three least completions, one
     `cfg.least_completions` call per length bound; the triples' new
     products u.(v.x) (`arithmetic._prefetch` again), then their distinct
-    product checks, one `cfg.memberships` call.  The pairs are then read
-    in loop order; the checks are gathered in loop order up to the first
-    triple whose product raises `EmptyProductError`, and scanned in that
-    order, so the first failure reported is the one the loops would meet:
-    a failing check before that triple, else its exception.  A failing
-    first pair still costs every pair's product.
+    product checks, one `cfg.memberships` call.  The pairs' entries are
+    then tested in loop order; the checks are gathered in loop order up to
+    the first triple whose product raises `EmptyProductError`, and scanned
+    in that order, so the first failure reported is the one the loops would
+    meet: a failing check before that triple, else its exception.  A
+    failing first pair still costs every pair's product.
     """
     from . import arithmetic
 
@@ -516,18 +517,6 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
         Cfg.from_nfa(ns.reps), max(depth - 1, 1)), VALIDATE_SAMPLE_CAP))
     if not words:
         return Verdict.no("representative language is empty")
-
-    classes: dict = {}
-
-    def find(w):
-        while classes.get(w, w) != w:
-            w = classes[w]
-        return w
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            classes[ru] = rv
 
     pairs = [(u, v) for u in words for v in words
              if len(u) + len(v) <= depth]
@@ -546,17 +535,12 @@ def validate_necessary(s: WhStructure, depth: int = 4) -> Verdict:
     for bound, group in by_bound.items():
         least.update(zip(group, cfglib.least_completions(
             ns.table, [u + (SEP1,) + v + (SEP2,) for u, v in group], 3, bound)))
-    for pq, r in zip(pairs, products):
-        for w in least[pq]:
-            union(r, w)
-    seen: dict = {}
-    for w in list(classes) + list(words):
-        root = find(w)
-        other = seen.setdefault(root, w)
-        if other != w and not arithmetic.word_eq(ns, w, other):
-            return Verdict.no(
-                f"words {' '.join(w)!r} and {' '.join(other)!r} share a table entry "
-                f"but test unequal")
+    for (u, v), r in zip(pairs, products):
+        for w in least[u, v]:
+            if w != r and not arithmetic.word_eq(ns, w, r):
+                return Verdict.no(
+                    f"words {' '.join(w)!r} and {' '.join(r)!r} (both {' '.join(u)!r} * "
+                    f"{' '.join(v)!r}) share a table entry but test unequal")
 
     def groups():
         # each (u, v) with the x that complete a triple, a slice of the
