@@ -8,15 +8,18 @@ terminals.
 
 Grammars whose productions are all flat terminal words from the start
 symbol (finite multiplication tables, mostly) expose ``flat_words``, from
-which `membership`, `derives_epsilon`, `least_completions` (one prefix at
-a time), `least_word` and `intersects` answer; this module is the only one
-that tells such tables apart, beside the transducer image's shortcut.
-Without them the finite-table procedures spend most of their time on
-charts and products over hundreds of lowered nodes.  The completions read
-only the words that begin with their prefix, one run of the sorted words
-(`flat_run`), and `least_word` and `intersects` those that begin with
-their space's `prefix`, or all unsorted when the space forces none, as the
-shape check's complement does.  Everything else goes through one cached
+which `membership`, `least_completions` (one prefix at a time),
+`least_word` and `intersects` answer; this module is the only one that
+tells such tables apart, beside the transducer image's shortcut.  Without
+them the finite-table procedures spend most of their time on charts and
+products over hundreds of lowered nodes.  The completions read only the
+words that begin with their prefix, one run of the sorted words
+(`flat_run`).  `least_word` and `intersects` let a slot view
+(`structure._Slots`, or a complement of one) pick its words off the
+table's cut (`flat_cut`): each word cut once at its first #1 and the next
+#2 into the entry (u, v, y) of u #1 v #2 y, grouped by u, beside the words
+that do not cut.  Any other space is asked about every word, as the
+palindromic test's complement is.  Everything else goes through one cached
 lowering to bodies of at most two symbols.  The queries read the lowering
 of the normal form with its bisimilar nodes merged (`cnf_of`, by the
 coarsest partition of `partition.bisimilar_blocks`), built once per
@@ -69,7 +72,7 @@ from collections import defaultdict, deque
 from typing import TYPE_CHECKING
 
 from .partition import bisimilar_blocks
-from .words import shortlex_key, spelled
+from .words import SEP1, SEP2, shortlex_key, spelled
 
 if TYPE_CHECKING:
     from .nfa import Nfa
@@ -113,6 +116,7 @@ class Cfg:
         self._lowered = None
         self._cnf = None
         self._sorted = None
+        self._cut = None
 
     @classmethod
     def from_words(cls, terminals, words) -> "Cfg":
@@ -169,6 +173,26 @@ def flat_run(g: Cfg, prefix: tuple) -> tuple:
     n = len(prefix)
     lo = bisect_left(words, prefix)
     return words[lo:bisect_right(words, prefix, lo, key=lambda w: w[:n])]
+
+
+def flat_cut(g: Cfg) -> tuple:
+    """(entries, uncut) of a flat g, which the first call on g builds and
+    keeps: `entries` maps each u to the (v, y, w) of every word
+    w = u #1 v #2 y, cut at its first #1 and the next #2, and `uncut`
+    holds the nonempty words with no such cut."""
+    if g._cut is None:
+        entries, uncut = {}, []
+        for w in g.flat_words:
+            try:
+                i = w.index(SEP1)
+                j = w.index(SEP2, i + 1)
+            except ValueError:
+                if w:
+                    uncut.append(w)
+                continue
+            entries.setdefault(w[:i], []).append((w[i + 1:j], w[j + 1:], w))
+        g._cut = (entries, tuple(uncut))
+    return g._cut
 
 
 def derives_epsilon(g: Cfg) -> bool:
@@ -834,9 +858,10 @@ def least_word(g: Cfg, a):
     `a` is an `Nfa` or a state space of `_asked` whose moves output the
     symbol they read, with `accepts(w)` for a flat table, such as the slot
     view `structure._Slots` or its complement (`nfa._Complement`), which
-    the load-time shape check asks about.  A flat table reads only its words
-    beginning with the space's `prefix`, as a slot view has (`flat_run`), or
-    all of them unsorted for a space without one, such as the complement.
+    the load-time shape check asks about.  On a flat table a space that
+    `picks` takes its words off the table's cut (`flat_cut`), which that
+    first query builds, and the least is chosen by `shortlex_key`; any other
+    space is asked about every word.
 
     Knuth's lightest-derivation pass (1977) in the weighted-deduction form of
     Nederhof (2003) over the items (p, A, q) of the pairs that the closure of
@@ -846,8 +871,7 @@ def least_word(g: Cfg, a):
     concatenation is monotone, so they settle in ascending order.
     """
     if g.flat_words is not None:
-        return min((w for w in _flat_candidates(g, a) if w and a.accepts(w)),
-                   key=shortlex_key(g.rank), default=None)
+        return min(_flat_accepted(g, a), key=shortlex_key(g.rank), default=None)
     cnf = cnf_of(g)
     starts, top, leaves, firsts = _asked(cnf, a)
     if not top:
@@ -882,19 +906,21 @@ def least_word(g: Cfg, a):
 
 def intersects(g: Cfg, a) -> bool:
     """least_word(g, a) is not None, with no word settled: every item the
-    closure of `_asked` builds derives some word, so a top item is one."""
+    closure of `_asked` builds derives some word, so a top item is one, and a
+    flat table stops at the first (nonempty) word its space takes."""
     if g.flat_words is not None:
-        return any(w and a.accepts(w) for w in _flat_candidates(g, a))
+        return any(_flat_accepted(g, a))
     return bool(_asked(cnf_of(g), a)[1])
 
 
-def _flat_candidates(g: Cfg, a):
-    """The words of a flat table that `a` may accept, by its `prefix`."""
+def _flat_accepted(g: Cfg, a):
+    """The nonempty words of a flat g that `a` accepts: picked off the cut
+    by a space that `picks`, else asked one by one."""
     # flat shortcut: without it decide-flat ran 7,280-8,042 -> 1,781-1,786
-    # ops/s (3 alternated 5 s pairs, seed 1), at 2.5 MB more peak RSS;
-    # sorting the words for an empty prefix cost 8 % of its setup_s
-    prefix = getattr(a, "prefix", ())
-    return flat_run(g, prefix) if prefix else g.flat_words
+    # ops/s (3 alternated 5 s pairs, seed 1), at 2.5 MB more peak RSS
+    if getattr(a, "picks", False):
+        return a.pick(flat_cut(g))
+    return (w for w in g.flat_words if w and a.accepts(w))
 
 
 def _asked(cnf: _Lowered, space):

@@ -202,7 +202,8 @@ class _Complement:
     the frozenset of space states that a prefix reaches, accepting when it
     holds no accepting one, so the view is its own `accepting`.  A move is
     worked out when a product first asks for it and kept in `next`: only the
-    subsets a product reaches are built, never the whole exponential set."""
+    subsets a product reaches are built, never the whole exponential set.
+    Over a slot view it picks a flat table's words as the view does."""
 
     __slots__ = ("_space", "_alphabet", "_ends", "initial", "next")
 
@@ -229,6 +230,18 @@ class _Complement:
             got = self.next[(state, sym)] = ((frozenset(
                 r for q in state for r, _out in self._space.moves(q, sym)), (sym,)),)
         return got
+
+    @property
+    def picks(self):
+        """Whether `pick` serves a flat table, as it does over a space that
+        picks (`structure._Slots`)."""
+        return getattr(self._space, "picks", False)
+
+    def pick(self, cut):
+        """The words of a flat table's cut (`cfg.flat_cut`) over `alphabet`
+        that the space refuses."""
+        alphabet = self._alphabet
+        return (w for w in self._space.pick(cut, False) if alphabet.issuperset(w))
 
     def accepts(self, w) -> bool:
         # most words a check asks about are in the space: test that first

@@ -169,50 +169,51 @@ class _Slots:
     names.
 
     `cfg.least_word` and `cfg.intersects` read it by the state-space
-    protocol of `cfg._asked`, each move's output the symbol read, and by
-    `accepts(w)`.  Slot queries read it as it is, and the load-time shape
-    check reads its complement (`nfa._Complement`) with every slot the
-    representatives.  State (i, q) is state q of slot i: a word slot's states
-    are its positions, an automaton slot keeps its own, and an any-word slot
-    has one, 0, looping on all but the separators, which `accepts` does not
-    check: by the shape invariant it reads as the representatives.  A
-    separator moves from the accepting states of one slot to the initial
-    states of the next.  A right automaton is reversed only when its moves
-    are asked for.  `prefix` is what every accepted word begins with: the
-    word slots before the first other slot, each followed by its separator;
-    a flat table's `cfg.least_word` reads only its words that begin with it.
+    protocol of `cfg._asked`, each move's output the symbol read, on a
+    generic table, and on a flat one by `pick`, which takes the words it
+    accepts off the table's cut (`cfg.flat_cut`).  Slot queries read it as
+    it is, and the load-time shape check reads its complement
+    (`nfa._Complement`) with every slot the representatives.  State (i, q)
+    is state q of slot i: a word slot's states are its positions, an
+    automaton slot keeps its own, and an any-word slot has one, 0, looping
+    on all but the separators, which `accepts` and `pick` do not check: by
+    the shape invariant it reads as the representatives.  A separator moves
+    from the accepting states of one slot to the initial states of the
+    next.  A right automaton is reversed only when its moves are asked for.
+    Each slot's own initial and accepting states are worked out when a
+    product first reads `initial` (or `accepting`): a flat table's queries
+    never do.
     """
 
-    __slots__ = ("_parts", "_starts", "_ends", "_words", "_automata", "prefix")
+    __slots__ = ("_parts", "_starts", "_ends")
+    picks = True  # cfg.least_word and cfg.intersects may call pick
 
     def __init__(self, left, middle, right):
         if right is not None and not isinstance(right, Nfa):
             right = reverse(right)  # as it stands in a table word
-        self._parts = parts = [x if x is None or isinstance(x, Nfa) else tuple(x)
-                               for x in (left, middle, right)]
-        self._words = [i for i, x in enumerate(parts) if type(x) is tuple]
-        self._automata = [i for i, x in enumerate(parts) if isinstance(x, Nfa)]
-        # each slot's own initial and accepting states; an any-word slot's one
-        # state (i, 0) does both
-        self._starts = [x.initial if isinstance(x, Nfa) else (0,) for x in parts]
-        self._ends = [x.accepting if isinstance(x, Nfa)
-                      else (0,) if x is None else (len(x),) for x in parts]
-        if isinstance(right, Nfa):  # read reversed, it starts where it accepts
-            self._starts[2], self._ends[2] = right.accepting, right.initial
-        prefix = ()
-        for x, sep in zip(parts, ((SEP1,), (SEP2,), ())):
-            if type(x) is not tuple:
-                break
-            prefix += x + sep
-        self.prefix = prefix
+        self._parts = [x if x is None or isinstance(x, Nfa) else tuple(x)
+                       for x in (left, middle, right)]
+        self._starts = self._ends = None
+
+    def _bounds(self):
+        if self._starts is None:
+            parts = self._parts
+            # an any-word slot's one state (i, 0) starts and ends it
+            self._starts = [x.initial if isinstance(x, Nfa) else (0,) for x in parts]
+            self._ends = [x.accepting if isinstance(x, Nfa)
+                          else (0,) if x is None else (len(x),) for x in parts]
+            right = parts[2]
+            if isinstance(right, Nfa):  # read reversed, it starts where it accepts
+                self._starts[2], self._ends[2] = right.accepting, right.initial
+        return self._starts, self._ends
 
     @property
     def initial(self):
-        return [(0, q) for q in self._starts[0]]
+        return [(0, q) for q in self._bounds()[0][0]]
 
     @property
     def accepting(self):
-        return [(2, q) for q in self._ends[2]]
+        return [(2, q) for q in self._bounds()[1][2]]
 
     def moves(self, state, sym):
         i, q = state
@@ -230,30 +231,58 @@ class _Slots:
                 for r, out in (x.reverse() if i == 2 else x).moves(q, sym)]
 
     def accepts(self, w) -> bool:
-        """Cut w at its separators, compare the word slots, then run the
-        automaton slots, the right one on its segment reversed."""
+        """Cut w at its first #1 and the next #2 and test each segment in
+        its slot, the right one reversed for an automaton."""
         w = tuple(w)
         try:
             i = w.index(SEP1)
             j = w.index(SEP2, i + 1)
         except ValueError:
             return False
-        cut = (w[:i], w[i + 1:j], w[j + 1:])
-        parts = self._parts
-        for k in self._words:
-            if cut[k] != parts[k]:
-                return False
-        for k in self._automata:
-            if not parts[k].accepts(cut[k][::-1] if k == 2 else cut[k]):
-                return False
+        left, middle, right = self._parts
+        return (_holds(left, w[:i]) and _holds(middle, w[i + 1:j])
+                and _holds(right, w[j + 1:], True))
+
+    def pick(self, cut, accepted=True):
+        """The words of a flat table's cut (`cfg.flat_cut`) that `accepts`
+        takes, or with `accepted` false those it refuses, the uncut ones
+        among them.  A word left slot is one lookup, an automaton one is
+        asked once per distinct u, and the middle and right slots are
+        tested per entry."""
+        entries, uncut = cut
+        left, middle, right = self._parts
+        if accepted and type(left) is tuple:
+            groups = ((left, entries.get(left, ())),)
+        else:
+            groups = entries.items()
+        for u, group in groups:
+            if _holds(left, u):
+                for v, y, w in group:
+                    if (_holds(middle, v) and _holds(right, y, True)) == accepted:
+                        yield w
+            elif not accepted:
+                for _v, _y, w in group:
+                    yield w
+        if not accepted:
+            yield from uncut
+
+
+def _holds(x, segment, rev=False):
+    """Whether a slot of `_Slots` holds a table word's segment: any word
+    for None, an equal word, or an automaton's word, read reversed when rev
+    (the right slot, whose word is kept reversed)."""
+    if x is None:
         return True
+    if type(x) is tuple:
+        return x == segment
+    return x.accepts(segment[::-1] if rev else segment)
 
 
 def slot_word(s: WhStructure, left, middle, right):
     """The least table word left #1 middle #2 right-reversed, or None, with
     no grammar written and no automaton built: `cfg.least_word` reads the
-    slots in place through the automaton interface of `_Slots`, and a flat
-    table only its words that begin with the view's prefix."""
+    slots in place through the automaton interface of `_Slots`, and on a
+    flat table picks the words off the table's cut."""
     return cfglib.least_word(s.table, _Slots(left, middle, right))
 
 

@@ -18,7 +18,8 @@ import time
 import types
 from collections import defaultdict, deque
 
-from conftest import dense_chart, finite_language, symbol_ranks
+import flat_slot_reference
+from conftest import dense_chart, finite_language
 from test_cfg import _pruned_chart, _random_cfg
 from test_differential import _generic_twin
 from test_least_completions import _reference_least_completions
@@ -34,7 +35,7 @@ from whsg.oracle import (FiniteSemigroup, direct_product, rb22_table,
 from whsg.structural import is_clifford, is_completely_simple, palindromic_defect
 from whsg.structure import (WhStructure, _Slots, load_structure, slot_word,
                              validate_necessary)
-from whsg.words import SEP1, SEP2, shortlex_key
+from whsg.words import SEP1, SEP2
 
 
 def _fastest(f, runs=3, make=lambda: ()):
@@ -92,7 +93,7 @@ def test_merging_bisimilar_nodes_is_near_linear_on_a_cycle():
     sizes = [1000, 2000, 4000, 8000]
     times = []
     for k in sizes:
-        times.append(_fastest(cfglib.cnf_of, runs=3,
+        times.append(_fastest(cfglib.cnf_of, runs=5,
                               make=lambda: (normalize(_cycle(k)),)))
         # the k nodes of the cycle and the wrappers of a and b stay apart
         assert cfglib.cnf_of(_cycle(k)).size == k + 2
@@ -117,7 +118,7 @@ def test_merging_bisimilar_nodes_is_near_linear_under_a_hub():
     sizes = [1000, 2000, 4000, 8000]
     times = []
     for k in sizes:
-        times.append(_fastest(cfglib.cnf_of, runs=3,
+        times.append(_fastest(cfglib.cnf_of, runs=5,
                               make=lambda: (normalize(_hub(k)),)))
         # the cycle's k nodes, one block for S and T, Z and the wrappers
         assert cfglib.cnf_of(_hub(k)).size == k + 4
@@ -616,12 +617,6 @@ def test_two_letter_doubling_defect_is_read_off_the_certificate():
         assert len(d.witness) == 2 ** (k + 1) + 1
 
 
-def _scanned_least_word(g, a):
-    """least_word on a flat table as a scan of every table word."""
-    return min((w for w in g.flat_words if w and a.accepts(w)),
-               key=shortlex_key(symbol_ranks(g.terminals)), default=None)
-
-
 def test_flat_lookups_by_prefix_run_match_a_scan():
     # the decide-flat corpus, the order <= 3 corpus and the named tables
     rng = random.Random(27)
@@ -652,7 +647,7 @@ def test_flat_lookups_by_prefix_run_match_a_scan():
         for automata in itertools.product((False, True), repeat=3):
             for _ in range(4):
                 slots = [s.reps if auto else rng.choice(others) for auto in automata]
-                assert slot_word(s, *slots) == _scanned_least_word(
+                assert slot_word(s, *slots) == flat_slot_reference.least_word(
                     g, _Slots(*slots)), slots
 
 
